@@ -206,6 +206,17 @@ def cmd_run(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _load_instance_and_trace(args):
+    """The --instance file and the trace file, checked to belong together."""
+    inst = load(args.instance)
+    trace = load_trace(args.trace)
+    if trace.instance_name != inst.name or trace.n_offline != inst.n_offline:
+        raise InputError(
+            f"trace is for instance {trace.instance_name!r} (n={trace.n_offline}), "
+            f"got {inst.name!r} (n={inst.n_offline})")
+    return inst, trace
+
+
 def _compare_replay(trace, replay, tol: float) -> str | None:
     """First discrepancy between a stored trace and its replay, or None."""
     if abs(trace.primal_value - replay.primal_value) > tol:
@@ -276,12 +287,7 @@ def _verify_checks(trace, inst: Instance, tol: float) -> list[tuple[str, bool, s
 
 
 def cmd_verify(args) -> int:
-    inst = load(args.instance)
-    trace = load_trace(args.trace)
-    if trace.instance_name != inst.name or trace.n_offline != inst.n_offline:
-        raise InputError(
-            f"trace is for instance {trace.instance_name!r} (n={trace.n_offline}), "
-            f"got {inst.name!r} (n={inst.n_offline})")
+    inst, trace = _load_instance_and_trace(args)
     checks = _verify_checks(trace, inst, args.tol)
     ok = all(c[1] for c in checks)
     if args.json:
@@ -301,12 +307,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_audit(args) -> int:
-    inst = load(args.instance)
-    trace = load_trace(args.trace)
-    if trace.instance_name != inst.name or trace.n_offline != inst.n_offline:
-        raise InputError(
-            f"trace is for instance {trace.instance_name!r} (n={trace.n_offline}), "
-            f"got {inst.name!r} (n={inst.n_offline})")
+    inst, trace = _load_instance_and_trace(args)
     cert = offline_opt(inst)
     rep = audit_charging(trace, cert, inst, tol=args.tol)
     if args.json:

@@ -13,6 +13,7 @@ checked by verify_axioms instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +24,11 @@ from .errors import InputError, SizeError
 
 # Exhaustive axiom / rank checks enumerate all 2^n subsets.
 EXHAUSTIVE_LIMIT = 16
+
+# (weights, groups): f(S) = sum over (members, cap) in groups of
+# min(sum of weights[u] over u in S & members, cap); the groups partition
+# the ground set.
+LaminarForm = tuple[list[float], list[tuple[tuple[int, ...], float]]]
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,12 @@ class SubmodularFn:
         """
         return np.array([self.value_mask(int(m)) for m in masks], dtype=np.float64)
 
+    def laminar_form(self) -> LaminarForm | None:
+        """The closed form f(S) = sum over groups G of min(c(S & G), cap_G),
+        or None when the function has none. Families with a laminar form get
+        polynomial offline optima and exact budget-polytope checks."""
+        return None
+
     def to_spec(self) -> dict:
         raise NotImplementedError
 
@@ -130,6 +142,10 @@ class Cardinality(SubmodularFn):
 
     def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
         return _popcounts(masks, self.ground.size).astype(np.float64)
+
+    def laminar_form(self) -> LaminarForm:
+        n = self.ground.size
+        return [1.0] * n, [(tuple(range(n)), math.inf)]
 
     def to_spec(self) -> dict:
         return {"family": "cardinality"}
@@ -151,6 +167,10 @@ class UniformRank(SubmodularFn):
 
     def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
         return np.minimum(_popcounts(masks, self.ground.size), self.k).astype(np.float64)
+
+    def laminar_form(self) -> LaminarForm:
+        n = self.ground.size
+        return [1.0] * n, [(tuple(range(n)), float(self.k))]
 
     def to_spec(self) -> dict:
         return {"family": "uniform_rank", "k": self.k}
@@ -199,6 +219,9 @@ class PartitionBudget(SubmodularFn):
             total += np.minimum(_popcounts(masks & bm, self.ground.size), c)
         return total
 
+    def laminar_form(self) -> LaminarForm:
+        return [1.0] * self.ground.size, list(zip(self.blocks, self.caps))
+
     def to_spec(self) -> dict:
         return {"family": "partition_budget",
                 "blocks": [list(b) for b in self.blocks],
@@ -239,6 +262,9 @@ class WeightedThreshold(SubmodularFn):
             total += w * ((masks >> u) & 1)
         return np.minimum(total, self.cap)
 
+    def laminar_form(self) -> LaminarForm:
+        return list(self.weights), [(tuple(range(self.ground.size)), self.cap)]
+
     def to_spec(self) -> dict:
         return {"family": "weighted_threshold", "weights": list(self.weights), "cap": self.cap}
 
@@ -267,15 +293,6 @@ class ExplicitTable(SubmodularFn):
 
     def to_spec(self) -> dict:
         return {"family": "explicit_table", "values": [float(v) for v in self.table]}
-
-
-_FAMILIES = {
-    "cardinality": Cardinality,
-    "uniform_rank": UniformRank,
-    "partition_budget": PartitionBudget,
-    "weighted_threshold": WeightedThreshold,
-    "explicit_table": ExplicitTable,
-}
 
 
 def fn_from_spec(spec: dict, ground: GroundSet) -> SubmodularFn:
@@ -475,21 +492,30 @@ def lovasz(f: SubmodularFn, y: Sequence[float]) -> float:
 
 def lovasz_mc(f: SubmodularFn, y: Sequence[float], samples: int = 100_000,
               seed: int = 0) -> float:
-    """Monte-Carlo estimate of the Lovasz extension: average f({u : y_u >= t})."""
+    """Monte-Carlo estimate of the Lovasz extension: average f({u : y_u >= t}).
+
+    A threshold t selects one of the n + 1 suffix sets of y sorted
+    ascending, so the samples are counted per suffix and each suffix set
+    met is evaluated once, as a Python-int mask (any n).
+    """
     y = _check_potentials(f.ground, y)
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
     n = f.ground.size
     rng = np.random.default_rng(seed)
     t = rng.random(samples)
-    if n == 0:
-        return float(f.value_mask(0))
-    yarr = np.asarray(y)
-    bits = (yarr[None, :] >= t[:, None]).astype(np.int64)
-    masks = bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
-    uniq, counts = np.unique(masks, return_counts=True)
-    vals = f.values_for_masks(uniq)
-    return float(np.dot(vals, counts) / samples)
+    order = sorted(range(n), key=lambda u: (y[u], u))
+    # {u : y_u >= t} is order[i:] with i the number of potentials below t
+    counts = np.bincount(np.searchsorted([y[u] for u in order], t, side="left"),
+                         minlength=n + 1)
+    total = 0.0
+    suffix = 0
+    for i in range(n, -1, -1):
+        if i < n:
+            suffix |= 1 << order[i]
+        if counts[i]:
+            total += int(counts[i]) * f.value_mask(suffix)
+    return total / samples
 
 
 def is_matroid_rank(f: SubmodularFn, tol: float = DEFAULT_TOL) -> bool:

@@ -1,15 +1,17 @@
 """Offline oracles and lemma-level auditors.
 
 Everything here is deliberately independent of the online code paths: the
-optimum is a brute-force enumeration, matching feasibility re-derives the
-constraints from scratch, and the charging audit recomputes integrals from
-the raw trace regions. A disagreement between an auditor and a run is
+optimum is a self-checked min cut (brute-force enumeration for budgets
+without a laminar form), matching feasibility re-derives the constraints
+from scratch, and the charging audit recomputes integrals from the raw
+trace regions. A disagreement between an auditor and a run is
 evidence against the run, never the other way around.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +19,16 @@ import numpy as np
 from .algorithms import RunTrace, _greedy_core, dual_split_rate
 from .barchart import charge_integral
 from .constants import ALPHA, DEFAULT_TOL, charge_potential
-from .errors import InputError, SizeError
+from .errors import InputError, InvariantError, SizeError
 from .instances import Instance
 from .submodular import SubmodularFn, is_matroid_rank, lovasz, mask_members
 
+# Brute-force limits for budgets without a laminar form.
 OFFLINE_OPT_LIMIT = 24
 EXHAUSTIVE_MATCHING_LIMIT = 20
+
+# Residual capacity at or below this counts as saturated in the min cut.
+FLOW_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -33,11 +39,12 @@ EXHAUSTIVE_MATCHING_LIMIT = 20
 class OptCertificate:
     """Offline optimum min over S of f(S) + |{v : N(v) not within S}|.
 
-    argmin_S is the lexicographically-smallest minimizing bitmask as a
-    frozenset; cover_online is the forced online side {v : N(v) not within
-    argmin_S}. The pair is itself a vertex cover, so the value upper-bounds
-    the fractional dual optimum and (by LP duality for these instances)
-    equals the fractional matching optimum.
+    argmin_offline is the smallest minimizing bitmask as a frozenset (for a
+    min cut, the inclusion-minimal minimizer, which is the same set);
+    cover_online is the forced online side {v : N(v) not within
+    argmin_offline}. The pair is itself a vertex cover, so the value
+    upper-bounds the fractional dual optimum and (by LP duality for these
+    instances) equals the fractional matching optimum.
     """
 
     value: float
@@ -46,7 +53,16 @@ class OptCertificate:
 
 
 def offline_opt(instance: Instance) -> OptCertificate:
-    """Brute force over all subsets of the offline side (n <= 24)."""
+    """Min cut of the budget's flow network when f has a laminar form (any
+    n); brute force over all subsets of the offline side otherwise
+    (n <= 24)."""
+    form = instance.f.laminar_form()
+    if form is None:
+        return _brute_force_opt(instance)
+    return _min_cut_opt(instance, *form)
+
+
+def _brute_force_opt(instance: Instance) -> OptCertificate:
     n = instance.n_offline
     if n > OFFLINE_OPT_LIMIT:
         raise SizeError(f"offline_opt enumerates 2^n subsets; n = {n} > {OFFLINE_OPT_LIMIT}")
@@ -58,10 +74,123 @@ def offline_opt(instance: Instance) -> OptCertificate:
             uncovered += (masks & nm) != nm
     cost = instance.f.values_for_masks(masks) + uncovered
     best = int(np.argmin(cost))  # first index = smallest bitmask on ties
-    smask = best
-    cover = frozenset(arr.id for arr in instance.arrivals
-                      if (instance.neighbor_mask(arr) & ~smask) != 0)
-    return OptCertificate(float(cost[best]), frozenset(mask_members(smask)), cover)
+    return OptCertificate(float(cost[best]), frozenset(mask_members(best)),
+                          _forced_online(instance, best))
+
+
+def _forced_online(instance: Instance, smask: int) -> frozenset[int]:
+    """{v : N(v) not within S}: the online side a cover with offline part S needs."""
+    return frozenset(arr.id for arr in instance.arrivals
+                     if (instance.neighbor_mask(arr) & ~smask) != 0)
+
+
+def _min_cut_opt(instance: Instance, weights: list[float],
+                 groups: list[tuple[tuple[int, ...], float]]) -> OptCertificate:
+    """Max flow on s -(1)-> v -(inf)-> u -(c_u)-> G -(cap_G)-> t.
+
+    A cut's source side holds S, the online vertices whose neighbourhoods
+    lie within S, and the groups it pays cap_G for, so the min cut is
+    min over S of f(S) + |{v : N(v) not within S}| (Edmonds' polymatroid
+    intersection, laminar case). The offline vertices reachable from s in
+    the final residual graph form the inclusion-minimal min cut, which
+    every optimal S contains: it is the smallest optimal bitmask, the same
+    tie-break as brute force. The value is recomputed from f on that set
+    and must equal the flow.
+    """
+    m, n = instance.m_online, instance.n_offline
+    first_u, first_g = 1 + m, 1 + m + n
+    t = first_g + len(groups)
+    net = _FlowNetwork(t + 1)
+    for i, arr in enumerate(instance.arrivals):
+        net.add(0, 1 + i, 1.0)
+        for u in arr.nbrs:
+            net.add(1 + i, first_u + u, math.inf)
+    for g, (members, cap) in enumerate(groups):
+        for u in members:
+            net.add(first_u + u, first_g + g, weights[u])
+        net.add(first_g + g, t, cap)
+    flow, reachable = net.max_flow(0, t)
+    smask = 0
+    for u in range(n):
+        if reachable[first_u + u]:
+            smask |= 1 << u
+    cover = _forced_online(instance, smask)
+    value = instance.f.value_mask(smask) + len(cover)
+    if abs(flow - value) > DEFAULT_TOL * max(1.0, value):
+        raise InvariantError(f"min cut {value!r} differs from max flow {flow!r}")
+    return OptCertificate(value, frozenset(mask_members(smask)), cover)
+
+
+class _FlowNetwork:
+    """Dinic maximum flow on float capacities (math.inf allowed)."""
+
+    def __init__(self, size: int):
+        self.adj: list[list[int]] = [[] for _ in range(size)]
+        self.head: list[int] = []  # arc e runs head[e ^ 1] -> head[e]
+        self.cap: list[float] = []  # residual capacity of arc e
+
+    def add(self, a: int, b: int, cap: float):
+        self.adj[a].append(len(self.head))
+        self.head.append(b)
+        self.cap.append(cap)
+        self.adj[b].append(len(self.head))
+        self.head.append(a)
+        self.cap.append(0.0)
+
+    def _levels(self, s: int) -> list[int]:
+        """BFS distance from s over arcs with residual above FLOW_EPS, -1 if
+        unreachable."""
+        level = [-1] * len(self.adj)
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            a = queue.popleft()
+            for e in self.adj[a]:
+                b = self.head[e]
+                if level[b] < 0 and self.cap[e] > FLOW_EPS:
+                    level[b] = level[a] + 1
+                    queue.append(b)
+        return level
+
+    def max_flow(self, s: int, t: int) -> tuple[float, list[bool]]:
+        """Flow value and, per node, whether the final residual graph
+        reaches it from s."""
+        total = 0.0
+        while True:
+            level = self._levels(s)
+            if level[t] < 0:
+                return total, [d >= 0 for d in level]
+            nxt = [0] * len(self.adj)  # current arc per node
+            while True:
+                pushed = self._augment(s, t, level, nxt)
+                if not pushed:
+                    break
+                total += pushed
+
+    def _augment(self, s: int, t: int, level: list[int], nxt: list[int]) -> float:
+        """Push along one shortest residual s-t path; 0.0 when none is left."""
+        path: list[int] = []
+        a = s
+        while a != t:
+            arcs = self.adj[a]
+            while nxt[a] < len(arcs):
+                e = arcs[nxt[a]]
+                if self.cap[e] > FLOW_EPS and level[self.head[e]] == level[a] + 1:
+                    break
+                nxt[a] += 1
+            else:  # dead end: retreat and skip the arc that led here
+                if not path:
+                    return 0.0
+                a = self.head[path.pop() ^ 1]
+                nxt[a] += 1
+                continue
+            path.append(e)
+            a = self.head[e]
+        push = min(self.cap[e] for e in path)
+        for e in path:
+            self.cap[e] -= push
+            self.cap[e ^ 1] += push
+        return push
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +209,12 @@ class CheckReport:
 
 
 def check_matching(x: dict[tuple[int, int], float], instance: Instance,
-                   tol: float = DEFAULT_TOL, samples: int = 10_000,
-                   seed: int = 0) -> CheckReport:
+                   tol: float = DEFAULT_TOL) -> CheckReport:
     """Feasibility of a fractional matching: x >= 0, unit online mass, and
-    offline mass within the budget polytope (x(S) <= f(S) for all S;
-    exhaustive up to n = 20, sampled with singletons and the full set
-    beyond)."""
+    offline mass within the budget polytope (x(S) <= f(S) for all S).
+
+    The polytope test is exact in closed form for budgets with a laminar
+    form (any n) and exhaustive for the others (n <= 20)."""
     n = instance.n_offline
     f = instance.f
     report = CheckReport(ok=True)
@@ -107,7 +236,16 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
         if tot > 1.0 + tol:
             report.violations.append(f"online mass at v={vid} is {tot} > 1")
 
-    if n <= EXHAUSTIVE_MATCHING_LIMIT:
+    form = f.laminar_form()
+    if form is not None:
+        excess, smask = _laminar_excess(x_u, *form)
+        if excess > tol:
+            load = sum(x_u[u] for u in mask_members(smask))
+            report.violations.append(
+                f"offline mass {load:.12g} exceeds budget f(S) = {f.value_mask(smask):.12g} "
+                f"on S = {sorted(mask_members(smask))}")
+        report.details["budget_mode"] = "laminar"
+    elif n <= EXHAUSTIVE_MATCHING_LIMIT:
         load = np.zeros(1, dtype=np.float64)
         for u in range(n):
             load = np.concatenate([load, load + x_u[u]])
@@ -120,20 +258,38 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
                 f"on S = {sorted(mask_members(m))}")
         report.details["budget_mode"] = "exhaustive"
     else:
-        rng = np.random.default_rng(seed)
-        cand = [1 << u for u in range(n)] + [(1 << n) - 1]
-        cand += [int(m) for m in rng.integers(0, 1 << n, size=samples, dtype=np.uint64)]
-        for m in cand:
-            tot = sum(x_u[u] for u in mask_members(m))
-            if tot > f.value_mask(m) + tol:
-                report.violations.append(
-                    f"offline mass {tot:.12g} exceeds budget on S = {sorted(mask_members(m))}")
-                break
-        report.details["budget_mode"] = "sampled"
+        raise SizeError(f"budget-polytope check enumerates 2^n subsets; "
+                        f"n = {n} > {EXHAUSTIVE_MATCHING_LIMIT}")
 
     report.details["total"] = sum(x.values())
     report.ok = not report.violations
     return report
+
+
+def _laminar_excess(x_u: list[float], weights: list[float],
+                    groups: list[tuple[tuple[int, ...], float]]) -> tuple[float, int]:
+    """max over S of x(S) - f(S) for a laminar-form f, and a maximiser.
+
+    f splits over the groups, and within a group G the best S either stays
+    below the cap (take every u with x_u > c_u: sum of (x_u - c_u)+) or
+    pays the cap (take every u with x_u > 0: x+(G) - cap_G).
+    """
+    excess = 0.0
+    smask = 0
+    for members, cap in groups:
+        over = [u for u in members if x_u[u] > weights[u]]
+        below_cap = sum(x_u[u] - weights[u] for u in over)
+        positive = [u for u in members if x_u[u] > 0.0]
+        at_cap = sum(x_u[u] for u in positive) - cap
+        if at_cap > below_cap:
+            excess += at_cap
+            chosen = positive
+        else:
+            excess += below_cap
+            chosen = over
+        for u in chosen:
+            smask |= 1 << u
+    return excess, smask
 
 
 def check_weak_duality(x: dict[tuple[int, int], float], y, z: dict[int, float],

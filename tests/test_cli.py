@@ -2,13 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from matroidmatch.algorithms import load_trace, run_mobvc, run_random_arrival_greedy, save_trace
 from matroidmatch.cli import main, parse_fn_spec, parse_seeds
 from matroidmatch.constants import ONE_PLUS_ALPHA
 from matroidmatch.errors import ParseError
-from matroidmatch.instances import Arrival, Instance, load, save
+from matroidmatch.instances import Arrival, Instance, gen_random, load, save
 from matroidmatch.submodular import Cardinality, GroundSet
 
 
@@ -210,6 +211,52 @@ class TestAudit:
         open(tpath, "w").write(json.dumps(data))
         assert main(["audit", str(tpath), "--instance", str(ipath)]) == 1
         assert "FAIL global-budget" in capsys.readouterr().out
+
+
+class TestBeyondBruteForce:
+    """n = 30 is past the 2^n enumeration limit (24) of a brute-force optimum."""
+
+    @staticmethod
+    def lp_opt(inst, blocks, caps):
+        """Fractional matching optimum by linear programming over the
+        partition-matroid polytope x_u <= 1, x(B) <= cap_B."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        edges = inst.edges()
+        rows = [[1.0 if vid == v else 0.0 for _, vid in edges] for v in range(inst.m_online)]
+        rows += [[1.0 if u == w else 0.0 for u, _ in edges] for w in range(inst.n_offline)]
+        rows += [[1.0 if u in block else 0.0 for u, _ in edges] for block in blocks]
+        rhs = [1.0] * (inst.m_online + inst.n_offline) + list(caps)
+        res = linprog(-np.ones(len(edges)), A_ub=np.array(rows), b_ub=np.array(rhs),
+                      bounds=(0, None), method="highs")
+        assert res.status == 0
+        return -res.fun
+
+    @pytest.mark.parametrize("algorithm", ["mobvc", "mobm-pd"])
+    @pytest.mark.parametrize("family", ["cardinality", "partition"])
+    def test_run_verify_audit(self, tmp_path, capsys, algorithm, family):
+        n = 30
+        if family == "cardinality":
+            spec, blocks, caps = "cardinality", [], []
+        else:
+            ids = [u % 3 for u in range(n)]
+            caps = [4, 5, 6]
+            spec = f"partition:{','.join(map(str, ids))}:{','.join(map(str, caps))}"
+            blocks = [{u for u in range(n) if ids[u] == j} for j in range(3)]
+        ipath, tpath = tmp_path / "i.json", tmp_path / "t.json"
+        assert main(["generate", "random", "--n", str(n), "--m", "40", "--p", "0.3",
+                     "--f", spec, "--out", str(ipath)]) == 0
+        inst = load(ipath)
+        assert [a.nbrs for a in inst.arrivals] == [
+            a.nbrs for a in gen_random(n, 40, 0.3).arrivals]
+        capsys.readouterr()
+        assert main(["run", str(ipath), "--algorithm", algorithm,
+                     "--trace", str(tpath)]) == 0
+        opt = float(capsys.readouterr().out.split(",")[4])
+        assert opt == pytest.approx(self.lp_opt(inst, blocks, caps), abs=1e-6)
+        assert main(["verify", str(tpath), "--instance", str(ipath)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert main(["audit", str(tpath), "--instance", str(ipath)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestSweep:

@@ -239,6 +239,52 @@ class TestLovaszMC:
             est = lovasz_mc(f, y, samples=100_000, seed=k)
             assert abs(est - exact) <= 0.01 * max(1.0, exact)
 
+    def test_past_64_bit_masks(self):
+        # exact value sum(y) = 35; int64 masks gave 32.94 here
+        n = 70
+        f = Cardinality(GroundSet(n))
+        y = [(u % 10) / 10 + 0.05 for u in range(n)]
+        exact = lovasz(f, y)
+        assert exact == pytest.approx(35.0, abs=1e-9)
+        assert abs(lovasz_mc(f, y, samples=200_000) - exact) <= 0.01 * exact
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 65])
+    def test_mask_width_boundary(self, n):
+        f = Cardinality(GroundSet(n))
+        y = [((7 * u) % n) / n for u in range(n)]
+        exact = lovasz(f, y)
+        assert abs(lovasz_mc(f, y, samples=50_000, seed=n) - exact) <= 0.01 * exact
+
+
+class TestLaminarForm:
+    @staticmethod
+    def from_form(form, mask):
+        weights, groups = form
+        return sum(min(sum(weights[u] for u in members if (mask >> u) & 1), cap)
+                   for members, cap in groups)
+
+    def test_reproduces_values_for_masks(self):
+        rng = random.Random(5)
+        for n in (0, 1, 4, 7, 10):
+            fams = all_families(n)
+            if n >= 3:
+                ids = [u % 3 for u in range(n)]
+                rng.shuffle(ids)
+                blocks = [[u for u in range(n) if ids[u] == j] for j in range(3)]
+                fams.append(PartitionBudget(GroundSet(n), blocks, [0.5, 2.0, 1.5]))
+                fams.append(WeightedThreshold(GroundSet(n), [rng.random() for _ in range(n)],
+                                              rng.random() * n / 2))
+            for f in fams:
+                form = f.laminar_form()
+                if isinstance(f, ExplicitTable):
+                    assert form is None
+                    continue
+                weights, groups = form
+                assert sorted(u for members, _ in groups for u in members) == list(range(n))
+                want = f.values_for_masks(np.arange(1 << n, dtype=np.int64))
+                got = [self.from_form(form, mask) for mask in range(1 << n)]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestMatroidRank:
     def test_matroid_families(self):

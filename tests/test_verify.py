@@ -1,6 +1,7 @@
 """Tests for the offline oracles and auditors."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from matroidmatch.algorithms import (
     run_random_arrival_greedy,
 )
 from matroidmatch.constants import ALPHA, charge_potential
-from matroidmatch.errors import InputError, SizeError
+from matroidmatch.errors import InputError, InvariantError, SizeError
 from matroidmatch.instances import (
     Arrival,
     ArrivalModel,
@@ -22,15 +23,19 @@ from matroidmatch.instances import (
     gen_upper_triangular,
     make_matroid_suite,
     make_suite,
+    random_coverage_table,
 )
 from matroidmatch.submodular import (
     Cardinality,
     GroundSet,
     PartitionBudget,
+    SubmodularFn,
     UniformRank,
+    WeightedThreshold,
     lovasz,
 )
 from matroidmatch.verify import (
+    _brute_force_opt,
     audit_charging,
     check_cover,
     check_matching,
@@ -42,6 +47,23 @@ from matroidmatch.verify import (
 )
 
 TOL = 1e-9
+
+
+class Opaque(SubmodularFn):
+    """Evaluates like another budget but has no laminar form, so the
+    oracles fall back to enumeration."""
+
+    family = "opaque"
+
+    def __init__(self, inner):
+        super().__init__(inner.ground)
+        self.inner = inner
+
+    def value_mask(self, mask):
+        return self.inner.value_mask(mask)
+
+    def values_for_masks(self, masks):
+        return self.inner.values_for_masks(masks)
 
 
 def single_edge(f=None, n=1):
@@ -105,8 +127,9 @@ class TestOfflineOpt:
             assert math.isclose(cert.value, best, abs_tol=1e-12)
 
     def test_size_cap(self):
+        # without a laminar form the optimum is brute force, capped at n = 24
         g = GroundSet(25)
-        inst = Instance("big", 25, Cardinality(g), [Arrival(0, (0,))])
+        inst = Instance("big", 25, Opaque(Cardinality(g)), [Arrival(0, (0,))])
         with pytest.raises(SizeError):
             offline_opt(inst)
 
@@ -121,7 +144,26 @@ class TestCheckMatching:
                 x[(rec.matched, rec.v)] = 1.0
         rep = check_matching(x, inst)
         assert rep.ok
+        assert rep.details["budget_mode"] == "laminar"
+
+    def test_exhaustive_without_laminar_form(self):
+        inst = gen_random(6, 6, 0.5, random_coverage_table(6, 3), seed=2)
+        rep = check_matching(run_mobm_pd(inst).state.x, inst)
+        assert rep.ok, rep.violations
         assert rep.details["budget_mode"] == "exhaustive"
+
+    def test_size_cap_without_laminar_form(self):
+        g = GroundSet(21)
+        inst = Instance("big", 21, Opaque(Cardinality(g)), [Arrival(0, (0,))])
+        with pytest.raises(SizeError):
+            check_matching({(0, 0): 1.0}, inst)
+
+    def test_large_n_pd_matching(self):
+        # n = 70 is past any 64-bit mask
+        inst = gen_random(70, 40, 0.3)
+        rep = check_matching(run_mobm_pd(inst).state.x, inst)
+        assert rep.ok, rep.violations
+        assert rep.details["budget_mode"] == "laminar"
 
     def test_pd_fractional_matching_is_feasible(self):
         for inst in make_suite(count=12, n_max=6, m_max=6, seed=3):
@@ -158,6 +200,140 @@ class TestCheckMatching:
         rep = check_matching({(4, 9): 0.5}, inst)
         assert not rep.ok
 
+
+def tie_heavy_budget(rng, n, kind):
+    """A laminar budget with weights in {0.5, 1.0} and caps that sums of
+    weights hit exactly, so many cuts tie."""
+    g = GroundSet(n)
+    if kind == 0:
+        return Cardinality(g)
+    if kind == 1:
+        return UniformRank(g, rng.randint(0, n))
+    if kind == 2:
+        k = rng.randint(1, n)
+        ids = [rng.randrange(k) for _ in range(n)]
+        blocks = [b for b in ([u for u in range(n) if ids[u] == j] for j in range(k)) if b]
+        return PartitionBudget(g, blocks, [rng.choice((0.0, 0.5, 1.0, 1.5, 2.0))
+                                           for _ in blocks])
+    weights = [rng.choice((0.5, 1.0)) for _ in range(n)]
+    return WeightedThreshold(g, weights, sum(w for w in weights if rng.random() < 0.5))
+
+
+def tie_heavy_instances(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(1, 9)
+        f = tie_heavy_budget(rng, n, i % 4)
+        out.append(gen_random(n, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6, 0.9)), f,
+                              seed=rng.getrandbits(32)))
+    return out
+
+
+class TestMinCutCertificate:
+    @staticmethod
+    def assert_matches_brute_force(inst):
+        cut, brute = offline_opt(inst), _brute_force_opt(inst)
+        assert math.isclose(cut.value, brute.value, abs_tol=1e-9), inst.name
+        assert cut.argmin_offline == brute.argmin_offline, inst.name
+        assert cut.cover_online == brute.cover_online, inst.name
+
+    def test_suites(self):
+        insts = [inst for inst in make_suite(200) + make_matroid_suite(20)
+                 if inst.f.laminar_form() is not None]
+        assert len(insts) > 150
+        for inst in insts:
+            self.assert_matches_brute_force(inst)
+
+    def test_tie_heavy(self):
+        for inst in tie_heavy_instances(300, seed=5):
+            self.assert_matches_brute_force(inst)
+
+    def test_without_laminar_form_is_brute_force(self):
+        inst = gen_random(6, 8, 0.5, random_coverage_table(6, 9), seed=4)
+        assert offline_opt(inst) == _brute_force_opt(inst)
+
+    def test_inconsistent_form_is_caught(self):
+        # value_mask disagrees with the laminar form the flow is built from
+        class Shifted(Cardinality):
+            def value_mask(self, mask):
+                return super().value_mask(mask) + 5.0
+
+        inst = Instance("shifted", 1, Shifted(GroundSet(1)), [Arrival(0, (0,))])
+        with pytest.raises(InvariantError):
+            offline_opt(inst)
+
+
+class TestClosedFormMatching:
+    """The closed-form polytope test against the exhaustive one."""
+
+    @staticmethod
+    def both(inst, x):
+        rep = check_matching(x, inst)
+        ref = check_matching(x, Instance(inst.name, inst.n_offline, Opaque(inst.f),
+                                         inst.arrivals))
+        assert rep.details["budget_mode"] == "laminar"
+        assert ref.details["budget_mode"] == "exhaustive"
+        return rep, ref
+
+    @staticmethod
+    def over_budget(rep):
+        return any("exceeds budget" in v for v in rep.violations)
+
+    @staticmethod
+    def room(fvals, x_u, u):
+        """How far x_u can rise before some constraint x(S) <= f(S) with u in S binds."""
+        n = len(x_u)
+        return min(fv - sum(x_u[w] for w in range(n) if (mask >> w) & 1)
+                   for mask, fv in enumerate(fvals) if (mask >> u) & 1)
+
+    def test_agrees_with_exhaustive_near_facets(self):
+        rng = random.Random(21)
+        for trial in range(300):
+            n = rng.randint(1, 8)
+            f = tie_heavy_budget(rng, n, trial % 4)
+            fvals = [f.value_mask(mask) for mask in range(1 << n)]
+            inst = Instance("diag", n, f, [Arrival(u, (u,)) for u in range(n)])
+            # fill a feasible point in dyadic steps, so every facet distance
+            # is exact, then move one entry to within 2 tol of its facet
+            x_u = [-0.125 if rng.random() < 0.1 else 0.0 for _ in range(n)]
+            for u in rng.sample(range(n), n):
+                x_u[u] += min(rng.randint(0, 8) / 8, self.room(fvals, x_u, u))
+            u = rng.randrange(n)
+            x_u[u] += self.room(fvals, x_u, u) + rng.choice((-2.0, -0.5, 0.0, 0.5, 2.0)) * TOL
+            x = {(u, u): val for u, val in enumerate(x_u)}
+            rep, ref = self.both(inst, x)
+            assert self.over_budget(rep) == self.over_budget(ref), (f.to_spec(), x_u)
+            assert rep.ok == ref.ok
+
+    def test_agrees_with_exhaustive_on_random_points(self):
+        rng = random.Random(8)
+        for inst in make_suite(60, n_max=10, m_max=10, seed=2):
+            if inst.f.laminar_form() is None:
+                continue
+            for _ in range(5):
+                x = {(u, vid): rng.uniform(-0.05, 0.6) for u, vid in inst.edges()}
+                rep, ref = self.both(inst, x)
+                assert self.over_budget(rep) == self.over_budget(ref), inst.name
+                assert rep.ok == ref.ok
+
+    def test_excess_adds_across_groups(self):
+        # each block is over by 0.6 tol: only the union of both passes tol
+        g = GroundSet(2)
+        inst = Instance("pair", 2, PartitionBudget(g, [[0], [1]], [1.0, 1.0]),
+                        [Arrival(0, (0,)), Arrival(1, (1,))])
+        for over, flagged in ((0.6, True), (0.4, False)):
+            x = {(0, 0): 1.0 + over * TOL, (1, 1): 1.0 + over * TOL}
+            rep, ref = self.both(inst, x)
+            assert self.over_budget(rep) == self.over_budget(ref) == flagged
+
+    def test_witness(self):
+        g = GroundSet(4)
+        f = PartitionBudget(g, [[0, 1], [2, 3]], [1.0, 2.0])
+        inst = Instance("w", 4, f, [Arrival(u, (u,)) for u in range(4)])
+        rep = check_matching({(0, 0): 0.75, (1, 1): 0.5, (2, 2): 1.0, (3, 3): 0.25}, inst)
+        assert rep.violations == [
+            "offline mass 1.25 exceeds budget f(S) = 1 on S = [0, 1]"]
 
 class TestWeakDualityAndCover:
     def test_pd_traces_satisfy_weak_duality(self):
