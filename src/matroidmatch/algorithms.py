@@ -35,13 +35,16 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .barchart import BarChart, NewRegion
+from .barchart import BarChart, NewRegion, json_int, json_ints, json_list, json_number
 from .constants import ALPHA, SNAP_EPS
-from .errors import InputError, InvariantError, PreconditionError
+from .errors import InputError, InvariantError, ParseError, PreconditionError
 from .instances import Arrival, ArrivalModel, Instance, SplitMix64, order_arrivals
 from .submodular import SubmodularFn, is_matroid_rank, lovasz, mask_members, span_mask
 
 ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
+
+# Version of the JSON written by save_trace; load_trace reads no other.
+TRACE_FORMAT = 2
 
 
 def dual_split_rate(t: float) -> float:
@@ -129,56 +132,88 @@ def _modular_water_level(y, nbrs, alpha: float = ALPHA) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RoundRecord:
-    """One arrival's outcome.
+class WaterfillRound:
+    """One arrival of a waterfilling run (obvc, mobvc, mobm-pd).
 
-    Waterfilling rounds carry the level a and the chart regions; greedy
-    rounds carry the matched element and the timestamp. X is the set of
-    offline elements whose potential changed this round. dP and dD are the
-    primal and dual increments (dP stays 0 for cover-only runs).
+    a is the water level, X the offline elements raised to it, regions the
+    new chart mass. dD is the dual increment; dP, the primal increment,
+    and x_inc, its split over X, stay 0 and empty for cover-only runs.
     """
 
     v: int
-    a: float | None = None
-    X: tuple[int, ...] = ()
-    regions: tuple[NewRegion, ...] = ()
-    dP: float = 0.0
-    dD: float = 0.0
-    t: float | None = None
-    z: float = 0.0
-    matched: int | None = None
-    x_inc: dict[int, float] = field(default_factory=dict)
+    a: float
+    X: tuple[int, ...]
+    regions: tuple[NewRegion, ...]
+    dP: float
+    dD: float
+    z: float
+    x_inc: dict[int, float]
 
     def to_dict(self) -> dict:
         return {
             "v": self.v, "a": self.a, "X": list(self.X),
             "regions": [r.to_dict() for r in self.regions],
-            "dP": self.dP, "dD": self.dD, "t": self.t, "z": self.z,
-            "matched": self.matched,
+            "dP": self.dP, "dD": self.dD, "z": self.z,
             "x_inc": {str(u): val for u, val in sorted(self.x_inc.items())},
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "RoundRecord":
-        return RoundRecord(
-            v=d["v"], a=d["a"], X=tuple(d["X"]),
-            regions=tuple(NewRegion.from_dict(r) for r in d["regions"]),
-            dP=float(d["dP"]), dD=float(d["dD"]), t=d["t"], z=float(d["z"]),
-            matched=d["matched"],
-            x_inc={int(u): float(val) for u, val in d.get("x_inc", {}).items()},
+    def from_dict(d: dict) -> "WaterfillRound":
+        a = json_number(d["a"])
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"water level a = {a} outside [0, 1]")
+        x_inc = d["x_inc"]
+        if not isinstance(x_inc, dict):
+            raise ValueError(f"x_inc must be an object, got {x_inc!r}")
+        return WaterfillRound(
+            v=json_int(d["v"]), a=a, X=json_ints(d["X"]),
+            regions=tuple(NewRegion.from_dict(r) for r in json_list(d["regions"])),
+            dP=json_number(d["dP"]), dD=json_number(d["dD"]), z=json_number(d["z"]),
+            x_inc={int(u): json_number(val) for u, val in x_inc.items()},
+        )
+
+
+@dataclass
+class GreedyRound:
+    """One arrival of the random-arrival greedy at timestamp t.
+
+    matched is the element it took (None when every neighbor was spanned)
+    and X the elements that entered the span with it. dP and dD are the
+    primal and dual increments.
+    """
+
+    v: int
+    t: float
+    X: tuple[int, ...] = ()
+    matched: int | None = None
+    dP: float = 0.0
+    dD: float = 0.0
+    z: float = 0.0
+
+    def to_dict(self) -> dict:
+        return {"v": self.v, "t": self.t, "X": list(self.X), "matched": self.matched,
+                "dP": self.dP, "dD": self.dD, "z": self.z}
+
+    @staticmethod
+    def from_dict(d: dict) -> "GreedyRound":
+        matched = d["matched"]
+        return GreedyRound(
+            v=json_int(d["v"]), t=json_number(d["t"]), X=json_ints(d["X"]),
+            matched=None if matched is None else json_int(matched),
+            dP=json_number(d["dP"]), dD=json_number(d["dD"]), z=json_number(d["z"]),
         )
 
 
 @dataclass
 class OnlineState:
     """Final algorithm state: offline potentials y, online duals z, edge
-    variables x, the bar chart (waterfilling runs only), and the matched
-    element set."""
+    variables x, the bar chart (waterfilling runs only, not serialized and
+    not compared), and the matched element set."""
 
     y: list[float]
     z: dict[int, float]
     x: dict[tuple[int, int], float]
-    chart: BarChart | None = None
+    chart: BarChart | None = field(default=None, compare=False)
     matched: frozenset[int] = frozenset()
 
 
@@ -187,13 +222,14 @@ class RunTrace:
     algorithm: str
     instance_name: str
     n_offline: int
-    rounds: list[RoundRecord]
+    rounds: list[WaterfillRound] | list[GreedyRound]
     state: OnlineState
     primal_value: float
     dual_value: float
 
     def to_dict(self) -> dict:
         return {
+            "format": TRACE_FORMAT,
             "algorithm": self.algorithm,
             "instance": {"name": self.instance_name, "n_offline": self.n_offline},
             "alpha": ALPHA,
@@ -210,40 +246,67 @@ class RunTrace:
 
     @staticmethod
     def from_dict(d: dict) -> "RunTrace":
+        """Inverse of to_dict. ParseError for another format version;
+        ValueError, TypeError or KeyError for a malformed trace."""
+        if not isinstance(d, dict):
+            raise ValueError("a run trace is a JSON object")
+        if d.get("format") != TRACE_FORMAT:
+            found = repr(d["format"]) if "format" in d else '1 (no "format" field)'
+            raise ParseError(f"trace format {found} is not supported; this version reads "
+                             f"format {TRACE_FORMAT} only, so re-run the algorithm to "
+                             f"write the trace again")
+        algorithm = d["algorithm"]
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        name, n = d["instance"]["name"], json_int(d["instance"]["n_offline"])
+        if not isinstance(name, str) or n < 0:
+            raise ValueError(f"bad instance block {d['instance']!r}")
+        if json_number(d["alpha"]) != ALPHA:
+            raise ValueError(f"trace alpha {d['alpha']} differs from ALPHA = {ALPHA}")
+        round_type = GreedyRound if algorithm == "greedy-ra" else WaterfillRound
+        rounds = [round_type.from_dict(r) for r in json_list(d["rounds"])]
+        for rec in rounds:
+            if not all(0 <= u < n for u in rec.X):
+                raise ValueError(f"round v={rec.v}: X = {rec.X} outside 0..{n - 1}")
         fin = d["final"]
+        y = [json_number(v) for v in json_list(fin["y"])]
+        if len(y) != n:
+            raise ValueError(f"{len(y)} final potentials for n_offline = {n}")
         state = OnlineState(
-            y=[float(v) for v in fin["y"]],
-            z={int(v): float(zv) for v, zv in fin["z"]},
-            x={(int(u), int(v)): float(val) for u, v, val in fin["x"]},
-            chart=None,
-            matched=frozenset(fin["matched_offline"]),
+            y=y,
+            z={json_int(v): json_number(zv) for v, zv in json_list(fin["z"])},
+            x={(json_int(u), json_int(v)): json_number(val)
+               for u, v, val in json_list(fin["x"])},
+            matched=frozenset(json_ints(fin["matched_offline"])),
         )
-        return RunTrace(
-            algorithm=d["algorithm"],
-            instance_name=d["instance"]["name"],
-            n_offline=int(d["instance"]["n_offline"]),
-            rounds=[RoundRecord.from_dict(r) for r in d["rounds"]],
-            state=state,
-            primal_value=float(fin["primal_value"]),
-            dual_value=float(fin["dual_value"]),
-        )
+        return RunTrace(algorithm, name, n, rounds, state,
+                        json_number(fin["primal_value"]), json_number(fin["dual_value"]))
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
+    """Write the trace as one line of compact sorted-key JSON (format 2).
+
+    json.dumps encodes in one call to the C encoder; json.dump to a file,
+    or any indent, goes through the pure-Python one.
+    """
+    text = json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 
 def load_trace(path: str | os.PathLike) -> RunTrace:
-    from .errors import ParseError
+    """Read a trace written by save_trace; ParseError for anything else,
+    including traces of another format version."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, deep nesting
             raise ParseError(f"{path}: not valid JSON ({e})") from e
     try:
         return RunTrace.from_dict(data)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from e
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: not a run trace ({e!r})") from e
 
@@ -252,14 +315,30 @@ def load_trace(path: str | os.PathLike) -> RunTrace:
 # Waterfilling runs
 # ---------------------------------------------------------------------------
 
-def _primal_increments(f: SubmodularFn, regions, denom: float) -> dict[int, float]:
+def _region_bases(regions, y: list[float]) -> list[int]:
+    """Member mask of each region's bar before the raise, from the levels y
+    before the raise: u is a member of the bar [lo, hi] exactly when
+    y_u >= hi. The regions of one raise are nested (ascending lo, so
+    descending member sets), and one sweep down the levels builds them all."""
+    order = sorted(range(len(y)), key=y.__getitem__, reverse=True)
+    bases = [0] * len(regions)
+    mask = k = 0
+    for i in range(len(regions) - 1, -1, -1):
+        hi = regions[i].hi
+        while k < len(order) and y[order[k]] >= hi:
+            mask |= 1 << order[k]
+            k += 1
+        bases[i] = mask
+    return bases
+
+
+def _primal_increments(f: SubmodularFn, regions, y: list[float],
+                       denom: float) -> dict[int, float]:
     """Split each region's mass over its appended elements by their marginals
-    in sigma_t order, scaled by 1 / denom."""
+    in sigma_t order, scaled by 1 / denom; y holds the levels before the
+    raise that made the regions."""
     inc: dict[int, float] = {}
-    for r in regions:
-        mask = 0
-        for u in r.base:
-            mask |= 1 << u
+    for r, mask in zip(regions, _region_bases(regions, y)):
         prev = f.value_mask(mask)
         for u in r.appended:
             mask |= 1 << u
@@ -276,7 +355,7 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
     chart = BarChart.from_potentials(f, [0.0] * n)
     z: dict[int, float] = {}
     x: dict[tuple[int, int], float] = {}
-    rounds: list[RoundRecord] = []
+    rounds: list[WaterfillRound] = []
     for arr in instance.arrivals:
         y = chart.levels
         if algorithm == "obvc":
@@ -288,14 +367,14 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
         zv = 1.0 - a
         z[arr.id] = zv
         dd = zv + sum(r.area for r in regions)
-        rec = RoundRecord(v=arr.id, a=a, X=X, regions=regions, dD=dd, z=zv)
+        inc: dict[int, float] = {}
+        dp = 0.0
         if algorithm == "mobm-pd":
-            inc = _primal_increments(f, regions, a + ALPHA)
+            inc = _primal_increments(f, regions, y, a + ALPHA)
             for u, val in inc.items():
                 x[(u, arr.id)] = val
-            rec.x_inc = inc
-            rec.dP = sum(inc.values())
-        rounds.append(rec)
+            dp = sum(inc.values())
+        rounds.append(WaterfillRound(arr.id, a, X, regions, dp, dd, zv, inc))
     state = OnlineState(y=chart.levels, z=z, x=x, chart=chart)
     primal = sum(x.values())
     dual = chart.area() + sum(z.values())
@@ -413,21 +492,20 @@ def run_random_arrival_greedy(instance: Instance,
 
     # per-round dual increments, with the potential gain measured honestly
     # through the Lovasz extension rather than assumed from the update rule
-    rounds: list[RoundRecord] = []
+    rounds: list[GreedyRound] = []
     fhat_prev = 0.0
     y_run = [0.0] * n
     for vid, t, pick, newly in out.per_round:
         if pick is None:
-            rounds.append(RoundRecord(v=vid, t=t))
+            rounds.append(GreedyRound(v=vid, t=t))
             continue
         raised = mask_members(newly)
         for u in raised:
             y_run[u] = out.y[u]
         fhat = lovasz(f, y_run)
         zv = out.z[vid]
-        rounds.append(RoundRecord(
-            v=vid, X=raised, dP=1.0, dD=zv + (fhat - fhat_prev),
-            t=t, z=zv, matched=pick))
+        rounds.append(GreedyRound(v=vid, t=t, X=raised, matched=pick, dP=1.0,
+                                  dD=zv + (fhat - fhat_prev), z=zv))
         fhat_prev = fhat
 
     state = OnlineState(y=out.y, z=out.z, x=x, chart=None,

@@ -22,10 +22,7 @@ from .constants import ALPHA, SNAP_EPS
 from .errors import InputError, PreconditionError
 from .submodular import SubmodularFn, _check_potentials
 
-__all__ = [
-    "Interval", "NewRegion", "BarChart",
-    "chart_from_potentials", "area", "charge_integral",
-]
+__all__ = ["Interval", "NewRegion", "BarChart", "charge_integral"]
 
 
 @dataclass
@@ -43,20 +40,53 @@ class Interval:
         return self.hi - self.lo
 
 
+# Checked reads of parsed JSON for NewRegion.from_dict and the trace reader
+# in algorithms: each raises ValueError on a value of the wrong type.
+
+def json_number(v) -> float:
+    """A finite number read from JSON, as a float; ValueError otherwise
+    (bools, strings and non-finite values included)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return v
+
+
+def json_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def json_list(v) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list, got {v!r}")
+    return v
+
+
+def json_ints(v) -> tuple[int, ...]:
+    return tuple(json_int(u) for u in json_list(v))
+
+
 @dataclass(frozen=True)
 class NewRegion:
     """Rectangular slab of new chart mass created by one raise on one bar.
 
-    base holds the bar's member order before the raise and appended the
-    newly added elements, in the order they extend sigma_t; the height
-    delta is exactly f(base + appended) - f(base).
+    appended holds the newly added elements, in the order they extend
+    sigma_t; the height delta is exactly f(base + appended) - f(base), base
+    being the bar's members before the raise: the u with y_u >= hi at the
+    levels y before the raise.
     """
 
     lo: float
     hi: float
     old_height: float
     new_height: float
-    base: tuple[int, ...]
     appended: tuple[int, ...]
 
     @property
@@ -70,13 +100,17 @@ class NewRegion:
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi,
                 "old_height": self.old_height, "new_height": self.new_height,
-                "base": list(self.base), "appended": list(self.appended)}
+                "appended": list(self.appended)}
 
     @staticmethod
     def from_dict(d: dict) -> "NewRegion":
-        return NewRegion(float(d["lo"]), float(d["hi"]),
-                         float(d["old_height"]), float(d["new_height"]),
-                         tuple(d["base"]), tuple(d["appended"]))
+        """Inverse of to_dict; ValueError or TypeError on a malformed or
+        out-of-range record (the bar must satisfy 0 <= lo <= hi <= 1)."""
+        lo, hi = json_number(d["lo"]), json_number(d["hi"])
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError(f"region [{lo}, {hi}] outside [0, 1]")
+        return NewRegion(lo, hi, json_number(d["old_height"]),
+                         json_number(d["new_height"]), json_ints(d["appended"]))
 
 
 class BarChart:
@@ -153,14 +187,13 @@ class BarChart:
                     appended.append(u)
                 m >>= 1
                 u += 1
-            base = tuple(iv.members)
             old_height = iv.height
             iv.members.extend(appended)
             iv.mask |= missing
             iv.height = self.f.value_mask(iv.mask)
             if iv.height - old_height > 0.0:
                 regions.append(NewRegion(iv.lo, iv.hi, old_height, iv.height,
-                                         base, tuple(appended)))
+                                         tuple(appended)))
         for u in X:
             self._levels[u] = a
         return regions
@@ -184,14 +217,6 @@ class BarChart:
     def to_debug_json(self) -> list[dict]:
         return [{"lo": iv.lo, "hi": iv.hi, "members": list(iv.members),
                  "height": iv.height} for iv in self.intervals]
-
-
-def chart_from_potentials(f: SubmodularFn, y) -> BarChart:
-    return BarChart.from_potentials(f, y)
-
-
-def area(chart: BarChart) -> float:
-    return chart.area()
 
 
 def charge_integral(regions, alpha: float = ALPHA) -> float:

@@ -35,15 +35,7 @@ from .instances import (
     random_coverage_table,
     save,
 )
-from .submodular import (
-    Cardinality,
-    GroundSet,
-    PartitionBudget,
-    SubmodularFn,
-    UniformRank,
-    WeightedThreshold,
-    lovasz,
-)
+from .submodular import GroundSet, SubmodularFn, fn_from_spec, lovasz
 from .verify import audit_charging, check_cover, check_matching, offline_opt
 
 COVER_ALGORITHMS = ("obvc", "mobvc")
@@ -67,9 +59,9 @@ def parse_fn_spec(text: str, n: int) -> SubmodularFn:
     kind = parts[0]
     try:
         if kind == "cardinality" and len(parts) == 1:
-            return Cardinality(g)
+            return fn_from_spec({"family": "cardinality"}, g)
         if kind == "uniform" and len(parts) == 2:
-            return UniformRank(g, int(parts[1]))
+            return fn_from_spec({"family": "uniform_rank", "k": int(parts[1])}, g)
         if kind == "partition" and len(parts) == 3:
             ids = [int(s) for s in parts[1].split(",")]
             caps = [float(s) for s in parts[2].split(",")]
@@ -78,12 +70,13 @@ def parse_fn_spec(text: str, n: int) -> SubmodularFn:
             if sorted(set(ids)) != list(range(len(caps))):
                 raise ParseError(f"block ids must cover 0..{len(caps) - 1} to match the caps")
             blocks = [[u for u, b in enumerate(ids) if b == j] for j in range(len(caps))]
-            return PartitionBudget(g, blocks, caps)
+            return fn_from_spec({"family": "partition_budget", "blocks": blocks, "caps": caps}, g)
         if kind == "weighted" and len(parts) == 3:
             weights = [float(s) for s in parts[1].split(",")]
             if len(weights) != n:
                 raise ParseError(f"weighted needs {n} weights, got {len(weights)}")
-            return WeightedThreshold(g, weights, float(parts[2]))
+            return fn_from_spec({"family": "weighted_threshold", "weights": weights,
+                                 "cap": float(parts[2])}, g)
         if kind == "coverage" and len(parts) in (2, 3):
             universe = int(parts[2]) if len(parts) == 3 else None
             return random_coverage_table(n, int(parts[1]), universe)

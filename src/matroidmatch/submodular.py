@@ -14,7 +14,10 @@ checked by verify_axioms instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,6 +83,10 @@ def mask_members(mask: int) -> tuple[int, ...]:
         mask >>= 1
         u += 1
     return tuple(out)
+
+
+# Maps the ASCII digits of bin(mask) to the bytes 0 and 1, for compress().
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
@@ -246,15 +253,11 @@ class WeightedThreshold(SubmodularFn):
         self.cap = float(cap)
 
     def value_mask(self, mask: int) -> float:
-        total = 0.0
-        u = 0
-        m = mask
-        while m:
-            if m & 1:
-                total += self.weights[u]
-            m >>= 1
-            u += 1
-        return min(total, self.cap)
+        # The weights of the set bits, added one by one in ascending u:
+        # builtin sum is avoided because from Python 3.12 it compensates
+        # the rounding, which would change results in the last digits.
+        bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        return min(reduce(operator.add, compress(self.weights, bits), 0.0), self.cap)
 
     def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
         total = np.zeros(masks.shape, dtype=np.float64)
@@ -326,10 +329,6 @@ def fn_from_spec(spec: dict, ground: GroundSet) -> SubmodularFn:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def evaluate(f: SubmodularFn, S) -> float:
-    return f.value(S)
-
 
 def marginal(f: SubmodularFn, S, u) -> float:
     """f(S + u) - f(S); zero when u is already in S."""

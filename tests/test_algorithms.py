@@ -1,12 +1,14 @@
 """Tests for the online algorithms."""
 
 import math
+import random
 
 import pytest
 
 from matroidmatch.algorithms import (
     RunTrace,
     _modular_water_level,
+    _region_bases,
     dual_split_rate,
     load_trace,
     round_cover,
@@ -17,8 +19,8 @@ from matroidmatch.algorithms import (
     save_trace,
     water_level,
 )
-from matroidmatch.barchart import chart_from_potentials
-from matroidmatch.constants import ALPHA, ONE_MINUS_INV_E
+from matroidmatch.barchart import BarChart
+from matroidmatch.constants import ALPHA, ONE_MINUS_INV_E, SNAP_EPS
 from matroidmatch.errors import InputError, InvariantError, PreconditionError
 from matroidmatch.instances import (
     Arrival,
@@ -28,12 +30,14 @@ from matroidmatch.instances import (
     gen_upper_triangular,
     make_matroid_suite,
     make_suite,
+    random_coverage_table,
 )
 from matroidmatch.submodular import (
     Cardinality,
     GroundSet,
     PartitionBudget,
     UniformRank,
+    WeightedThreshold,
     lovasz,
 )
 
@@ -54,22 +58,22 @@ def star(n_offline, f=None):
 class TestWaterLevel:
     def test_one_fresh_neighbor_fills(self):
         f = Cardinality(GroundSet(1))
-        chart = chart_from_potentials(f, [0.0])
+        chart = BarChart.from_potentials(f, [0.0])
         assert water_level(chart, [0.0], (0,)) == 1.0
 
     def test_two_fresh_neighbors_stop_at_alpha(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.0, 0.0])
+        chart = BarChart.from_potentials(f, [0.0, 0.0])
         assert water_level(chart, [0.0, 0.0], (0, 1)) == pytest.approx(ALPHA, abs=1e-12)
 
     def test_rank_one_budget_is_free(self):
         f = UniformRank(GroundSet(2), 1)
-        chart = chart_from_potentials(f, [0.0, 0.0])
+        chart = BarChart.from_potentials(f, [0.0, 0.0])
         assert water_level(chart, [0.0, 0.0], (0, 1)) == 1.0
 
     def test_no_neighbors(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.0, 0.0])
+        chart = BarChart.from_potentials(f, [0.0, 0.0])
         assert water_level(chart, [0.0, 0.0], ()) == 1.0
 
     def test_non_neighbor_levels_shift_breakpoints(self):
@@ -77,7 +81,7 @@ class TestWaterLevel:
         # change, and with a non-modular budget that moves the answer
         f = UniformRank(GroundSet(2), 1)
         y = [0.0, 0.6]
-        chart = chart_from_potentials(f, y)
+        chart = BarChart.from_potentials(f, y)
         a = water_level(chart, y, (0,))
         # h(a) = 1 - a for a <= 0.6 (no rank gain below u1's level),
         # then climbs at slope 0 -> it never exceeds 1 + ALPHA
@@ -87,7 +91,7 @@ class TestWaterLevel:
 
     def test_inconsistent_chart_rejected(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.0, 0.5])
+        chart = BarChart.from_potentials(f, [0.0, 0.5])
         with pytest.raises(InvariantError):
             water_level(chart, [0.0, 0.0], (0,))
 
@@ -99,7 +103,7 @@ class TestWaterLevel:
             y = [round(rng.random(), 3) for _ in range(n)]
             nbrs = tuple(u for u in range(n) if rng.random() < 0.6)
             f = Cardinality(GroundSet(n))
-            chart = chart_from_potentials(f, y)
+            chart = BarChart.from_potentials(f, y)
             a1 = water_level(chart, y, nbrs)
             a2 = _modular_water_level(y, nbrs)
             assert a1 == pytest.approx(a2, abs=1e-12)
@@ -220,6 +224,62 @@ class TestMobmPd:
         trace = run_mobm_pd(star(2))
         assert trace.rounds[0].x_inc == {
             0: pytest.approx(0.5, abs=TOL), 1: pytest.approx(0.5, abs=TOL)}
+
+
+class TestRegionBases:
+    """Traces carry no member lists: the primal split rebuilds each region's
+    base from the levels before the raise. That base must be the member mask
+    of the region's bar before raise_to (the bar a split cut it from)."""
+
+    @staticmethod
+    def raise_and_check(chart, X, a) -> int:
+        y = chart.levels
+        before = [(iv.lo, iv.hi, iv.mask) for iv in chart.intervals]
+        regions = chart.raise_to(X, a)
+        bases = _region_bases(regions, y)
+        for r, base in zip(regions, bases, strict=True):
+            owners = [mask for lo, hi, mask in before if lo <= r.lo and r.hi <= hi]
+            assert owners == [base], (r, owners, base)
+        return sum(1 for base in bases if base)
+
+    def test_waterfilling_runs_on_suite(self):
+        nonempty = 0
+        for inst in make_suite(count=200, seed=4):
+            chart = BarChart.from_potentials(inst.f, [0.0] * inst.n_offline)
+            for arr in inst.arrivals:
+                y = chart.levels
+                a = water_level(chart, y, arr.nbrs)
+                X = [u for u in sorted(set(arr.nbrs)) if y[u] < a]
+                nonempty += self.raise_and_check(chart, X, a)
+        assert nonempty > 100  # the check saw many bars with members
+
+    def test_random_charts_every_family(self):
+        rng = random.Random(99)
+        nonempty = 0
+        for trial in range(60):
+            n = rng.randint(1, 9)
+            g = GroundSet(n)
+            cut = rng.randint(1, n)
+            blocks = [b for b in (list(range(cut)), list(range(cut, n))) if b]
+            families = [
+                Cardinality(g), UniformRank(g, rng.randint(0, n)),
+                PartitionBudget(g, blocks, [rng.choice([0.5, 1.0, 2.0]) for _ in blocks]),
+                WeightedThreshold(g, [rng.random() for _ in range(n)], rng.random() * n),
+                random_coverage_table(n, seed=trial),
+            ]
+            for f in families:
+                # coarse levels give ties; 0 and 1 are levels too
+                y = [rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, rng.random()]) for _ in range(n)]
+                chart = BarChart.from_potentials(f, y)
+                for _ in range(6):
+                    y = chart.levels
+                    bounds = [iv.lo for iv in chart.intervals] + [1.0]
+                    a = rng.choice([rng.random(), rng.choice(bounds),
+                                    rng.choice(bounds) + rng.choice([-1, 1]) * SNAP_EPS / 2])
+                    a = min(max(a, 0.0), 1.0)
+                    X = [u for u in range(n) if y[u] < a and rng.random() < 0.7]
+                    nonempty += self.raise_and_check(chart, X, a)
+        assert nonempty > 100
 
 
 class TestGreedy:

@@ -6,12 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from matroidmatch.barchart import (
-    BarChart,
-    NewRegion,
-    charge_integral,
-    chart_from_potentials,
-)
+from matroidmatch.barchart import BarChart, NewRegion, charge_integral
 from matroidmatch.constants import ALPHA
 from matroidmatch.errors import InputError, PreconditionError
 from matroidmatch.submodular import (
@@ -43,20 +38,20 @@ def quad_charge(regions, alpha, panels=1_000_000):
 class TestFromPotentials:
     def test_all_zero(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.0, 0.0])
+        chart = BarChart.from_potentials(f, [0.0, 0.0])
         assert len(chart.intervals) == 1
         iv = chart.intervals[0]
         assert (iv.lo, iv.hi, iv.members, iv.height) == (0.0, 1.0, [], 0.0)
 
     def test_two_levels(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.3, 0.7])
+        chart = BarChart.from_potentials(f, [0.3, 0.7])
         got = [(iv.lo, iv.hi, iv.members, iv.height) for iv in chart.intervals]
         assert got == [(0.0, 0.3, [1, 0], 2.0), (0.3, 0.7, [1], 1.0), (0.7, 1.0, [], 0.0)]
 
     def test_indicator_single_bar(self):
         f = UniformRank(GroundSet(3), 2)
-        chart = chart_from_potentials(f, [1.0, 0.0, 1.0])
+        chart = BarChart.from_potentials(f, [1.0, 0.0, 1.0])
         assert len(chart.intervals) == 1
         assert chart.intervals[0].members == [0, 2]
         assert chart.intervals[0].height == 2.0
@@ -64,18 +59,18 @@ class TestFromPotentials:
     def test_area_is_lovasz(self):
         f = PartitionBudget(GroundSet(4), [[0, 1], [2, 3]], [1, 2])
         y = [0.2, 0.9, 0.9, 0.4]
-        chart = chart_from_potentials(f, y)
+        chart = BarChart.from_potentials(f, y)
         assert chart.area() == pytest.approx(lovasz(f, y), abs=TOL)
 
     def test_bad_potential(self):
         with pytest.raises(InputError):
-            chart_from_potentials(Cardinality(GroundSet(1)), [1.5])
+            BarChart.from_potentials(Cardinality(GroundSet(1)), [1.5])
 
 
 class TestRaise:
     def test_raise_from_zero(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.0, 0.0])
+        chart = BarChart.from_potentials(f, [0.0, 0.0])
         regions = chart.raise_to([0, 1], 0.5)
         assert len(regions) == 1
         r = regions[0]
@@ -86,7 +81,7 @@ class TestRaise:
 
     def test_raise_above_existing(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.3, 0.0])
+        chart = BarChart.from_potentials(f, [0.3, 0.0])
         regions = chart.raise_to([1], 0.6)
         got = [(r.lo, r.hi, r.old_height, r.new_height) for r in regions]
         assert got == [(0.0, 0.3, 1.0, 2.0), (0.3, 0.6, 0.0, 1.0)]
@@ -95,14 +90,14 @@ class TestRaise:
 
     def test_empty_x_is_noop(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.3, 0.7])
+        chart = BarChart.from_potentials(f, [0.3, 0.7])
         before = chart.to_debug_json()
         assert chart.raise_to([], 0.9) == []
         assert chart.to_debug_json() == before
 
     def test_zero_delta_regions_dropped_but_membership_kept(self):
         f = UniformRank(GroundSet(2), 1)
-        chart = chart_from_potentials(f, [0.8, 0.0])
+        chart = BarChart.from_potentials(f, [0.8, 0.0])
         regions = chart.raise_to([1], 0.5)
         # below 0.5 the rank is already 1, so only membership changes there
         assert [(r.lo, r.hi) for r in regions] == []
@@ -112,7 +107,7 @@ class TestRaise:
 
     def test_level_errors(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.4, 0.0])
+        chart = BarChart.from_potentials(f, [0.4, 0.0])
         with pytest.raises(InputError):
             chart.raise_to([1], 1.5)
         with pytest.raises(PreconditionError):
@@ -120,7 +115,7 @@ class TestRaise:
 
     def test_snap_to_existing_boundary(self):
         f = Cardinality(GroundSet(2))
-        chart = chart_from_potentials(f, [0.25, 0.0])
+        chart = BarChart.from_potentials(f, [0.25, 0.0])
         chart.raise_to([1], 0.25 + 4e-13)
         # the near-coincident level snaps: no sliver interval appears
         bounds = [iv.lo for iv in chart.intervals] + [1.0]
@@ -128,7 +123,7 @@ class TestRaise:
 
     def test_regions_never_cross_a(self):
         f = Cardinality(GroundSet(3))
-        chart = chart_from_potentials(f, [0.0, 0.5, 0.9])
+        chart = BarChart.from_potentials(f, [0.0, 0.5, 0.9])
         for r in chart.raise_to([0, 1], 0.7):
             assert r.hi <= 0.7 + 1e-15
 
@@ -158,7 +153,7 @@ class TestRaiseFuzz:
         for trial in range(40):
             n = rng.randint(1, 6)
             for f in self._zoo(n, rng):
-                chart = chart_from_potentials(f, [0.0] * n)
+                chart = BarChart.from_potentials(f, [0.0] * n)
                 for _ in range(8):
                     y = chart.levels
                     a = rng.random()
@@ -190,7 +185,7 @@ class TestRaiseFuzz:
 
 class TestChargeIntegral:
     def test_unit_square_gives_alpha(self):
-        r = NewRegion(0.0, 1.0, 0.0, 1.0, (), (0,))
+        r = NewRegion(0.0, 1.0, 0.0, 1.0, (0,))
         assert charge_integral([r], ALPHA) == pytest.approx(ALPHA, abs=1e-12)
 
     def test_empty(self):
@@ -198,9 +193,9 @@ class TestChargeIntegral:
 
     def test_against_quadrature(self):
         regions = [
-            NewRegion(0.0, 0.5, 0.0, 2.0, (), (0, 1)),
-            NewRegion(0.1, 0.35, 1.0, 2.5, (0,), (2,)),
-            NewRegion(0.6, 0.97, 0.5, 0.75, (1,), (3,)),
+            NewRegion(0.0, 0.5, 0.0, 2.0, (0, 1)),
+            NewRegion(0.1, 0.35, 1.0, 2.5, (2,)),
+            NewRegion(0.6, 0.97, 0.5, 0.75, (3,)),
         ]
         for r in regions:
             assert charge_integral([r], ALPHA) == pytest.approx(
@@ -209,7 +204,7 @@ class TestChargeIntegral:
             quad_charge(regions, ALPHA), abs=1e-6)
 
     def test_alpha_override(self):
-        r = NewRegion(0.2, 0.8, 0.0, 1.0, (), (0,))
+        r = NewRegion(0.2, 0.8, 0.0, 1.0, (0,))
         for alpha in (0.25, 0.5, 1.0):
             assert charge_integral([r], alpha) == pytest.approx(
                 quad_charge([r], alpha, panels=400_000), abs=1e-6)
@@ -217,7 +212,7 @@ class TestChargeIntegral:
 
 def test_debug_dump_shape():
     f = Cardinality(GroundSet(2))
-    chart = chart_from_potentials(f, [0.3, 0.7])
+    chart = BarChart.from_potentials(f, [0.3, 0.7])
     assert chart.to_debug_json() == [
         {"lo": 0.0, "hi": 0.3, "members": [1, 0], "height": 2.0},
         {"lo": 0.3, "hi": 0.7, "members": [1], "height": 1.0},
@@ -226,5 +221,5 @@ def test_debug_dump_shape():
 
 
 def test_region_round_trip():
-    r = NewRegion(0.1, 0.4, 1.0, 2.0, (3, 0), (1, 2))
+    r = NewRegion(0.1, 0.4, 1.0, 2.0, (1, 2))
     assert NewRegion.from_dict(r.to_dict()) == r

@@ -10,6 +10,8 @@ import pathlib
 import pytest
 
 from matroidmatch.algorithms import load_trace, run_mobm_pd, run_mobvc, save_trace
+from matroidmatch.cli import main
+from matroidmatch.errors import ParseError
 from matroidmatch.instances import (
     gen_random,
     gen_upper_triangular,
@@ -70,6 +72,17 @@ class TestTraceFile:
         out = tmp_path / "trace.json"
         save_trace(run_mobvc(inst), out)
         assert out.read_bytes() == (GOLDEN / "tri3-mobvc-trace.json").read_bytes()
+
+    def test_format_1_trace_rejected(self, capsys):
+        # the trace this file pinned before format 2: per-region member lists,
+        # indented JSON, no "format" field
+        old = GOLDEN / "tri3-mobvc-trace-v1.json"
+        with pytest.raises(ParseError, match=r'trace format 1 \(no "format" field\)'):
+            load_trace(old)
+        for command in ("verify", "audit"):
+            assert main([command, str(old), "--instance", str(GOLDEN / "tri3.json")]) == 2
+            err = capsys.readouterr().err
+            assert "trace format 1" in err and "re-run" in err
 
     def test_trace_loads_consistently(self):
         trace = load_trace(GOLDEN / "tri3-mobvc-trace.json")

@@ -17,7 +17,6 @@ from matroidmatch.submodular import (
     UniformRank,
     WeightedThreshold,
     as_mask,
-    evaluate,
     fn_from_spec,
     is_matroid_rank,
     lovasz,
@@ -59,33 +58,59 @@ def all_families(n):
 class TestEvaluate:
     def test_cardinality(self):
         f = Cardinality(GroundSet(3))
-        assert evaluate(f, {0, 2}) == 2.0
-        assert evaluate(f, ()) == 0.0
-        assert evaluate(f, 0b111) == 3.0
+        assert f.value({0, 2}) == 2.0
+        assert f.value(()) == 0.0
+        assert f.value(0b111) == 3.0
 
     def test_partition_budget(self):
         f = PartitionBudget(GroundSet(3), [[0, 1], [2]], [1, 1])
-        assert evaluate(f, {0, 1}) == 1.0
-        assert evaluate(f, {0, 2}) == 2.0
-        assert evaluate(f, {0, 1, 2}) == 2.0
+        assert f.value({0, 1}) == 1.0
+        assert f.value({0, 2}) == 2.0
+        assert f.value({0, 1, 2}) == 2.0
 
     def test_weighted_threshold(self):
         f = WeightedThreshold(GroundSet(3), [1.0, 2.0, 0.5], 2.5)
-        assert evaluate(f, {0}) == 1.0
-        assert evaluate(f, {0, 1}) == 2.5
-        assert evaluate(f, {0, 2}) == 1.5
+        assert f.value({0}) == 1.0
+        assert f.value({0, 1}) == 2.5
+        assert f.value({0, 2}) == 1.5
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_weighted_threshold_matches_bit_loop(self, n):
+        def loop_value(f, mask):
+            # the bit loop value_mask used to run: one addition per set bit,
+            # ascending u
+            total = 0.0
+            u = 0
+            while mask:
+                if mask & 1:
+                    total += f.weights[u]
+                mask >>= 1
+                u += 1
+            return min(total, f.cap)
+
+        rng = random.Random(n)
+        weights = [rng.random() * 10 ** rng.randint(-3, 3) for _ in range(n)]
+        for cap in (sum(weights) / 3, math.inf):
+            f = WeightedThreshold(GroundSet(n), weights, cap)
+            full = (1 << n) - 1
+            masks = [0, full, 1, 1 << (n - 1)]
+            masks += [rng.getrandbits(n) for _ in range(300)]
+            masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                      for _ in range(100)]
+            for mask in masks:
+                assert f.value_mask(mask) == loop_value(f, mask)
 
     def test_explicit_table(self):
         f = ExplicitTable(GroundSet(2), [0.0, 1.0, 1.0, 1.5])
-        assert evaluate(f, {0, 1}) == 1.5
-        assert evaluate(f, 0b01) == 1.0
+        assert f.value({0, 1}) == 1.5
+        assert f.value(0b01) == 1.0
 
     def test_out_of_range_element(self):
         f = Cardinality(GroundSet(2))
         with pytest.raises(InputError):
-            evaluate(f, {0, 5})
+            f.value({0, 5})
         with pytest.raises(InputError):
-            evaluate(f, -1)
+            f.value(-1)
 
     def test_table_validation(self):
         with pytest.raises(InputError):
