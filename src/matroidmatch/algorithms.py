@@ -18,9 +18,10 @@ cross-check of the chart path: on cardinality budgets run_mobvc must agree
 with it to 1e-12.
 
 run_mobm_pd additionally builds a fractional matching: each new chart
-region splits its mass over the appended elements by their marginal values
-in sigma_t order, scaled by 1 / (a + ALPHA), which makes every round's dual
-increase exactly (1 + ALPHA) times its primal increase.
+region splits its mass over the raised elements new to its bar by their
+marginal values in ascending id order, scaled by 1 / (a + ALPHA), which
+makes every round's dual increase exactly (1 + ALPHA) times its primal
+increase.
 
 run_random_arrival_greedy is the integral matching algorithm for matroid
 rank budgets: arrivals sorted by uniform timestamps, each takes its first
@@ -35,16 +36,27 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .barchart import BarChart, NewRegion, json_int, json_ints, json_list, json_number
+from .barchart import BarChart, NewRegion
 from .constants import ALPHA, SNAP_EPS
 from .errors import InputError, InvariantError, ParseError, PreconditionError
-from .instances import Arrival, ArrivalModel, Instance, SplitMix64, order_arrivals
+from .instances import (
+    Arrival,
+    ArrivalModel,
+    Instance,
+    SplitMix64,
+    json_int,
+    json_ints,
+    json_list,
+    json_number,
+    order_arrivals,
+    read_json,
+)
 from .submodular import SubmodularFn, is_matroid_rank, lovasz, mask_members, span_mask
 
 ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
 
 # Version of the JSON written by save_trace; load_trace reads no other.
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
 
 
 def dual_split_rate(t: float) -> float:
@@ -78,19 +90,16 @@ def _snap_to(bounds, a: float) -> float:
     return a
 
 
-def water_level(chart: BarChart, y, nbrs, alpha: float = ALPHA) -> float:
-    """Exact water level for an arrival with neighbor set nbrs.
+def water_level(chart: BarChart, nbrs, alpha: float = ALPHA) -> float:
+    """Exact water level for an arrival with neighbor set nbrs at the
+    chart's current potentials.
 
-    The chart must be the chart of y; segment slopes are read off its bars:
-    on the bar with member set L the slope of h is -1 + f(L + nbrs) - f(L).
-    Non-neighbor potentials matter too (they change the level sets), which
-    is why the scan walks every chart boundary.
+    Segment slopes are read off the bars: on the bar with member set L the
+    slope of h is -1 + f(L + nbrs) - f(L). Non-neighbor potentials matter
+    too (they change the level sets), which is why the scan walks every
+    chart boundary.
     """
     f = chart.f
-    levels = chart.levels
-    y = [float(v) for v in y]
-    if len(y) != len(levels) or any(a != b for a, b in zip(y, levels)):
-        raise InvariantError("chart is not the chart of the given potentials")
     nmask = 0
     for u in nbrs:
         nmask |= 1 << f.ground.check_element(u)
@@ -136,8 +145,9 @@ class WaterfillRound:
     """One arrival of a waterfilling run (obvc, mobvc, mobm-pd).
 
     a is the water level, X the offline elements raised to it, regions the
-    new chart mass. dD is the dual increment; dP, the primal increment,
-    and x_inc, its split over X, stay 0 and empty for cover-only runs.
+    new chart mass. dD is the dual increment and dP the primal increment
+    (0 for cover-only runs). The arrival's dual is 1 - a, and its primal
+    split over X is the final x at v.
     """
 
     v: int
@@ -146,31 +156,21 @@ class WaterfillRound:
     regions: tuple[NewRegion, ...]
     dP: float
     dD: float
-    z: float
-    x_inc: dict[int, float]
 
     def to_dict(self) -> dict:
-        return {
-            "v": self.v, "a": self.a, "X": list(self.X),
-            "regions": [r.to_dict() for r in self.regions],
-            "dP": self.dP, "dD": self.dD, "z": self.z,
-            "x_inc": {str(u): val for u, val in sorted(self.x_inc.items())},
-        }
+        return {"v": self.v, "a": self.a, "X": list(self.X),
+                "regions": [r.to_dict() for r in self.regions],
+                "dP": self.dP, "dD": self.dD}
 
     @staticmethod
     def from_dict(d: dict) -> "WaterfillRound":
         a = json_number(d["a"])
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"water level a = {a} outside [0, 1]")
-        x_inc = d["x_inc"]
-        if not isinstance(x_inc, dict):
-            raise ValueError(f"x_inc must be an object, got {x_inc!r}")
         return WaterfillRound(
             v=json_int(d["v"]), a=a, X=json_ints(d["X"]),
             regions=tuple(NewRegion.from_dict(r) for r in json_list(d["regions"])),
-            dP=json_number(d["dP"]), dD=json_number(d["dD"]), z=json_number(d["z"]),
-            x_inc={int(u): json_number(val) for u, val in x_inc.items()},
-        )
+            dP=json_number(d["dP"]), dD=json_number(d["dD"]))
 
 
 @dataclass
@@ -179,7 +179,7 @@ class GreedyRound:
 
     matched is the element it took (None when every neighbor was spanned)
     and X the elements that entered the span with it. dP and dD are the
-    primal and dual increments.
+    primal and dual increments; the arrival's dual is the final z at v.
     """
 
     v: int
@@ -188,11 +188,10 @@ class GreedyRound:
     matched: int | None = None
     dP: float = 0.0
     dD: float = 0.0
-    z: float = 0.0
 
     def to_dict(self) -> dict:
         return {"v": self.v, "t": self.t, "X": list(self.X), "matched": self.matched,
-                "dP": self.dP, "dD": self.dD, "z": self.z}
+                "dP": self.dP, "dD": self.dD}
 
     @staticmethod
     def from_dict(d: dict) -> "GreedyRound":
@@ -200,7 +199,7 @@ class GreedyRound:
         return GreedyRound(
             v=json_int(d["v"]), t=json_number(d["t"]), X=json_ints(d["X"]),
             matched=None if matched is None else json_int(matched),
-            dP=json_number(d["dP"]), dD=json_number(d["dD"]), z=json_number(d["z"]),
+            dP=json_number(d["dP"]), dD=json_number(d["dD"]),
         )
 
 
@@ -284,7 +283,7 @@ class RunTrace:
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
-    """Write the trace as one line of compact sorted-key JSON (format 2).
+    """Write the trace as one line of compact sorted-key JSON (format 3).
 
     json.dumps encodes in one call to the C encoder; json.dump to a file,
     or any indent, goes through the pure-Python one.
@@ -298,11 +297,7 @@ def save_trace(trace: RunTrace, path: str | os.PathLike):
 def load_trace(path: str | os.PathLike) -> RunTrace:
     """Read a trace written by save_trace; ParseError for anything else,
     including traces of another format version."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, deep nesting
-            raise ParseError(f"{path}: not valid JSON ({e})") from e
+    data = read_json(path)
     try:
         return RunTrace.from_dict(data)
     except ParseError as e:
@@ -332,15 +327,18 @@ def _region_bases(regions, y: list[float]) -> list[int]:
     return bases
 
 
-def _primal_increments(f: SubmodularFn, regions, y: list[float],
+def _primal_increments(f: SubmodularFn, regions, y: list[float], X,
                        denom: float) -> dict[int, float]:
-    """Split each region's mass over its appended elements by their marginals
-    in sigma_t order, scaled by 1 / denom; y holds the levels before the
-    raise that made the regions."""
+    """Split each region's mass over the elements of X missing from its
+    bar, by their marginals added in ascending id order, scaled by
+    1 / denom; y holds the levels before the raise of X that made the
+    regions."""
     inc: dict[int, float] = {}
     for r, mask in zip(regions, _region_bases(regions, y)):
         prev = f.value_mask(mask)
-        for u in r.appended:
+        for u in X:
+            if (mask >> u) & 1:
+                continue
             mask |= 1 << u
             cur = f.value_mask(mask)
             if cur != prev:
@@ -361,20 +359,18 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
         if algorithm == "obvc":
             a = _modular_water_level(y, arr.nbrs)
         else:
-            a = water_level(chart, y, arr.nbrs)
+            a = water_level(chart, arr.nbrs)
         X = tuple(u for u in sorted(set(arr.nbrs)) if y[u] < a)
         regions = tuple(chart.raise_to(X, a))
-        zv = 1.0 - a
-        z[arr.id] = zv
-        dd = zv + sum(r.area for r in regions)
-        inc: dict[int, float] = {}
+        z[arr.id] = 1.0 - a
+        dd = z[arr.id] + sum(r.area for r in regions)
         dp = 0.0
         if algorithm == "mobm-pd":
-            inc = _primal_increments(f, regions, y, a + ALPHA)
+            inc = _primal_increments(f, regions, y, X, a + ALPHA)
             for u, val in inc.items():
                 x[(u, arr.id)] = val
             dp = sum(inc.values())
-        rounds.append(WaterfillRound(arr.id, a, X, regions, dp, dd, zv, inc))
+        rounds.append(WaterfillRound(arr.id, a, X, regions, dp, dd))
     state = OnlineState(y=chart.levels, z=z, x=x, chart=chart)
     primal = sum(x.values())
     dual = chart.area() + sum(z.values())
@@ -505,7 +501,7 @@ def run_random_arrival_greedy(instance: Instance,
         fhat = lovasz(f, y_run)
         zv = out.z[vid]
         rounds.append(GreedyRound(v=vid, t=t, X=raised, matched=pick, dP=1.0,
-                                  dD=zv + (fhat - fhat_prev), z=zv))
+                                  dD=zv + (fhat - fhat_prev)))
         fhat_prev = fhat
 
     state = OnlineState(y=out.y, z=out.z, x=x, chart=None,

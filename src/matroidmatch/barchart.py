@@ -3,14 +3,14 @@
 For potentials y the chart is the region under t -> f({u : y_u >= t}) for
 t in [0, 1]; its area equals the Lovasz extension of f at y. We store it as
 an ordered list of intervals that partition [0, 1] exactly, each carrying
-the ordered member list sigma_t of its level set and the cached height
-f(members). Raising a set X of elements to a common level a adds mass only
-at t <= a; the per-interval differences come back as NewRegion records that
-the primal-dual matching and the charging auditors consume.
+the member mask of its level set and the cached height f(members).
+Raising a set X of elements to a common level a adds mass only at t <= a;
+the per-interval differences come back as NewRegion records that the
+primal-dual matching and the charging auditors consume.
 
-Intervals are split but never merged, so any element is appended to a given
-t-location at most once over a whole run and the order histories sigma_t
-stay append-only.
+Intervals are split but never merged. The chart keeps no sigma_t member
+lists (the order in which elements joined a bar): the primal split rebuilds
+what it needs from the levels before each raise.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .constants import ALPHA, SNAP_EPS
 from .errors import InputError, PreconditionError
+from .instances import json_number
 from .submodular import SubmodularFn, _check_potentials
 
 __all__ = ["Interval", "NewRegion", "BarChart", "charge_integral"]
@@ -27,11 +28,10 @@ __all__ = ["Interval", "NewRegion", "BarChart", "charge_integral"]
 
 @dataclass
 class Interval:
-    """One bar: [lo, hi] with ordered member list and cached height."""
+    """One bar: [lo, hi] with its member mask and cached height."""
 
     lo: float
     hi: float
-    members: list[int]
     mask: int
     height: float
 
@@ -40,54 +40,19 @@ class Interval:
         return self.hi - self.lo
 
 
-# Checked reads of parsed JSON for NewRegion.from_dict and the trace reader
-# in algorithms: each raises ValueError on a value of the wrong type.
-
-def json_number(v) -> float:
-    """A finite number read from JSON, as a float; ValueError otherwise
-    (bools, strings and non-finite values included)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"expected a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return v
-
-
-def json_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
-
-
-def json_list(v) -> list:
-    if not isinstance(v, list):
-        raise ValueError(f"expected a list, got {v!r}")
-    return v
-
-
-def json_ints(v) -> tuple[int, ...]:
-    return tuple(json_int(u) for u in json_list(v))
-
-
 @dataclass(frozen=True)
 class NewRegion:
     """Rectangular slab of new chart mass created by one raise on one bar.
 
-    appended holds the newly added elements, in the order they extend
-    sigma_t; the height delta is exactly f(base + appended) - f(base), base
-    being the bar's members before the raise: the u with y_u >= hi at the
-    levels y before the raise.
+    The height delta is exactly f(base + appended) - f(base): base is the
+    bar's members before the raise (the u with y_u >= hi at the levels
+    before the raise) and appended the raised elements missing from it.
     """
 
     lo: float
     hi: float
     old_height: float
     new_height: float
-    appended: tuple[int, ...]
 
     @property
     def width(self) -> float:
@@ -99,8 +64,7 @@ class NewRegion:
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi,
-                "old_height": self.old_height, "new_height": self.new_height,
-                "appended": list(self.appended)}
+                "old_height": self.old_height, "new_height": self.new_height}
 
     @staticmethod
     def from_dict(d: dict) -> "NewRegion":
@@ -109,8 +73,7 @@ class NewRegion:
         lo, hi = json_number(d["lo"]), json_number(d["hi"])
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError(f"region [{lo}, {hi}] outside [0, 1]")
-        return NewRegion(lo, hi, json_number(d["old_height"]),
-                         json_number(d["new_height"]), json_ints(d["appended"]))
+        return NewRegion(lo, hi, json_number(d["old_height"]), json_number(d["new_height"]))
 
 
 class BarChart:
@@ -123,19 +86,13 @@ class BarChart:
 
     @classmethod
     def from_potentials(cls, f: SubmodularFn, y) -> "BarChart":
-        """Build the chart of f at y. Members are ordered by descending
-        potential with id as the tie-break."""
+        """Build the chart of f at y."""
         y = _check_potentials(f.ground, y)
-        n = f.ground.size
         bounds = sorted({0.0, 1.0} | {v for v in y if 0.0 < v < 1.0})
-        by_level = sorted(range(n), key=lambda u: (-y[u], u))
         intervals = []
         for lo, hi in zip(bounds, bounds[1:]):
-            members = [u for u in by_level if y[u] >= hi]
-            mask = 0
-            for u in members:
-                mask |= 1 << u
-            intervals.append(Interval(lo, hi, members, mask, f.value_mask(mask)))
+            mask = sum(1 << u for u, yu in enumerate(y) if yu >= hi)
+            intervals.append(Interval(lo, hi, mask, f.value_mask(mask)))
         return cls(f, intervals, y)
 
     @property
@@ -151,14 +108,14 @@ class BarChart:
         """Raise every element of X to level a; return the new regions.
 
         Callers pre-filter X: every u in X must currently sit strictly
-        below a. Bars entirely below a get X's missing elements appended
-        in ascending id order; the bar containing a is split first. Only
-        regions with a positive height delta are returned, but membership
-        is extended on every affected bar either way.
+        below a. Bars entirely below a gain X's missing elements; the bar
+        containing a is split first. Only regions with a positive height
+        delta are returned, but membership is extended on every affected
+        bar either way.
         """
         if not 0.0 <= a <= 1.0:
             raise InputError(f"level a = {a} outside [0, 1]")
-        X = sorted({self.f.ground.check_element(u) for u in X})
+        X = {self.f.ground.check_element(u) for u in X}
         for u in X:
             if self._levels[u] >= a:
                 raise PreconditionError(
@@ -176,24 +133,13 @@ class BarChart:
         for iv in self.intervals:
             if iv.hi > a:
                 break
-            missing = xmask & ~iv.mask
-            if not missing:
+            if not xmask & ~iv.mask:
                 continue
-            appended = []
-            m = missing
-            u = 0
-            while m:
-                if m & 1:
-                    appended.append(u)
-                m >>= 1
-                u += 1
             old_height = iv.height
-            iv.members.extend(appended)
-            iv.mask |= missing
+            iv.mask |= xmask
             iv.height = self.f.value_mask(iv.mask)
             if iv.height - old_height > 0.0:
-                regions.append(NewRegion(iv.lo, iv.hi, old_height, iv.height,
-                                         tuple(appended)))
+                regions.append(NewRegion(iv.lo, iv.hi, old_height, iv.height))
         for u in X:
             self._levels[u] = a
         return regions
@@ -209,14 +155,10 @@ class BarChart:
     def _split_at(self, a: float):
         for i, iv in enumerate(self.intervals):
             if iv.lo < a < iv.hi:
-                left = Interval(iv.lo, a, list(iv.members), iv.mask, iv.height)
+                left = Interval(iv.lo, a, iv.mask, iv.height)
                 iv.lo = a
                 self.intervals.insert(i, left)
                 return
-
-    def to_debug_json(self) -> list[dict]:
-        return [{"lo": iv.lo, "hi": iv.hi, "members": list(iv.members),
-                 "height": iv.height} for iv in self.intervals]
 
 
 def charge_integral(regions, alpha: float = ALPHA) -> float:

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, is_dataclass
 
 from .algorithms import (
     load_trace,
@@ -210,27 +211,39 @@ def _load_instance_and_trace(args):
     return inst, trace
 
 
-def _compare_replay(trace, replay, tol: float) -> str | None:
-    """First discrepancy between a stored trace and its replay, or None."""
-    if abs(trace.primal_value - replay.primal_value) > tol:
-        return (f"primal_value {fmt(trace.primal_value)} != replayed "
-                f"{fmt(replay.primal_value)}")
-    if abs(trace.dual_value - replay.dual_value) > tol:
-        return (f"dual_value {fmt(trace.dual_value)} != replayed "
-                f"{fmt(replay.dual_value)}")
-    for u, (a, b) in enumerate(zip(trace.state.y, replay.state.y)):
-        if abs(a - b) > tol:
-            return f"y[{u}] = {fmt(a)} != replayed {fmt(b)}"
-    for key in sorted(set(trace.state.z) | set(replay.state.z)):
-        if abs(trace.state.z.get(key, 0.0) - replay.state.z.get(key, 0.0)) > tol:
-            return f"z[{key}] differs from replay"
-    for key in sorted(set(trace.state.x) | set(replay.state.x)):
-        if abs(trace.state.x.get(key, 0.0) - replay.state.x.get(key, 0.0)) > tol:
-            u, v = key
-            return f"x[{u},{v}] = {fmt(trace.state.x.get(key, 0.0))} differs from replay"
-    if trace.state.matched != replay.state.matched:
-        return "matched offline set differs from replay"
+def _first_difference(stored, replayed, tol: float, path: str = "") -> str | None:
+    """The first field, in the trace's own order, where a stored trace and
+    its replay differ (floats by more than tol, anything else at all), named
+    by its path and both values; None when there is none."""
+    if is_dataclass(stored):
+        pairs = [(f.name, getattr(stored, f.name), getattr(replayed, f.name))
+                 for f in fields(stored) if f.compare]
+        path += "." if path else ""
+    elif isinstance(stored, dict):
+        missing = sorted(stored.keys() ^ replayed.keys())
+        if missing:
+            side = "the replay" if missing[0] in stored else "the trace"
+            return f"{path}[{_key_text(missing[0])}] is missing from {side}"
+        pairs = [(f"[{_key_text(k)}]", stored[k], replayed[k]) for k in sorted(stored)]
+    elif isinstance(stored, (list, tuple)):
+        if len(stored) != len(replayed):
+            return f"{path} has {len(stored)} entries, replayed {len(replayed)}"
+        pairs = [(f"[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, replayed))]
+    elif isinstance(stored, float) or isinstance(replayed, float):  # a sum over nothing is int 0
+        if abs(stored - replayed) <= tol:
+            return None
+        return f"{path} = {fmt(stored)} != replayed {fmt(replayed)}"
+    else:
+        return None if stored == replayed else f"{path} = {stored!r} != replayed {replayed!r}"
+    for name, a, b in pairs:
+        diff = _first_difference(a, b, tol, path + name)
+        if diff is not None:
+            return diff
     return None
+
+
+def _key_text(key) -> str:
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
 def _verify_checks(trace, inst: Instance, tol: float) -> list[tuple[str, bool, str]]:
@@ -242,7 +255,7 @@ def _verify_checks(trace, inst: Instance, tol: float) -> list[tuple[str, bool, s
             inst, timestamps={rec.v: rec.t for rec in trace.rounds})
     else:
         replay = _run_algorithm(alg, inst)
-    diff = _compare_replay(trace, replay, tol)
+    diff = None if trace == replay else _first_difference(trace, replay, tol)
     checks.append(("replay-match", diff is None, diff or ""))
 
     y, z, x = trace.state.y, trace.state.z, trace.state.x

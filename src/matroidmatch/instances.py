@@ -14,6 +14,7 @@ should still pin serialized instance files rather than seeds.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -303,47 +304,93 @@ def make_matroid_suite(count: int = 20, n_max: int = 8, m_max: int = 8,
 # Persistence
 # ---------------------------------------------------------------------------
 
+# Checked reads of parsed JSON for both file readers (instances here,
+# run traces in algorithms): each raises ValueError on a value of the wrong
+# type. Bools are never numbers or ids.
+
+def json_number(v) -> float:
+    """A finite number read from JSON, as a float; ValueError otherwise
+    (bools, strings and non-finite values included)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return v
+
+
+def json_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def json_list(v) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list, got {v!r}")
+    return v
+
+
+def json_ints(v) -> tuple[int, ...]:
+    return tuple(json_int(u) for u in json_list(v))
+
+
+def read_json(path: str | os.PathLike):
+    """The parsed contents of a UTF-8 JSON file; ParseError for bad JSON,
+    bad UTF-8 or nesting too deep to parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"{path}: not valid JSON ({e})") from e
+
+
 def instance_from_dict(data: dict, where: str = "instance") -> Instance:
     def need(obj, key, ctx):
         if not isinstance(obj, dict) or key not in obj:
             raise ParseError(f"{ctx}: missing field '{key}'")
         return obj[key]
 
+    def checked(read, value, ctx):
+        try:
+            return read(value)
+        except ValueError as e:
+            raise ParseError(f"{ctx}: {e}") from e
+
     name = need(data, "name", where)
-    n = need(data, "n_offline", where)
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(name, str):
+        raise ParseError(f"{where}.name: expected a string, got {name!r}")
+    n = checked(json_int, need(data, "n_offline", where), f"{where}.n_offline")
+    if n < 0:
         raise ParseError(f"{where}.n_offline: expected a nonnegative int, got {n!r}")
     fspec = need(data, "f", where)
     try:
         f = fn_from_spec(fspec, GroundSet(n))
-    except InputError as e:
+    except (ValueError, TypeError, OverflowError) as e:  # InputError, or a field of the wrong type
         raise ParseError(f"{where}.f: {e}") from e
-    raw = need(data, "arrivals", where)
-    if not isinstance(raw, list):
-        raise ParseError(f"{where}.arrivals: expected a list")
+    raw = checked(json_list, need(data, "arrivals", where), f"{where}.arrivals")
     arrivals = []
     seen_ids = set()
     for i, entry in enumerate(raw):
         ctx = f"{where}.arrivals[{i}]"
-        vid = need(entry, "id", ctx)
-        if not isinstance(vid, int):
-            raise ParseError(f"{ctx}.id: expected an int, got {vid!r}")
+        vid = checked(json_int, need(entry, "id", ctx), f"{ctx}.id")
         if vid in seen_ids:
             raise ParseError(f"{ctx}.id: duplicate online id {vid}")
         seen_ids.add(vid)
-        nbrs = need(entry, "nbrs", ctx)
-        if not isinstance(nbrs, list):
-            raise ParseError(f"{ctx}.nbrs: expected a list")
+        nbrs = checked(json_list, need(entry, "nbrs", ctx), f"{ctx}.nbrs")
         seen_u = set()
         for j, u in enumerate(nbrs):
-            if not isinstance(u, int) or not 0 <= u < n:
+            if isinstance(u, bool) or not isinstance(u, int) or not 0 <= u < n:
                 raise ParseError(
                     f"{ctx}.nbrs[{j}]: neighbor {u!r} out of range (n_offline={n})")
             if u in seen_u:
                 raise ParseError(f"{ctx}.nbrs[{j}]: duplicate neighbor {u}")
             seen_u.add(u)
         arrivals.append(Arrival(vid, tuple(nbrs)))
-    return Instance(str(name), n, f, arrivals)
+    return Instance(name, n, f, arrivals)
 
 
 def save(instance: Instance, path: str | os.PathLike):
@@ -353,9 +400,5 @@ def save(instance: Instance, path: str | os.PathLike):
 
 
 def load(path: str | os.PathLike) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: not valid JSON ({e})") from e
-    return instance_from_dict(data, where=str(path))
+    """Read an instance file; ParseError for anything but a valid instance."""
+    return instance_from_dict(read_json(path), where=str(path))

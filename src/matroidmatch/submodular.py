@@ -89,13 +89,6 @@ def mask_members(mask: int) -> tuple[int, ...]:
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
-    counts = np.zeros(masks.shape, dtype=np.int64)
-    for b in range(n):
-        counts += (masks >> b) & 1
-    return counts
-
-
 class SubmodularFn:
     """Evaluation oracle for a nonnegative set function on a GroundSet.
 
@@ -119,12 +112,25 @@ class SubmodularFn:
         return self.value_mask(as_mask(self.ground, S))
 
     def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
-        """Vectorized evaluate over an int64 array of masks.
+        """f at each mask of an int64 array.
 
-        The base implementation is a plain loop; families override it with
-        closed forms so exhaustive oracles stay fast.
+        With a laminar form, the 2^n table is built by doubling: each
+        group's weight sums are added in ascending element order, as
+        value_mask adds them, so the values are the same to the bit.
+        Without one, a value_mask loop.
         """
-        return np.array([self.value_mask(int(m)) for m in masks], dtype=np.float64)
+        form = self.laminar_form()
+        if form is None:
+            return np.array([self.value_mask(int(m)) for m in masks], dtype=np.float64)
+        weights, groups = form
+        table = np.zeros(1 << self.ground.size)
+        for members, cap in groups:
+            members = set(members)
+            sums = np.zeros(1)
+            for u, w in enumerate(weights):
+                sums = np.concatenate((sums, sums + w if u in members else sums))
+            table += np.minimum(sums, cap)
+        return table[masks]
 
     def laminar_form(self) -> LaminarForm | None:
         """The closed form f(S) = sum over groups G of min(c(S & G), cap_G),
@@ -147,9 +153,6 @@ class Cardinality(SubmodularFn):
     def value_mask(self, mask: int) -> float:
         return float(mask.bit_count())
 
-    def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
-        return _popcounts(masks, self.ground.size).astype(np.float64)
-
     def laminar_form(self) -> LaminarForm:
         n = self.ground.size
         return [1.0] * n, [(tuple(range(n)), math.inf)]
@@ -165,15 +168,12 @@ class UniformRank(SubmodularFn):
 
     def __init__(self, ground: GroundSet, k: int):
         super().__init__(ground)
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise InputError(f"uniform rank k must be an int >= 0, got {k!r}")
         self.k = k
 
     def value_mask(self, mask: int) -> float:
         return float(min(mask.bit_count(), self.k))
-
-    def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
-        return np.minimum(_popcounts(masks, self.ground.size), self.k).astype(np.float64)
 
     def laminar_form(self) -> LaminarForm:
         n = self.ground.size
@@ -210,7 +210,7 @@ class PartitionBudget(SubmodularFn):
         if seen != ground.full_mask:
             raise InputError("blocks must cover the ground set")
         caps = [float(c) for c in caps]
-        if any(c < 0 for c in caps):
+        if not all(c >= 0 for c in caps):  # NaN fails too
             raise InputError("caps must be nonnegative")
         self.blocks = blocks
         self.caps = caps
@@ -219,12 +219,6 @@ class PartitionBudget(SubmodularFn):
     def value_mask(self, mask: int) -> float:
         return float(sum(min((mask & bm).bit_count(), c)
                          for bm, c in zip(self._block_masks, self.caps)))
-
-    def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
-        total = np.zeros(masks.shape, dtype=np.float64)
-        for bm, c in zip(self._block_masks, self.caps):
-            total += np.minimum(_popcounts(masks & bm, self.ground.size), c)
-        return total
 
     def laminar_form(self) -> LaminarForm:
         return [1.0] * self.ground.size, list(zip(self.blocks, self.caps))
@@ -245,9 +239,9 @@ class WeightedThreshold(SubmodularFn):
         weights = [float(w) for w in weights]
         if len(weights) != ground.size:
             raise InputError(f"need {ground.size} weights, got {len(weights)}")
-        if any(w < 0 for w in weights):
+        if not all(w >= 0 for w in weights):  # NaN fails too
             raise InputError("weights must be nonnegative")
-        if cap < 0:
+        if not cap >= 0:
             raise InputError("cap must be nonnegative")
         self.weights = weights
         self.cap = float(cap)
@@ -258,12 +252,6 @@ class WeightedThreshold(SubmodularFn):
         # the rounding, which would change results in the last digits.
         bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
         return min(reduce(operator.add, compress(self.weights, bits), 0.0), self.cap)
-
-    def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
-        total = np.zeros(masks.shape, dtype=np.float64)
-        for u, w in enumerate(self.weights):
-            total += w * ((masks >> u) & 1)
-        return np.minimum(total, self.cap)
 
     def laminar_form(self) -> LaminarForm:
         return list(self.weights), [(tuple(range(self.ground.size)), self.cap)]
@@ -284,7 +272,7 @@ class ExplicitTable(SubmodularFn):
         if len(values) != 1 << ground.size:
             raise InputError(f"table needs {1 << ground.size} entries, got {len(values)}")
         table = np.asarray(values, dtype=np.float64)
-        if np.any(table < 0):
+        if not np.all(table >= 0):  # NaN fails too
             raise InputError("table values must be nonnegative")
         self.table = table
 
@@ -377,46 +365,8 @@ def verify_axioms(f: SubmodularFn, mode: str = "exhaustive",
     if mode == "exhaustive":
         if n > EXHAUSTIVE_LIMIT:
             raise SizeError(f"exhaustive axiom check limited to n <= {EXHAUSTIVE_LIMIT}")
-        masks = np.arange(1 << n, dtype=np.int64)
-        vals = f.values_for_masks(masks)
-
-        nonneg = True
-        negative_witness = None
-        bad = np.nonzero(vals < -tol)[0]
-        if bad.size:
-            nonneg = False
-            negative_witness = frozenset(mask_members(int(bad[0])))
-
-        monotone = True
-        monotone_witness = None
-        for u in range(n):
-            if not monotone:
-                break
-            absent = masks[((masks >> u) & 1) == 0]
-            viol = np.nonzero(vals[absent | (1 << u)] < vals[absent] - tol)[0]
-            if viol.size:
-                monotone = False
-                m = int(absent[viol[0]])
-                monotone_witness = (frozenset(mask_members(m)), u)
-
-        submod = True
-        witness = None
-        for a in range(n):
-            if not submod:
-                break
-            for b in range(a + 1, n):
-                absent = masks[(((masks >> a) & 1) == 0) & (((masks >> b) & 1) == 0)]
-                lhs = vals[absent | (1 << a)] + vals[absent | (1 << b)]
-                rhs = vals[absent | (1 << a) | (1 << b)] + vals[absent]
-                viol = np.nonzero(lhs < rhs - tol)[0]
-                if viol.size:
-                    submod = False
-                    m = int(absent[viol[0]])
-                    witness = (frozenset(mask_members(m)),
-                               frozenset(mask_members(m | (1 << b))), a)
-                    break
-        return AxiomReport(nonneg, monotone, submod, witness,
-                           monotone_witness, negative_witness, mode="exhaustive")
+        return _exhaustive_axioms(f.values_for_masks(np.arange(1 << n, dtype=np.int64)),
+                                  tol)
 
     if mode == "sampled":
         rng = np.random.default_rng(seed)
@@ -453,6 +403,50 @@ def verify_axioms(f: SubmodularFn, mode: str = "exhaustive",
                            monotone_witness, negative_witness, mode="sampled")
 
     raise InputError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sampled'")
+
+
+def _exhaustive_axioms(vals: np.ndarray, tol: float) -> AxiomReport:
+    """The exhaustive branch of verify_axioms on the table of f over all
+    2^n masks."""
+    n = len(vals).bit_length() - 1
+    masks = np.arange(1 << n, dtype=np.int64)
+    nonneg = True
+    negative_witness = None
+    bad = np.nonzero(vals < -tol)[0]
+    if bad.size:
+        nonneg = False
+        negative_witness = frozenset(mask_members(int(bad[0])))
+
+    monotone = True
+    monotone_witness = None
+    for u in range(n):
+        if not monotone:
+            break
+        absent = masks[((masks >> u) & 1) == 0]
+        viol = np.nonzero(vals[absent | (1 << u)] < vals[absent] - tol)[0]
+        if viol.size:
+            monotone = False
+            m = int(absent[viol[0]])
+            monotone_witness = (frozenset(mask_members(m)), u)
+
+    submod = True
+    witness = None
+    for a in range(n):
+        if not submod:
+            break
+        for b in range(a + 1, n):
+            absent = masks[(((masks >> a) & 1) == 0) & (((masks >> b) & 1) == 0)]
+            lhs = vals[absent | (1 << a)] + vals[absent | (1 << b)]
+            rhs = vals[absent | (1 << a) | (1 << b)] + vals[absent]
+            viol = np.nonzero(lhs < rhs - tol)[0]
+            if viol.size:
+                submod = False
+                m = int(absent[viol[0]])
+                witness = (frozenset(mask_members(m)),
+                           frozenset(mask_members(m | (1 << b))), a)
+                break
+    return AxiomReport(nonneg, monotone, submod, witness,
+                       monotone_witness, negative_witness, mode="exhaustive")
 
 
 def _check_potentials(ground: GroundSet, y: Sequence[float]) -> list[float]:
@@ -540,7 +534,7 @@ def is_matroid_rank(f: SubmodularFn, tol: float = DEFAULT_TOL) -> bool:
             if not np.all((np.abs(diff) <= tol) | (np.abs(diff - 1.0) <= tol)):
                 ok = False
                 break
-    ok = ok and verify_axioms(f, tol=tol).ok
+    ok = ok and _exhaustive_axioms(vals, tol).ok
     f._matroid_rank = ok
     return ok
 

@@ -21,7 +21,7 @@ from matroidmatch.algorithms import (
 )
 from matroidmatch.barchart import BarChart
 from matroidmatch.constants import ALPHA, ONE_MINUS_INV_E, SNAP_EPS
-from matroidmatch.errors import InputError, InvariantError, PreconditionError
+from matroidmatch.errors import InputError, PreconditionError
 from matroidmatch.instances import (
     Arrival,
     ArrivalModel,
@@ -59,22 +59,22 @@ class TestWaterLevel:
     def test_one_fresh_neighbor_fills(self):
         f = Cardinality(GroundSet(1))
         chart = BarChart.from_potentials(f, [0.0])
-        assert water_level(chart, [0.0], (0,)) == 1.0
+        assert water_level(chart, (0,)) == 1.0
 
     def test_two_fresh_neighbors_stop_at_alpha(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.0, 0.0])
-        assert water_level(chart, [0.0, 0.0], (0, 1)) == pytest.approx(ALPHA, abs=1e-12)
+        assert water_level(chart, (0, 1)) == pytest.approx(ALPHA, abs=1e-12)
 
     def test_rank_one_budget_is_free(self):
         f = UniformRank(GroundSet(2), 1)
         chart = BarChart.from_potentials(f, [0.0, 0.0])
-        assert water_level(chart, [0.0, 0.0], (0, 1)) == 1.0
+        assert water_level(chart, (0, 1)) == 1.0
 
     def test_no_neighbors(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.0, 0.0])
-        assert water_level(chart, [0.0, 0.0], ()) == 1.0
+        assert water_level(chart, ()) == 1.0
 
     def test_non_neighbor_levels_shift_breakpoints(self):
         # u1 is not a neighbor, but its level changes where the level sets
@@ -82,18 +82,12 @@ class TestWaterLevel:
         f = UniformRank(GroundSet(2), 1)
         y = [0.0, 0.6]
         chart = BarChart.from_potentials(f, y)
-        a = water_level(chart, y, (0,))
+        a = water_level(chart, (0,))
         # h(a) = 1 - a for a <= 0.6 (no rank gain below u1's level),
         # then climbs at slope 0 -> it never exceeds 1 + ALPHA
         assert a == 1.0
         h_end = 1.0 - 1.0 + (lovasz(f, [1.0, 0.6]) - lovasz(f, y))
         assert h_end <= 1 + ALPHA
-
-    def test_inconsistent_chart_rejected(self):
-        f = Cardinality(GroundSet(2))
-        chart = BarChart.from_potentials(f, [0.0, 0.5])
-        with pytest.raises(InvariantError):
-            water_level(chart, [0.0, 0.0], (0,))
 
     def test_modular_matches_chart_scan(self):
         import random
@@ -104,7 +98,7 @@ class TestWaterLevel:
             nbrs = tuple(u for u in range(n) if rng.random() < 0.6)
             f = Cardinality(GroundSet(n))
             chart = BarChart.from_potentials(f, y)
-            a1 = water_level(chart, y, nbrs)
+            a1 = water_level(chart, nbrs)
             a2 = _modular_water_level(y, nbrs)
             assert a1 == pytest.approx(a2, abs=1e-12)
 
@@ -127,7 +121,7 @@ class TestObvc:
                         [Arrival(0, (0,)), Arrival(1, (0,))])
         trace = run_obvc(inst)
         assert trace.rounds[1].a == 1.0
-        assert trace.rounds[1].z == 0.0
+        assert trace.state.z[1] == 0.0
         assert trace.rounds[1].regions == ()
         assert trace.dual_value == pytest.approx(1.0, abs=TOL)
 
@@ -196,6 +190,11 @@ class TestMobmPd:
         assert trace.rounds[0].dP == pytest.approx(1.0, abs=TOL)
         assert trace.rounds[0].dD == pytest.approx(1 + ALPHA, abs=TOL)
 
+    def test_split_follows_ascending_ids(self):
+        # under rank 1 the first raised element takes the whole marginal
+        trace = run_mobm_pd(star(3, UniformRank(GroundSet(3), 1)))
+        assert trace.state.x == {(0, 0): pytest.approx(1 / (1 + ALPHA), abs=TOL)}
+
     def test_single_edge_value(self):
         trace = run_mobm_pd(single_edge())
         assert trace.state.x[(0, 0)] == pytest.approx(ONE_MINUS_INV_E, abs=TOL)
@@ -222,8 +221,9 @@ class TestMobmPd:
 
     def test_increments_recorded(self):
         trace = run_mobm_pd(star(2))
-        assert trace.rounds[0].x_inc == {
-            0: pytest.approx(0.5, abs=TOL), 1: pytest.approx(0.5, abs=TOL)}
+        assert trace.state.x == {
+            (0, 0): pytest.approx(0.5, abs=TOL), (1, 0): pytest.approx(0.5, abs=TOL)}
+        assert trace.rounds[0].dP == sum(trace.state.x.values())
 
 
 class TestRegionBases:
@@ -248,7 +248,7 @@ class TestRegionBases:
             chart = BarChart.from_potentials(inst.f, [0.0] * inst.n_offline)
             for arr in inst.arrivals:
                 y = chart.levels
-                a = water_level(chart, y, arr.nbrs)
+                a = water_level(chart, arr.nbrs)
                 X = [u for u in sorted(set(arr.nbrs)) if y[u] < a]
                 nonempty += self.raise_and_check(chart, X, a)
         assert nonempty > 100  # the check saw many bars with members

@@ -41,19 +41,19 @@ class TestFromPotentials:
         chart = BarChart.from_potentials(f, [0.0, 0.0])
         assert len(chart.intervals) == 1
         iv = chart.intervals[0]
-        assert (iv.lo, iv.hi, iv.members, iv.height) == (0.0, 1.0, [], 0.0)
+        assert (iv.lo, iv.hi, iv.mask, iv.height) == (0.0, 1.0, 0, 0.0)
 
     def test_two_levels(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.3, 0.7])
-        got = [(iv.lo, iv.hi, iv.members, iv.height) for iv in chart.intervals]
-        assert got == [(0.0, 0.3, [1, 0], 2.0), (0.3, 0.7, [1], 1.0), (0.7, 1.0, [], 0.0)]
+        got = [(iv.lo, iv.hi, iv.mask, iv.height) for iv in chart.intervals]
+        assert got == [(0.0, 0.3, 0b11, 2.0), (0.3, 0.7, 0b10, 1.0), (0.7, 1.0, 0, 0.0)]
 
     def test_indicator_single_bar(self):
         f = UniformRank(GroundSet(3), 2)
         chart = BarChart.from_potentials(f, [1.0, 0.0, 1.0])
         assert len(chart.intervals) == 1
-        assert chart.intervals[0].members == [0, 2]
+        assert chart.intervals[0].mask == 0b101
         assert chart.intervals[0].height == 2.0
 
     def test_area_is_lovasz(self):
@@ -75,7 +75,6 @@ class TestRaise:
         assert len(regions) == 1
         r = regions[0]
         assert (r.lo, r.hi, r.old_height, r.new_height) == (0.0, 0.5, 0.0, 2.0)
-        assert r.appended == (0, 1)
         assert chart.area() == pytest.approx(1.0, abs=TOL)
         assert chart.levels == [0.5, 0.5]
 
@@ -91,9 +90,9 @@ class TestRaise:
     def test_empty_x_is_noop(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.3, 0.7])
-        before = chart.to_debug_json()
+        before = [vars(iv).copy() for iv in chart.intervals]
         assert chart.raise_to([], 0.9) == []
-        assert chart.to_debug_json() == before
+        assert [vars(iv) for iv in chart.intervals] == before
 
     def test_zero_delta_regions_dropped_but_membership_kept(self):
         f = UniformRank(GroundSet(2), 1)
@@ -102,7 +101,7 @@ class TestRaise:
         # below 0.5 the rank is already 1, so only membership changes there
         assert [(r.lo, r.hi) for r in regions] == []
         assert chart.levels == [0.8, 0.5]
-        assert chart.intervals[0].members == [0, 1]
+        assert chart.intervals[0].mask == 0b11
         assert chart.area() == pytest.approx(lovasz(f, [0.8, 0.5]), abs=TOL)
 
     def test_level_errors(self):
@@ -179,13 +178,12 @@ class TestRaiseFuzz:
                 # membership matches levels: u covers [0, y_u)
                 y = chart.levels
                 for iv in chart.intervals:
-                    assert sorted(iv.members) == [u for u in range(n) if y[u] >= iv.hi]
-                    assert len(set(iv.members)) == len(iv.members)
+                    assert iv.mask == sum(1 << u for u in range(n) if y[u] >= iv.hi)
 
 
 class TestChargeIntegral:
     def test_unit_square_gives_alpha(self):
-        r = NewRegion(0.0, 1.0, 0.0, 1.0, (0,))
+        r = NewRegion(0.0, 1.0, 0.0, 1.0)
         assert charge_integral([r], ALPHA) == pytest.approx(ALPHA, abs=1e-12)
 
     def test_empty(self):
@@ -193,9 +191,9 @@ class TestChargeIntegral:
 
     def test_against_quadrature(self):
         regions = [
-            NewRegion(0.0, 0.5, 0.0, 2.0, (0, 1)),
-            NewRegion(0.1, 0.35, 1.0, 2.5, (2,)),
-            NewRegion(0.6, 0.97, 0.5, 0.75, (3,)),
+            NewRegion(0.0, 0.5, 0.0, 2.0),
+            NewRegion(0.1, 0.35, 1.0, 2.5),
+            NewRegion(0.6, 0.97, 0.5, 0.75),
         ]
         for r in regions:
             assert charge_integral([r], ALPHA) == pytest.approx(
@@ -204,22 +202,12 @@ class TestChargeIntegral:
             quad_charge(regions, ALPHA), abs=1e-6)
 
     def test_alpha_override(self):
-        r = NewRegion(0.2, 0.8, 0.0, 1.0, (0,))
+        r = NewRegion(0.2, 0.8, 0.0, 1.0)
         for alpha in (0.25, 0.5, 1.0):
             assert charge_integral([r], alpha) == pytest.approx(
                 quad_charge([r], alpha, panels=400_000), abs=1e-6)
 
 
-def test_debug_dump_shape():
-    f = Cardinality(GroundSet(2))
-    chart = BarChart.from_potentials(f, [0.3, 0.7])
-    assert chart.to_debug_json() == [
-        {"lo": 0.0, "hi": 0.3, "members": [1, 0], "height": 2.0},
-        {"lo": 0.3, "hi": 0.7, "members": [1], "height": 1.0},
-        {"lo": 0.7, "hi": 1.0, "members": [], "height": 0.0},
-    ]
-
-
 def test_region_round_trip():
-    r = NewRegion(0.1, 0.4, 1.0, 2.0, (1, 2))
+    r = NewRegion(0.1, 0.4, 1.0, 2.0)
     assert NewRegion.from_dict(r.to_dict()) == r

@@ -149,7 +149,7 @@ class TestVerify:
         open(tpath, "w").write(json.dumps(data))
         assert main(["verify", tpath, "--instance", ipath]) == 1
         out = capsys.readouterr().out
-        assert f"FAIL replay-match: x[{u},{v}]" in out
+        assert f"FAIL replay-match: state.x[{u},{v}] = " in out
 
     def test_mismatched_instance(self, tmp_path, capsys):
         ipath, tpath = self.make_pair(tmp_path)
@@ -164,6 +164,41 @@ class TestVerify:
         rep = json.loads(capsys.readouterr().out)
         assert rep["ok"] is True
         assert {c["name"] for c in rep["checks"]} >= {"replay-match", "cover-feasible"}
+
+    def corrupt_round(self, tmp_path, delta):
+        """Move the old height of a later round's first region by delta."""
+        ipath, tpath = self.make_pair(tmp_path, "mobm-pd")
+        data = json.loads(open(tpath).read())
+        i = max(k for k, rec in enumerate(data["rounds"]) if rec["regions"])
+        data["rounds"][i]["regions"][0]["old_height"] += delta
+        open(tpath, "w").write(json.dumps(data))
+        return ipath, tpath, i
+
+    def test_first_differing_round_field_named(self, tmp_path, capsys):
+        ipath, tpath, i = self.corrupt_round(tmp_path, 0.25)
+        capsys.readouterr()
+        assert main(["verify", tpath, "--instance", ipath]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL replay-match: rounds[{i}].regions[0].old_height = " in out
+        assert "!= replayed" in out
+        # only the replay check sees a round record
+        assert out.count("FAIL") == 1
+
+    def test_difference_within_tol_passes(self, tmp_path, capsys):
+        ipath, tpath, i = self.corrupt_round(tmp_path, 1e-12)
+        assert main(["verify", tpath, "--instance", ipath]) == 0
+        capsys.readouterr()
+        assert main(["verify", tpath, "--instance", ipath, "--tol", "1e-13"]) == 1
+        assert f"FAIL replay-match: rounds[{i}].regions[0]" in capsys.readouterr().out
+
+    def test_missing_dual_named(self, tmp_path, capsys):
+        ipath, tpath = self.make_pair(tmp_path, "mobvc")
+        data = json.loads(open(tpath).read())
+        v, _ = data["final"]["z"].pop()
+        open(tpath, "w").write(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", tpath, "--instance", ipath]) == 1
+        assert f"replay-match: state.z[{v}] is missing from the trace" in capsys.readouterr().out
 
 
 class TestAudit:

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matroidmatch.cli import main
 from matroidmatch.errors import InputError, ParseError
 from matroidmatch.instances import (
     Arrival,
@@ -23,7 +26,9 @@ from matroidmatch.instances import (
 from matroidmatch.submodular import (
     Cardinality,
     GroundSet,
+    PartitionBudget,
     UniformRank,
+    WeightedThreshold,
     is_matroid_rank,
     verify_axioms,
 )
@@ -154,6 +159,106 @@ class TestPersistence:
         path.write_text("{not json")
         with pytest.raises(ParseError, match="not valid JSON"):
             load(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=25)
+
+
+def edge_instance(f):
+    return {"name": "x", "n_offline": 2, "f": f, "arrivals": [{"id": 0, "nbrs": [0, 1]}]}
+
+
+class TestHostileFiles:
+    """load gives an Instance or a ParseError, and run exits 2 on the latter,
+    never with a traceback."""
+
+    def assert_rejected(self, path, match=None):
+        with pytest.raises(ParseError, match=match):
+            load(path)
+        assert main(["run", str(path), "--algorithm", "mobvc"]) == 2
+
+    def test_deep_nesting(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        self.assert_rejected(path, "not valid JSON")
+
+    def test_bad_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        self.assert_rejected(path, "not valid JSON")
+
+    @pytest.mark.parametrize("data, match", [
+        ({**edge_instance({"family": "cardinality"}), "n_offline": True}, "n_offline"),
+        ({**edge_instance({"family": "cardinality"}),
+          "arrivals": [{"id": False, "nbrs": [0]}]}, r"arrivals\[0\].id"),
+        ({**edge_instance({"family": "cardinality"}),
+          "arrivals": [{"id": 0, "nbrs": [True]}]}, r"nbrs\[0\]"),
+        (edge_instance({"family": "uniform_rank", "k": True}), "f:"),
+        ({**edge_instance({"family": "cardinality"}), "name": 5}, "name"),
+    ])
+    def test_bools_and_wrong_types(self, tmp_path, data, match):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        self.assert_rejected(path, match)
+
+    @pytest.mark.parametrize("f", [
+        {"family": "weighted_threshold", "weights": [float("nan"), 1.0], "cap": 1.0},
+        {"family": "weighted_threshold", "weights": [1.0, 1.0], "cap": float("nan")},
+        {"family": "partition_budget", "blocks": [[0], [1]], "caps": [1.0, float("nan")]},
+        {"family": "partition_budget", "blocks": [[0], [1]], "caps": [1.0, 10 ** 400]},
+        {"family": "explicit_table", "values": [0.0, 1.0, float("nan"), 1.0]},
+        {"family": "explicit_table", "values": [0.0, 1.0, [1.0], 1.0]},
+        {"family": "weighted_threshold", "weights": [1.0, 1.0], "cap": "1"},
+    ])
+    def test_bad_budget_numbers(self, tmp_path, f):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(edge_instance(f)), encoding="utf-8")
+        self.assert_rejected(path, "f:")
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=json_values)
+    def test_arbitrary_json(self, tmp_path_factory, value):
+        path = tmp_path_factory.mktemp("j") / "i.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        self.assert_rejected(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=st.binary(max_size=40))
+    def test_arbitrary_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("b") / "i.json"
+        path.write_bytes(raw)
+        self.assert_rejected(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_node_changed(self, tmp_path_factory, data):
+        g = GroundSet(4)
+        f = data.draw(st.sampled_from([
+            Cardinality(g), UniformRank(g, 2), PartitionBudget(g, [[0, 2], [1, 3]], [1, 1.5]),
+            WeightedThreshold(g, [0.5, 1.0, 0.25, 2.0], 1.5), random_coverage_table(4, 1)]))
+        doc = gen_random(4, 3, 0.6, f, seed=2).to_dict()
+        parent, key = data.draw(st.sampled_from(list(_nodes(doc))))
+        parent[key] = data.draw(json_values | st.integers(-3, 12)
+                                | st.integers(10 ** 20, 10 ** 400))
+        path = tmp_path_factory.mktemp("m") / "i.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load(path)
+        except ParseError:
+            assert main(["run", str(path), "--algorithm", "mobvc"]) == 2
+
+
+def _nodes(doc):
+    """(container, key) for every node below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value)
 
 
 class TestSuites:

@@ -288,27 +288,44 @@ class TestLaminarForm:
         return sum(min(sum(weights[u] for u in members if (mask >> u) & 1), cap)
                    for members, cap in groups)
 
+    @staticmethod
+    def families(n, rng):
+        fams = all_families(n)
+        if n >= 3:
+            ids = [u % 3 for u in range(n)]
+            rng.shuffle(ids)
+            blocks = [[u for u in range(n) if ids[u] == j] for j in range(3)]
+            fams.append(PartitionBudget(GroundSet(n), blocks, [0.5, 2.0, 1.5]))
+            fams.append(WeightedThreshold(
+                GroundSet(n), [rng.random() * 10 ** rng.randint(-3, 3) for _ in range(n)],
+                rng.random() * n / 2))
+        return fams
+
     def test_reproduces_values_for_masks(self):
+        # values_for_masks builds its table from laminar_form, so the form
+        # is checked against the scalar oracle instead
         rng = random.Random(5)
         for n in (0, 1, 4, 7, 10):
-            fams = all_families(n)
-            if n >= 3:
-                ids = [u % 3 for u in range(n)]
-                rng.shuffle(ids)
-                blocks = [[u for u in range(n) if ids[u] == j] for j in range(3)]
-                fams.append(PartitionBudget(GroundSet(n), blocks, [0.5, 2.0, 1.5]))
-                fams.append(WeightedThreshold(GroundSet(n), [rng.random() for _ in range(n)],
-                                              rng.random() * n / 2))
-            for f in fams:
+            for f in self.families(n, rng):
                 form = f.laminar_form()
                 if isinstance(f, ExplicitTable):
                     assert form is None
                     continue
                 weights, groups = form
                 assert sorted(u for members, _ in groups for u in members) == list(range(n))
-                want = f.values_for_masks(np.arange(1 << n, dtype=np.int64))
+                want = [f.value_mask(mask) for mask in range(1 << n)]
                 got = [self.from_form(form, mask) for mask in range(1 << n)]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_table_is_value_mask_to_the_bit(self):
+        rng = random.Random(6)
+        for n in (0, 1, 5, 9, 12):
+            for f in self.families(n, rng):
+                table = f.values_for_masks(np.arange(1 << n, dtype=np.int64))
+                assert table.dtype == np.float64
+                assert table.tolist() == [f.value_mask(mask) for mask in range(1 << n)]
+                some = np.array([0, (1 << n) - 1, (1 << n) // 3], dtype=np.int64)
+                assert f.values_for_masks(some).tolist() == table[some].tolist()
 
 
 class TestMatroidRank:
@@ -324,6 +341,11 @@ class TestMatroidRank:
 
     def test_non_unit_marginal_rejected(self):
         f = WeightedThreshold(GroundSet(3), [2.0, 2.0, 2.0], 4.0)
+        assert not is_matroid_rank(f)
+
+    def test_non_submodular_rejected(self):
+        # integral with 0/1 marginals, so only the axiom check catches it
+        f = ExplicitTable(GroundSet(2), [0.0, 0.0, 0.0, 1.0])
         assert not is_matroid_rank(f)
 
     def test_size_limit(self):

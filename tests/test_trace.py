@@ -1,4 +1,4 @@
-"""Trace format 2: exact round trips, the fields a file keeps, and hostile
+"""Trace format 3: exact round trips, the fields a file keeps, and hostile
 input (load_trace raises ParseError, the CLI exits 2, never a traceback)."""
 
 import json
@@ -69,15 +69,14 @@ class TestFormat:
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert data["format"] == TRACE_FORMAT == 2
+        assert data["format"] == TRACE_FORMAT == 3
 
     def test_round_fields(self):
         pd_round = next(r for r in TRACE_DICTS["mobm-pd"]["rounds"] if r["regions"])
-        assert set(pd_round) == {"v", "a", "X", "regions", "dP", "dD", "z", "x_inc"}
-        assert set(pd_round["regions"][0]) == {"lo", "hi", "old_height", "new_height",
-                                               "appended"}
+        assert set(pd_round) == {"v", "a", "X", "regions", "dP", "dD"}
+        assert set(pd_round["regions"][0]) == {"lo", "hi", "old_height", "new_height"}
         for r in TRACE_DICTS["greedy-ra"]["rounds"]:
-            assert set(r) == {"v", "t", "X", "matched", "dP", "dD", "z"}
+            assert set(r) == {"v", "t", "X", "matched", "dP", "dD"}
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_final_block_the_benchmark_reads(self, alg):
@@ -94,7 +93,7 @@ class TestFormat:
         if alg == "greedy-ra":
             assert sorted(u for u, _, _ in final["x"]) == final["matched_offline"]
 
-    @pytest.mark.parametrize("found", [1, 3, "2", None, "missing"])
+    @pytest.mark.parametrize("found", [1, 2, "3", None, "missing"])
     def test_other_versions_rejected(self, tmp_path, found):
         data = dict(TRACE_DICTS["mobvc"])
         if found == "missing":
@@ -107,15 +106,9 @@ class TestFormat:
             load_trace(write_json(tmp_path / "t.json", data))
         assert named in str(err.value)
 
-    def test_x_inc_list_rejected(self, tmp_path):
-        data = json.loads(json.dumps(TRACE_DICTS["mobm-pd"]))
-        data["rounds"][0]["x_inc"] = [[0, 0.5]]
-        with pytest.raises(ParseError, match="x_inc"):
-            load_trace(write_json(tmp_path / "t.json", data))
-
     def test_out_of_range_ids_and_levels_rejected(self, tmp_path):
         cases = [("X", [0, 6]), ("X", [-1]), ("a", 1.5), ("dD", float("nan")),
-                 ("z", float("inf"))]
+                 ("dP", float("inf"))]
         for key, value in cases:
             data = json.loads(json.dumps(TRACE_DICTS["mobvc"]))
             data["rounds"][0][key] = value
@@ -151,12 +144,12 @@ json_values = st.recursive(
 
 
 def node_paths(data, path=(), is_field=False):
-    """(path, is_field) for every node of a trace dict: dict entries are
-    schema fields, except the entries of x_inc, whose keys are data."""
+    """(path, is_field) for every node of a trace dict: every dict entry is
+    a schema field."""
     yield path, is_field
     if isinstance(data, dict):
         for key, value in data.items():
-            yield from node_paths(value, path + (key,), path[-1:] != ("x_inc",))
+            yield from node_paths(value, path + (key,), True)
     elif isinstance(data, list):
         for i, value in enumerate(data):
             yield from node_paths(value, path + (i,))
@@ -253,3 +246,59 @@ class TestHostileInput:
         for command in ("verify", "audit"):
             rc = main([command, str(trace), "--instance", str(tmp / "i.json")])
             assert rc in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Every stored number is checked
+# ---------------------------------------------------------------------------
+
+OFFLINE_ID_FIELDS = ("X", "matched", "matched_offline")
+
+
+def id_kind(path) -> str | None:
+    """'offline' or 'online' when the number at path is an element or
+    arrival id, else None."""
+    if path[0] == "rounds":
+        if path[2] == "v":
+            return "online"
+        return "offline" if path[2] in OFFLINE_ID_FIELDS else None
+    if path[:2] == ("final", "z"):
+        return "online" if path[3] == 0 else None
+    if path[:2] == ("final", "x"):
+        return {0: "offline", 1: "online"}.get(path[3])
+    return "offline" if path[-2:-1] == ("matched_offline",) else None
+
+
+class TestEveryNumberChecked:
+    """Changing any stored number of a valid trace makes verify fail: ids
+    become a different valid id, every other number moves by 0.25. The
+    greedy timestamps t are the exception, since verify replays the run at
+    the stored timestamps."""
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_each_number(self, tmp_path, capsys, alg):
+        inst = INSTANCES[alg]
+        ipath = tmp_path / "i.json"
+        save(inst, ipath)
+        online = [arr.id for arr in inst.arrivals]
+        data = TRACE_DICTS[alg]
+        tpath = write_json(tmp_path / "t.json", data)
+        assert main(["verify", str(tpath), "--instance", str(ipath)]) == 0
+        changed = 0
+        for path, _ in node_paths(data):
+            value = at(data, path)
+            if type(value) not in (int, float) or path[-1:] == ("t",):
+                continue
+            kind = id_kind(path)
+            if kind == "offline":
+                new = (value + 1) % inst.n_offline
+            elif kind == "online":
+                new = online[(online.index(value) + 1) % len(online)]
+            else:
+                new = value + 0.25
+            write_json(tpath, replace(data, path, new))
+            rc = main(["verify", str(tpath), "--instance", str(ipath)])
+            assert rc in (1, 2), (path, value, new)
+            changed += 1
+        capsys.readouterr()
+        assert changed > 50
