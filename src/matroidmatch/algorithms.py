@@ -8,9 +8,9 @@ water level a is the largest level in [0, 1] such that
 
 where fhat is the Lovasz extension. h is continuous piecewise linear, so a
 is found by an exact right-to-left segment scan over the chart boundaries
-(no bisection); whenever a < 1 the budget is exhausted and h(a) = 1 + ALPHA
-up to float rounding. The arrival pays z_v = 1 - a and the neighbors below
-a are raised to a.
+from the first bar that misses a neighbor up (no root bisection); whenever
+a < 1 the budget is exhausted and h(a) = 1 + ALPHA up to float rounding.
+The arrival pays z_v = 1 - a and the neighbors below a are raised to a.
 
 run_obvc computes the level with a modular closed form (neighbor levels
 only) and exists both as the plain-graph algorithm and as an independent
@@ -36,8 +36,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .barchart import BarChart, NewRegion
-from .constants import ALPHA, SNAP_EPS
+from .barchart import BarChart, NewRegion, snap
+from .constants import ALPHA
 from .errors import InputError, InvariantError, ParseError, PreconditionError
 from .instances import (
     Arrival,
@@ -83,37 +83,36 @@ def _sup_below(bounds: list[float], hvals: list[float], target: float) -> float:
     raise InvariantError("h(0) <= target must hold; no crossing found")
 
 
-def _snap_to(bounds, a: float) -> float:
-    for b in bounds:
-        if abs(a - b) <= SNAP_EPS:
-            return b
-    return a
-
-
 def water_level(chart: BarChart, nbrs, alpha: float = ALPHA) -> float:
     """Exact water level for an arrival with neighbor set nbrs at the
     chart's current potentials.
 
     Segment slopes are read off the bars: on the bar with member set L the
     slope of h is -1 + f(L + nbrs) - f(L). Non-neighbor potentials matter
-    too (they change the level sets), which is why the scan walks every
-    chart boundary.
+    too (they change the level sets), so the breakpoints of h are the chart
+    bounds. On a bar that already holds every neighbor the gain is exactly
+    0.0 and h = 1 - hi there. The member masks are nested, so those bars
+    are a prefix of the chart: one bisection finds the first bar that
+    misses a neighbor, and the scan starts at its lo with h = 1 - lo. So
+    the oracle is called only on bars that miss a neighbor.
     """
     f = chart.f
+    check = f.ground.check_element
     nmask = 0
     for u in nbrs:
-        nmask |= 1 << f.ground.check_element(u)
+        nmask |= 1 << check(u)
 
-    bounds = [chart.intervals[0].lo]
-    hvals = [1.0]
+    ivs = chart.intervals
+    k = chart.first_missing(nmask)
+    lo = ivs[k].lo if k < len(ivs) else ivs[-1].hi
+    bounds = [lo]
+    hvals = [1.0 - lo]
     g_acc = 0.0
-    for iv in chart.intervals:
-        gain = f.value_mask(iv.mask | nmask) - iv.height
-        g_acc += iv.width * gain
+    for iv in ivs[k:]:
+        g_acc += (iv.hi - iv.lo) * (f.value_mask(iv.mask | nmask) - iv.height)
         bounds.append(iv.hi)
         hvals.append(1.0 - iv.hi + g_acc)
-    a = _sup_below(bounds, hvals, 1.0 + alpha)
-    return _snap_to(bounds, a)
+    return chart.snap(_sup_below(bounds, hvals, 1.0 + alpha))
 
 
 def _modular_water_level(y, nbrs, alpha: float = ALPHA) -> float:
@@ -133,7 +132,7 @@ def _modular_water_level(y, nbrs, alpha: float = ALPHA) -> float:
         bounds.append(b)
         hvals.append(1.0 - b + k * b - covered)
     a = _sup_below(bounds, hvals, 1.0 + alpha)
-    return _snap_to(bounds, a)
+    return snap(bounds, a)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +314,8 @@ def _region_bases(regions, y: list[float]) -> list[int]:
     before the raise: u is a member of the bar [lo, hi] exactly when
     y_u >= hi. The regions of one raise are nested (ascending lo, so
     descending member sets), and one sweep down the levels builds them all."""
+    if not regions:  # most rounds, once a non-modular budget binds
+        return []
     order = sorted(range(len(y)), key=y.__getitem__, reverse=True)
     bases = [0] * len(regions)
     mask = k = 0
@@ -334,15 +335,17 @@ def _primal_increments(f: SubmodularFn, regions, y: list[float], X,
     1 / denom; y holds the levels before the raise of X that made the
     regions."""
     inc: dict[int, float] = {}
+    bits = [(u, 1 << u) for u in X]
     for r, mask in zip(regions, _region_bases(regions, y)):
+        width = r.hi - r.lo
         prev = f.value_mask(mask)
-        for u in X:
-            if (mask >> u) & 1:
+        for u, bit in bits:
+            if mask & bit:
                 continue
-            mask |= 1 << u
+            mask |= bit
             cur = f.value_mask(mask)
             if cur != prev:
-                inc[u] = inc.get(u, 0.0) + r.width * (cur - prev) / denom
+                inc[u] = inc.get(u, 0.0) + width * (cur - prev) / denom
             prev = cur
     return inc
 

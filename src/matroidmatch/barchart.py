@@ -10,20 +10,42 @@ primal-dual matching and the charging auditors consume.
 
 Intervals are split but never merged. The chart keeps no sigma_t member
 lists (the order in which elements joined a bar): the primal split rebuilds
-what it needs from the levels before each raise.
+what it needs from the levels before each raise. Raises only add elements
+to a prefix of the bars, so the member masks are nested: each bar's mask
+contains the masks of all bars above it.
+
+The chart's bounds are the lowest bar's lo and every bar's hi, in
+ascending order. Levels within SNAP_EPS of a bound snap to the first such
+bound, so raises to nearly equal levels create no sliver bars.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .constants import ALPHA, SNAP_EPS
 from .errors import InputError, PreconditionError
 from .instances import json_number
 from .submodular import SubmodularFn, _check_potentials
 
-__all__ = ["Interval", "NewRegion", "BarChart", "charge_integral"]
+__all__ = ["Interval", "NewRegion", "BarChart", "charge_integral", "snap"]
+
+
+def snap(bounds, a: float) -> float:
+    """The first of the ascending bounds within SNAP_EPS of a, or a itself
+    when there is none.
+
+    The rounded difference b - a never decreases along the bounds, so one
+    bisection finds the first bound at most SNAP_EPS below a; that bound is
+    the answer when it is also at most SNAP_EPS above a.
+    """
+    i = bisect_left(bounds, -SNAP_EPS, key=lambda b: b - a)
+    if i < len(bounds) and abs(a - bounds[i]) <= SNAP_EPS:
+        return bounds[i]
+    return a
 
 
 @dataclass
@@ -115,7 +137,8 @@ class BarChart:
         """
         if not 0.0 <= a <= 1.0:
             raise InputError(f"level a = {a} outside [0, 1]")
-        X = {self.f.ground.check_element(u) for u in X}
+        check = self.f.ground.check_element
+        X = {check(u) for u in X}
         for u in X:
             if self._levels[u] >= a:
                 raise PreconditionError(
@@ -123,18 +146,16 @@ class BarChart:
         if not X:
             return []
 
-        a = self._snap(a)
+        a = self.snap(a)
         self._split_at(a)
 
         regions = []
         xmask = 0
         for u in X:
             xmask |= 1 << u
-        for iv in self.intervals:
+        for iv in self.intervals[self.first_missing(xmask):]:
             if iv.hi > a:
                 break
-            if not xmask & ~iv.mask:
-                continue
             old_height = iv.height
             iv.mask |= xmask
             iv.height = self.f.value_mask(iv.mask)
@@ -144,21 +165,30 @@ class BarChart:
             self._levels[u] = a
         return regions
 
-    def _snap(self, a: float) -> float:
-        for iv in self.intervals:
-            if abs(a - iv.lo) <= SNAP_EPS:
-                return iv.lo
-        if abs(a - 1.0) <= SNAP_EPS:
-            return 1.0
-        return a
+    def first_missing(self, mask: int) -> int:
+        """Index of the first bar that misses an element of mask, or the
+        number of bars. The masks are nested, so every later bar misses
+        one too and every earlier bar holds all of mask."""
+        return bisect_left(self.intervals, True, key=lambda iv: bool(mask & ~iv.mask))
+
+    def snap(self, a: float) -> float:
+        """The first chart bound within SNAP_EPS of a, or a itself.
+
+        Only two bounds can be first: the lowest bar's lo, and the first hi
+        at most SNAP_EPS below a, found by the bisection snap() makes.
+        """
+        ivs = self.intervals
+        i = bisect_left(ivs, -SNAP_EPS, key=lambda iv: iv.hi - a)
+        return snap((ivs[0].lo, ivs[i].hi) if i < len(ivs) else (ivs[0].lo,), a)
 
     def _split_at(self, a: float):
-        for i, iv in enumerate(self.intervals):
+        """Split the bar with lo < a < hi, if there is one, at a."""
+        i = bisect_left(self.intervals, a, key=attrgetter("hi"))
+        if i < len(self.intervals):
+            iv = self.intervals[i]
             if iv.lo < a < iv.hi:
-                left = Interval(iv.lo, a, iv.mask, iv.height)
+                self.intervals.insert(i, Interval(iv.lo, a, iv.mask, iv.height))
                 iv.lo = a
-                self.intervals.insert(i, left)
-                return
 
 
 def charge_integral(regions, alpha: float = ALPHA) -> float:

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, SizeError
 from .submodular import (
     Cardinality,
     ExplicitTable,
@@ -33,6 +33,17 @@ from .submodular import (
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Largest n_offline, number of arrivals and number of edges of an instance.
+INSTANCE_SIZE_LIMIT = 1 << 20
+
+
+def check_size(what: str, count: int):
+    """SizeError when an instance's n_offline, m or edge count (named by
+    what) exceeds INSTANCE_SIZE_LIMIT."""
+    if count > INSTANCE_SIZE_LIMIT:
+        raise SizeError(f"{what} = {count} exceeds the instance size limit "
+                        f"{INSTANCE_SIZE_LIMIT}")
 
 
 class SplitMix64:
@@ -164,6 +175,8 @@ def gen_upper_triangular(n: int) -> Instance:
     adversarial order is the classic hard sequence for ratio 1 - 1/e."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
+    check_size("n_offline", n)
+    check_size("edges", n * (n + 1) // 2)
     g = GroundSet(n)
     arrivals = [Arrival(j, tuple(range(j, n))) for j in range(n)]
     return Instance(f"triangular-{n}", n, Cardinality(g), arrivals)
@@ -177,6 +190,8 @@ def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
         raise InputError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability p = {p} outside [0, 1]")
+    check_size("n_offline", n)
+    check_size("m", m)
     g = GroundSet(n)
     if f is None:
         f = Cardinality(g)
@@ -184,9 +199,12 @@ def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
         raise InputError(f"f is on a ground set of size {f.ground.size}, not {n}")
     root = SplitMix64(seed)
     arrivals = []
+    edges = 0
     for j in range(m):
         stream = root.split(j + 1)
         nbrs = tuple(u for u in range(n) if stream.random() < p)
+        edges += len(nbrs)
+        check_size("edges", edges)
         arrivals.append(Arrival(j, nbrs))
     if name is None:
         name = f"random-n{n}-m{m}-p{p:g}-s{seed}-{f.family}"
@@ -366,14 +384,17 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
     n = checked(json_int, need(data, "n_offline", where), f"{where}.n_offline")
     if n < 0:
         raise ParseError(f"{where}.n_offline: expected a nonnegative int, got {n!r}")
+    check_size(f"{where}.n_offline", n)
     fspec = need(data, "f", where)
     try:
         f = fn_from_spec(fspec, GroundSet(n))
     except (ValueError, TypeError, OverflowError) as e:  # InputError, or a field of the wrong type
         raise ParseError(f"{where}.f: {e}") from e
     raw = checked(json_list, need(data, "arrivals", where), f"{where}.arrivals")
+    check_size(f"{where}: m", len(raw))
     arrivals = []
     seen_ids = set()
+    edges = 0
     for i, entry in enumerate(raw):
         ctx = f"{where}.arrivals[{i}]"
         vid = checked(json_int, need(entry, "id", ctx), f"{ctx}.id")
@@ -381,6 +402,8 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
             raise ParseError(f"{ctx}.id: duplicate online id {vid}")
         seen_ids.add(vid)
         nbrs = checked(json_list, need(entry, "nbrs", ctx), f"{ctx}.nbrs")
+        edges += len(nbrs)
+        check_size(f"{where}: edges", edges)
         seen_u = set()
         for j, u in enumerate(nbrs):
             if isinstance(u, bool) or not isinstance(u, int) or not 0 <= u < n:

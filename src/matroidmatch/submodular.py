@@ -27,6 +27,9 @@ from .errors import InputError, SizeError
 
 # Exhaustive axiom / rank checks enumerate all 2^n subsets.
 EXHAUSTIVE_LIMIT = 16
+# Largest n whose 2^n value table values_for_masks (and with it the
+# brute-force offline optimum) builds.
+OFFLINE_OPT_LIMIT = 24
 
 # (weights, groups): f(S) = sum over (members, cap) in groups of
 # min(sum of weights[u] over u in S & members, cap); the groups partition
@@ -53,6 +56,8 @@ class GroundSet:
         return (1 << self.size) - 1
 
     def check_element(self, u) -> int:
+        if type(u) is int and 0 <= u < self.size:  # the common case, first
+            return u
         if not isinstance(u, (int, np.integer)) or isinstance(u, bool):
             raise InputError(f"element id must be an int, got {u!r}")
         if not 0 <= u < self.size:
@@ -117,13 +122,18 @@ class SubmodularFn:
         With a laminar form, the 2^n table is built by doubling: each
         group's weight sums are added in ascending element order, as
         value_mask adds them, so the values are the same to the bit.
-        Without one, a value_mask loop.
+        Without one, a value_mask loop. SizeError above OFFLINE_OPT_LIMIT,
+        before anything is allocated.
         """
+        n = self.ground.size
+        if n > OFFLINE_OPT_LIMIT:
+            raise SizeError(f"values_for_masks builds a table of 2^n values; "
+                            f"n = {n} > {OFFLINE_OPT_LIMIT}")
         form = self.laminar_form()
         if form is None:
             return np.array([self.value_mask(int(m)) for m in masks], dtype=np.float64)
         weights, groups = form
-        table = np.zeros(1 << self.ground.size)
+        table = np.zeros(1 << n)
         for members, cap in groups:
             members = set(members)
             sums = np.zeros(1)

@@ -21,10 +21,10 @@ from .barchart import charge_integral
 from .constants import ALPHA, DEFAULT_TOL, charge_potential
 from .errors import InputError, InvariantError, SizeError
 from .instances import Instance
-from .submodular import SubmodularFn, is_matroid_rank, lovasz, mask_members
+from .submodular import OFFLINE_OPT_LIMIT, SubmodularFn, is_matroid_rank, lovasz, mask_members
 
-# Brute-force limits for budgets without a laminar form.
-OFFLINE_OPT_LIMIT = 24
+# Brute-force limits for budgets without a laminar form: the offline
+# optimum's is OFFLINE_OPT_LIMIT, the matching check's this one.
 EXHAUSTIVE_MATCHING_LIMIT = 20
 
 # Residual capacity at or below this counts as saturated in the min cut.

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroidmatch import instances
 from matroidmatch.cli import main
-from matroidmatch.errors import InputError, ParseError
+from matroidmatch.errors import InputError, ParseError, SizeError
 from matroidmatch.instances import (
+    INSTANCE_SIZE_LIMIT,
     Arrival,
     ArrivalModel,
     Instance,
@@ -67,6 +69,21 @@ class TestGenerators:
             gen_random(3, 2, 1.5)
         with pytest.raises(InputError):
             gen_random(3, 2, 0.5, f=Cardinality(GroundSet(4)))
+
+    def test_size_limit(self, monkeypatch):
+        # well above the n=200, m=400 runs, whatever p is
+        assert INSTANCE_SIZE_LIMIT >= 10 * 200 * 400
+        with pytest.raises(SizeError, match="n_offline"):
+            gen_random(INSTANCE_SIZE_LIMIT + 1, 1, 0.5)
+        with pytest.raises(SizeError, match="m = "):
+            gen_random(2, INSTANCE_SIZE_LIMIT + 1, 0.5)
+        monkeypatch.setattr(instances, "INSTANCE_SIZE_LIMIT", 10)
+        assert len(gen_random(4, 2, 1.0).edges()) == 8
+        with pytest.raises(SizeError, match="edges = 12"):
+            gen_random(4, 3, 1.0)
+        assert len(gen_upper_triangular(4).edges()) == 10
+        with pytest.raises(SizeError, match="edges = 15"):
+            gen_upper_triangular(5)
 
     def test_coverage_table_is_submodular(self):
         for seed in (0, 1, 2, 77):
@@ -173,8 +190,9 @@ def edge_instance(f):
 
 
 class TestHostileFiles:
-    """load gives an Instance or a ParseError, and run exits 2 on the latter,
-    never with a traceback."""
+    """load gives an Instance, a ParseError or (above the instance size
+    limit) a SizeError, and run exits 2 on the latter two, never with a
+    traceback."""
 
     def assert_rejected(self, path, match=None):
         with pytest.raises(ParseError, match=match):
@@ -204,6 +222,28 @@ class TestHostileFiles:
         path = tmp_path / "i.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         self.assert_rejected(path, match)
+
+    @pytest.mark.parametrize("n", [10 ** 20, 2 ** 33, INSTANCE_SIZE_LIMIT + 1])
+    def test_n_offline_beyond_size_limit(self, tmp_path, n):
+        # 10**20 used to load and then end run in an OverflowError traceback
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**edge_instance({"family": "cardinality"}),
+                                    "n_offline": n}), encoding="utf-8")
+        with pytest.raises(SizeError, match="n_offline"):
+            load(path)
+        assert main(["run", str(path), "--algorithm", "mobvc"]) == 2
+
+    def test_arrivals_and_edges_beyond_size_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(instances, "INSTANCE_SIZE_LIMIT", 3)
+        doc = {"name": "x", "n_offline": 3, "f": {"family": "cardinality"},
+               "arrivals": [{"id": 0, "nbrs": [0, 1]}, {"id": 1, "nbrs": [1, 2]}]}
+        with pytest.raises(SizeError, match="edges = 4"):
+            instance_from_dict(doc)
+        doc["arrivals"] = [{"id": v, "nbrs": []} for v in range(4)]
+        with pytest.raises(SizeError, match="m = 4"):
+            instance_from_dict(doc)
+        doc["arrivals"].pop()
+        assert instance_from_dict(doc).m_online == 3
 
     @pytest.mark.parametrize("f", [
         {"family": "weighted_threshold", "weights": [float("nan"), 1.0], "cap": 1.0},
@@ -248,7 +288,7 @@ class TestHostileFiles:
         path.write_text(json.dumps(doc), encoding="utf-8")
         try:
             load(path)
-        except ParseError:
+        except (ParseError, SizeError):
             assert main(["run", str(path), "--algorithm", "mobvc"]) == 2
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from matroidmatch.errors import InputError, SizeError
 from matroidmatch.submodular import (
+    OFFLINE_OPT_LIMIT,
     Cardinality,
     ExplicitTable,
     GroundSet,
@@ -326,6 +327,15 @@ class TestLaminarForm:
                 assert table.tolist() == [f.value_mask(mask) for mask in range(1 << n)]
                 some = np.array([0, (1 << n) - 1, (1 << n) // 3], dtype=np.int64)
                 assert f.values_for_masks(some).tolist() == table[some].tolist()
+
+    @pytest.mark.parametrize("n", [OFFLINE_OPT_LIMIT + 1, 63, 70])
+    def test_table_size_limit(self, n):
+        # refused before the 2^n table is allocated (at n = 70 numpy would
+        # fail on the shape, at n = 30 it would ask for 8 GB)
+        g = GroundSet(n)
+        for f in (Cardinality(g), WeightedThreshold(g, [1.0] * n, 3.0)):
+            with pytest.raises(SizeError, match="2\\^n"):
+                f.values_for_masks(np.array([0, 1], dtype=np.int64))
 
 
 class TestMatroidRank:
