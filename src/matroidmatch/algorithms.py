@@ -24,8 +24,8 @@ makes every round's dual increase exactly (1 + ALPHA) times its primal
 increase.
 
 run_random_arrival_greedy is the integral matching algorithm for matroid
-rank budgets: arrivals sorted by uniform timestamps, each takes its first
-preferred neighbor outside the span of the current matched set; duals are
+rank budgets: arrivals sorted by uniform timestamps, each takes its
+lowest-id neighbor outside the span of the current matched set; duals are
 split by the rate e^(t-1).
 """
 
@@ -44,6 +44,7 @@ from .instances import (
     ArrivalModel,
     Instance,
     SplitMix64,
+    by_timestamp,
     json_int,
     json_ints,
     json_list,
@@ -363,7 +364,7 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
             a = _modular_water_level(y, arr.nbrs)
         else:
             a = water_level(chart, arr.nbrs)
-        X = tuple(u for u in sorted(set(arr.nbrs)) if y[u] < a)
+        X = tuple(u for u in arr.nbrs if y[u] < a)
         regions = tuple(chart.raise_to(X, a))
         z[arr.id] = 1.0 - a
         dd = z[arr.id] + sum(r.area for r in regions)
@@ -403,115 +404,95 @@ def run_mobm_pd(instance: Instance) -> RunTrace:
 # Random-arrival greedy
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _GreedyOutcome:
-    matched: dict[int, int]          # online id -> matched element
-    y: list[float]
-    z: dict[int, float]
-    spanned_at: dict[int, float]     # element -> timestamp of the round that spanned it
-    matched_mask: int
-    per_round: list[tuple[int, float, int | None, int]]  # (vid, t, pick, newly-spanned mask)
-
-
-def _greedy_core(f: SubmodularFn, ordered, preferences=None) -> _GreedyOutcome:
+def _greedy_core(f: SubmodularFn, ordered) -> list[tuple[int, float, int | None, int]]:
     """Run greedy over ordered (Arrival, t) pairs; shared by the public run
-    and the critical-value replays."""
-    n = f.ground.size
-    matched: dict[int, int] = {}
-    y = [0.0] * n
-    z: dict[int, float] = {}
-    spanned_at: dict[int, float] = {}
-    per_round: list[tuple[int, float, int | None, int]] = []
+    and the lemma audit. One (vid, t, pick, newly-spanned mask) step per
+    arrival, pick None when every neighbor was spanned."""
+    steps: list[tuple[int, float, int | None, int]] = []
     m_mask = 0
     span_now = span_mask(f, 0)
     for arr, t in ordered:
-        order = preferences.get(arr.id, None) if preferences else None
-        if order is None:
-            candidates = sorted(arr.nbrs)
-        else:
-            in_nbrs = set(arr.nbrs)
-            candidates = [u for u in order if u in in_nbrs]
-        pick = None
-        for u in candidates:
+        for u in arr.nbrs:
             if not (span_now >> u) & 1:
-                pick = u
+                m_mask |= 1 << u
+                new_span = span_mask(f, m_mask)
+                steps.append((arr.id, t, u, new_span & ~span_now))
+                span_now = new_span
                 break
+        else:
+            steps.append((arr.id, t, None, 0))
+    return steps
+
+
+def _spanned_at(steps) -> dict[int, float]:
+    """Element -> timestamp of the greedy step that brought it into the span."""
+    out: dict[int, float] = {}
+    for _, t, _, newly in steps:
+        for u in mask_members(newly):
+            out[u] = t
+    return out
+
+
+def _greedy_duals(steps, n: int) -> tuple[list[float], dict[int, float]]:
+    """Potentials y and online duals z of a greedy run: a step matched at
+    time t gives its arrival (1 + ALPHA) e^(t-1) and each element it spans
+    the rest of 1 + ALPHA."""
+    y = [0.0] * n
+    z: dict[int, float] = {}
+    for vid, t, pick, newly in steps:
         if pick is None:
-            per_round.append((arr.id, t, None, 0))
             continue
         rate = dual_split_rate(t)
-        matched[arr.id] = pick
-        z[arr.id] = (1.0 + ALPHA) * rate
+        z[vid] = (1.0 + ALPHA) * rate
         yval = (1.0 + ALPHA) * (1.0 - rate)
-        new_span = span_mask(f, m_mask | (1 << pick))
-        newly = new_span & ~span_now
-        per_round.append((arr.id, t, pick, newly))
-        rest, u = newly, 0
-        while rest:
-            if rest & 1:
-                y[u] = yval
-                spanned_at[u] = t
-            rest >>= 1
-            u += 1
-        m_mask |= 1 << pick
-        span_now = new_span
-    return _GreedyOutcome(matched, y, z, spanned_at, m_mask, per_round)
+        for u in mask_members(newly):
+            y[u] = yval
+    return y, z
 
 
 def run_random_arrival_greedy(instance: Instance,
                               model: ArrivalModel | None = None,
-                              preferences: dict[int, tuple[int, ...]] | None = None,
                               timestamps: dict[int, float] | None = None) -> RunTrace:
     """Integral greedy matching under random arrivals.
 
     The budget must be a matroid rank. Arrivals are ordered by the model
     (default adversarial, stamping rank/m) unless explicit timestamps are
-    given, which is the hook used by tests and the lemma auditors. Each
-    arrival takes its first preferred neighbor outside span(matched set);
-    preferences default to ascending id.
+    given, which is the hook used by tests. Each arrival takes its
+    lowest-id neighbor outside span(matched set).
     """
     f = instance.f
     if not is_matroid_rank(f):
         raise PreconditionError("random-arrival greedy requires a matroid rank budget")
     if timestamps is not None:
-        missing = [a.id for a in instance.arrivals if a.id not in timestamps]
-        if missing:
-            raise InputError(f"timestamps missing for arrivals {missing}")
-        ordered = sorted(((a, float(timestamps[a.id])) for a in instance.arrivals),
-                         key=lambda at: (at[1], at[0].id))
-        for _, t in ordered:
-            if not 0.0 <= t <= 1.0:
-                raise InputError("timestamps must lie in [0, 1]")
+        ordered = by_timestamp(instance.arrivals, timestamps)
     else:
-        ordered = order_arrivals(instance, model or ArrivalModel.adversarial())
+        ordered = order_arrivals(instance, model or ArrivalModel())
 
     n = instance.n_offline
-    out = _greedy_core(f, ordered, preferences)
-    x = {(u, vid): 1.0 for vid, u in out.matched.items()}
+    steps = _greedy_core(f, ordered)
+    y, z = _greedy_duals(steps, n)
 
     # per-round dual increments, with the potential gain measured honestly
     # through the Lovasz extension rather than assumed from the update rule
     rounds: list[GreedyRound] = []
     fhat_prev = 0.0
     y_run = [0.0] * n
-    for vid, t, pick, newly in out.per_round:
+    for vid, t, pick, newly in steps:
         if pick is None:
             rounds.append(GreedyRound(v=vid, t=t))
             continue
         raised = mask_members(newly)
         for u in raised:
-            y_run[u] = out.y[u]
+            y_run[u] = y[u]
         fhat = lovasz(f, y_run)
-        zv = out.z[vid]
         rounds.append(GreedyRound(v=vid, t=t, X=raised, matched=pick, dP=1.0,
-                                  dD=zv + (fhat - fhat_prev)))
+                                  dD=z[vid] + (fhat - fhat_prev)))
         fhat_prev = fhat
 
-    state = OnlineState(y=out.y, z=out.z, x=x, chart=None,
-                        matched=frozenset(mask_members(out.matched_mask)))
-    primal = float(len(out.matched))
-    dual = lovasz(f, out.y) + sum(out.z.values())
-    return RunTrace("greedy-ra", instance.name, n, rounds, state, primal, dual)
+    x = {(rec.matched, rec.v): 1.0 for rec in rounds if rec.matched is not None}
+    state = OnlineState(y=y, z=z, x=x, chart=None, matched=frozenset(u for u, _ in x))
+    dual = lovasz(f, y) + sum(z.values())
+    return RunTrace("greedy-ra", instance.name, n, rounds, state, float(len(x)), dual)
 
 
 # ---------------------------------------------------------------------------

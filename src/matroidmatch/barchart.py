@@ -129,24 +129,24 @@ class BarChart:
     def raise_to(self, X, a: float) -> list[NewRegion]:
         """Raise every element of X to level a; return the new regions.
 
-        Callers pre-filter X: every u in X must currently sit strictly
-        below a. Bars entirely below a gain X's missing elements; the bar
-        containing a is split first. Only regions with a positive height
-        delta are returned, but membership is extended on every affected
-        bar either way.
+        a is snapped to the chart first. Callers pre-filter X: every u in X
+        must currently sit strictly below the snapped a, or the chart is
+        left untouched and PreconditionError raised. Bars entirely below a
+        gain X's missing elements; the bar containing a is split first.
+        Only regions with a positive height delta are returned, but
+        membership is extended on every affected bar either way.
         """
         if not 0.0 <= a <= 1.0:
             raise InputError(f"level a = {a} outside [0, 1]")
         check = self.f.ground.check_element
         X = {check(u) for u in X}
+        if not X:
+            return []
+        a = self.snap(a)
         for u in X:
             if self._levels[u] >= a:
                 raise PreconditionError(
                     f"element {u} already at level {self._levels[u]} >= a = {a}")
-        if not X:
-            return []
-
-        a = self.snap(a)
         self._split_at(a)
 
         regions = []

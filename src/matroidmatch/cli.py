@@ -121,7 +121,7 @@ def _ratio(algorithm: str, primal: float, dual: float, opt: float) -> float:
 
 def _build_model(args) -> ArrivalModel:
     if args.model == "adversarial":
-        return ArrivalModel.adversarial()
+        return ArrivalModel()
     return ArrivalModel(args.model, args.model_seed)
 
 
@@ -365,7 +365,7 @@ def cmd_sweep(args) -> int:
         opt = offline_opt(inst).value
         for alg in algorithms:
             model = ArrivalModel(args.model, seed) if args.model != "adversarial" \
-                else ArrivalModel.adversarial()
+                else ArrivalModel()
             t0 = time.perf_counter()
             trace = _run_algorithm(alg, inst, model)
             ms = 0.0 if args.repro else (time.perf_counter() - t0) * 1000.0

@@ -76,8 +76,14 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class Arrival:
+    """An online vertex; nbrs is held as ascending distinct offline ids,
+    whatever order it is given in."""
+
     id: int
     nbrs: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "nbrs", tuple(sorted(set(self.nbrs))))
 
 
 @dataclass
@@ -132,17 +138,17 @@ class ArrivalModel:
         if self.kind not in self.KINDS:
             raise InputError(f"unknown arrival model {self.kind!r}; expected one of {self.KINDS}")
 
-    @classmethod
-    def adversarial(cls) -> "ArrivalModel":
-        return cls("adversarial")
 
-    @classmethod
-    def permutation(cls, seed: int) -> "ArrivalModel":
-        return cls("permutation", seed)
-
-    @classmethod
-    def timestamps(cls, seed: int) -> "ArrivalModel":
-        return cls("timestamps", seed)
+def by_timestamp(arrivals, timestamps: dict[int, float]) -> list[tuple[Arrival, float]]:
+    """(arrival, t) pairs sorted by t, ties by id. InputError when an
+    arrival has no timestamp or one outside [0, 1] (NaN included)."""
+    missing = [a.id for a in arrivals if a.id not in timestamps]
+    if missing:
+        raise InputError(f"timestamps missing for arrivals {missing}")
+    stamped = [(a, float(timestamps[a.id])) for a in arrivals]
+    if not all(0.0 <= t <= 1.0 for _, t in stamped):
+        raise InputError("timestamps must lie in [0, 1]")
+    return sorted(stamped, key=lambda at: (at[1], at[0].id))
 
 
 def order_arrivals(instance: Instance, model: ArrivalModel) -> list[tuple[Arrival, float]]:
@@ -161,9 +167,7 @@ def order_arrivals(instance: Instance, model: ArrivalModel) -> list[tuple[Arriva
         return [(a, (i + 1) / m) for i, a in enumerate(arrivals)]
     # timestamps: one i.i.d. uniform per arrival, ties broken by id
     rng = SplitMix64(model.seed)
-    stamped = [(a, rng.random()) for a in arrivals]
-    stamped.sort(key=lambda at: (at[1], at[0].id))
-    return stamped
+    return by_timestamp(arrivals, {a.id: rng.random() for a in arrivals})
 
 
 # ---------------------------------------------------------------------------

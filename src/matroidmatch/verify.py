@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import RunTrace, _greedy_core, dual_split_rate
+from .algorithms import RunTrace, _greedy_core, _greedy_duals, _spanned_at, dual_split_rate
 from .barchart import charge_integral
 from .constants import ALPHA, DEFAULT_TOL, charge_potential
 from .errors import InputError, InvariantError, SizeError
-from .instances import Instance
+from .instances import Instance, by_timestamp
 from .submodular import OFFLINE_OPT_LIMIT, SubmodularFn, is_matroid_rank, lovasz, mask_members
 
 # Brute-force limits for budgets without a laminar form: the offline
@@ -422,24 +422,18 @@ def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
 # Random-arrival lemmas
 # ---------------------------------------------------------------------------
 
-def critical_value(instance: Instance, v: int, timestamps: dict[int, float],
-                   preferences: dict[int, tuple[int, ...]] | None = None) -> dict[int, float]:
+def critical_value(instance: Instance, v: int, timestamps: dict[int, float]) -> dict[int, float]:
     """Per-element critical times for the greedy run without online vertex v.
 
     Element u maps to the timestamp of the round that brought it into the
-    span of the matched set, or 1.0 if that never happens. Timestamps are
-    needed for every arrival except v.
+    span of the matched set, or 1.0 if that never happens. Timestamps in
+    [0, 1] are needed for every arrival except v.
     """
     others = [a for a in instance.arrivals if a.id != v]
     if len(others) == len(instance.arrivals):
         raise InputError(f"no arrival with id {v}")
-    missing = [a.id for a in others if a.id not in timestamps]
-    if missing:
-        raise InputError(f"timestamps missing for arrivals {missing}")
-    ordered = sorted(((a, float(timestamps[a.id])) for a in others),
-                     key=lambda at: (at[1], at[0].id))
-    out = _greedy_core(instance.f, ordered, preferences)
-    return {u: out.spanned_at.get(u, 1.0) for u in range(instance.n_offline)}
+    crit = _spanned_at(_greedy_core(instance.f, by_timestamp(others, timestamps)))
+    return {u: crit.get(u, 1.0) for u in range(instance.n_offline)}
 
 
 @dataclass
@@ -485,13 +479,12 @@ class RandomArrivalReport:
 
 
 def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
-                                 seed: int = 0, tol: float = DEFAULT_TOL,
-                                 preferences: dict[int, tuple[int, ...]] | None = None
-                                 ) -> RandomArrivalReport:
+                                 seed: int = 0, tol: float = DEFAULT_TOL) -> RandomArrivalReport:
     """Monte-Carlo check of the three structural lemmas behind the greedy
     guarantee, against independently drawn timestamp profiles.
 
-    Per edge (u, v) with critical time t_c computed from the run without v:
+    Per edge (u, v) with critical time t_c computed from the run without v
+    (the trial's order with v removed, as critical_value computes it):
     dominance (t_v < t_c implies v is matched), monotonicity (the final
     potential of u in the full run is at least (1 + ALPHA)(1 - e^(t_c - 1)),
     whatever t_v is), and in-expectation dual feasibility
@@ -506,7 +499,7 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
         raise InputError("random-arrival lemmas require a matroid rank budget")
     if trials < 2:
         raise InputError("need at least 2 trials")
-    m = instance.m_online
+    n, m = instance.n_offline, instance.m_online
     edges = [(u, arr.id) for arr in instance.arrivals for u in arr.nbrs]
     live_edges = [(u, vid) for u, vid in edges if f.value_mask(1 << u) >= 0.5]
     skipped = len(edges) - len(live_edges)
@@ -514,7 +507,7 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     rng = np.random.default_rng(seed)
     draws = rng.random((trials, m))
     ids = [arr.id for arr in instance.arrivals]
-    arr_by_id = {arr.id: arr for arr in instance.arrivals}
+    with_nbrs = [arr.id for arr in instance.arrivals if arr.nbrs]
 
     value_sum = 0.0
     dom_checked = 0
@@ -524,23 +517,20 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
 
     for k in range(trials):
         ts = {vid: float(draws[k, i]) for i, vid in enumerate(ids)}
-        ordered = sorted(((arr_by_id[vid], ts[vid]) for vid in ids),
-                         key=lambda at: (at[1], at[0].id))
-        full = _greedy_core(f, ordered, preferences)
-        value_sum += len(full.matched)
-        tcrit: dict[int, dict[int, float]] = {}
-        for vid in ids:
-            if arr_by_id[vid].nbrs:
-                tcrit[vid] = critical_value(instance, vid, ts, preferences)
+        ordered = by_timestamp(instance.arrivals, ts)
+        y, z = _greedy_duals(_greedy_core(f, ordered), n)
+        value_sum += len(z)
+        tcrit = {vid: _spanned_at(_greedy_core(f, [at for at in ordered if at[0].id != vid]))
+                 for vid in with_nbrs}
         for j, (u, vid) in enumerate(live_edges):
-            tc = tcrit[vid][u]
+            tc = tcrit[vid].get(u, 1.0)
             if ts[vid] < tc:
                 dom_checked += 1
-                if vid not in full.matched:
+                if vid not in z:
                     dom_violations += 1
             bound = (1.0 + ALPHA) * (1.0 - dual_split_rate(tc))
-            mono_min_slack = min(mono_min_slack, full.y[u] - bound)
-            samples[k, j] = full.y[u] + full.z.get(vid, 0.0)
+            mono_min_slack = min(mono_min_slack, y[u] - bound)
+            samples[k, j] = y[u] + z.get(vid, 0.0)
 
     edge_reports = []
     feas_ok = True

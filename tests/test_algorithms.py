@@ -277,7 +277,7 @@ class TestRegionBases:
                     a = rng.choice([rng.random(), rng.choice(bounds),
                                     rng.choice(bounds) + rng.choice([-1, 1]) * SNAP_EPS / 2])
                     a = min(max(a, 0.0), 1.0)
-                    X = [u for u in range(n) if y[u] < a and rng.random() < 0.7]
+                    X = [u for u in range(n) if y[u] < chart.snap(a) and rng.random() < 0.7]
                     nonempty += self.raise_and_check(chart, X, a)
         assert nonempty > 100
 
@@ -309,17 +309,9 @@ class TestGreedy:
         assert trace.rounds[1].dP == 0.0 and trace.rounds[1].dD == 0.0
         assert 1 not in trace.state.z
 
-    def test_preferences_override(self):
-        inst = star(2)
-        by_default = run_random_arrival_greedy(inst, timestamps={0: 0.5})
-        assert by_default.state.x == {(0, 0): 1.0}
-        flipped = run_random_arrival_greedy(inst, timestamps={0: 0.5},
-                                            preferences={0: (1, 0)})
-        assert flipped.state.x == {(1, 0): 1.0}
-
     def test_gap_and_monotone_duals(self):
         for inst in make_matroid_suite(count=8, seed=2):
-            trace = run_random_arrival_greedy(inst, model=ArrivalModel.timestamps(5))
+            trace = run_random_arrival_greedy(inst, model=ArrivalModel("timestamps", 5))
             for rec in trace.rounds:
                 assert abs(rec.dD - (1 + ALPHA) * rec.dP) <= 1e-9 * max(1.0, abs(rec.dD))
             # each element's potential is set at most once, z exactly when matched
@@ -385,7 +377,7 @@ class TestTraceSerialization:
 
     def test_greedy_round_trip(self, tmp_path):
         inst = make_matroid_suite(count=1, seed=3)[0]
-        trace = run_random_arrival_greedy(inst, model=ArrivalModel.timestamps(1))
+        trace = run_random_arrival_greedy(inst, model=ArrivalModel("timestamps", 1))
         path = tmp_path / "trace.json"
         save_trace(trace, path)
         assert load_trace(path).to_dict() == trace.to_dict()

@@ -112,6 +112,17 @@ class TestRaise:
         with pytest.raises(PreconditionError):
             chart.raise_to([0], 0.4)  # already at 0.4
 
+    def test_refuses_a_raise_that_snaps_below_the_level(self):
+        # bounds 0.5 and 0.5 + 5e-13 are closer than SNAP_EPS; a snaps to
+        # 0.5, below y_1, so the raise would lower y_1 and leave bar
+        # [0.5, 0.5 + 5e-13] listing element 1
+        f = Cardinality(GroundSet(3))
+        chart = BarChart.from_potentials(f, [0.5, 0.5 + 5e-13, 0.0])
+        before = [vars(iv).copy() for iv in chart.intervals], chart.levels
+        with pytest.raises(PreconditionError):
+            chart.raise_to([1], 0.5 + 9e-13)
+        assert ([vars(iv) for iv in chart.intervals], chart.levels) == before
+
     def test_snap_to_existing_boundary(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.25, 0.0])

@@ -95,27 +95,27 @@ class TestGenerators:
 class TestArrivalModels:
     def test_adversarial_ranks(self):
         inst = gen_upper_triangular(4)
-        ordered = order_arrivals(inst, ArrivalModel.adversarial())
+        ordered = order_arrivals(inst, ArrivalModel())
         assert [a.id for a, _ in ordered] == [0, 1, 2, 3]
         assert [t for _, t in ordered] == [0.25, 0.5, 0.75, 1.0]
 
     def test_permutation_deterministic(self):
         inst = gen_upper_triangular(6)
-        one = [a.id for a, _ in order_arrivals(inst, ArrivalModel.permutation(9))]
-        two = [a.id for a, _ in order_arrivals(inst, ArrivalModel.permutation(9))]
+        one = [a.id for a, _ in order_arrivals(inst, ArrivalModel("permutation", 9))]
+        two = [a.id for a, _ in order_arrivals(inst, ArrivalModel("permutation", 9))]
         assert one == two
         assert sorted(one) == [0, 1, 2, 3, 4, 5]
-        seen = {tuple(a.id for a, _ in order_arrivals(inst, ArrivalModel.permutation(s)))
+        seen = {tuple(a.id for a, _ in order_arrivals(inst, ArrivalModel("permutation", s)))
                 for s in range(12)}
         assert len(seen) > 1
 
     def test_timestamps_sorted(self):
         inst = gen_upper_triangular(8)
-        ordered = order_arrivals(inst, ArrivalModel.timestamps(4))
+        ordered = order_arrivals(inst, ArrivalModel("timestamps", 4))
         ts = [t for _, t in ordered]
         assert ts == sorted(ts)
         assert all(0.0 <= t <= 1.0 for t in ts)
-        again = order_arrivals(inst, ArrivalModel.timestamps(4))
+        again = order_arrivals(inst, ArrivalModel("timestamps", 4))
         assert [(a.id, t) for a, t in ordered] == [(a.id, t) for a, t in again]
 
     def test_unknown_kind(self):
@@ -124,7 +124,7 @@ class TestArrivalModels:
 
     def test_empty_instance(self):
         inst = Instance("empty", 2, Cardinality(GroundSet(2)), [])
-        assert order_arrivals(inst, ArrivalModel.adversarial()) == []
+        assert order_arrivals(inst, ArrivalModel()) == []
 
 
 class TestPersistence:

@@ -41,7 +41,7 @@ INSTANCES = _instances()
 def run(alg):
     inst = INSTANCES[alg]
     if alg == "greedy-ra":
-        return run_random_arrival_greedy(inst, ArrivalModel.timestamps(1))
+        return run_random_arrival_greedy(inst, ArrivalModel("timestamps", 1))
     return {"obvc": run_obvc, "mobvc": run_mobvc, "mobm-pd": run_mobm_pd}[alg](inst)
 
 
