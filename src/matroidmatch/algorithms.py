@@ -57,7 +57,7 @@ from .submodular import SubmodularFn, is_matroid_rank, lovasz, mask_members, spa
 ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
 
 # Version of the JSON written by save_trace; load_trace reads no other.
-TRACE_FORMAT = 3
+TRACE_FORMAT = 4
 
 
 def dual_split_rate(t: float) -> float:
@@ -142,25 +142,23 @@ def _modular_water_level(y, nbrs, alpha: float = ALPHA) -> float:
 
 @dataclass
 class WaterfillRound:
-    """One arrival of a waterfilling run (obvc, mobvc, mobm-pd).
+    """One arrival of a waterfilling run (obvc, mobvc, mobm-pd): its
+    decisions only.
 
     a is the water level, X the offline elements raised to it, regions the
-    new chart mass. dD is the dual increment and dP the primal increment
-    (0 for cover-only runs). The arrival's dual is 1 - a, and its primal
-    split over X is the final x at v.
+    new chart mass. The arrival's dual is 1 - a, its primal split over X is
+    the final x at v, and the round's increments follow from these
+    (verify.round_increments).
     """
 
     v: int
     a: float
     X: tuple[int, ...]
     regions: tuple[NewRegion, ...]
-    dP: float
-    dD: float
 
     def to_dict(self) -> dict:
         return {"v": self.v, "a": self.a, "X": list(self.X),
-                "regions": [r.to_dict() for r in self.regions],
-                "dP": self.dP, "dD": self.dD}
+                "regions": [r.to_dict() for r in self.regions]}
 
     @staticmethod
     def from_dict(d: dict) -> "WaterfillRound":
@@ -169,38 +167,33 @@ class WaterfillRound:
             raise ValueError(f"water level a = {a} outside [0, 1]")
         return WaterfillRound(
             v=json_int(d["v"]), a=a, X=json_ints(d["X"]),
-            regions=tuple(NewRegion.from_dict(r) for r in json_list(d["regions"])),
-            dP=json_number(d["dP"]), dD=json_number(d["dD"]))
+            regions=tuple(NewRegion.from_dict(r) for r in json_list(d["regions"])))
 
 
 @dataclass
 class GreedyRound:
-    """One arrival of the random-arrival greedy at timestamp t.
+    """One arrival of the random-arrival greedy at timestamp t: its
+    decisions only.
 
     matched is the element it took (None when every neighbor was spanned)
-    and X the elements that entered the span with it. dP and dD are the
-    primal and dual increments; the arrival's dual is the final z at v.
+    and X the elements that entered the span with it. The arrival's dual
+    is the final z at v.
     """
 
     v: int
     t: float
     X: tuple[int, ...] = ()
     matched: int | None = None
-    dP: float = 0.0
-    dD: float = 0.0
 
     def to_dict(self) -> dict:
-        return {"v": self.v, "t": self.t, "X": list(self.X), "matched": self.matched,
-                "dP": self.dP, "dD": self.dD}
+        return {"v": self.v, "t": self.t, "X": list(self.X), "matched": self.matched}
 
     @staticmethod
     def from_dict(d: dict) -> "GreedyRound":
         matched = d["matched"]
         return GreedyRound(
             v=json_int(d["v"]), t=json_number(d["t"]), X=json_ints(d["X"]),
-            matched=None if matched is None else json_int(matched),
-            dP=json_number(d["dP"]), dD=json_number(d["dD"]),
-        )
+            matched=None if matched is None else json_int(matched))
 
 
 @dataclass
@@ -283,7 +276,7 @@ class RunTrace:
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
-    """Write the trace as one line of compact sorted-key JSON (format 3).
+    """Write the trace as one line of compact sorted-key JSON (format 4).
 
     json.dumps encodes in one call to the C encoder; json.dump to a file,
     or any indent, goes through the pure-Python one.
@@ -367,14 +360,11 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
         X = tuple(u for u in arr.nbrs if y[u] < a)
         regions = tuple(chart.raise_to(X, a))
         z[arr.id] = 1.0 - a
-        dd = z[arr.id] + sum(r.area for r in regions)
-        dp = 0.0
         if algorithm == "mobm-pd":
             inc = _primal_increments(f, regions, y, X, a + ALPHA)
             for u, val in inc.items():
                 x[(u, arr.id)] = val
-            dp = sum(inc.values())
-        rounds.append(WaterfillRound(arr.id, a, X, regions, dp, dd))
+        rounds.append(WaterfillRound(arr.id, a, X, regions))
     state = OnlineState(y=chart.levels, z=z, x=x, chart=chart)
     primal = sum(x.values())
     dual = chart.area() + sum(z.values())
@@ -471,24 +461,7 @@ def run_random_arrival_greedy(instance: Instance,
     n = instance.n_offline
     steps = _greedy_core(f, ordered)
     y, z = _greedy_duals(steps, n)
-
-    # per-round dual increments, with the potential gain measured honestly
-    # through the Lovasz extension rather than assumed from the update rule
-    rounds: list[GreedyRound] = []
-    fhat_prev = 0.0
-    y_run = [0.0] * n
-    for vid, t, pick, newly in steps:
-        if pick is None:
-            rounds.append(GreedyRound(v=vid, t=t))
-            continue
-        raised = mask_members(newly)
-        for u in raised:
-            y_run[u] = y[u]
-        fhat = lovasz(f, y_run)
-        rounds.append(GreedyRound(v=vid, t=t, X=raised, matched=pick, dP=1.0,
-                                  dD=z[vid] + (fhat - fhat_prev)))
-        fhat_prev = fhat
-
+    rounds = [GreedyRound(vid, t, mask_members(newly), pick) for vid, t, pick, newly in steps]
     x = {(rec.matched, rec.v): 1.0 for rec in rounds if rec.matched is not None}
     state = OnlineState(y=y, z=z, x=x, chart=None, matched=frozenset(u for u, _ in x))
     dual = lovasz(f, y) + sum(z.values())

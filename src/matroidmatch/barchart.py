@@ -77,10 +77,6 @@ class NewRegion:
     new_height: float
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def area(self) -> float:
         return (self.hi - self.lo) * (self.new_height - self.old_height)
 

@@ -37,7 +37,7 @@ from .instances import (
     save,
 )
 from .submodular import GroundSet, SubmodularFn, fn_from_spec, lovasz
-from .verify import audit_charging, check_cover, check_matching, offline_opt
+from .verify import audit_charging, check_cover, check_matching, offline_opt, round_increments
 
 COVER_ALGORITHMS = ("obvc", "mobvc")
 MATCHING_ALGORITHMS = ("mobm-pd", "greedy-ra")
@@ -119,12 +119,6 @@ def _ratio(algorithm: str, primal: float, dual: float, opt: float) -> float:
     return value / opt
 
 
-def _build_model(args) -> ArrivalModel:
-    if args.model == "adversarial":
-        return ArrivalModel()
-    return ArrivalModel(args.model, args.model_seed)
-
-
 def _run_algorithm(algorithm: str, instance: Instance, model: ArrivalModel | None = None):
     if algorithm == "obvc":
         return run_obvc(instance)
@@ -172,11 +166,9 @@ def cmd_run(args) -> int:
     if alg == "greedy-ra" and args.trials > 1:
         if args.trace:
             raise InputError("--trace holds a single run; drop it or use --trials 1")
-        model = _build_model(args)
         ratios, primals, duals = [], [], []
         for i in range(args.trials):
-            m_i = model if model.kind == "adversarial" else ArrivalModel(model.kind, model.seed + i)
-            trace = run_random_arrival_greedy(inst, m_i)
+            trace = run_random_arrival_greedy(inst, ArrivalModel(args.model, args.model_seed + i))
             primals.append(trace.primal_value)
             duals.append(trace.dual_value)
             ratios.append(_ratio(alg, trace.primal_value, trace.dual_value, opt))
@@ -187,7 +179,7 @@ def cmd_run(args) -> int:
               f"mean={fmt(sum(ratios) / k)} max={fmt(max(ratios))}")
         return 0
 
-    trace = _run_algorithm(alg, inst, _build_model(args))
+    trace = _run_algorithm(alg, inst, ArrivalModel(args.model, args.model_seed))
     if args.trace:
         save_trace(trace, args.trace)
     ratio = _ratio(alg, trace.primal_value, trace.dual_value, opt)
@@ -280,9 +272,8 @@ def _verify_checks(trace, inst: Instance, tol: float) -> list[tuple[str, bool, s
                        f"primal {fmt(trace.primal_value)} vs dual {fmt(trace.dual_value)}"))
         if alg == "mobm-pd":
             worst = 0.0
-            for rec in trace.rounds:
-                worst = max(worst, abs(rec.dD - ONE_PLUS_ALPHA * rec.dP)
-                            / max(1.0, abs(rec.dD)))
+            for dP, dD in round_increments(trace):
+                worst = max(worst, abs(dD - ONE_PLUS_ALPHA * dP) / max(1.0, abs(dD)))
             checks.append(("pd-rounds", worst <= tol,
                            f"max |dD - (1+a) dP| relative gap {worst:.3g}"))
             bound = (ONE_MINUS_INV_E - 1e-6) * opt - tol
@@ -363,9 +354,8 @@ def cmd_sweep(args) -> int:
                 raise InputError("sweep random needs --m")
             inst = gen_random(args.n, args.m, args.p, f=f, seed=seed)
         opt = offline_opt(inst).value
+        model = ArrivalModel(args.model, seed)
         for alg in algorithms:
-            model = ArrivalModel(args.model, seed) if args.model != "adversarial" \
-                else ArrivalModel()
             t0 = time.perf_counter()
             trace = _run_algorithm(alg, inst, model)
             ms = 0.0 if args.repro else (time.perf_counter() - t0) * 1000.0

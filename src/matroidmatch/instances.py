@@ -67,11 +67,8 @@ class SplitMix64:
         return self.next_u64() % n
 
     def split(self, key: int) -> "SplitMix64":
-        return SplitMix64(self.next_from(key))
-
-    def next_from(self, key: int) -> int:
-        tmp = SplitMix64((self.state ^ (key * _GOLDEN)) & _MASK64)
-        return tmp.next_u64()
+        child = SplitMix64((self.state ^ (key * _GOLDEN)) & _MASK64)
+        return SplitMix64(child.next_u64())
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,6 @@ class GroundSet:
             raise InputError(f"ground set size must be >= 0, got {self.size}")
 
     @property
-    def elements(self) -> range:
-        return range(self.size)
-
-    @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 

@@ -304,6 +304,19 @@ def check_weak_duality(x: dict[tuple[int, int], float], y, z: dict[int, float],
     return report
 
 
+def round_increments(trace: RunTrace) -> list[tuple[float, float]]:
+    """(dP, dD) of each round of a waterfilling trace, derived from what the
+    trace stores: dD = (1 - a) plus the area of the round's new regions, and
+    dP the sum of final x at the round's arrival (0 for cover runs)."""
+    if trace.algorithm == "greedy-ra":
+        raise InputError("round increments apply to waterfilling traces, not 'greedy-ra'")
+    x_at: dict[int, float] = {}
+    for (_, vid), val in trace.state.x.items():
+        x_at[vid] = x_at.get(vid, 0.0) + val
+    return [(x_at.get(rec.v, 0.0), (1.0 - rec.a) + sum(r.area for r in rec.regions))
+            for rec in trace.rounds]
+
+
 def check_cover(y, z: dict[int, float], instance: Instance,
                 tol: float = DEFAULT_TOL) -> CheckReport:
     """Fractional cover feasibility: y_u + z_v >= 1 on every edge."""

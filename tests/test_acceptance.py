@@ -40,6 +40,7 @@ from matroidmatch.verify import (
     check_matching,
     expected_rounding_cost,
     offline_opt,
+    round_increments,
     verify_random_arrival_lemmas,
 )
 
@@ -195,8 +196,8 @@ def test_criterion_4_matching_competitiveness(suite, certs, mobm_traces):
             bad.append(f"{inst.name}: value {trace.primal_value} vs opt {opt}")
         elif opt > 0:
             worst_ratio = min(worst_ratio, trace.primal_value / opt)
-        for rec in trace.rounds:
-            gap = abs(rec.dD - ONE_PLUS_ALPHA * rec.dP)
+        for rec, (dP, dD) in zip(trace.rounds, round_increments(trace)):
+            gap = abs(dD - ONE_PLUS_ALPHA * dP)
             worst_round = max(worst_round, gap)
             if gap > 1e-9:
                 bad.append(f"{inst.name}: round v={rec.v} dual/primal gap {gap}")

@@ -40,6 +40,7 @@ from matroidmatch.submodular import (
     WeightedThreshold,
     lovasz,
 )
+from matroidmatch.verify import round_increments
 
 TOL = 1e-9
 
@@ -53,6 +54,22 @@ def star(n_offline, f=None):
     g = GroundSet(n_offline)
     return Instance("star", n_offline, f or Cardinality(g),
                     [Arrival(0, tuple(range(n_offline)))])
+
+
+def greedy_increments(f, trace):
+    """(dP, dD) per greedy round: 1 when it matched, and z_v plus the rise
+    of the Lovasz extension over the potentials set so far."""
+    y_run = [0.0] * trace.n_offline
+    prev = 0.0
+    out = []
+    for rec in trace.rounds:
+        for u in rec.X:
+            y_run[u] = trace.state.y[u]
+        fhat = lovasz(f, y_run)
+        out.append((0.0 if rec.matched is None else 1.0,
+                    trace.state.z.get(rec.v, 0.0) + (fhat - prev)))
+        prev = fhat
+    return out
 
 
 class TestWaterLevel:
@@ -187,8 +204,9 @@ class TestMobmPd:
         trace = run_mobm_pd(star(2))
         assert trace.state.x[(0, 0)] == pytest.approx(0.5, abs=TOL)
         assert trace.state.x[(1, 0)] == pytest.approx(0.5, abs=TOL)
-        assert trace.rounds[0].dP == pytest.approx(1.0, abs=TOL)
-        assert trace.rounds[0].dD == pytest.approx(1 + ALPHA, abs=TOL)
+        dP, dD = round_increments(trace)[0]
+        assert dP == pytest.approx(1.0, abs=TOL)
+        assert dD == pytest.approx(1 + ALPHA, abs=TOL)
 
     def test_split_follows_ascending_ids(self):
         # under rank 1 the first raised element takes the whole marginal
@@ -203,8 +221,8 @@ class TestMobmPd:
     def test_exact_gap_every_round(self):
         for inst in make_suite(count=30, n_max=9, m_max=9, seed=6)[:30]:
             trace = run_mobm_pd(inst)
-            for rec in trace.rounds:
-                assert abs(rec.dD - (1 + ALPHA) * rec.dP) <= 1e-9 * max(1.0, abs(rec.dD))
+            for dP, dD in round_increments(trace):
+                assert abs(dD - (1 + ALPHA) * dP) <= 1e-9 * max(1.0, abs(dD))
             assert trace.dual_value == pytest.approx(
                 (1 + ALPHA) * trace.primal_value, rel=1e-9, abs=1e-9)
 
@@ -223,7 +241,7 @@ class TestMobmPd:
         trace = run_mobm_pd(star(2))
         assert trace.state.x == {
             (0, 0): pytest.approx(0.5, abs=TOL), (1, 0): pytest.approx(0.5, abs=TOL)}
-        assert trace.rounds[0].dP == sum(trace.state.x.values())
+        assert round_increments(trace)[0][0] == sum(trace.state.x.values())
 
 
 class TestRegionBases:
@@ -306,14 +324,14 @@ class TestGreedy:
         trace = run_random_arrival_greedy(inst, timestamps={0: 0.2, 1: 0.8})
         assert trace.state.x == {(0, 0): 1.0}
         assert trace.rounds[1].matched is None
-        assert trace.rounds[1].dP == 0.0 and trace.rounds[1].dD == 0.0
+        assert greedy_increments(f, trace)[1] == (0.0, 0.0)
         assert 1 not in trace.state.z
 
     def test_gap_and_monotone_duals(self):
         for inst in make_matroid_suite(count=8, seed=2):
             trace = run_random_arrival_greedy(inst, model=ArrivalModel("timestamps", 5))
-            for rec in trace.rounds:
-                assert abs(rec.dD - (1 + ALPHA) * rec.dP) <= 1e-9 * max(1.0, abs(rec.dD))
+            for dP, dD in greedy_increments(inst.f, trace):
+                assert abs(dD - (1 + ALPHA) * dP) <= 1e-9 * max(1.0, abs(dD))
             # each element's potential is set at most once, z exactly when matched
             seen = set()
             for rec in trace.rounds:

@@ -1,9 +1,11 @@
-"""Every name the benchmark's tracer wraps must exist in the package.
+"""Every name the benchmark's tracer wraps, and every run attribute the
+benchmark reads, must exist in the package.
 
 bench/tracer.py replaces functions and methods by name when a traced run
-starts. A rename or deletion in the package would surface only there, so
-this test reads its lists (without installing anything) and resolves each
-name.
+starts, and bench/workloads.py compares runs with the traces read back from
+disk. A rename or deletion in the package would surface only there, so this
+test reads the tracer's lists (without installing anything), resolves each
+name, and reads each attribute on a run of every algorithm.
 """
 
 import importlib.util
@@ -13,6 +15,9 @@ import pytest
 
 import matroidmatch
 from matroidmatch import barchart, cli, submodular
+from matroidmatch.algorithms import ALGORITHMS
+from matroidmatch.instances import gen_random
+from matroidmatch.submodular import Cardinality, GroundSet
 
 
 def load_tracer():
@@ -43,3 +48,22 @@ def test_other_traced_names_exist():
     assert callable(submodular.span_mask)
     assert callable(barchart.BarChart.raise_to)
     assert callable(cli.main)
+
+
+RUN_ATTRIBUTES = ("algorithm", "instance_name", "n_offline", "rounds",
+                  "primal_value", "dual_value")
+STATE_ATTRIBUTES = ("y", "z", "x", "matched")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_attributes_the_benchmark_reads(algorithm):
+    # workloads._same_trace compares these fields; the tracer's count_bars
+    # reads the chart of every waterfilling run
+    inst = gen_random(6, 8, 0.5, Cardinality(GroundSet(6)), seed=3)
+    trace = cli._run_algorithm(algorithm, inst)
+    for name in RUN_ATTRIBUTES:
+        assert hasattr(trace, name), name
+    for name in STATE_ATTRIBUTES:
+        assert hasattr(trace.state, name), name
+    if algorithm != "greedy-ra":
+        assert len(trace.state.chart.intervals) >= 1

@@ -181,8 +181,9 @@ class TestVerify:
         out = capsys.readouterr().out
         assert f"FAIL replay-match: rounds[{i}].regions[0].old_height = " in out
         assert "!= replayed" in out
-        # only the replay check sees a round record
-        assert out.count("FAIL") == 1
+        # the replay and pd-rounds, which derives dD from the stored regions,
+        # are the checks that read a round record
+        assert out.count("FAIL") == 2 and "FAIL pd-rounds" in out
 
     def test_difference_within_tol_passes(self, tmp_path, capsys):
         ipath, tpath, i = self.corrupt_round(tmp_path, 1e-12)

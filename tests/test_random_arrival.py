@@ -4,9 +4,10 @@ The greedy core keeps one record per step, (vid, t, pick, newly-spanned
 mask), and everything else (duals, critical times) is derived from it;
 neighbours are sorted once when an Arrival is built and timestamps once by
 by_timestamp. The reference below is the earlier core, which sorted each
-arrival's neighbours on every step and kept every derived field, kept
-verbatim as a test oracle: runs and critical values must equal it to the
-bit, and the hashes pinned here were written by it.
+arrival's neighbours on every step and kept every derived field, kept as a
+test oracle: runs and critical values must equal it to the bit, and the
+hashes pinned here were written by it. Its rounds hold decisions only, as
+trace format 4 does.
 """
 
 import hashlib
@@ -103,20 +104,9 @@ def ref_run(instance, timestamps):
     matched, y, z, _, m_mask, per_round = ref_greedy_core(
         f, ref_sorted(instance.arrivals, timestamps))
     x = {(u, vid): 1.0 for vid, u in matched.items()}
-    rounds = []
-    fhat_prev = 0.0
-    y_run = [0.0] * n
-    for vid, t, pick, newly in per_round:
-        if pick is None:
-            rounds.append(GreedyRound(v=vid, t=t))
-            continue
-        raised = mask_members(newly)
-        for u in raised:
-            y_run[u] = y[u]
-        fhat = lovasz(f, y_run)
-        rounds.append(GreedyRound(v=vid, t=t, X=raised, matched=pick, dP=1.0,
-                                  dD=z[vid] + (fhat - fhat_prev)))
-        fhat_prev = fhat
+    rounds = [GreedyRound(v=vid, t=t) if pick is None else
+              GreedyRound(v=vid, t=t, X=mask_members(newly), matched=pick)
+              for vid, t, pick, newly in per_round]
     state = OnlineState(y=y, z=z, x=x, chart=None, matched=frozenset(mask_members(m_mask)))
     dual = lovasz(f, y) + sum(z.values())
     return RunTrace("greedy-ra", instance.name, n, rounds, state, float(len(matched)), dual)
@@ -187,20 +177,21 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of save_trace's bytes, written by the reference greedy.
+# sha256 of save_trace's bytes, written by the reference greedy (format 4:
+# the format-3 bytes with each round's dP and dD dropped).
 GREEDY_TRACE_SHA256 = {
-    ("uniform", 1, "adversarial"): "822f4aa78093c4fdb6af9b918313ccb9f4631a6a279ce5fc0cf469ed1e75cd56",
-    ("uniform", 1, "permutation"): "660c13162e1ecaf33f7ef27bdf2eadf3158e0f3269d1def2b13d21f693bc81be",
-    ("uniform", 1, "timestamps"): "88cd2689793ba8dc9b57a7d6b83565f4d242702e8d2e592888f2cb2097000f05",
-    ("partition", 1, "adversarial"): "7e66d87f8ad44da6545d470085e9740f5a0a6f8679abdabff46d08fb9b6a9286",
-    ("partition", 1, "permutation"): "3c13136e8909edca0d93c864c9a6df452a0a1793be06e924f02bc744d011c2d5",
-    ("partition", 1, "timestamps"): "3c81280820cff9e58b21f1c9bf5ebaceefc1c2ce4949722c8e8b52cb27075411",
-    ("uniform", 2, "adversarial"): "c3f7f272774c9b94e21c0456fdf50ddcc9778710d15b4a45e52c8ed74aaae5c6",
-    ("uniform", 2, "permutation"): "75d3f45edb3f32cc249e53fb9d70d6ae3ae78c1970b47d2c1b67cc4174a1243a",
-    ("uniform", 2, "timestamps"): "9dcf8f737b4e062880c582f4b195922f5a2b4040610e002df7b6ed3677dc0226",
-    ("partition", 2, "adversarial"): "43e73615b51aff717c0ee8900de28a8378950b750c375999ad1690d1e891cb9f",
-    ("partition", 2, "permutation"): "0f08f1229b425ca788497eb1bc79bbc5c4d1ee3c923357b8a0f13f990298cb03",
-    ("partition", 2, "timestamps"): "4a5b47b6ad80ebd1029b8ab1a83634437baa49a93e94aae11ff661ddc007311f",
+    ("uniform", 1, "adversarial"): "5821afc1185b45f0a5e3e7df73b17debca73d3dd4757b61218728b4b1bbe4ce1",
+    ("uniform", 1, "permutation"): "82c7dca6658e58bfd579947df9d05d27645380a68b8c638e3951d41d68ff99f5",
+    ("uniform", 1, "timestamps"): "4b0bc8c37ad6ed6678a4a9de393ac075522b72a1c0ce48ce3c34f5d9db59c9e0",
+    ("partition", 1, "adversarial"): "74e45617744e7ef992a4ee3f20d1f212199d6d60d526b93a6cb44bfc814fb5dc",
+    ("partition", 1, "permutation"): "b158345c6f9e95402cfa0d37491ea1e054c85e3bfdc8f59f3b9d3f009f2eeee2",
+    ("partition", 1, "timestamps"): "30882c00743b1ec9198fd3b4badd4e3a040d2031a708f039419b932c380ba7ab",
+    ("uniform", 2, "adversarial"): "3e0c9e8d2b2a579550f8e223c1d45f1a6d84a45a867bb0a4b0375a5d38ddf795",
+    ("uniform", 2, "permutation"): "41b737fb055b6dd18d7576ecc01c441a41b7cf55158131c19b6416ba6309004c",
+    ("uniform", 2, "timestamps"): "4e53ba0b717291d55fc5169ec943a763de986873affbdae0c60f6967327aa626",
+    ("partition", 2, "adversarial"): "dbf51958409ff944a77c1b99a62635c18fe50be0aef1eef0665dc9cf9f08092b",
+    ("partition", 2, "permutation"): "1d0627a36f0cb6945a9e84e913fe77aebb12fd8faf0bb48d26fbc388aba455ac",
+    ("partition", 2, "timestamps"): "fbccf537f01e436c1953aeea8972a283c6dfb3ebcfb0f3cc4bac5e8b004780e4",
 }
 
 # sha256 of the sorted-key JSON of verify_random_arrival_lemmas(instance,

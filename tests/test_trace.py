@@ -1,4 +1,4 @@
-"""Trace format 3: exact round trips, the fields a file keeps, and hostile
+"""Trace format 4: exact round trips, the fields a file keeps, and hostile
 input (load_trace raises ParseError, the CLI exits 2, never a traceback)."""
 
 import json
@@ -69,14 +69,14 @@ class TestFormat:
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert data["format"] == TRACE_FORMAT == 3
+        assert data["format"] == TRACE_FORMAT == 4
 
     def test_round_fields(self):
         pd_round = next(r for r in TRACE_DICTS["mobm-pd"]["rounds"] if r["regions"])
-        assert set(pd_round) == {"v", "a", "X", "regions", "dP", "dD"}
+        assert set(pd_round) == {"v", "a", "X", "regions"}
         assert set(pd_round["regions"][0]) == {"lo", "hi", "old_height", "new_height"}
         for r in TRACE_DICTS["greedy-ra"]["rounds"]:
-            assert set(r) == {"v", "t", "X", "matched", "dP", "dD"}
+            assert set(r) == {"v", "t", "X", "matched"}
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_final_block_the_benchmark_reads(self, alg):
@@ -93,7 +93,8 @@ class TestFormat:
         if alg == "greedy-ra":
             assert sorted(u for u, _, _ in final["x"]) == final["matched_offline"]
 
-    @pytest.mark.parametrize("found", [1, 2, "3", None, "missing"])
+    @pytest.mark.parametrize("found", [1, 2, pytest.param(3, id="format-3"), "3", None,
+                                       "missing"])
     def test_other_versions_rejected(self, tmp_path, found):
         data = dict(TRACE_DICTS["mobvc"])
         if found == "missing":
@@ -107,8 +108,8 @@ class TestFormat:
         assert named in str(err.value)
 
     def test_out_of_range_ids_and_levels_rejected(self, tmp_path):
-        cases = [("X", [0, 6]), ("X", [-1]), ("a", 1.5), ("dD", float("nan")),
-                 ("dP", float("inf"))]
+        cases = [("X", [0, 6]), ("X", [-1]), ("a", 1.5), ("a", float("nan")),
+                 ("a", float("inf"))]
         for key, value in cases:
             data = json.loads(json.dumps(TRACE_DICTS["mobvc"]))
             data["rounds"][0][key] = value
@@ -301,4 +302,15 @@ class TestEveryNumberChecked:
             assert rc in (1, 2), (path, value, new)
             changed += 1
         capsys.readouterr()
-        assert changed > 50
+        assert changed > 40
+
+    def test_pd_rounds_reads_the_stored_x(self, tmp_path, capsys):
+        # a round's dP is derived from final.x, so pd-rounds fails on a
+        # changed x entry, and so does the replay
+        data = json.loads(json.dumps(TRACE_DICTS["mobm-pd"]))
+        data["final"]["x"][0][2] += 0.25
+        save(INSTANCES["mobm-pd"], tmp_path / "i.json")
+        tpath = write_json(tmp_path / "t.json", data)
+        assert main(["verify", str(tpath), "--instance", str(tmp_path / "i.json")]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL pd-rounds" in out and "FAIL replay-match" in out

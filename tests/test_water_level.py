@@ -275,17 +275,18 @@ def online_budget(family, n=200):
 RUNS = {"obvc": run_obvc, "mobvc": run_mobvc, "mobm-pd": run_mobm_pd}
 
 # sha256 of save_trace's bytes for gen_random(200, 400, 0.3, budget,
-# seed=101), written by the full-scan implementation.
+# seed=101), written by the full-scan implementation (format 4: the
+# format-3 bytes with each round's dP and dD dropped).
 TRACE_SHA256 = {
-    ("cardinality", "obvc"): "4f4161b4bada39b3d1ef79ac221cbf52dfaf8ff5d3946ec4be70406a929de4d4",
-    ("cardinality", "mobvc"): "a2e8c43587cdb696b187cbdc4dc9ac63ea2bc51a99efcae85550dd4a99b04fa1",
-    ("cardinality", "mobm-pd"): "ab2fe6cdf19f7a24acba5ce96295e2b01a4652d7bde41ae14df8114a2a4cedb3",
-    ("uniform", "mobvc"): "0cd90445cca01f3a0f4f1ccb7ee971ac34deeac941f848734c0d47ec12dc9270",
-    ("uniform", "mobm-pd"): "fa8d14d11532f48669bf58ae1e3ec878848d66a802b0cbfdfbd3e2c61a7488f0",
-    ("partition", "mobvc"): "bb1f847e9dfd87f1e95f4434b7f503126c91c17503f148a43f50626cb217c8af",
-    ("partition", "mobm-pd"): "0ea9b7971dc0f9f5fd814fa1c98cd00f3ed46639d930005859e0098820d66407",
-    ("weighted", "mobvc"): "981bf4b36f209e65073de896266c5d41cfa9c1dee3640f8544441920507f376b",
-    ("weighted", "mobm-pd"): "076aea174bde729c05295e26c677145eb5dc4f62a220dfa1789dcba8cc285949",
+    ("cardinality", "obvc"): "0dea955a4f168cc84c89bb424ced852f1a65d79b7c246b26e10a04a817c60661",
+    ("cardinality", "mobvc"): "96218fb5324e78a30e3fa392023ab2d76a7152ec4ffffdd3e124920ce7aa80e0",
+    ("cardinality", "mobm-pd"): "db34625caccb1075c54ee9656e2071175e4860b6d92a95c9895d297ef69c0eb4",
+    ("uniform", "mobvc"): "728bc4b25ccd45dc7e1225145e3076dccf1a6d2658cc78114188054c69e9cdef",
+    ("uniform", "mobm-pd"): "ff0fdd45bab3200631cdf1ac522487bca7a0f313dea99aa43ab0e1816bdd186d",
+    ("partition", "mobvc"): "43276f8600af816f3bba77cd2deb398155b0713ffb303bc7e03ab972f63cb291",
+    ("partition", "mobm-pd"): "a69adec51255ea223263645f25d7bed3c6872da82dac309d905a06aed640ae3a",
+    ("weighted", "mobvc"): "b12e84e92f9a328d9beec3bedc23762e2cdad60c8f1c630e872552e83c63ef5d",
+    ("weighted", "mobm-pd"): "dd7dbd8a3c71660fffdebfbbcfb1dd6c603b13c5b9b2738db4718b0f4b261ef7",
 }
 
 
