@@ -394,13 +394,19 @@ def run_mobm_pd(instance: Instance) -> RunTrace:
 # Random-arrival greedy
 # ---------------------------------------------------------------------------
 
-def _greedy_core(f: SubmodularFn, ordered) -> list[tuple[int, float, int | None, int]]:
-    """Run greedy over ordered (Arrival, t) pairs; shared by the public run
-    and the lemma audit. One (vid, t, pick, newly-spanned mask) step per
-    arrival, pick None when every neighbor was spanned."""
+def _greedy_core(f: SubmodularFn, ordered, m_mask: int = 0,
+                 rejoin=None) -> list[tuple[int, float, int | None, int]]:
+    """Run greedy over ordered (Arrival, t) pairs, starting from the matched
+    mask m_mask; shared by the public run and the lemma audit. One (vid, t,
+    pick, newly-spanned mask) step per arrival, pick None when every
+    neighbor was spanned.
+
+    rejoin, when given, holds another run's span after each of the same
+    arrivals, and the core stops at the first pick that brings its span to
+    that one: the span alone fixes every later step of a matroid greedy.
+    """
     steps: list[tuple[int, float, int | None, int]] = []
-    m_mask = 0
-    span_now = span_mask(f, 0)
+    span_now = span_mask(f, m_mask)
     for arr, t in ordered:
         for u in arr.nbrs:
             if not (span_now >> u) & 1:
@@ -408,6 +414,8 @@ def _greedy_core(f: SubmodularFn, ordered) -> list[tuple[int, float, int | None,
                 new_span = span_mask(f, m_mask)
                 steps.append((arr.id, t, u, new_span & ~span_now))
                 span_now = new_span
+                if rejoin is not None and span_now == rejoin[len(steps) - 1]:
+                    return steps
                 break
         else:
             steps.append((arr.id, t, None, 0))
@@ -418,8 +426,8 @@ def _spanned_at(steps) -> dict[int, float]:
     """Element -> timestamp of the greedy step that brought it into the span."""
     out: dict[int, float] = {}
     for _, t, _, newly in steps:
-        for u in mask_members(newly):
-            out[u] = t
+        if newly:
+            out.update(dict.fromkeys(mask_members(newly), t))
     return out
 
 

@@ -159,6 +159,11 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > 1 and args.model == "adversarial":
+        raise InputError("--trials repeats one deterministic run under the adversarial "
+                         "model; use --model permutation or timestamps")
     inst = load(args.instance)
     opt = offline_opt(inst).value
     alg = args.algorithm
@@ -402,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arrival order model (greedy-ra)")
     p.add_argument("--model-seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1,
-                   help="greedy-ra only: aggregate this many runs")
+                   help="greedy-ra only: aggregate this many runs "
+                        "(permutation or timestamps model)")
     p.add_argument("--trace", help="write the run trace JSON here")
     p.set_defaults(func=cmd_run)
 

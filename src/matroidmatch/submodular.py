@@ -518,17 +518,27 @@ def lovasz_mc(f: SubmodularFn, y: Sequence[float], samples: int = 100_000,
 
 
 def is_matroid_rank(f: SubmodularFn, tol: float = DEFAULT_TOL) -> bool:
-    """True iff f is the rank function of a matroid on the ground set.
+    """True iff f is the rank function of a matroid on the ground set:
+    f(empty) = 0, every value an integer, every single-element marginal 0
+    or 1, and f monotone submodular, each up to tol.
 
-    Checks f(empty) = 0, integrality, single-element marginals in {0, 1},
-    and the monotone submodular axioms, all exhaustively (n <= 16). The
-    result is cached on the function object.
+    With a laminar form this is decided in closed form at any n (every
+    group has cap 0; or unit nonzero weights and a cap that is an integer
+    or at least the group's total; or nonzero weights at least 1 and cap
+    1), see _laminar_matroid. Without one, all 2^n values are checked
+    (n <= 16, SizeError above). The result is cached on the function
+    object.
     """
     if f._matroid_rank is not None:
         return f._matroid_rank
+    form = f.laminar_form()
+    if form is not None:
+        f._matroid_rank = _laminar_matroid(*form, tol)
+        return f._matroid_rank
     n = f.ground.size
     if n > EXHAUSTIVE_LIMIT:
-        raise SizeError(f"matroid rank check limited to n <= {EXHAUSTIVE_LIMIT}")
+        raise SizeError(f"matroid rank check limited to n <= {EXHAUSTIVE_LIMIT} "
+                        f"for budgets without a laminar form")
     masks = np.arange(1 << n, dtype=np.int64)
     vals = f.values_for_masks(masks)
     ok = abs(vals[0]) <= tol
@@ -543,6 +553,48 @@ def is_matroid_rank(f: SubmodularFn, tol: float = DEFAULT_TOL) -> bool:
     ok = ok and _exhaustive_axioms(vals, tol).ok
     f._matroid_rank = ok
     return ok
+
+
+def _laminar_matroid(weights: list[float], groups: list[tuple[tuple[int, ...], float]],
+                     tol: float) -> bool:
+    """is_matroid_rank's answer for a laminar form, in O(n log n).
+
+    A laminar form is monotone submodular with f(empty) = 0, so only the
+    integer values and the 0/1 marginals are in question. In a group f is
+    min(c(T), cap), where a weight above the cap acts as the cap, so take
+    w = min(weight, cap): each w is a marginal at T = empty and must be
+    within tol of 0 ("small") or 1 ("unit"). The sums of the subsets with
+    j units fill a short interval, from the j lightest units to the j
+    heaviest plus every small one, and f is monotone in the sum, so the
+    two ends carry every extreme:
+    - a unit's marginal at sum s is neither near 0 nor near 1 exactly when
+      cap - 1 + tol < s < cap - tol, and only j < (number of units)
+      leaves a unit out of the subset;
+    - the groups' values add up, and so do their largest errors above and
+      below an integer, which must each stay within tol.
+    """
+    above = below = 0.0
+    for members, cap in groups:
+        ws = [min(weights[u], cap) for u in members]
+        small = [w for w in ws if w <= tol]
+        units = sorted(w for w in ws if w > tol and abs(w - 1.0) <= tol)
+        if len(small) + len(units) != len(ws):
+            return False
+        light, heavy = 0.0, sum(small)
+        err_hi = err_lo = 0.0
+        for j in range(len(units) + 1):
+            if j:
+                light += units[j - 1]
+                heavy += units[-j]
+            for s in (light, heavy):
+                if j < len(units) and cap - 1.0 + tol < s < cap - tol:
+                    return False
+                v = min(s, cap)
+                err = v - round(v)
+                err_hi, err_lo = max(err_hi, err), max(err_lo, -err)
+        above += err_hi
+        below += err_lo
+    return above <= tol and below <= tol
 
 
 def span_mask(f: SubmodularFn, mask: int) -> int:

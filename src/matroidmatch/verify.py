@@ -21,7 +21,14 @@ from .barchart import charge_integral
 from .constants import ALPHA, DEFAULT_TOL, charge_potential
 from .errors import InputError, InvariantError, SizeError
 from .instances import Instance, by_timestamp
-from .submodular import OFFLINE_OPT_LIMIT, SubmodularFn, is_matroid_rank, lovasz, mask_members
+from .submodular import (
+    OFFLINE_OPT_LIMIT,
+    SubmodularFn,
+    is_matroid_rank,
+    lovasz,
+    mask_members,
+    span_mask,
+)
 
 # Brute-force limits for budgets without a laminar form: the offline
 # optimum's is OFFLINE_OPT_LIMIT, the matching check's this one.
@@ -449,6 +456,41 @@ def critical_value(instance: Instance, v: int, timestamps: dict[int, float]) -> 
     return {u: crit.get(u, 1.0) for u in range(instance.n_offline)}
 
 
+def critical_times(f: SubmodularFn, ordered, steps) -> dict[int, dict[int, float]]:
+    """Every arrival's critical times from one greedy run: f is a matroid
+    rank and steps is _greedy_core(f, ordered). Arrival v maps to the
+    element -> timestamp map of the run without v, as critical_value
+    computes it but without the 1.0 entries of elements never spanned.
+
+    An arrival whose step picked nothing changed no state, so the run
+    without it is the full run. One matched at position p leaves the run's
+    first p steps as they were; the run without it resumes from their
+    matched mask over the arrivals after p, until its span rejoins the full
+    run's, after which every step is the full run's again.
+    """
+    full = _spanned_at(steps)
+    spans = []  # the full run's span after each step
+    span_now = span_mask(f, 0)
+    for step in steps:
+        span_now |= step[3]
+        spans.append(span_now)
+    out: dict[int, dict[int, float]] = {}
+    before: dict[int, float] = {}  # spanned-at of the steps before p
+    m_mask = 0
+    for p, (vid, t, pick, newly) in enumerate(steps):
+        if pick is None:
+            out[vid] = full
+            continue
+        replay = _greedy_core(f, ordered[p + 1:], m_mask, spans[p + 1:])
+        # once rejoined, the replay spanned just what steps p.. of the full run did
+        crit = dict(full if len(replay) < len(steps) - p - 1 else before)
+        crit.update(_spanned_at(replay))
+        out[vid] = crit
+        m_mask |= 1 << pick
+        before.update(dict.fromkeys(mask_members(newly), t))
+    return out
+
+
 @dataclass
 class EdgeFeasibility:
     u: int
@@ -496,8 +538,9 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     """Monte-Carlo check of the three structural lemmas behind the greedy
     guarantee, against independently drawn timestamp profiles.
 
-    Per edge (u, v) with critical time t_c computed from the run without v
-    (the trial's order with v removed, as critical_value computes it):
+    Per edge (u, v) with critical time t_c of the run without v (the
+    trial's order with v removed, as critical_value computes it; each
+    trial takes every arrival's from its one full run, see critical_times):
     dominance (t_v < t_c implies v is matched), monotonicity (the final
     potential of u in the full run is at least (1 + ALPHA)(1 - e^(t_c - 1)),
     whatever t_v is), and in-expectation dual feasibility
@@ -520,7 +563,6 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     rng = np.random.default_rng(seed)
     draws = rng.random((trials, m))
     ids = [arr.id for arr in instance.arrivals]
-    with_nbrs = [arr.id for arr in instance.arrivals if arr.nbrs]
 
     value_sum = 0.0
     dom_checked = 0
@@ -531,10 +573,10 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     for k in range(trials):
         ts = {vid: float(draws[k, i]) for i, vid in enumerate(ids)}
         ordered = by_timestamp(instance.arrivals, ts)
-        y, z = _greedy_duals(_greedy_core(f, ordered), n)
+        steps = _greedy_core(f, ordered)
+        y, z = _greedy_duals(steps, n)
         value_sum += len(z)
-        tcrit = {vid: _spanned_at(_greedy_core(f, [at for at in ordered if at[0].id != vid]))
-                 for vid in with_nbrs}
+        tcrit = critical_times(f, ordered, steps)
         for j, (u, vid) in enumerate(live_edges):
             tc = tcrit[vid].get(u, 1.0)
             if ts[vid] < tc:

@@ -10,7 +10,7 @@ from matroidmatch.cli import main, parse_fn_spec, parse_seeds
 from matroidmatch.constants import ONE_PLUS_ALPHA
 from matroidmatch.errors import ParseError
 from matroidmatch.instances import Arrival, Instance, gen_random, load, save
-from matroidmatch.submodular import Cardinality, GroundSet
+from matroidmatch.submodular import Cardinality, GroundSet, PartitionBudget, WeightedThreshold
 
 
 @pytest.fixture
@@ -119,6 +119,29 @@ class TestRun:
         rc = main(["run", path, "--algorithm", "greedy-ra", "--trials", "3",
                    "--trace", str(tmp_path / "t.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("model", [[], ["--model", "adversarial"]])
+    def test_trials_refuse_adversarial(self, edge_file, capsys, model):
+        # the adversarial order ignores the seed: every trial is the same run
+        _, path = edge_file
+        rc = main(["run", path, "--algorithm", "greedy-ra", "--trials", "3"] + model)
+        assert rc == 2
+        assert "adversarial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one(self, edge_file, capsys, trials):
+        _, path = edge_file
+        rc = main(["run", path, "--algorithm", "greedy-ra", "--model", "permutation",
+                   "--trials", trials])
+        assert rc == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
+
+    def test_trials_refuse_trace_under_permutation(self, edge_file, tmp_path, capsys):
+        _, path = edge_file
+        rc = main(["run", path, "--algorithm", "greedy-ra", "--model", "permutation",
+                   "--trials", "3", "--trace", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert "--trace holds a single run" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["run", "no-such.json", "--algorithm", "obvc"]) == 2
@@ -327,3 +350,30 @@ class TestSweep:
         rc = main(["sweep", "--kind", "triangular", "--n", "4",
                    "--seeds", "0", "--algorithms", "simplex"])
         assert rc == 2
+
+
+class TestGreedyAtLargeN:
+    """greedy-ra certifies laminar matroid budgets in closed form, so it and
+    verify run past the 16 elements an exhaustive check allows."""
+
+    def test_partition_run_and_verify(self, tmp_path, capsys):
+        g = GroundSet(200)
+        f = PartitionBudget(g, [range(b, 200, 10) for b in range(10)], [6] * 10)
+        inst_path, trace_path = tmp_path / "i.json", tmp_path / "t.json"
+        save(gen_random(200, 400, 0.3, f), inst_path)
+        assert main(["run", str(inst_path), "--algorithm", "greedy-ra", "--model",
+                     "permutation", "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(trace_path), "--instance", str(inst_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS replay-match", "PASS dual-consistent", "PASS matching-feasible",
+            "PASS primal-consistent", "PASS weak-duality"]
+
+    def test_weighted_non_matroid_refused(self, tmp_path, capsys):
+        g = GroundSet(200)
+        path = tmp_path / "i.json"
+        save(gen_random(200, 400, 0.3, WeightedThreshold(g, [2.0] * 200, 4.0)), path)
+        assert main(["run", str(path), "--algorithm", "greedy-ra"]) == 2
+        err = capsys.readouterr().err
+        assert "requires a matroid rank budget" in err
+        assert "limited to n" not in err

@@ -24,6 +24,7 @@ from matroidmatch.algorithms import (
     GreedyRound,
     OnlineState,
     RunTrace,
+    _greedy_core,
     dual_split_rate,
     run_random_arrival_greedy,
     save_trace,
@@ -50,7 +51,7 @@ from matroidmatch.submodular import (
     mask_members,
     span_mask,
 )
-from matroidmatch.verify import critical_value, verify_random_arrival_lemmas
+from matroidmatch.verify import critical_times, critical_value, verify_random_arrival_lemmas
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +163,39 @@ class TestMatchesReference:
         for a in inst.arrivals:
             others = {vid: t for vid, t in ts.items() if vid != a.id}
             assert critical_value(inst, a.id, others) == ref_critical_value(inst, a.id, ts)
+
+
+class TestCriticalTimes:
+    """critical_times reads every arrival's critical values off one run."""
+
+    @staticmethod
+    def check(inst, ts):
+        ordered = by_timestamp(inst.arrivals, ts)
+        crit = critical_times(inst.f, ordered, _greedy_core(inst.f, ordered))
+        assert sorted(crit) == sorted(ts)
+        for a in inst.arrivals:
+            assert {u: crit[a.id].get(u, 1.0) for u in range(inst.n_offline)} \
+                == critical_value(inst, a.id, ts)
+        return crit
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=matroid_instances(), data=st.data())
+    def test_equals_critical_value(self, inst, data):
+        self.check(inst, {a.id: data.draw(stamps) for a in inst.arrivals})
+
+    def test_unmatched_rank_zero_and_ties(self):
+        # element 4 has rank zero; arrival 1 ties with 0 and passes, as do
+        # 2 and 5 (their neighbours are spanned) and 4 (none)
+        f = PartitionBudget(GroundSet(5), [[0, 1], [2, 3], [4]], [1, 1, 0])
+        inst = Instance("mixed", 5, f, [
+            Arrival(0, (0, 1)), Arrival(1, (4,)), Arrival(2, (1,)),
+            Arrival(3, (1, 2)), Arrival(4, ()), Arrival(5, (3, 0))])
+        ts = {0: 0.25, 1: 0.25, 2: 0.5, 3: 0.75, 4: 0.75, 5: 0.875}
+        crit = self.check(inst, ts)
+        full = {0: 0.25, 1: 0.25, 2: 0.75, 3: 0.75}
+        assert crit[1] == crit[2] == crit[4] == crit[5] == full
+        assert crit[0] == {0: 0.5, 1: 0.5, 2: 0.75, 3: 0.75}
+        assert crit[3] == {0: 0.25, 1: 0.25, 2: 0.875, 3: 0.875}
 
 
 def n16_instance(family, seed):

@@ -15,6 +15,7 @@ from matroidmatch.submodular import (
     ExplicitTable,
     GroundSet,
     PartitionBudget,
+    SubmodularFn,
     UniformRank,
     WeightedThreshold,
     as_mask,
@@ -338,6 +339,54 @@ class TestLaminarForm:
                 f.values_for_masks(np.array([0, 1], dtype=np.int64))
 
 
+class Laminar(SubmodularFn):
+    """A test budget given by any laminar form: several groups, any
+    weights."""
+
+    family = "laminar"
+
+    def __init__(self, weights, groups):
+        super().__init__(GroundSet(len(weights)))
+        self.form = (list(weights), list(groups))
+
+    def value_mask(self, mask):
+        weights, groups = self.form
+        return sum(min(sum(weights[u] for u in members if (mask >> u) & 1), cap)
+                   for members, cap in groups)
+
+    def laminar_form(self):
+        return self.form
+
+
+class Opaque(SubmodularFn):
+    """Evaluates like another budget but has no laminar form, so the
+    matroid test enumerates all subsets."""
+
+    family = "opaque"
+
+    def __init__(self, inner):
+        super().__init__(inner.ground)
+        self.inner = inner
+
+    def value_mask(self, mask):
+        return self.inner.value_mask(mask)
+
+    def values_for_masks(self, masks):
+        return self.inner.values_for_masks(masks)
+
+
+WEIGHTS = [0.0, 1.0, 1.0, 1.0, 1.5, 2.0, 0.5]
+CAPS = [0.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5, math.inf]
+# Offsets that put a value within DEFAULT_TOL of its base, or just past it.
+OFFSETS = [0.0, 0.0, 0.3 * TOL, -0.3 * TOL, 0.6 * TOL, -0.6 * TOL, 1.5 * TOL, -1.5 * TOL]
+
+
+def near_tol(bases):
+    """A base value, often moved by a fraction of DEFAULT_TOL, never below 0."""
+    return st.builds(lambda b, d: b if math.isinf(b) else max(0.0, b + d),
+                     st.sampled_from(bases), st.sampled_from(OFFSETS))
+
+
 class TestMatroidRank:
     def test_matroid_families(self):
         g = GroundSet(5)
@@ -359,8 +408,51 @@ class TestMatroidRank:
         assert not is_matroid_rank(f)
 
     def test_size_limit(self):
+        # only budgets without a laminar form are checked exhaustively
         with pytest.raises(SizeError):
-            is_matroid_rank(Cardinality(GroundSet(17)))
+            is_matroid_rank(Opaque(Cardinality(GroundSet(17))))
+
+    def test_closed_form_at_large_n(self):
+        n = 200
+        g = GroundSet(n)
+        assert is_matroid_rank(Cardinality(g))
+        assert is_matroid_rank(PartitionBudget(g, [range(b, n, 10) for b in range(10)], [6] * 10))
+        assert not is_matroid_rank(WeightedThreshold(g, [2.0] * n, 4.0))
+
+    @pytest.mark.parametrize("weights, groups, expected", [
+        ([0.0, 1.0, 0.0], [((0, 1, 2), 1.0)], True),  # zero weights
+        ([1.5, 1.5, 1.0], [((0, 1, 2), 1.0)], True),  # weight 1.5, cap 1: uniform rank 1
+        ([1.5, 1.0], [((0,), 2.0), ((1,), 1.0)], False),
+        ([1.0, 1.0, 1.0], [((0, 1, 2), 1.5)], False),  # fractional cap below the total
+        ([1.0, 1.0, 1.0], [((0, 1, 2), 3.5)], True),  # cap above the total
+        ([1.0, 1.0], [((0,), 0.0), ((1,), 0.25)], False),
+        ([2.0, 2.0], [((0, 1), 0.0)], True),  # cap 0
+        ([1.0 + 0.4 * TOL] * 2, [((0, 1), math.inf)], True),
+        ([1.0 + 0.4 * TOL] * 3, [((0, 1, 2), math.inf)], False),  # the errors add up
+        ([1.0 + 0.4 * TOL] * 4, [((0, 1), math.inf), ((2, 3), math.inf)], False),
+        ([1.0, 1.0], [((0, 1), 1.0 - 0.5 * TOL)], True),
+        ([1.0, 1.0], [((0,), 1.0 - 0.6 * TOL), ((1,), 1.0 - 0.6 * TOL)], False),
+        ([1.0, 1.0, 1.0], [((0, 1, 2), 2.0 + 0.9 * TOL)], True),
+        ([1.0, 1.0, 1.0], [((0, 1, 2), 2.0 + 2.0 * TOL)], False),
+        ([0.5 * TOL, 1.0], [((0, 1), math.inf)], True),
+        ([0.6 * TOL, 0.6 * TOL], [((0, 1), math.inf)], False),
+    ])
+    def test_closed_form_cases(self, weights, groups, expected):
+        f = Laminar(weights, groups)
+        assert is_matroid_rank(f) is expected
+        assert is_matroid_rank(Opaque(Laminar(weights, groups))) is expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_matches_exhaustive(self, data):
+        n = data.draw(st.integers(0, 12))
+        ids = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        groups = [tuple(u for u in range(n) if ids[u] == k) for k in range(4)]
+        groups = [members for members in groups if members]
+        weights = [data.draw(near_tol(WEIGHTS)) for _ in range(n)]
+        caps = [data.draw(near_tol(CAPS + [float(len(m)), len(m) + 0.5])) for m in groups]
+        form = (weights, list(zip(groups, caps)))
+        assert is_matroid_rank(Laminar(*form)) == is_matroid_rank(Opaque(Laminar(*form)))
 
 
 class TestSpan:
