@@ -84,7 +84,7 @@ def _sup_below(bounds: list[float], hvals: list[float], target: float) -> float:
     raise InvariantError("h(0) <= target must hold; no crossing found")
 
 
-def water_level(chart: BarChart, nbrs, alpha: float = ALPHA) -> float:
+def water_level(chart: BarChart, nbrs) -> float:
     """Exact water level for an arrival with neighbor set nbrs at the
     chart's current potentials.
 
@@ -113,10 +113,10 @@ def water_level(chart: BarChart, nbrs, alpha: float = ALPHA) -> float:
         g_acc += (iv.hi - iv.lo) * (f.value_mask(iv.mask | nmask) - iv.height)
         bounds.append(iv.hi)
         hvals.append(1.0 - iv.hi + g_acc)
-    return chart.snap(_sup_below(bounds, hvals, 1.0 + alpha))
+    return chart.snap(_sup_below(bounds, hvals, 1.0 + ALPHA))
 
 
-def _modular_water_level(y, nbrs, alpha: float = ALPHA) -> float:
+def _modular_water_level(y, nbrs) -> float:
     """Water level under a cardinality budget: h(a) = 1 - a + sum over
     neighbors of max(a - y_u, 0). Only neighbor levels are breakpoints."""
     levels = sorted(y[u] for u in nbrs)
@@ -132,7 +132,7 @@ def _modular_water_level(y, nbrs, alpha: float = ALPHA) -> float:
             k += 1
         bounds.append(b)
         hvals.append(1.0 - b + k * b - covered)
-    a = _sup_below(bounds, hvals, 1.0 + alpha)
+    a = _sup_below(bounds, hvals, 1.0 + ALPHA)
     return snap(bounds, a)
 
 
@@ -303,44 +303,24 @@ def load_trace(path: str | os.PathLike) -> RunTrace:
 # Waterfilling runs
 # ---------------------------------------------------------------------------
 
-def _region_bases(regions, y: list[float]) -> list[int]:
-    """Member mask of each region's bar before the raise, from the levels y
-    before the raise: u is a member of the bar [lo, hi] exactly when
-    y_u >= hi. The regions of one raise are nested (ascending lo, so
-    descending member sets), and one sweep down the levels builds them all."""
-    if not regions:  # most rounds, once a non-modular budget binds
-        return []
-    order = sorted(range(len(y)), key=y.__getitem__, reverse=True)
-    bases = [0] * len(regions)
-    mask = k = 0
-    for i in range(len(regions) - 1, -1, -1):
-        hi = regions[i].hi
-        while k < len(order) and y[order[k]] >= hi:
-            mask |= 1 << order[k]
-            k += 1
-        bases[i] = mask
-    return bases
-
-
-def _primal_increments(f: SubmodularFn, regions, y: list[float], X,
-                       denom: float) -> dict[int, float]:
+def _primal_increments(f: SubmodularFn, raised, X, denom: float) -> dict[int, float]:
     """Split each region's mass over the elements of X missing from its
-    bar, by their marginals added in ascending id order, scaled by
-    1 / denom; y holds the levels before the raise of X that made the
-    regions."""
+    base, by their marginals added in ascending id order, scaled by
+    1 / denom. raised holds the (region, base) pairs of the raise of X: the
+    chain of heights starts at the region's old_height and ends at its
+    new_height, so only the steps in between call the oracle."""
     inc: dict[int, float] = {}
-    bits = [(u, 1 << u) for u in X]
-    for r, mask in zip(regions, _region_bases(regions, y)):
+    for r, mask in raised:
         width = r.hi - r.lo
-        prev = f.value_mask(mask)
-        for u, bit in bits:
-            if mask & bit:
-                continue
-            mask |= bit
-            cur = f.value_mask(mask)
+        missing = [u for u in X if not (mask >> u) & 1]
+        heights = [r.old_height]
+        for u in missing[:-1]:
+            mask |= 1 << u
+            heights.append(f.value_mask(mask))
+        heights.append(r.new_height)
+        for u, prev, cur in zip(missing, heights, heights[1:]):
             if cur != prev:
                 inc[u] = inc.get(u, 0.0) + width * (cur - prev) / denom
-            prev = cur
     return inc
 
 
@@ -358,13 +338,12 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
         else:
             a = water_level(chart, arr.nbrs)
         X = tuple(u for u in arr.nbrs if y[u] < a)
-        regions = tuple(chart.raise_to(X, a))
+        raised = chart.raise_to(X, a)
         z[arr.id] = 1.0 - a
         if algorithm == "mobm-pd":
-            inc = _primal_increments(f, regions, y, X, a + ALPHA)
-            for u, val in inc.items():
+            for u, val in _primal_increments(f, raised, X, a + ALPHA).items():
                 x[(u, arr.id)] = val
-        rounds.append(WaterfillRound(arr.id, a, X, regions))
+        rounds.append(WaterfillRound(arr.id, a, X, tuple(r for r, _ in raised)))
     state = OnlineState(y=chart.levels, z=z, x=x, chart=chart)
     primal = sum(x.values())
     dual = chart.area() + sum(z.values())

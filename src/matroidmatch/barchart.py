@@ -9,10 +9,11 @@ the per-interval differences come back as NewRegion records that the
 primal-dual matching and the charging auditors consume.
 
 Intervals are split but never merged. The chart keeps no sigma_t member
-lists (the order in which elements joined a bar): the primal split rebuilds
-what it needs from the levels before each raise. Raises only add elements
-to a prefix of the bars, so the member masks are nested: each bar's mask
-contains the masks of all bars above it.
+lists (the order in which elements joined a bar): a raise hands back each
+new region with its base, the bar's member mask just before the raise, and
+the primal split needs nothing more. Raises only add elements to a prefix
+of the bars, so the member masks are nested: each bar's mask contains the
+masks of all bars above it.
 
 The chart's bounds are the lowest bar's lo and every bar's hi, in
 ascending order. Levels within SNAP_EPS of a bound snap to the first such
@@ -122,8 +123,10 @@ class BarChart:
     def area(self) -> float:
         return sum(iv.width * iv.height for iv in self.intervals)
 
-    def raise_to(self, X, a: float) -> list[NewRegion]:
-        """Raise every element of X to level a; return the new regions.
+    def raise_to(self, X, a: float) -> list[tuple[NewRegion, int]]:
+        """Raise every element of X to level a; return the new regions,
+        each paired with its base: the member mask of its bar before the
+        raise, whose height is the region's old_height.
 
         a is snapped to the chart first. Callers pre-filter X: every u in X
         must currently sit strictly below the snapped a, or the chart is
@@ -152,11 +155,11 @@ class BarChart:
         for iv in self.intervals[self.first_missing(xmask):]:
             if iv.hi > a:
                 break
-            old_height = iv.height
+            base, old_height = iv.mask, iv.height
             iv.mask |= xmask
             iv.height = self.f.value_mask(iv.mask)
             if iv.height - old_height > 0.0:
-                regions.append(NewRegion(iv.lo, iv.hi, old_height, iv.height))
+                regions.append((NewRegion(iv.lo, iv.hi, old_height, iv.height), base))
         for u in X:
             self._levels[u] = a
         return regions
@@ -187,16 +190,16 @@ class BarChart:
                 iv.lo = a
 
 
-def charge_integral(regions, alpha: float = ALPHA) -> float:
-    """Integral of the density (1 - x) / (x + alpha) over the given regions,
+def charge_integral(regions) -> float:
+    """Integral of the density (1 - x) / (x + ALPHA) over the given regions,
     x being the horizontal (level) coordinate.
 
-    Closed form per region: delta_height * ((1 + alpha) * ln((hi + alpha)
-    / (lo + alpha)) - (hi - lo)).
+    Closed form per region: delta_height * ((1 + ALPHA) * ln((hi + ALPHA)
+    / (lo + ALPHA)) - (hi - lo)).
     """
     total = 0.0
     for r in regions:
         dh = r.new_height - r.old_height
-        total += dh * ((1.0 + alpha) * math.log((r.hi + alpha) / (r.lo + alpha))
+        total += dh * ((1.0 + ALPHA) * math.log((r.hi + ALPHA) / (r.lo + ALPHA))
                        - (r.hi - r.lo))
     return total

@@ -161,6 +161,9 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if args.algorithm != "greedy-ra" and (args.trials > 1 or args.model != "adversarial"):
+        raise InputError(f"{args.algorithm} runs once in the stored arrival order; "
+                         f"--trials and --model apply to greedy-ra only")
     if args.trials > 1 and args.model == "adversarial":
         raise InputError("--trials repeats one deterministic run under the adversarial "
                          "model; use --model permutation or timestamps")

@@ -23,10 +23,10 @@ DEFAULT_TOL = 1e-9
 SNAP_EPS = 1e-12
 
 
-def charge_potential(x: float, alpha: float = ALPHA) -> float:
-    """Antiderivative of (1 - t) / (t + alpha), zero at t = 0.
+def charge_potential(x: float) -> float:
+    """Antiderivative of (1 - t) / (t + ALPHA), zero at t = 0.
 
     charge_potential(b) - charge_potential(a) is the charge collected by a
     unit-height strip spanning [a, b].
     """
-    return (1.0 + alpha) * math.log((x + alpha) / alpha) - x
+    return (1.0 + ALPHA) * math.log((x + ALPHA) / ALPHA) - x

@@ -90,6 +90,19 @@ class Instance:
     f: SubmodularFn
     arrivals: list[Arrival] = field(default_factory=list)
 
+    def __post_init__(self):
+        """InputError when n_offline is not the budget's ground-set size, a
+        neighbor lies outside 0..n_offline-1, or two arrivals share an id."""
+        n = self.n_offline
+        if n != self.f.ground.size:
+            raise InputError(f"n_offline = {n} differs from the budget's ground set size "
+                             f"{self.f.ground.size}")
+        for arr in self.arrivals:
+            if arr.nbrs and (arr.nbrs[0] < 0 or arr.nbrs[-1] >= n):
+                raise InputError(f"arrival {arr.id}: a neighbor lies outside 0..{n - 1}")
+        if len({arr.id for arr in self.arrivals}) < len(self.arrivals):
+            raise InputError("two arrivals share an online id")
+
     @property
     def ground(self) -> GroundSet:
         return self.f.ground
@@ -196,8 +209,6 @@ def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
     g = GroundSet(n)
     if f is None:
         f = Cardinality(g)
-    if f.ground.size != n:
-        raise InputError(f"f is on a ground set of size {f.ground.size}, not {n}")
     root = SplitMix64(seed)
     arrivals = []
     edges = 0

@@ -517,10 +517,10 @@ def lovasz_mc(f: SubmodularFn, y: Sequence[float], samples: int = 100_000,
     return total / samples
 
 
-def is_matroid_rank(f: SubmodularFn, tol: float = DEFAULT_TOL) -> bool:
+def is_matroid_rank(f: SubmodularFn) -> bool:
     """True iff f is the rank function of a matroid on the ground set:
     f(empty) = 0, every value an integer, every single-element marginal 0
-    or 1, and f monotone submodular, each up to tol.
+    or 1, and f monotone submodular, each up to DEFAULT_TOL.
 
     With a laminar form this is decided in closed form at any n (every
     group has cap 0; or unit nonzero weights and a cap that is an integer
@@ -531,6 +531,7 @@ def is_matroid_rank(f: SubmodularFn, tol: float = DEFAULT_TOL) -> bool:
     """
     if f._matroid_rank is not None:
         return f._matroid_rank
+    tol = DEFAULT_TOL
     form = f.laminar_form()
     if form is not None:
         f._matroid_rank = _laminar_matroid(*form, tol)

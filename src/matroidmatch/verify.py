@@ -397,12 +397,12 @@ class AuditReport:
 
 
 def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
-                   alpha: float = ALPHA, tol: float = DEFAULT_TOL) -> AuditReport:
-    """Audit the charging argument behind the (1 + alpha) cover guarantee.
+                   tol: float = DEFAULT_TOL) -> AuditReport:
+    """Audit the charging argument behind the (1 + ALPHA) cover guarantee.
 
     Per round with online vertex outside the optimal cover, the new chart
     regions must collect charge at least 1 - a under the density
-    (1 - x) / (x + alpha); those charges must sum to at most alpha * f of
+    (1 - x) / (x + ALPHA); those charges must sum to at most ALPHA * f of
     the optimal cover's offline part. The per-round inequality actually
     holds for every round (budget exhaustion does not care about the
     optimum), so it is checked everywhere but only rounds outside the
@@ -418,14 +418,13 @@ def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
     y_old = [0.0] * trace.n_offline
     ok = True
     for rec in trace.rounds:
-        charge = charge_integral(rec.regions, alpha)
+        charge = charge_integral(rec.regions)
         required = 1.0 - rec.a
         in_cover = rec.v in cert.cover_online
         round_ok = charge >= required - tol
         pervertex = None
         if trace.algorithm == "obvc":
-            pervertex = sum(charge_potential(rec.a, alpha) - charge_potential(y_old[u], alpha)
-                            for u in rec.X)
+            pervertex = sum(charge_potential(rec.a) - charge_potential(y_old[u]) for u in rec.X)
             round_ok = round_ok and pervertex >= required - tol
         if not in_cover:
             total += charge
@@ -433,7 +432,7 @@ def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
         rounds_out.append(RoundAudit(rec.v, in_cover, charge, required, round_ok, pervertex))
         for u in rec.X:
             y_old[u] = rec.a
-    budget = alpha * instance.f.value(cert.argmin_offline)
+    budget = ALPHA * instance.f.value(cert.argmin_offline)
     global_ok = total <= budget + tol
     return AuditReport(rounds_out, total, budget, global_ok, ok and global_ok)
 

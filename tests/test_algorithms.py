@@ -8,7 +8,6 @@ import pytest
 from matroidmatch.algorithms import (
     RunTrace,
     _modular_water_level,
-    _region_bases,
     dual_split_rate,
     load_trace,
     round_cover,
@@ -245,20 +244,18 @@ class TestMobmPd:
 
 
 class TestRegionBases:
-    """Traces carry no member lists: the primal split rebuilds each region's
-    base from the levels before the raise. That base must be the member mask
-    of the region's bar before raise_to (the bar a split cut it from)."""
+    """Traces carry no member lists: raise_to hands the primal split each
+    region's base. That base must be the member mask of the region's bar
+    before the raise (the bar a split cut it from)."""
 
     @staticmethod
     def raise_and_check(chart, X, a) -> int:
-        y = chart.levels
         before = [(iv.lo, iv.hi, iv.mask) for iv in chart.intervals]
-        regions = chart.raise_to(X, a)
-        bases = _region_bases(regions, y)
-        for r, base in zip(regions, bases, strict=True):
+        raised = chart.raise_to(X, a)
+        for r, base in raised:
             owners = [mask for lo, hi, mask in before if lo <= r.lo and r.hi <= hi]
             assert owners == [base], (r, owners, base)
-        return sum(1 for base in bases if base)
+        return sum(1 for _, base in raised if base)
 
     def test_waterfilling_runs_on_suite(self):
         nonempty = 0

@@ -22,7 +22,7 @@ from matroidmatch.submodular import (
 TOL = 1e-9
 
 
-def quad_charge(regions, alpha, panels=1_000_000):
+def quad_charge(regions, panels=1_000_000):
     """Midpoint-rule oracle for the charge integral."""
     total = 0.0
     for r in regions:
@@ -31,7 +31,7 @@ def quad_charge(regions, alpha, panels=1_000_000):
         x = np.linspace(r.lo, r.hi, panels + 1)
         mid = (x[:-1] + x[1:]) / 2
         dx = (r.hi - r.lo) / panels
-        total += (r.new_height - r.old_height) * float(np.sum((1 - mid) / (mid + alpha)) * dx)
+        total += (r.new_height - r.old_height) * float(np.sum((1 - mid) / (mid + ALPHA)) * dx)
     return total
 
 
@@ -71,20 +71,18 @@ class TestRaise:
     def test_raise_from_zero(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.0, 0.0])
-        regions = chart.raise_to([0, 1], 0.5)
-        assert len(regions) == 1
-        r = regions[0]
-        assert (r.lo, r.hi, r.old_height, r.new_height) == (0.0, 0.5, 0.0, 2.0)
+        [(r, base)] = chart.raise_to([0, 1], 0.5)
+        assert (r.lo, r.hi, r.old_height, r.new_height, base) == (0.0, 0.5, 0.0, 2.0, 0)
         assert chart.area() == pytest.approx(1.0, abs=TOL)
         assert chart.levels == [0.5, 0.5]
 
     def test_raise_above_existing(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.3, 0.0])
-        regions = chart.raise_to([1], 0.6)
-        got = [(r.lo, r.hi, r.old_height, r.new_height) for r in regions]
-        assert got == [(0.0, 0.3, 1.0, 2.0), (0.3, 0.6, 0.0, 1.0)]
-        assert sum(r.area for r in regions) == pytest.approx(0.6, abs=TOL)
+        raised = chart.raise_to([1], 0.6)
+        got = [(r.lo, r.hi, r.old_height, r.new_height, base) for r, base in raised]
+        assert got == [(0.0, 0.3, 1.0, 2.0, 0b01), (0.3, 0.6, 0.0, 1.0, 0)]
+        assert sum(r.area for r, _ in raised) == pytest.approx(0.6, abs=TOL)
         assert chart.area() == pytest.approx(lovasz(f, [0.3, 0.6]), abs=TOL)
 
     def test_empty_x_is_noop(self):
@@ -97,9 +95,8 @@ class TestRaise:
     def test_zero_delta_regions_dropped_but_membership_kept(self):
         f = UniformRank(GroundSet(2), 1)
         chart = BarChart.from_potentials(f, [0.8, 0.0])
-        regions = chart.raise_to([1], 0.5)
         # below 0.5 the rank is already 1, so only membership changes there
-        assert [(r.lo, r.hi) for r in regions] == []
+        assert chart.raise_to([1], 0.5) == []
         assert chart.levels == [0.8, 0.5]
         assert chart.intervals[0].mask == 0b11
         assert chart.area() == pytest.approx(lovasz(f, [0.8, 0.5]), abs=TOL)
@@ -134,7 +131,7 @@ class TestRaise:
     def test_regions_never_cross_a(self):
         f = Cardinality(GroundSet(3))
         chart = BarChart.from_potentials(f, [0.0, 0.5, 0.9])
-        for r in chart.raise_to([0, 1], 0.7):
+        for r, _ in chart.raise_to([0, 1], 0.7):
             assert r.hi <= 0.7 + 1e-15
 
 
@@ -169,7 +166,8 @@ class TestRaiseFuzz:
                     a = rng.random()
                     X = [u for u in range(n) if y[u] < a and rng.random() < 0.6]
                     before = chart.area()
-                    regions = chart.raise_to(X, a)
+                    raised = chart.raise_to(X, a)
+                    regions = [r for r, _ in raised]
                     after = chart.area()
                     y2 = chart.levels
                     assert after == pytest.approx(lovasz(f, y2), abs=TOL)
@@ -177,9 +175,13 @@ class TestRaiseFuzz:
                         lovasz(f, y2) - lovasz(f, y), abs=TOL)
                     assert after - before == pytest.approx(
                         sum(r.area for r in regions), abs=TOL)
-                    for r in regions:
+                    xmask = sum(1 << u for u in X)
+                    for r, base in raised:
                         assert r.hi <= a + 1e-15
                         assert r.new_height - r.old_height > 0
+                        # the base is the bar's mask before the raise
+                        assert f.value_mask(base) == r.old_height
+                        assert f.value_mask(base | xmask) == r.new_height
                 # partition of [0, 1] is exact, heights non-increasing
                 assert chart.intervals[0].lo == 0.0
                 assert chart.intervals[-1].hi == 1.0
@@ -195,10 +197,10 @@ class TestRaiseFuzz:
 class TestChargeIntegral:
     def test_unit_square_gives_alpha(self):
         r = NewRegion(0.0, 1.0, 0.0, 1.0)
-        assert charge_integral([r], ALPHA) == pytest.approx(ALPHA, abs=1e-12)
+        assert charge_integral([r]) == pytest.approx(ALPHA, abs=1e-12)
 
     def test_empty(self):
-        assert charge_integral([], ALPHA) == 0.0
+        assert charge_integral([]) == 0.0
 
     def test_against_quadrature(self):
         regions = [
@@ -207,16 +209,17 @@ class TestChargeIntegral:
             NewRegion(0.6, 0.97, 0.5, 0.75),
         ]
         for r in regions:
-            assert charge_integral([r], ALPHA) == pytest.approx(
-                quad_charge([r], ALPHA), abs=1e-6)
-        assert charge_integral(regions, ALPHA) == pytest.approx(
-            quad_charge(regions, ALPHA), abs=1e-6)
+            assert charge_integral([r]) == pytest.approx(quad_charge([r]), abs=1e-6)
+        assert charge_integral(regions) == pytest.approx(quad_charge(regions), abs=1e-6)
 
     def test_alpha_override(self):
+        # alpha is the constant ALPHA: the integral matches quadrature at
+        # ALPHA, and no other alpha can be passed in.
         r = NewRegion(0.2, 0.8, 0.0, 1.0)
-        for alpha in (0.25, 0.5, 1.0):
-            assert charge_integral([r], alpha) == pytest.approx(
-                quad_charge([r], alpha, panels=400_000), abs=1e-6)
+        assert charge_integral([r]) == pytest.approx(
+            quad_charge([r], panels=400_000), abs=1e-6)
+        with pytest.raises(TypeError):
+            charge_integral([r], 0.5)
 
 
 def test_region_round_trip():

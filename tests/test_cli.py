@@ -136,6 +136,26 @@ class TestRun:
         assert rc == 2
         assert "--trials must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["obvc", "mobvc", "mobm-pd"])
+    @pytest.mark.parametrize("flags", [["--model", "permutation", "--trials", "7"],
+                                       ["--model", "timestamps"], ["--trials", "2"]])
+    def test_waterfilling_refuses_model_and_trials(self, tmp_path, capsys, algorithm, flags):
+        # these runs take the stored order once; the flags used to be ignored
+        out = tmp_path / "i.json"
+        main(["generate", "random", "--n", "8", "--m", "8", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["run", str(out), "--algorithm", algorithm] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--trials and --model apply to greedy-ra only" in captured.err
+
+    @pytest.mark.parametrize("algorithm", ["obvc", "mobvc", "mobm-pd"])
+    def test_waterfilling_takes_the_defaults_spelled_out(self, edge_file, capsys, algorithm):
+        _, path = edge_file
+        assert main(["run", path, "--algorithm", algorithm,
+                     "--model", "adversarial", "--trials", "1"]) == 0
+
     def test_trials_refuse_trace_under_permutation(self, edge_file, tmp_path, capsys):
         _, path = edge_file
         rc = main(["run", path, "--algorithm", "greedy-ra", "--model", "permutation",

@@ -348,3 +348,31 @@ def test_splitmix_stream_is_stable():
 def test_edges_listing():
     inst = gen_upper_triangular(2)
     assert inst.edges() == [(0, 0), (1, 0), (1, 1)]
+
+
+class TestInstanceBoundary:
+    """Instance refuses what offline_opt and the runs would otherwise meet as
+    a raw IndexError or a failed min-cut self-check."""
+
+    def test_neighbor_above_range(self):
+        # offline_opt and run_random_arrival_greedy raised IndexError here
+        with pytest.raises(InputError, match="outside 0..2"):
+            Instance("x", 3, Cardinality(GroundSet(3)), [Arrival(0, (7,)), Arrival(1, (0,))])
+
+    def test_neighbor_below_range(self):
+        with pytest.raises(InputError, match="outside 0..2"):
+            Instance("x", 3, Cardinality(GroundSet(3)), [Arrival(0, (-1, 0))])
+
+    def test_n_offline_differs_from_budget(self):
+        # offline_opt raised InvariantError: min cut 1.0 differs from max flow 0.0
+        with pytest.raises(InputError, match="n_offline = 5"):
+            Instance("x", 5, Cardinality(GroundSet(3)), [Arrival(0, (0,))])
+
+    def test_duplicate_online_id(self):
+        with pytest.raises(InputError, match="share an online id"):
+            Instance("x", 3, Cardinality(GroundSet(3)), [Arrival(1, (0,)), Arrival(1, (2,))])
+
+    def test_edges_of_the_range_and_empty_arrivals(self):
+        f = Cardinality(GroundSet(3))
+        assert Instance("x", 3, f, [Arrival(0, (0, 2)), Arrival(1, ())]).m_online == 2
+        assert Instance("empty", 0, Cardinality(GroundSet(0))).m_online == 0

@@ -3,7 +3,8 @@
 water_level starts its scan at the first bar that misses a neighbor and
 calls the budget oracle only on bars that miss one; the chart snaps by
 bisection. The reference functions below are the earlier full scan, the
-linear snaps and the linear raise, kept verbatim as test oracles: every
+linear snaps and the linear raise (which returns each region with its
+bar's pre-raise mask, as raise_to does), kept as test oracles: every
 result must be equal to the bit, and the oracle-call counts are pinned so
 that a return to the full scan fails here.
 """
@@ -81,9 +82,9 @@ def ref_profile(chart, nbrs):
     return bounds, hvals
 
 
-def ref_water_level(chart, nbrs, alpha=ALPHA):
+def ref_water_level(chart, nbrs):
     bounds, hvals = ref_profile(chart, nbrs)
-    return ref_snap_to(bounds, _sup_below(bounds, hvals, 1.0 + alpha))
+    return ref_snap_to(bounds, _sup_below(bounds, hvals, 1.0 + ALPHA))
 
 
 def ref_raise_to(chart, X, a):
@@ -107,11 +108,11 @@ def ref_raise_to(chart, X, a):
             break
         if not xmask & ~iv.mask:
             continue
-        old_height = iv.height
+        base, old_height = iv.mask, iv.height
         iv.mask |= xmask
         iv.height = chart.f.value_mask(iv.mask)
         if iv.height - old_height > 0.0:
-            regions.append(NewRegion(iv.lo, iv.hi, old_height, iv.height))
+            regions.append((NewRegion(iv.lo, iv.hi, old_height, iv.height), base))
     for u in X:
         chart._levels[u] = a
     return regions
@@ -119,6 +120,29 @@ def ref_raise_to(chart, X, a):
 
 def chart_state(chart):
     return [(iv.lo, iv.hi, iv.mask, iv.height) for iv in chart.intervals], chart.levels
+
+
+class Scaled:
+    """Delegates to a budget, with every value multiplied by c > 0."""
+
+    def __init__(self, inner, c):
+        self.inner = inner
+        self.c = c
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def value_mask(self, mask):
+        return self.c * self.inner.value_mask(mask)
+
+
+def scaled_chart(chart, c):
+    """A copy of chart whose budget is c times the chart's."""
+    twin = copy.deepcopy(chart)
+    twin.f = Scaled(chart.f, c)
+    for iv in twin.intervals:
+        iv.height = twin.f.value_mask(iv.mask)
+    return twin
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +224,22 @@ class TestMatchesFullScan:
     @settings(max_examples=400, deadline=None)
     @given(chart=charts(), data=st.data())
     def test_water_level_landing_near_a_bound(self, chart, data):
-        # alpha chosen so that h crosses 1 + alpha at, or ulps or about
-        # SNAP_EPS away from, the value h takes at a chart bound
-        n = chart.f.ground.size
+        # the budget is scaled so that h crosses 1 + ALPHA at, or ulps or
+        # about SNAP_EPS away from, a chart bound b: h(b) = 1 - b + gain(b),
+        # and scaling the budget by c scales the gain by c
+        f = chart.f
+        n = f.ground.size
         nbrs = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
-        _, hvals = ref_profile(chart, nbrs)
-        target = data.draw(st.sampled_from(_around(data.draw(st.sampled_from(hvals)))))
-        alpha = max(target, 1.0) - 1.0
-        assert water_level(chart, nbrs, alpha) == ref_water_level(chart, nbrs, alpha)
+        nmask = sum(1 << u for u in nbrs)
+        gains, gain = [], 0.0
+        for iv in chart.intervals:
+            gain += iv.width * (f.value_mask(iv.mask | nmask) - iv.height)
+            if gain > 1e-6:  # a smaller gain needs a scale too large to land
+                gains.append((iv.hi, gain))
+        b, gain = data.draw(st.sampled_from(gains or [(0.0, ALPHA)]))
+        c = data.draw(st.sampled_from(_around(ALPHA + b))) / gain
+        chart = scaled_chart(chart, c)
+        assert water_level(chart, nbrs) == ref_water_level(chart, nbrs)
 
     @settings(max_examples=400, deadline=None)
     @given(bounds=st.sets(levels, min_size=1, max_size=8), data=st.data())
@@ -313,13 +345,15 @@ class CountingFn:
         return self.inner.value_mask(mask)
 
 
-@pytest.mark.parametrize("inst, calls", [
-    (gen_upper_triangular(3), 5),
-    (gen_random(200, 400, 0.3, online_budget("weighted"), seed=101), 1335),
-], ids=["tri3", "weighted-n200"])
-def test_mobvc_oracle_calls(inst, calls):
-    # the full scan made 8 and 19443 calls
+@pytest.mark.parametrize("run, inst, calls", [
+    (run_mobvc, gen_upper_triangular(3), 5),
+    (run_mobvc, gen_random(200, 400, 0.3, online_budget("weighted"), seed=101), 1335),
+    (run_mobm_pd, gen_random(200, 400, 0.3, online_budget("cardinality"), seed=101), 41341),
+], ids=["tri3", "weighted-n200", "mobm-pd-cardinality-n200"])
+def test_mobvc_oracle_calls(run, inst, calls):
+    # the full scan made 8 and 19443 mobvc calls; the mobm-pd split made 46703
+    # calls while it asked the oracle again for each region's two end heights
     counted = CountingFn(inst.f)
-    trace = run_mobvc(Instance(inst.name, inst.n_offline, counted, inst.arrivals))
-    assert trace == run_mobvc(inst)
+    trace = run(Instance(inst.name, inst.n_offline, counted, inst.arrivals))
+    assert trace == run(inst)
     assert counted.calls == calls
