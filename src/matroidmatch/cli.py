@@ -346,6 +346,9 @@ def cmd_sweep(args) -> int:
     for a in algorithms:
         if a not in COVER_ALGORITHMS + MATCHING_ALGORITHMS:
             raise InputError(f"unknown algorithm {a!r}")
+    if "greedy-ra" not in algorithms and args.model != "adversarial":
+        raise InputError(f"--algorithms {args.algorithms!r} run once in the stored arrival "
+                         f"order; --model applies to greedy-ra only")
     seeds = parse_seeds(args.seeds)
     f = None
     if args.f:

@@ -97,11 +97,14 @@ class Instance:
         if n != self.f.ground.size:
             raise InputError(f"n_offline = {n} differs from the budget's ground set size "
                              f"{self.f.ground.size}")
-        for arr in self.arrivals:
+        first: dict[int, int] = {}
+        for i, arr in enumerate(self.arrivals):
             if arr.nbrs and (arr.nbrs[0] < 0 or arr.nbrs[-1] >= n):
                 raise InputError(f"arrival {arr.id}: a neighbor lies outside 0..{n - 1}")
-        if len({arr.id for arr in self.arrivals}) < len(self.arrivals):
-            raise InputError("two arrivals share an online id")
+            j = first.setdefault(arr.id, i)
+            if j != i:
+                raise InputError(f"arrivals[{i}].id: duplicate online id {arr.id}; "
+                                 f"arrivals {j} and {i} share an online id")
 
     @property
     def ground(self) -> GroundSet:
@@ -405,14 +408,10 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
     raw = checked(json_list, need(data, "arrivals", where), f"{where}.arrivals")
     check_size(f"{where}: m", len(raw))
     arrivals = []
-    seen_ids = set()
     edges = 0
     for i, entry in enumerate(raw):
         ctx = f"{where}.arrivals[{i}]"
         vid = checked(json_int, need(entry, "id", ctx), f"{ctx}.id")
-        if vid in seen_ids:
-            raise ParseError(f"{ctx}.id: duplicate online id {vid}")
-        seen_ids.add(vid)
         nbrs = checked(json_list, need(entry, "nbrs", ctx), f"{ctx}.nbrs")
         edges += len(nbrs)
         check_size(f"{where}: edges", edges)
@@ -425,7 +424,10 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
                 raise ParseError(f"{ctx}.nbrs[{j}]: duplicate neighbor {u}")
             seen_u.add(u)
         arrivals.append(Arrival(vid, tuple(nbrs)))
-    return Instance(name, n, f, arrivals)
+    try:
+        return Instance(name, n, f, arrivals)
+    except InputError as e:  # a duplicate online id, named by its position
+        raise ParseError(f"{where}.{e}") from e
 
 
 def save(instance: Instance, path: str | os.PathLike):

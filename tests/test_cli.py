@@ -371,6 +371,23 @@ class TestSweep:
                    "--seeds", "0", "--algorithms", "simplex"])
         assert rc == 2
 
+    @pytest.mark.parametrize("algorithms", ["obvc,mobvc,mobm-pd", ""])
+    @pytest.mark.parametrize("model", ["permutation", "timestamps"])
+    def test_model_refused_without_greedy(self, capsys, algorithms, model):
+        # these runs take the stored order once; the flag used to be ignored
+        rc = main(["sweep", "--kind", "triangular", "--n", "4", "--seeds", "0",
+                   "--algorithms", algorithms, "--model", model])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--model applies to greedy-ra only" in captured.err
+
+    def test_model_taken_with_greedy(self, capsys):
+        rc = main(["sweep", "--kind", "triangular", "--n", "4", "--seeds", "0,1",
+                   "--algorithms", "obvc,greedy-ra", "--model", "permutation", "--repro"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+
 
 class TestGreedyAtLargeN:
     """greedy-ra certifies laminar matroid budgets in closed form, so it and

@@ -1,5 +1,6 @@
 """Unit and property tests for the set-function module."""
 
+import copy
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroidmatch.constants import DEFAULT_TOL
 from matroidmatch.errors import InputError, SizeError
 from matroidmatch.submodular import (
     OFFLINE_OPT_LIMIT,
@@ -26,6 +28,7 @@ from matroidmatch.submodular import (
     marginal,
     mask_members,
     span,
+    span_mask,
     verify_axioms,
 )
 
@@ -173,17 +176,6 @@ class TestVerifyAxioms:
     def test_size_limit(self):
         with pytest.raises(SizeError):
             verify_axioms(Cardinality(GroundSet(17)))
-
-    def test_sampled_mode(self):
-        f = UniformRank(GroundSet(12), 4)
-        assert verify_axioms(f, mode="sampled", trials=500, seed=3).ok
-        bad = ExplicitTable(GroundSet(2), [0.0, 1.0, 1.0, 3.0])
-        rep = verify_axioms(bad, mode="sampled", trials=2000, seed=3)
-        assert not rep.submodular
-
-    def test_bad_mode(self):
-        with pytest.raises(InputError):
-            verify_axioms(Cardinality(GroundSet(2)), mode="fast")
 
 
 class TestLovasz:
@@ -455,7 +447,75 @@ class TestMatroidRank:
         assert is_matroid_rank(Laminar(*form)) == is_matroid_rank(Opaque(Laminar(*form)))
 
 
+def near_tol_ulps(bases):
+    """A base value plus DEFAULT_TOL moved by a few ulps either way: a
+    marginal that lands on the tolerance, where rounding decides."""
+    def build(b, ulps):
+        x = b + DEFAULT_TOL
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+    return st.builds(build, st.sampled_from(bases), st.integers(-3, 3))
+
+
+@st.composite
+def budgets(draw):
+    """Any budget family on n <= 12, with caps and weights at and near the
+    places where the span decision turns: 0, integers, DEFAULT_TOL, and
+    non-integral values."""
+    n = draw(st.integers(0, 12))
+    g = GroundSet(n)
+    near = st.one_of(near_tol(CAPS + [0.3, 1e-9]), near_tol_ulps([0.0, 0.3, 1.0, 2.0]))
+    family = draw(st.sampled_from(["cardinality", "uniform", "partition", "weighted",
+                                   "table"]))
+    if family == "cardinality":
+        return Cardinality(g)
+    if family == "uniform":
+        return UniformRank(g, draw(st.integers(0, n + 1)))
+    if family == "partition":
+        ids = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        blocks = [[u for u in range(n) if ids[u] == k] for k in range(4)]
+        blocks = [b for b in blocks if b]
+        return PartitionBudget(g, blocks, [draw(near) for _ in blocks])
+    if family == "weighted":
+        return WeightedThreshold(g, [draw(near) for _ in range(n)], draw(near))
+    k = min(n, 6)
+    return ExplicitTable(GroundSet(k), [draw(near) for _ in range(1 << k)])
+
+
 class TestSpan:
+    @settings(max_examples=400, deadline=None)
+    @given(f=budgets(), data=st.data())
+    def test_closed_forms_match_the_marginal_loop(self, f, data):
+        full = f.ground.full_mask
+        for mask in data.draw(st.lists(st.integers(0, full), min_size=1, max_size=8)):
+            assert f.span_mask(mask) == SubmodularFn.span_mask(f, mask)
+
+    def test_partition_with_non_integral_caps(self):
+        # per block, cap 1e-9 gives a marginal of exactly DEFAULT_TOL; in
+        # the sum with the other block's 0.3 it rounds above it
+        f = PartitionBudget(GroundSet(7), [[1, 3, 4], [0, 2, 5, 6]], [0.3, 1e-9])
+        assert f.span_mask(0b1000) == SubmodularFn.span_mask(f, 0b1000) == 0b11010
+
+    @pytest.mark.parametrize("make", [
+        lambda g: PartitionBudget(g, [range(b, 200, 10) for b in range(10)], [6] * 10),
+        lambda g: UniformRank(g, 60),
+    ], ids=["partition", "uniform"])
+    def test_no_cache_at_large_n(self, make):
+        f = make(GroundSet(200))
+        before = copy.deepcopy(vars(f))
+        rng = random.Random(5)
+        masks = set()
+        while len(masks) < 10_000:
+            # AND of 1 to 4 random words: about 100 down to 12 members
+            word = f.ground.full_mask
+            for _ in range(rng.randint(1, 4)):
+                word &= rng.getrandbits(200)
+            masks.add(word)
+        for mask in masks:
+            span_mask(f, mask)
+        assert vars(f) == before
+
     def test_saturated_uniform(self):
         f = UniformRank(GroundSet(3), 1)
         assert span(f, {0}) == {0, 1, 2}
