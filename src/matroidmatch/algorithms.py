@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from .barchart import BarChart, NewRegion, snap
 from .constants import ALPHA
@@ -49,6 +51,7 @@ from .instances import (
     json_ints,
     json_list,
     json_number,
+    json_numbers,
     order_arrivals,
     read_json,
 )
@@ -57,7 +60,7 @@ from .submodular import SubmodularFn, is_matroid_rank, lovasz, mask_members, spa
 ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
 
 # Version of the JSON written by save_trace; load_trace reads no other.
-TRACE_FORMAT = 4
+TRACE_FORMAT = 5
 
 
 def dual_split_rate(t: float) -> float:
@@ -140,6 +143,23 @@ def _modular_water_level(y, nbrs) -> float:
 # Run records
 # ---------------------------------------------------------------------------
 
+def _offline_ids(col, v: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """The X column: per round, offline ids in 0..n-1. v is the column of
+    arrival ids, of the same length, to name a bad round."""
+    X = list(map(json_ints, col))
+    ids = list(chain.from_iterable(X))
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        i = next(i for i, xs in enumerate(X) if not all(0 <= u < n for u in xs))
+        raise ValueError(f"round v={v[i]}: X = {X[i]} outside 0..{n - 1}")
+    return X
+
+
+def _same_length(what: str, **cols):
+    lengths = {key: len(col) for key, col in cols.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"{what} columns of unequal length: {lengths}")
+
+
 @dataclass
 class WaterfillRound:
     """One arrival of a waterfilling run (obvc, mobvc, mobm-pd): its
@@ -156,18 +176,41 @@ class WaterfillRound:
     X: tuple[int, ...]
     regions: tuple[NewRegion, ...]
 
-    def to_dict(self) -> dict:
-        return {"v": self.v, "a": self.a, "X": list(self.X),
-                "regions": [r.to_dict() for r in self.regions]}
+    @staticmethod
+    def to_columns(rounds: list["WaterfillRound"]) -> dict:
+        regions = [r for rec in rounds for r in rec.regions]
+        return {"v": [rec.v for rec in rounds], "a": [rec.a for rec in rounds],
+                "X": [rec.X for rec in rounds],
+                "regions": [len(rec.regions) for rec in rounds],
+                "lo": [r.lo for r in regions], "hi": [r.hi for r in regions],
+                "old_height": [r.old_height for r in regions],
+                "new_height": [r.new_height for r in regions]}
 
     @staticmethod
-    def from_dict(d: dict) -> "WaterfillRound":
-        a = json_number(d["a"])
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"water level a = {a} outside [0, 1]")
-        return WaterfillRound(
-            v=json_int(d["v"]), a=a, X=json_ints(d["X"]),
-            regions=tuple(NewRegion.from_dict(r) for r in json_list(d["regions"])))
+    def from_columns(cols: dict, n: int) -> list["WaterfillRound"]:
+        """Inverse of to_columns; ValueError, TypeError or KeyError on a
+        malformed or out-of-range column. Each bar must satisfy
+        0 <= lo <= hi <= 1."""
+        v, a, counts = json_ints(cols["v"]), json_numbers(cols["a"]), json_ints(cols["regions"])
+        X = json_list(cols["X"])
+        lo, hi = json_numbers(cols["lo"]), json_numbers(cols["hi"])
+        old, new = json_numbers(cols["old_height"]), json_numbers(cols["new_height"])
+        _same_length("round", v=v, a=a, X=X, regions=counts)
+        _same_length("region", lo=lo, hi=hi, old_height=old, new_height=new)
+        if counts and min(counts) < 0:
+            raise ValueError(f"negative region count {min(counts)}")
+        if sum(counts) != len(lo):
+            raise ValueError(f"region counts add up to {sum(counts)}, not {len(lo)}")
+        if a and (min(a) < 0.0 or max(a) > 1.0):
+            bad = next(level for level in a if not 0.0 <= level <= 1.0)
+            raise ValueError(f"water level a = {bad} outside [0, 1]")
+        if lo and (min(lo) < 0.0 or max(hi) > 1.0 or not all(map(operator.le, lo, hi))):
+            i = next(i for i in range(len(lo)) if not 0.0 <= lo[i] <= hi[i] <= 1.0)
+            raise ValueError(f"region [{lo[i]}, {hi[i]}] outside [0, 1]")
+        X = _offline_ids(X, v, n)
+        regions = map(NewRegion, lo, hi, old, new)
+        return [WaterfillRound(vid, level, ids, tuple(islice(regions, k)))
+                for vid, level, ids, k in zip(v, a, X, counts)]
 
 
 @dataclass
@@ -185,15 +228,22 @@ class GreedyRound:
     X: tuple[int, ...] = ()
     matched: int | None = None
 
-    def to_dict(self) -> dict:
-        return {"v": self.v, "t": self.t, "X": list(self.X), "matched": self.matched}
+    @staticmethod
+    def to_columns(rounds: list["GreedyRound"]) -> dict:
+        return {"v": [rec.v for rec in rounds], "t": [rec.t for rec in rounds],
+                "X": [rec.X for rec in rounds], "matched": [rec.matched for rec in rounds]}
 
     @staticmethod
-    def from_dict(d: dict) -> "GreedyRound":
-        matched = d["matched"]
-        return GreedyRound(
-            v=json_int(d["v"]), t=json_number(d["t"]), X=json_ints(d["X"]),
-            matched=None if matched is None else json_int(matched))
+    def from_columns(cols: dict, n: int) -> list["GreedyRound"]:
+        """Inverse of to_columns; ValueError, TypeError or KeyError on a
+        malformed or out-of-range column."""
+        v, t = json_ints(cols["v"]), json_numbers(cols["t"])
+        X, matched = json_list(cols["X"]), json_list(cols["matched"])
+        _same_length("round", v=v, t=t, X=X, matched=matched)
+        if not set(map(type, matched)) <= {int, type(None)}:
+            bad = next(u for u in matched if u is not None and type(u) is not int)
+            raise ValueError(f"expected an integer or null, got {bad!r}")
+        return list(map(GreedyRound, v, t, _offline_ids(X, v, n), matched))
 
 
 @dataclass
@@ -209,8 +259,32 @@ class OnlineState:
     matched: frozenset[int] = frozenset()
 
 
+def _round_type(algorithm: str) -> type[WaterfillRound] | type[GreedyRound]:
+    return GreedyRound if algorithm == "greedy-ra" else WaterfillRound
+
+
+def _json_rows(v, width: int) -> list[list]:
+    """The columns of a JSON list of rows of width entries each."""
+    rows = json_list(v)
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        bad = next(r for r in rows if type(r) is not list or len(r) != width)
+        raise ValueError(f"expected a list of {width} entries, got {bad!r}")
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
 @dataclass
 class RunTrace:
+    """One run: its rounds, in arrival order, and its final state.
+
+    On disk (format 5) the rounds are one object of parallel columns, one
+    entry per round: waterfilling runs store v, a, X and regions (each
+    round's region count), and the region fields lo, hi, old_height and
+    new_height as flat columns over all rounds in order; greedy runs store
+    v, t, X and matched. The final block holds y, z as [v, z_v] rows, x as
+    [u, v, x_uv] rows sorted by (u, v), matched_offline, primal_value and
+    dual_value.
+    """
+
     algorithm: str
     instance_name: str
     n_offline: int
@@ -220,16 +294,17 @@ class RunTrace:
     dual_value: float
 
     def to_dict(self) -> dict:
+        x = self.state.x
         return {
             "format": TRACE_FORMAT,
             "algorithm": self.algorithm,
             "instance": {"name": self.instance_name, "n_offline": self.n_offline},
             "alpha": ALPHA,
-            "rounds": [r.to_dict() for r in self.rounds],
+            "rounds": _round_type(self.algorithm).to_columns(self.rounds),
             "final": {
                 "y": list(self.state.y),
-                "z": [[v, zv] for v, zv in sorted(self.state.z.items())],
-                "x": [[u, v, val] for (u, v), val in sorted(self.state.x.items())],
+                "z": sorted(self.state.z.items()),
+                "x": [(u, v, x[u, v]) for u, v in sorted(x)],
                 "matched_offline": sorted(self.state.matched),
                 "primal_value": self.primal_value,
                 "dual_value": self.dual_value,
@@ -255,20 +330,17 @@ class RunTrace:
             raise ValueError(f"bad instance block {d['instance']!r}")
         if json_number(d["alpha"]) != ALPHA:
             raise ValueError(f"trace alpha {d['alpha']} differs from ALPHA = {ALPHA}")
-        round_type = GreedyRound if algorithm == "greedy-ra" else WaterfillRound
-        rounds = [round_type.from_dict(r) for r in json_list(d["rounds"])]
-        for rec in rounds:
-            if not all(0 <= u < n for u in rec.X):
-                raise ValueError(f"round v={rec.v}: X = {rec.X} outside 0..{n - 1}")
+        rounds = _round_type(algorithm).from_columns(d["rounds"], n)
         fin = d["final"]
-        y = [json_number(v) for v in json_list(fin["y"])]
+        y = json_numbers(fin["y"])
         if len(y) != n:
             raise ValueError(f"{len(y)} final potentials for n_offline = {n}")
+        zv, zval = _json_rows(fin["z"], 2)
+        xu, xv, xval = _json_rows(fin["x"], 3)
         state = OnlineState(
             y=y,
-            z={json_int(v): json_number(zv) for v, zv in json_list(fin["z"])},
-            x={(json_int(u), json_int(v)): json_number(val)
-               for u, v, val in json_list(fin["x"])},
+            z=dict(zip(json_ints(zv), json_numbers(zval))),
+            x=dict(zip(zip(json_ints(xu), json_ints(xv)), json_numbers(xval))),
             matched=frozenset(json_ints(fin["matched_offline"])),
         )
         return RunTrace(algorithm, name, n, rounds, state,
@@ -276,10 +348,12 @@ class RunTrace:
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
-    """Write the trace as one line of compact sorted-key JSON (format 4).
+    """Write the trace as one line of compact sorted-key JSON (format 5,
+    columnar rounds; see RunTrace).
 
     json.dumps encodes in one call to the C encoder; json.dump to a file,
-    or any indent, goes through the pure-Python one.
+    or any indent, goes through the pure-Python one. Columns keep the
+    dicts it must sort to a handful per trace.
     """
     text = json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:

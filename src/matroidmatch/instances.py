@@ -367,8 +367,30 @@ def json_list(v) -> list:
     return v
 
 
+# The column readers check a whole list at once: one pass for the set of
+# types, one for finiteness. The per-value reader runs only on a list that
+# fails, to raise its error at the first bad value.
+
 def json_ints(v) -> tuple[int, ...]:
-    return tuple(json_int(u) for u in json_list(v))
+    col = json_list(v)
+    if set(map(type, col)) <= {int}:
+        return tuple(col)
+    return tuple(map(json_int, col))
+
+
+def json_numbers(v) -> list[float]:
+    """json_number over a list: its values as floats."""
+    col = json_list(v)
+    types = set(map(type, col))
+    if types <= {float, int}:
+        try:
+            floats = list(map(float, col)) if int in types else col
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if all(map(math.isfinite, floats)):
+                return floats
+    return list(map(json_number, col))
 
 
 def read_json(path: str | os.PathLike):

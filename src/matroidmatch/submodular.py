@@ -243,6 +243,7 @@ class PartitionBudget(SubmodularFn):
         self.blocks = blocks
         self.caps = caps
         self._block_masks = masks
+        self._integral_caps = all(c.is_integer() for c in caps)
 
     def value_mask(self, mask: int) -> float:
         return float(sum(min((mask & bm).bit_count(), c)
@@ -252,7 +253,15 @@ class PartitionBudget(SubmodularFn):
         """A block at its cap is spanned. Any other block's members share one
         marginal, taken as value_mask takes it: the same sum over the same
         terms in the same order, that block's term at count + 1, so that
-        non-integral caps round as they do there."""
+        non-integral caps round as they do there. With integral caps every
+        term is a small integer and the sums are exact, so that marginal is
+        exactly 1 and the cap test alone decides, in O(B) for B blocks."""
+        if self._integral_caps:
+            out = mask
+            for bm, c in zip(self._block_masks, self.caps):
+                if (mask & bm).bit_count() >= c:
+                    out |= bm
+            return out
         counts = [(mask & bm).bit_count() for bm in self._block_masks]
         terms = [min(k, c) for k, c in zip(counts, self.caps)]
         base = float(sum(terms))

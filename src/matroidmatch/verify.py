@@ -576,15 +576,20 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
         y, z = _greedy_duals(steps, n)
         value_sum += len(z)
         tcrit = critical_times(f, ordered, steps)
-        for j, (u, vid) in enumerate(live_edges):
+        bounds: dict[float, float] = {}  # tc takes at most m + 1 values in a trial
+        row = []
+        for u, vid in live_edges:
             tc = tcrit[vid].get(u, 1.0)
             if ts[vid] < tc:
                 dom_checked += 1
                 if vid not in z:
                     dom_violations += 1
-            bound = (1.0 + ALPHA) * (1.0 - dual_split_rate(tc))
+            bound = bounds.get(tc)
+            if bound is None:
+                bound = bounds[tc] = (1.0 + ALPHA) * (1.0 - dual_split_rate(tc))
             mono_min_slack = min(mono_min_slack, y[u] - bound)
-            samples[k, j] = y[u] + z.get(vid, 0.0)
+            row.append(y[u] + z.get(vid, 0.0))
+        samples[k] = row
 
     edge_reports = []
     feas_ok = True

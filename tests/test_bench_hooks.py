@@ -5,10 +5,14 @@ bench/tracer.py replaces functions and methods by name when a traced run
 starts, and bench/workloads.py compares runs with the traces read back from
 disk. A rename or deletion in the package would surface only there, so this
 test reads the tracer's lists (without installing anything), resolves each
-name, and reads each attribute on a run of every algorithm.
+name, and reads each attribute on a run of every algorithm. The benchmark
+also reads and edits trace files as JSON; the last tests replay those
+reads and edits on the current trace format.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,12 +20,14 @@ import pytest
 import matroidmatch
 from matroidmatch import algorithms, barchart, cli, submodular, verify
 from matroidmatch.algorithms import ALGORITHMS
-from matroidmatch.instances import gen_random
-from matroidmatch.submodular import Cardinality, GroundSet
+from matroidmatch.instances import gen_random, save
+from matroidmatch.submodular import Cardinality, GroundSet, PartitionBudget
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def load_tracer():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    path = BENCH / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -75,3 +81,46 @@ def test_run_attributes_the_benchmark_reads(algorithm):
         assert hasattr(trace.state, name), name
     if algorithm != "greedy-ra":
         assert len(trace.state.chart.intervals) >= 1
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's reads and edits of trace files
+# ---------------------------------------------------------------------------
+
+def test_benchmark_potential_corruption_fails_verify(tmp_path, capsys):
+    # certify-n20 moves the largest final potential of a mobvc trace by 0.25,
+    # writes the file back with plain json.dumps and expects a FAIL from verify
+    ipath, tpath, bad = tmp_path / "i.json", tmp_path / "vc.json", tmp_path / "bad.json"
+    save(gen_random(8, 10, 0.4, seed=2), ipath)
+    assert cli.main(["run", str(ipath), "--algorithm", "mobvc", "--trace", str(tpath)]) == 0
+    data = json.loads(tpath.read_text(encoding="utf-8"))
+    y = data["final"]["y"]
+    u = max(range(len(y)), key=lambda i: y[i])
+    y[u] += -0.25 if y[u] >= 0.25 else 0.25
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), "--instance", str(ipath)]) == 1
+    assert "FAIL " in capsys.readouterr().out
+
+
+def test_benchmark_greedy_check_reads_the_final_block(tmp_path):
+    # random-arrival-n16 checks a greedy-ra trace from its final x triples
+    # and matched_offline; this runs its own check on a fresh trace
+    sys.path.insert(0, str(BENCH))  # workloads imports its sibling modules by name
+    import reference
+    import workloads
+
+    ipath, tpath = tmp_path / "i.json", tmp_path / "greedy.json"
+    f = PartitionBudget(GroundSet(16), [range(i, 16, 4) for i in range(4)], [2] * 4)
+    save(gen_random(16, 48, 0.3, f, seed=1), ipath)
+    assert cli.main(["run", str(ipath), "--algorithm", "greedy-ra", "--model", "permutation",
+                     "--model-seed", "1", "--trace", str(tpath)]) == 0
+    budget, arrivals = reference.read_instance(ipath)
+    data = json.loads(tpath.read_text(encoding="utf-8"))
+    assert data["final"]["x"]
+    ops = workloads.Ops(None, None)
+    workloads.RandomArrivalN16._check_greedy(ops, "partition", data, budget, arrivals)
+    assert ops.correct and ops.attempted == 5, ops.errors
+    data["final"]["x"].pop()  # the matched set no longer agrees
+    workloads.RandomArrivalN16._check_greedy(ops, "partition", data, budget, arrivals)
+    assert not ops.correct

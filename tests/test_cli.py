@@ -212,8 +212,9 @@ class TestVerify:
         """Move the old height of a later round's first region by delta."""
         ipath, tpath = self.make_pair(tmp_path, "mobm-pd")
         data = json.loads(open(tpath).read())
-        i = max(k for k, rec in enumerate(data["rounds"]) if rec["regions"])
-        data["rounds"][i]["regions"][0]["old_height"] += delta
+        counts = data["rounds"]["regions"]
+        i = max(k for k, count in enumerate(counts) if count)
+        data["rounds"]["old_height"][sum(counts[:i])] += delta
         open(tpath, "w").write(json.dumps(data))
         return ipath, tpath, i
 
@@ -270,8 +271,9 @@ class TestAudit:
         tpath = tmp_path / "t.json"
         main(["run", str(ipath), "--algorithm", "mobvc", "--trace", str(tpath)])
         data = json.loads(open(tpath).read())
-        for reg in data["rounds"][0]["regions"]:
-            reg["new_height"] = reg["old_height"]
+        rounds = data["rounds"]
+        for j in range(rounds["regions"][0]):
+            rounds["new_height"][j] = rounds["old_height"][j]
         open(tpath, "w").write(json.dumps(data))
         assert main(["audit", str(tpath), "--instance", str(ipath)]) == 1
         assert "FAIL round-charge: v=0" in capsys.readouterr().out
@@ -284,9 +286,11 @@ class TestAudit:
         tpath = tmp_path / "t.json"
         main(["run", str(ipath), "--algorithm", "mobvc", "--trace", str(tpath)])
         data = json.loads(open(tpath).read())
-        regions = data["rounds"][0]["regions"]
-        assert regions, "expected the first round to pour water"
-        regions.append(dict(regions[0]))
+        rounds = data["rounds"]
+        assert rounds["regions"][0], "expected the first round to pour water"
+        rounds["regions"][0] += 1
+        for key in ("lo", "hi", "old_height", "new_height"):
+            rounds[key].insert(0, rounds[key][0])
         open(tpath, "w").write(json.dumps(data))
         assert main(["audit", str(tpath), "--instance", str(ipath)]) == 1
         assert "FAIL global-budget" in capsys.readouterr().out

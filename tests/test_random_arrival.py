@@ -7,7 +7,7 @@ by_timestamp. The reference below is the earlier core, which sorted each
 arrival's neighbours on every step and kept every derived field, kept as a
 test oracle: runs and critical values must equal it to the bit, and the
 hashes pinned here were written by it. Its rounds hold decisions only, as
-trace format 4 does.
+trace rounds do.
 """
 
 import hashlib
@@ -211,21 +211,22 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of save_trace's bytes, written by the reference greedy (format 4:
-# the format-3 bytes with each round's dP and dD dropped).
+# sha256 of save_trace's bytes (format 5: the format-4 bytes the reference
+# greedy wrote, with the rounds stored as columns; each loads to the same
+# RunTrace as the format-4 file did).
 GREEDY_TRACE_SHA256 = {
-    ("uniform", 1, "adversarial"): "5821afc1185b45f0a5e3e7df73b17debca73d3dd4757b61218728b4b1bbe4ce1",
-    ("uniform", 1, "permutation"): "82c7dca6658e58bfd579947df9d05d27645380a68b8c638e3951d41d68ff99f5",
-    ("uniform", 1, "timestamps"): "4b0bc8c37ad6ed6678a4a9de393ac075522b72a1c0ce48ce3c34f5d9db59c9e0",
-    ("partition", 1, "adversarial"): "74e45617744e7ef992a4ee3f20d1f212199d6d60d526b93a6cb44bfc814fb5dc",
-    ("partition", 1, "permutation"): "b158345c6f9e95402cfa0d37491ea1e054c85e3bfdc8f59f3b9d3f009f2eeee2",
-    ("partition", 1, "timestamps"): "30882c00743b1ec9198fd3b4badd4e3a040d2031a708f039419b932c380ba7ab",
-    ("uniform", 2, "adversarial"): "3e0c9e8d2b2a579550f8e223c1d45f1a6d84a45a867bb0a4b0375a5d38ddf795",
-    ("uniform", 2, "permutation"): "41b737fb055b6dd18d7576ecc01c441a41b7cf55158131c19b6416ba6309004c",
-    ("uniform", 2, "timestamps"): "4e53ba0b717291d55fc5169ec943a763de986873affbdae0c60f6967327aa626",
-    ("partition", 2, "adversarial"): "dbf51958409ff944a77c1b99a62635c18fe50be0aef1eef0665dc9cf9f08092b",
-    ("partition", 2, "permutation"): "1d0627a36f0cb6945a9e84e913fe77aebb12fd8faf0bb48d26fbc388aba455ac",
-    ("partition", 2, "timestamps"): "fbccf537f01e436c1953aeea8972a283c6dfb3ebcfb0f3cc4bac5e8b004780e4",
+    ("uniform", 1, "adversarial"): "6b2a4bd439e8f1ef31e23234147ec2034090d10dd19510abba125fbb23fdb27f",
+    ("uniform", 1, "permutation"): "6ac53e52bad0b3023dda34d4ce34e760c2e87a45274eaf1da8837b10d82f2321",
+    ("uniform", 1, "timestamps"): "bee43dda6c4b4f651ca8fd4cb0d275fcf10cfba14f90cfe9df01f8fd7262d09a",
+    ("partition", 1, "adversarial"): "1ffee7c8ace90b975fa4b3c04af3e0fd498184d79a0010b535799c0a8823a380",
+    ("partition", 1, "permutation"): "648cd9862da46f0267a997690e33c993237b85b0370ba359b0b36287f9c1f2db",
+    ("partition", 1, "timestamps"): "e49ba504a2d0eaba59c49896e13e9730612f1d5ad429d9a8017db9c666464e53",
+    ("uniform", 2, "adversarial"): "582f2a19130b026b774a1582af8baa58035e89114e9b5418665e29f1ea2085de",
+    ("uniform", 2, "permutation"): "b68b455c0419a3e6a1f3fe96d794cac24ecddca8e2559475c576c65bd386a5b0",
+    ("uniform", 2, "timestamps"): "220d597a0e87c8862acbf03ff4db1e094c3f4aeb85839e3bfa750ba089b646dc",
+    ("partition", 2, "adversarial"): "8f9b03005fa9b5b9e21479b016c8ba083194d84a1c7aa9deb2907d7135c84a4c",
+    ("partition", 2, "permutation"): "213837d41f46b09fde07c6d527c522d6fa411188db8fe5f352b0f03708b805f8",
+    ("partition", 2, "timestamps"): "9d00e344d0c5fdb9ed1905a43e0c764c72943919ccd689a583235dba4d0a81fd",
 }
 
 # sha256 of the sorted-key JSON of verify_random_arrival_lemmas(instance,

@@ -497,6 +497,19 @@ class TestSpan:
         f = PartitionBudget(GroundSet(7), [[1, 3, 4], [0, 2, 5, 6]], [0.3, 1e-9])
         assert f.span_mask(0b1000) == SubmodularFn.span_mask(f, 0b1000) == 0b11010
 
+    @pytest.mark.parametrize("n, blocks, caps", [
+        (200, [[u] for u in range(200)], [1] * 200),
+        (16, [range(b, 16, 4) for b in range(4)], [2] * 4),
+    ], ids=["200-singletons-cap-1", "4-blocks-cap-2"])
+    def test_partition_with_integral_caps(self, n, blocks, caps):
+        # the cap test alone decides; the marginal loop takes every sum
+        f = PartitionBudget(GroundSet(n), blocks, caps)
+        rng = random.Random(11)
+        masks = [0, f.ground.full_mask] + [rng.getrandbits(n) & rng.getrandbits(n)
+                                           for _ in range(30)]
+        for mask in masks:
+            assert f.span_mask(mask) == SubmodularFn.span_mask(f, mask)
+
     @pytest.mark.parametrize("make", [
         lambda g: PartitionBudget(g, [range(b, 200, 10) for b in range(10)], [6] * 10),
         lambda g: UniformRank(g, 60),

@@ -1,7 +1,8 @@
-"""Trace format 4: exact round trips, the fields a file keeps, and hostile
+"""Trace format 5: exact round trips, the fields a file keeps, and hostile
 input (load_trace raises ParseError, the CLI exits 2, never a traceback)."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -69,14 +70,14 @@ class TestFormat:
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert data["format"] == TRACE_FORMAT == 4
+        assert data["format"] == TRACE_FORMAT == 5
 
     def test_round_fields(self):
-        pd_round = next(r for r in TRACE_DICTS["mobm-pd"]["rounds"] if r["regions"])
-        assert set(pd_round) == {"v", "a", "X", "regions"}
-        assert set(pd_round["regions"][0]) == {"lo", "hi", "old_height", "new_height"}
-        for r in TRACE_DICTS["greedy-ra"]["rounds"]:
-            assert set(r) == {"v", "t", "X", "matched"}
+        pd_rounds = TRACE_DICTS["mobm-pd"]["rounds"]
+        assert set(pd_rounds) == {"v", "a", "X", "regions",
+                                  "lo", "hi", "old_height", "new_height"}
+        assert sum(pd_rounds["regions"]) == len(pd_rounds["lo"]) > 0
+        assert set(TRACE_DICTS["greedy-ra"]["rounds"]) == {"v", "t", "X", "matched"}
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_final_block_the_benchmark_reads(self, alg):
@@ -93,8 +94,8 @@ class TestFormat:
         if alg == "greedy-ra":
             assert sorted(u for u, _, _ in final["x"]) == final["matched_offline"]
 
-    @pytest.mark.parametrize("found", [1, 2, pytest.param(3, id="format-3"), "3", None,
-                                       "missing"])
+    @pytest.mark.parametrize("found", [1, 2, pytest.param(3, id="format-3"),
+                                       pytest.param(4, id="format-4"), "3", None, "missing"])
     def test_other_versions_rejected(self, tmp_path, found):
         data = dict(TRACE_DICTS["mobvc"])
         if found == "missing":
@@ -112,7 +113,7 @@ class TestFormat:
                  ("a", float("inf"))]
         for key, value in cases:
             data = json.loads(json.dumps(TRACE_DICTS["mobvc"]))
-            data["rounds"][0][key] = value
+            data["rounds"][key][0] = value
             with pytest.raises(ParseError):
                 load_trace(write_json(tmp_path / "t.json", data))
         data = json.loads(json.dumps(TRACE_DICTS["mobvc"]))
@@ -124,8 +125,7 @@ class TestFormat:
     def test_region_outside_the_chart_rejected(self, tmp_path, capsys, lo, hi):
         # lo = -ALPHA would divide by zero in the charge integral
         data = json.loads(json.dumps(TRACE_DICTS["mobvc"]))
-        region = next(r for rec in data["rounds"] for r in rec["regions"])
-        region["lo"], region["hi"] = lo, hi
+        data["rounds"]["lo"][0], data["rounds"]["hi"][0] = lo, hi
         trace = write_json(tmp_path / "t.json", data)
         with pytest.raises(ParseError, match="outside"):
             load_trace(trace)
@@ -249,6 +249,107 @@ class TestHostileInput:
             assert rc in (0, 1, 2)
 
 
+WATERFILL_COLUMNS = ("v", "a", "X", "regions", "lo", "hi", "old_height", "new_height")
+GREEDY_COLUMNS = ("v", "t", "X", "matched")
+FLOAT_POSITIONS = {
+    "mobm-pd": [("rounds", key, 0) for key in ("a", "lo", "hi", "old_height", "new_height")]
+    + [("final", "y", 0), ("final", "z", 0, 1), ("final", "x", 0, 2)],
+    "greedy-ra": [("rounds", "t", 0)],
+}
+INT_POSITIONS = {
+    "mobm-pd": [("rounds", "v", 0), ("rounds", "regions", 0), ("rounds", "X", 0, 0),
+                ("final", "z", 0, 0), ("final", "x", 0, 0), ("final", "x", 0, 1)],
+    "greedy-ra": [("rounds", "v", 0), ("rounds", "matched", 0), ("rounds", "X", 0, 0),
+                  ("final", "matched_offline", 0)],
+}
+# json.dumps cannot write the literal 1e999 (JSON for a float beyond range,
+# read back as inf), so the test writes it in place of this marker
+TEXT_1E999 = "<1e999>"
+
+
+def set_at(path, value):
+    def edit(data):
+        at(data, path[:-1])[path[-1]] = value
+    return edit
+
+
+def pop_at(path):
+    return lambda data: at(data, path).pop()
+
+
+def count_sum_above(data):
+    data["rounds"]["regions"][0] += 1
+
+
+def negative_count(data):
+    # the counts still add up to the number of regions
+    counts = data["rounds"]["regions"]
+    counts[1] += counts[0] + 1
+    counts[0] = -1
+
+
+def hostile_columns():
+    cases = []
+    for alg, keys in (("mobm-pd", WATERFILL_COLUMNS), ("greedy-ra", GREEDY_COLUMNS)):
+        cases += [pytest.param(alg, pop_at(("rounds", key)), id=f"{alg}-short-{key}")
+                  for key in keys]
+        for path in INT_POSITIONS[alg]:
+            name = "-".join(map(str, path))
+            cases.append(pytest.param(alg, set_at(path, True), id=f"{alg}-bool-{name}"))
+        for path in FLOAT_POSITIONS[alg]:
+            name = "-".join(map(str, path))
+            for label, value in (("bool", True), ("string", "0.5"), ("nan", math.nan),
+                                 ("inf", math.inf), ("-inf", -math.inf),
+                                 ("1e999", TEXT_1E999)):
+                cases.append(pytest.param(alg, set_at(path, value), id=f"{alg}-{label}-{name}"))
+        cases.append(pytest.param(alg, set_at(("rounds", "X", 0), [6]), id=f"{alg}-X-above-n"))
+        cases.append(pytest.param(alg, set_at(("rounds", "X", 0), [-1]), id=f"{alg}-X-negative"))
+    pd = "mobm-pd"
+    cases += [
+        pytest.param(pd, pop_at(("final", "x", 0)), id="short-x-row"),
+        pytest.param(pd, lambda data: data["final"]["z"][0].append(0.0), id="long-z-row"),
+        pytest.param(pd, count_sum_above, id="count-sum-above"),
+        pytest.param(pd, negative_count, id="negative-count"),
+        pytest.param(pd, set_at(("rounds", "lo", 0), 0.75), id="lo-above-hi"),
+        pytest.param(pd, set_at(("rounds", "lo", 0), -0.25), id="lo-negative"),
+        pytest.param(pd, set_at(("rounds", "hi", 0), 1.25), id="hi-above-1"),
+        pytest.param(pd, set_at(("rounds", "a", 0), -0.25), id="a-negative"),
+        pytest.param(pd, set_at(("rounds", "a", 0), 1.25), id="a-above-1"),
+    ]
+    return cases
+
+
+class TestHostileColumns:
+    """Format 5 checks each column as a whole; every bad column is a
+    ParseError and exit 2 from verify and audit."""
+
+    @pytest.mark.parametrize("alg, edit", hostile_columns())
+    def test_rejected(self, tmp_path, capsys, alg, edit):
+        data = json.loads(json.dumps(TRACE_DICTS[alg]))
+        edit(data)
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps(data).replace(f'"{TEXT_1E999}"', "1e999"),
+                         encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_trace(tpath)
+        save(INSTANCES[alg], tmp_path / "i.json")
+        for command in ("verify", "audit"):
+            assert main([command, str(tpath), "--instance", str(tmp_path / "i.json")]) == 2
+        capsys.readouterr()
+
+    def test_int_in_a_float_column_accepted(self, tmp_path):
+        # as json_number accepts it: an integral float written as an int
+        data = json.loads(json.dumps(TRACE_DICTS["mobm-pd"]))
+        rounds = data["rounds"]
+        i = rounds["a"].index(1.0)
+        rounds["a"][i] = 1
+        rounds["lo"][0] = int(rounds["lo"][0])
+        assert rounds["lo"][0] == 0
+        back = load_trace(write_json(tmp_path / "t.json", data))
+        assert back == run("mobm-pd")
+        assert type(back.rounds[i].a) is float and type(back.rounds[0].regions[0].lo) is float
+
+
 # ---------------------------------------------------------------------------
 # Every stored number is checked
 # ---------------------------------------------------------------------------
@@ -260,9 +361,9 @@ def id_kind(path) -> str | None:
     """'offline' or 'online' when the number at path is an element or
     arrival id, else None."""
     if path[0] == "rounds":
-        if path[2] == "v":
+        if path[1] == "v":
             return "online"
-        return "offline" if path[2] in OFFLINE_ID_FIELDS else None
+        return "offline" if path[1] in OFFLINE_ID_FIELDS else None
     if path[:2] == ("final", "z"):
         return "online" if path[3] == 0 else None
     if path[:2] == ("final", "x"):

@@ -307,18 +307,19 @@ def online_budget(family, n=200):
 RUNS = {"obvc": run_obvc, "mobvc": run_mobvc, "mobm-pd": run_mobm_pd}
 
 # sha256 of save_trace's bytes for gen_random(200, 400, 0.3, budget,
-# seed=101), written by the full-scan implementation (format 4: the
-# format-3 bytes with each round's dP and dD dropped).
+# seed=101) (format 5: the format-4 bytes the full-scan implementation
+# wrote, with the rounds stored as columns; each loads to the same RunTrace
+# as the format-4 file did).
 TRACE_SHA256 = {
-    ("cardinality", "obvc"): "0dea955a4f168cc84c89bb424ced852f1a65d79b7c246b26e10a04a817c60661",
-    ("cardinality", "mobvc"): "96218fb5324e78a30e3fa392023ab2d76a7152ec4ffffdd3e124920ce7aa80e0",
-    ("cardinality", "mobm-pd"): "db34625caccb1075c54ee9656e2071175e4860b6d92a95c9895d297ef69c0eb4",
-    ("uniform", "mobvc"): "728bc4b25ccd45dc7e1225145e3076dccf1a6d2658cc78114188054c69e9cdef",
-    ("uniform", "mobm-pd"): "ff0fdd45bab3200631cdf1ac522487bca7a0f313dea99aa43ab0e1816bdd186d",
-    ("partition", "mobvc"): "43276f8600af816f3bba77cd2deb398155b0713ffb303bc7e03ab972f63cb291",
-    ("partition", "mobm-pd"): "a69adec51255ea223263645f25d7bed3c6872da82dac309d905a06aed640ae3a",
-    ("weighted", "mobvc"): "b12e84e92f9a328d9beec3bedc23762e2cdad60c8f1c630e872552e83c63ef5d",
-    ("weighted", "mobm-pd"): "dd7dbd8a3c71660fffdebfbbcfb1dd6c603b13c5b9b2738db4718b0f4b261ef7",
+    ("cardinality", "obvc"): "b326b2f3dde54cac51906057de4b52701076a691b30a6994821922c821e88e92",
+    ("cardinality", "mobvc"): "f42439f99ba80734dcdff39f5efbf85b0d0891aeded8d55ccbb2b8bb60e3884c",
+    ("cardinality", "mobm-pd"): "8be50962a9fce276f4cc6e9cd33d86b9c8665bdb775242d6d07d6ae8254ea83a",
+    ("uniform", "mobvc"): "83b2cecdbe257a0458c0264829614b2fbe8ba335b6be1ccbd238cf29420433f0",
+    ("uniform", "mobm-pd"): "c34451c89e9af2f0d0e0d17322fa60d2741d58aa05bcea8bc863d238da161cbc",
+    ("partition", "mobvc"): "1037e1495d03c7c0bed9fd60635d4d2ba3c79fd090e9cc2736b5f2daea7bb408",
+    ("partition", "mobm-pd"): "e422486015e27f024eeb5d327ea5f406e624d1e580d4118ee96731c887cf2ea5",
+    ("weighted", "mobvc"): "2236a648b9cd407c204d50b2c60d9c7cf257f700f31e0ec65beaefbf348e47f2",
+    ("weighted", "mobm-pd"): "02619c7e477411ecfe061b39aabffd6ba5e815fd37fb010b91d50ce37dcfd884",
 }
 
 
