@@ -26,10 +26,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .constants import ALPHA, SNAP_EPS
 from .errors import InputError, PreconditionError
-from .instances import json_number
 from .submodular import SubmodularFn, _check_potentials
 
 __all__ = ["Interval", "NewRegion", "BarChart", "charge_integral", "snap"]
@@ -63,8 +63,7 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class NewRegion:
+class NewRegion(NamedTuple):
     """Rectangular slab of new chart mass created by one raise on one bar.
 
     The height delta is exactly f(base + appended) - f(base): base is the
@@ -80,19 +79,6 @@ class NewRegion:
     @property
     def area(self) -> float:
         return (self.hi - self.lo) * (self.new_height - self.old_height)
-
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi,
-                "old_height": self.old_height, "new_height": self.new_height}
-
-    @staticmethod
-    def from_dict(d: dict) -> "NewRegion":
-        """Inverse of to_dict; ValueError or TypeError on a malformed or
-        out-of-range record (the bar must satisfy 0 <= lo <= hi <= 1)."""
-        lo, hi = json_number(d["lo"]), json_number(d["hi"])
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError(f"region [{lo}, {hi}] outside [0, 1]")
-        return NewRegion(lo, hi, json_number(d["old_height"]), json_number(d["new_height"]))
 
 
 class BarChart:

@@ -219,6 +219,9 @@ def _first_difference(stored, replayed, tol: float, path: str = "") -> str | Non
         pairs = [(f.name, getattr(stored, f.name), getattr(replayed, f.name))
                  for f in fields(stored) if f.compare]
         path += "." if path else ""
+    elif isinstance(stored, tuple) and hasattr(stored, "_fields"):  # a named tuple
+        pairs = list(zip(stored._fields, stored, replayed))
+        path += "." if path else ""
     elif isinstance(stored, dict):
         missing = sorted(stored.keys() ^ replayed.keys())
         if missing:

@@ -7,7 +7,10 @@ adversarial order; arrival models reorder it and attach timestamps.
 
 Seeded generation uses SplitMix64 (64-bit state, one mixed stream per
 online vertex) so instances are reproducible bit-for-bit from (params,
-seed) and the generator is easy to restate outside Python. Golden tests
+seed) and the generator is easy to restate outside Python. gen_random
+computes its streams as numpy uint64 blocks, many draws per call; the
+scalar SplitMix64 class serves the arrival models and the suites, and
+bench/reference.py restates the streams one draw at a time. Golden tests
 should still pin serialized instance files rather than seeds.
 """
 
@@ -17,6 +20,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError, ParseError, SizeError
 from .submodular import (
@@ -33,6 +38,11 @@ from .submodular import (
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# SplitMix64's two output multipliers, for the scalar and the array mixer.
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# gen_random draws at most max(n, _BLOCK_DRAWS) values per numpy block.
+_BLOCK_DRAWS = 1 << 12
 
 # Largest n_offline, number of arrivals and number of edges of an instance.
 INSTANCE_SIZE_LIMIT = 1 << 20
@@ -55,8 +65,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def random(self) -> float:
@@ -69,6 +79,41 @@ class SplitMix64:
     def split(self, key: int) -> "SplitMix64":
         child = SplitMix64((self.state ^ (key * _GOLDEN)) & _MASK64)
         return SplitMix64(child.next_u64())
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array, in place; returns z.
+    Every operand is uint64, so products wrap mod 2^64 without a warning."""
+    u64 = np.uint64
+    z ^= z >> u64(30)
+    z *= u64(_MIX1)
+    z ^= z >> u64(27)
+    z *= u64(_MIX2)
+    z ^= z >> u64(31)
+    return z
+
+
+def _edge_rows(n: int, m: int, p: float, seed: int):
+    """The adjacency rows of gen_random's G(n, m, p), one boolean row of n
+    per arrival, drawn in blocks of at most max(n, _BLOCK_DRAWS) values.
+
+    Arrival j's stream is SplitMix64(seed).split(j + 1): its seed is
+    mix((seed ^ (j + 1) * G) + G), and its u-th draw mix(seed_j + (u + 1) * G).
+    Edge (u, j) is present when (draw >> 11) * 2^-53 < p; as that product is
+    exact, this is (draw >> 11) < ceil(p * 2^53).
+    """
+    u64 = np.uint64
+    golden, root = u64(_GOLDEN), u64(seed & _MASK64)
+    steps = np.arange(1, n + 1, dtype=u64) * golden
+    limit = u64(math.ceil(p * 2.0 ** 53))
+    rows = max(1, _BLOCK_DRAWS // n)
+    for j0 in range(0, m, rows):
+        keys = np.arange(j0 + 1, min(j0 + rows, m) + 1, dtype=u64) * golden
+        keys ^= root
+        keys += golden
+        draws = _mix64(_mix64(keys)[:, None] + steps)
+        draws >>= u64(11)
+        yield from draws < limit
 
 
 @dataclass(frozen=True)
@@ -202,7 +247,9 @@ def gen_upper_triangular(n: int) -> Instance:
 def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
                seed: int = 0, name: str | None = None) -> Instance:
     """G(n, m, p) bipartite: each (u, v) edge present independently with
-    probability p, decided by a per-online-vertex SplitMix64 stream."""
+    probability p, decided by a per-online-vertex SplitMix64 stream (see
+    _edge_rows). SizeError at the first arrival whose running edge count
+    exceeds INSTANCE_SIZE_LIMIT."""
     if n < 1 or m < 0:
         raise InputError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     if not 0.0 <= p <= 1.0:
@@ -212,15 +259,13 @@ def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
     g = GroundSet(n)
     if f is None:
         f = Cardinality(g)
-    root = SplitMix64(seed)
     arrivals = []
     edges = 0
-    for j in range(m):
-        stream = root.split(j + 1)
-        nbrs = tuple(u for u in range(n) if stream.random() < p)
+    for j, row in enumerate(_edge_rows(n, m, p, seed)):
+        nbrs = np.flatnonzero(row).tolist()
         edges += len(nbrs)
         check_size("edges", edges)
-        arrivals.append(Arrival(j, nbrs))
+        arrivals.append(Arrival(j, tuple(nbrs)))
     if name is None:
         name = f"random-n{n}-m{m}-p{p:g}-s{seed}-{f.family}"
     return Instance(name, n, f, arrivals)

@@ -220,8 +220,3 @@ class TestChargeIntegral:
             quad_charge([r], panels=400_000), abs=1e-6)
         with pytest.raises(TypeError):
             charge_integral([r], 0.5)
-
-
-def test_region_round_trip():
-    r = NewRegion(0.1, 0.4, 1.0, 2.0)
-    assert NewRegion.from_dict(r.to_dict()) == r

@@ -1,6 +1,8 @@
 """Tests for instance types, generators, arrival models, and persistence."""
 
+import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,30 @@ class TestGenerators:
         assert len(gen_upper_triangular(4).edges()) == 10
         with pytest.raises(SizeError, match="edges = 15"):
             gen_upper_triangular(5)
+        # crossed in the middle of a row block (n = 100: 40 arrivals per
+        # block; arrival 55 is the first past 1637 edges), and with one
+        # arrival per block; the counts are those of the one-draw-at-a-time
+        # generator
+        monkeypatch.setattr(instances, "INSTANCE_SIZE_LIMIT", 1637)
+        with pytest.raises(SizeError, match="edges = 1667 "):
+            gen_random(100, 100, 0.3, seed=7)
+        monkeypatch.setattr(instances, "INSTANCE_SIZE_LIMIT", 2500)
+        with pytest.raises(SizeError, match="edges = 2979 "):
+            gen_random(2500, 4, 0.3, seed=7)
+
+    @pytest.mark.parametrize("n, m", [(1, 5000), (64, 200), (200, 40), (5000, 3)])
+    def test_row_blocks_are_capped(self, monkeypatch, n, m):
+        sizes = []
+        mix = instances._mix64
+
+        def counting_mix(z):
+            sizes.append(z.size)
+            return mix(z)
+
+        expected = gen_random(n, m, 0.3, seed=3).to_dict()
+        monkeypatch.setattr(instances, "_mix64", counting_mix)
+        assert gen_random(n, m, 0.3, seed=3).to_dict() == expected
+        assert sizes and max(sizes) <= max(n, instances._BLOCK_DRAWS)
 
     def test_coverage_table_is_submodular(self):
         for seed in (0, 1, 2, 77):
@@ -331,6 +357,38 @@ class TestSuites:
             # no loops: every singleton has rank 1
             for u in range(inst.n_offline):
                 assert inst.f.value_mask(1 << u) == 1.0
+
+
+def scalar_random_graph(n: int, m: int, p: float, seed: int) -> list[tuple[int, ...]]:
+    """gen_random's neighbour lists restated one SplitMix64 draw at a time."""
+    root = SplitMix64(seed)
+    rows = []
+    for j in range(m):
+        stream = root.split(j + 1)
+        rows.append(tuple(u for u in range(n) if stream.random() < p))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+def test_gen_random_is_the_scalar_streams(n, seed):
+    # p on a draw: the first draw of arrival 0, an exact multiple of 2^-53,
+    # is not below itself, so it is no edge at that p; the next float up
+    # lies strictly between two multiples when the draw is below 1/2
+    on_draw = SplitMix64(seed).split(1).random()
+    above = math.nextafter(on_draw, 1.0)
+    for p in (0.0, 0.3, 0.5, 1.0, on_draw, above, 3 * 2.0 ** -53):
+        rows = [a.nbrs for a in gen_random(n, 7, p, seed=seed).arrivals]
+        assert rows == scalar_random_graph(n, 7, p, seed), (n, p, seed)
+    assert 0 not in gen_random(n, 1, on_draw, seed=seed).arrivals[0].nbrs
+
+
+def test_gen_random_file_bytes_are_pinned(tmp_path):
+    # sha256 of the file the one-draw-at-a-time generator wrote
+    path = tmp_path / "g.json"
+    save(gen_random(200, 400, 0.3, seed=101), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "8a95adb457986821e22fa56a12e75013b107db8032d964481b4fb050216ff90d")
 
 
 def test_splitmix_stream_is_stable():
