@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .constants import ALPHA, SNAP_EPS
 from .errors import InputError, PreconditionError
-from .submodular import SubmodularFn, _check_potentials
+from .submodular import SubmodularFn, _check_potentials, as_mask, mask_members
 
 __all__ = ["Interval", "NewRegion", "BarChart", "charge_integral", "snap"]
 
@@ -96,7 +96,7 @@ class BarChart:
         bounds = sorted({0.0, 1.0} | {v for v in y if 0.0 < v < 1.0})
         intervals = []
         for lo, hi in zip(bounds, bounds[1:]):
-            mask = sum(1 << u for u, yu in enumerate(y) if yu >= hi)
+            mask = as_mask(f.ground, [u for u, yu in enumerate(y) if yu >= hi])
             intervals.append(Interval(lo, hi, mask, f.value_mask(mask)))
         return cls(f, intervals, y)
 
@@ -123,10 +123,10 @@ class BarChart:
         """
         if not 0.0 <= a <= 1.0:
             raise InputError(f"level a = {a} outside [0, 1]")
-        check = self.f.ground.check_element
-        X = {check(u) for u in X}
-        if not X:
+        xmask = as_mask(self.f.ground, X)
+        if not xmask:
             return []
+        X = mask_members(xmask)
         a = self.snap(a)
         for u in X:
             if self._levels[u] >= a:
@@ -135,9 +135,6 @@ class BarChart:
         self._split_at(a)
 
         regions = []
-        xmask = 0
-        for u in X:
-            xmask |= 1 << u
         for iv in self.intervals[self.first_missing(xmask):]:
             if iv.hi > a:
                 break

@@ -32,6 +32,7 @@ from .submodular import (
     SubmodularFn,
     UniformRank,
     WeightedThreshold,
+    as_mask,
     fn_from_spec,
     mask_members,
 )
@@ -164,10 +165,7 @@ class Instance:
         return [(u, arr.id) for arr in self.arrivals for u in arr.nbrs]
 
     def neighbor_mask(self, arrival: Arrival) -> int:
-        m = 0
-        for u in arrival.nbrs:
-            m |= 1 << u
-        return m
+        return as_mask(self.ground, arrival.nbrs)
 
     def to_dict(self) -> dict:
         return {
@@ -448,6 +446,18 @@ def read_json(path: str | os.PathLike):
             raise ParseError(f"{path}: not valid JSON ({e})") from e
 
 
+def _bad_neighbor(nbrs: list, n: int, ctx: str):
+    """ParseError naming the first neighbor of nbrs that is not an int in
+    0..n-1 or that repeats an earlier one; returns when there is none."""
+    seen_u = set()
+    for j, u in enumerate(nbrs):
+        if isinstance(u, bool) or not isinstance(u, int) or not 0 <= u < n:
+            raise ParseError(f"{ctx}.nbrs[{j}]: neighbor {u!r} out of range (n_offline={n})")
+        if u in seen_u:
+            raise ParseError(f"{ctx}.nbrs[{j}]: duplicate neighbor {u}")
+        seen_u.add(u)
+
+
 def instance_from_dict(data: dict, where: str = "instance") -> Instance:
     def need(obj, key, ctx):
         if not isinstance(obj, dict) or key not in obj:
@@ -482,14 +492,11 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
         nbrs = checked(json_list, need(entry, "nbrs", ctx), f"{ctx}.nbrs")
         edges += len(nbrs)
         check_size(f"{where}: edges", edges)
-        seen_u = set()
-        for j, u in enumerate(nbrs):
-            if isinstance(u, bool) or not isinstance(u, int) or not 0 <= u < n:
-                raise ParseError(
-                    f"{ctx}.nbrs[{j}]: neighbor {u!r} out of range (n_offline={n})")
-            if u in seen_u:
-                raise ParseError(f"{ctx}.nbrs[{j}]: duplicate neighbor {u}")
-            seen_u.add(u)
+        # one column check: types, then range, then duplicates
+        if not (set(map(type, nbrs)) <= {int}
+                and (not nbrs or (min(nbrs) >= 0 and max(nbrs) < n))
+                and len(set(nbrs)) == len(nbrs)):
+            _bad_neighbor(nbrs, n, ctx)
         arrivals.append(Arrival(vid, tuple(nbrs)))
     try:
         return Instance(name, n, f, arrivals)

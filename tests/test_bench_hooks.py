@@ -12,6 +12,7 @@ reads and edits on the current trace format.
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +22,13 @@ import matroidmatch
 from matroidmatch import algorithms, barchart, cli, submodular, verify
 from matroidmatch.algorithms import ALGORITHMS
 from matroidmatch.instances import gen_random, save
-from matroidmatch.submodular import Cardinality, GroundSet, PartitionBudget
+from matroidmatch.submodular import (
+    Cardinality,
+    GroundSet,
+    PartitionBudget,
+    UniformRank,
+    WeightedThreshold,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,6 +69,29 @@ def test_span_has_one_entry_point():
     # that one function rather than reach the budget's own method
     assert algorithms.span_mask is submodular.span_mask
     assert verify.span_mask is submodular.span_mask
+
+
+def test_verify_never_reaches_chain_values(monkeypatch):
+    # the primal split walks its marginal chains by chain_values; the
+    # matching check and the charging audit recompute what they check from
+    # value_mask, so a closed-form chain that went wrong could not pass them
+    # by agreeing with itself
+    assert "chain_values" not in Path(verify.__file__).read_text(encoding="utf-8")
+    g = GroundSet(8)
+    budgets = [Cardinality(g), UniformRank(g, 3),
+               PartitionBudget(g, [[0, 1, 2], [3, 4, 5, 6, 7]], [2, 1]),
+               PartitionBudget(g, [[0, 1, 2], [3, 4, 5, 6, 7]], [1.5, math.inf]),
+               WeightedThreshold(g, [0.5, 1.0, 0.25, 2.0, 0.75, 1.0, 0.5, 0.1], 2.5)]
+    runs = [(inst, algorithms.run_mobm_pd(inst))
+            for inst in (gen_random(8, 10, 0.5, f, seed=3) for f in budgets)]
+
+    def refuse(self, mask, elements):
+        raise AssertionError("verify reached chain_values")
+    for cls in {type(f) for f in budgets} | {submodular.SubmodularFn}:
+        monkeypatch.setattr(cls, "chain_values", refuse, raising=False)
+    for inst, trace in runs:
+        assert verify.check_matching(trace.state.x, inst).ok
+        assert verify.audit_charging(trace, verify.offline_opt(inst), inst).ok
 
 
 RUN_ATTRIBUTES = ("algorithm", "instance_name", "n_offline", "rounds",

@@ -186,6 +186,29 @@ class TestPersistence:
         with pytest.raises(ParseError, match="duplicate neighbor"):
             instance_from_dict(data)
 
+    @pytest.mark.parametrize("nbrs, message", [
+        ([0, True], "instance.arrivals[1].nbrs[1]: neighbor True out of range (n_offline=3)"),
+        ([1.0], "instance.arrivals[1].nbrs[0]: neighbor 1.0 out of range (n_offline=3)"),
+        ([2, -1, 5], "instance.arrivals[1].nbrs[1]: neighbor -1 out of range (n_offline=3)"),
+        ([0, 3], "instance.arrivals[1].nbrs[1]: neighbor 3 out of range (n_offline=3)"),
+        ([2, 0, 2, 9], "instance.arrivals[1].nbrs[2]: duplicate neighbor 2"),
+        (["0"], "instance.arrivals[1].nbrs[0]: neighbor '0' out of range (n_offline=3)"),
+        ([None, 0], "instance.arrivals[1].nbrs[0]: neighbor None out of range (n_offline=3)"),
+    ], ids=["bool", "float", "negative", "at-n", "duplicate", "string", "null"])
+    def test_bad_neighbor_messages(self, nbrs, message):
+        # the column check finds a bad list; the per-neighbor reader names
+        # the first bad entry by its position
+        data = {"name": "x", "n_offline": 3, "f": {"family": "cardinality"},
+                "arrivals": [{"id": 0, "nbrs": [2, 0]}, {"id": 1, "nbrs": nbrs}]}
+        with pytest.raises(ParseError) as info:
+            instance_from_dict(data)
+        assert str(info.value) == message
+
+    def test_neighbors_are_read_sorted(self):
+        data = {"name": "x", "n_offline": 3, "f": {"family": "cardinality"},
+                "arrivals": [{"id": 0, "nbrs": [2, 0]}, {"id": 1, "nbrs": []}]}
+        assert [a.nbrs for a in instance_from_dict(data).arrivals] == [(0, 2), ()]
+
     def test_missing_field(self):
         with pytest.raises(ParseError, match="missing field 'f'"):
             instance_from_dict({"name": "x", "n_offline": 2, "arrivals": []})

@@ -552,6 +552,58 @@ class TestSpan:
                 assert span(f, s) == s
 
 
+def loop_chain(f, mask, elements):
+    """The marginal loop chain_values replaces: one value_mask per step."""
+    out = []
+    for u in elements:
+        mask |= 1 << u
+        out.append(f.value_mask(mask))
+    return out
+
+
+def chain_budgets(n):
+    """Every family at size n, with integral, non-integral and infinite
+    partition caps; a table only where one fits."""
+    g = GroundSet(n)
+    blocks = [list(range(b, n, 3)) for b in range(min(n, 3))]
+    fams = [Cardinality(g), UniformRank(g, n // 2), UniformRank(g, 0),
+            PartitionBudget(g, blocks, [2.0] * len(blocks)),
+            PartitionBudget(g, blocks, [0.3, 1.5, 0.1][:len(blocks)]),
+            PartitionBudget(g, blocks, [math.inf, 1.0, 0.0][:len(blocks)]),
+            WeightedThreshold(g, [0.1 + 0.3 * (u % 7) for u in range(n)], n / 4)]
+    if n <= 6:
+        fams.append(ExplicitTable(g, [0.1 * m.bit_count() ** 0.5 for m in range(1 << n)]))
+    return fams
+
+
+class TestChainValues:
+    @settings(max_examples=400, deadline=None)
+    @given(f=budgets(), data=st.data())
+    def test_closed_forms_match_the_marginal_loop(self, f, data):
+        full = f.ground.full_mask
+        mask = data.draw(st.integers(0, full))
+        rest = [u for u in range(f.ground.size) if not (mask >> u) & 1]
+        chain = data.draw(st.permutations(rest))[:data.draw(st.integers(0, len(rest)))]
+        assert f.chain_values(mask, chain) == loop_chain(f, mask, chain)
+
+    @pytest.mark.parametrize("n", [1, 62, 63, 64, 65, 200])
+    def test_at_the_mask_width_boundaries(self, n):
+        rng = random.Random(n)
+        for f in chain_budgets(n):
+            for _ in range(20):
+                mask = rng.getrandbits(n) & rng.getrandbits(n)
+                rest = [u for u in range(n) if not (mask >> u) & 1]
+                chain = rng.sample(rest, rng.randint(0, len(rest)))
+                got = f.chain_values(mask, chain)
+                assert got == loop_chain(f, mask, chain), f
+                assert all(type(v) is float for v in got)
+
+    def test_partition_counts_each_block(self):
+        f = PartitionBudget(GroundSet(6), [[0, 1, 2], [3, 4, 5]], [2, 1])
+        assert f.chain_values(0b000001, [3, 1, 4, 2, 5]) == [2.0, 3.0, 3.0, 3.0, 3.0]
+        assert f.chain_values(0, []) == []
+
+
 class TestSerialization:
     def test_round_trip_all_families(self):
         for f in all_families(4):
@@ -574,5 +626,58 @@ def test_mask_helpers():
     g = GroundSet(4)
     assert as_mask(g, [2, 0]) == 0b0101
     assert mask_members(0b1010) == (1, 3)
+    assert mask_members(0) == ()
     with pytest.raises(InputError):
         as_mask(g, 1 << 4)
+
+
+class TestAsMask:
+    """as_mask is where ids become a mask: a column of ints in range takes
+    the fast path, anything else is checked one id at a time, and every bad
+    subset is an InputError."""
+
+    @pytest.mark.parametrize("S", [True, False, 1.5, None, np.bool_(True), object()])
+    def test_not_a_subset(self, S):
+        with pytest.raises(InputError, match="iterable of element ids or an int mask"):
+            as_mask(GroundSet(4), S)
+        with pytest.raises(InputError):
+            Cardinality(GroundSet(4)).value(S)
+
+    @pytest.mark.parametrize("S, bad", [
+        ([True], "True"), ([0, False], "False"), ([1.0], "1.0"), ([None], "None"),
+        (["1"], "'1'"), ([[1]], r"\[1\]"),
+    ])
+    def test_bad_ids_are_named(self, S, bad):
+        with pytest.raises(InputError, match=f"element id must be an int, got {bad}"):
+            as_mask(GroundSet(4), S)
+
+    @pytest.mark.parametrize("S, bad", [([4], 4), ([0, -1], -1), ([np.int64(9)], 9)])
+    def test_ids_out_of_range(self, S, bad):
+        with pytest.raises(InputError, match=f"element {bad} outside ground set of size 4"):
+            as_mask(GroundSet(4), S)
+
+    def test_iterables_and_numpy_ids(self):
+        g = GroundSet(4)
+        for S in ([3, 1], (1, 3), {1, 3}, frozenset({3, 1}), range(1, 4, 2), iter([1, 3]),
+                  [np.int64(1), 3], np.array([1, 3]), [3, 1, 3]):
+            assert as_mask(g, S) == 0b1010
+        assert as_mask(g, []) == as_mask(g, ()) == 0
+        assert as_mask(g, np.uint8(5)) == as_mask(g, np.int64(5)) == 5
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 65])
+    def test_mask_width_boundary(self, n):
+        g = GroundSet(n)
+        top = n - 1
+        assert as_mask(g, [top]) == as_mask(g, 1 << top) == 1 << top
+        assert as_mask(g, [np.int64(top)]) == 1 << top
+        if n == 64:
+            assert as_mask(g, np.uint64(1 << 63)) == 1 << 63
+        assert as_mask(g, range(n)) == g.full_mask
+        assert mask_members(g.full_mask) == tuple(range(n))
+        assert mask_members(as_mask(g, [top, 0, 30, top])) == (0, 30, top)
+        with pytest.raises(InputError, match="outside ground set"):
+            as_mask(g, [n])
+        with pytest.raises(InputError, match="outside ground set"):
+            as_mask(g, 1 << n)
+        with pytest.raises(InputError, match="outside ground set"):
+            as_mask(g, -1)

@@ -349,11 +349,13 @@ class CountingFn:
 @pytest.mark.parametrize("run, inst, calls", [
     (run_mobvc, gen_upper_triangular(3), 5),
     (run_mobvc, gen_random(200, 400, 0.3, online_budget("weighted"), seed=101), 1335),
-    (run_mobm_pd, gen_random(200, 400, 0.3, online_budget("cardinality"), seed=101), 41341),
+    (run_mobm_pd, gen_random(200, 400, 0.3, online_budget("cardinality"), seed=101), 5374),
 ], ids=["tri3", "weighted-n200", "mobm-pd-cardinality-n200"])
 def test_mobvc_oracle_calls(run, inst, calls):
     # the full scan made 8 and 19443 mobvc calls; the mobm-pd split made 46703
-    # calls while it asked the oracle again for each region's two end heights
+    # calls while it asked the oracle again for each region's two end heights,
+    # and 41341 while it walked each region's chain by value_mask (cardinality
+    # now takes the chain in closed form, uncounted here)
     counted = CountingFn(inst.f)
     trace = run(Instance(inst.name, inst.n_offline, counted, inst.arrivals))
     assert trace == run(inst)
