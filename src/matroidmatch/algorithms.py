@@ -46,6 +46,7 @@ from .instances import (
     ArrivalModel,
     Instance,
     SplitMix64,
+    arrival_orders,
     by_timestamp,
     json_int,
     json_ints,
@@ -501,6 +502,19 @@ def _greedy_duals(steps, n: int) -> tuple[list[float], dict[int, float]]:
     return y, z
 
 
+def _greedy_run(f: SubmodularFn, n: int, ordered):
+    """One greedy run over ordered: its steps, duals y and z, and its primal
+    and dual values."""
+    steps = _greedy_core(f, ordered)
+    y, z = _greedy_duals(steps, n)
+    return steps, y, z, float(len(z)), lovasz(f, y) + sum(z.values())
+
+
+def _require_matroid(f: SubmodularFn):
+    if not is_matroid_rank(f):
+        raise PreconditionError("random-arrival greedy requires a matroid rank budget")
+
+
 def run_random_arrival_greedy(instance: Instance,
                               model: ArrivalModel | None = None,
                               timestamps: dict[int, float] | None = None) -> RunTrace:
@@ -512,21 +526,29 @@ def run_random_arrival_greedy(instance: Instance,
     lowest-id neighbor outside span(matched set).
     """
     f = instance.f
-    if not is_matroid_rank(f):
-        raise PreconditionError("random-arrival greedy requires a matroid rank budget")
+    _require_matroid(f)
     if timestamps is not None:
         ordered = by_timestamp(instance.arrivals, timestamps)
     else:
         ordered = order_arrivals(instance, model or ArrivalModel())
-
     n = instance.n_offline
-    steps = _greedy_core(f, ordered)
-    y, z = _greedy_duals(steps, n)
+    steps, y, z, primal, dual = _greedy_run(f, n, ordered)
     rounds = [GreedyRound(vid, t, mask_members(newly), pick) for vid, t, pick, newly in steps]
     x = {(rec.matched, rec.v): 1.0 for rec in rounds if rec.matched is not None}
     state = OnlineState(y=y, z=z, x=x, chart=None, matched=frozenset(u for u, _ in x))
-    dual = lovasz(f, y) + sum(z.values())
-    return RunTrace("greedy-ra", instance.name, n, rounds, state, float(len(x)), dual)
+    return RunTrace("greedy-ra", instance.name, n, rounds, state, primal, dual)
+
+
+def greedy_trials(instance: Instance, kind: str, seed: int,
+                  trials: int) -> list[tuple[float, float]]:
+    """(primal, dual) of run_random_arrival_greedy(instance,
+    ArrivalModel(kind, seed + i)) for i = 0..trials-1, equal to the bit,
+    with the orders drawn as blocks and no run record built."""
+    f = instance.f
+    _require_matroid(f)
+    n = instance.n_offline
+    return [_greedy_run(f, n, ordered)[3:]
+            for ordered in arrival_orders(instance, kind, range(seed, seed + trials))]
 
 
 # ---------------------------------------------------------------------------

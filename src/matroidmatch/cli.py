@@ -18,6 +18,7 @@ import time
 from dataclasses import fields, is_dataclass
 
 from .algorithms import (
+    greedy_trials,
     load_trace,
     run_mobm_pd,
     run_mobvc,
@@ -32,6 +33,7 @@ from .instances import (
     Instance,
     gen_random,
     gen_upper_triangular,
+    indented_json,
     load,
     random_coverage_table,
     save,
@@ -150,7 +152,7 @@ def cmd_generate(args) -> int:
     if args.out:
         save(inst, args.out)
     else:
-        print(json.dumps(inst.to_dict(), indent=2, sort_keys=True))
+        print(indented_json(inst.to_dict()))
     return 0
 
 
@@ -174,12 +176,9 @@ def cmd_run(args) -> int:
     if alg == "greedy-ra" and args.trials > 1:
         if args.trace:
             raise InputError("--trace holds a single run; drop it or use --trials 1")
-        ratios, primals, duals = [], [], []
-        for i in range(args.trials):
-            trace = run_random_arrival_greedy(inst, ArrivalModel(args.model, args.model_seed + i))
-            primals.append(trace.primal_value)
-            duals.append(trace.dual_value)
-            ratios.append(_ratio(alg, trace.primal_value, trace.dual_value, opt))
+        pairs = greedy_trials(inst, args.model, args.model_seed, args.trials)
+        primals, duals = [p for p, _ in pairs], [d for _, d in pairs]
+        ratios = [_ratio(alg, p, d, opt) for p, d in pairs]
         k = float(args.trials)
         print(f"{alg},{inst.name},{fmt(sum(primals) / k)},{fmt(sum(duals) / k)},"
               f"{fmt(opt)},{fmt(sum(ratios) / k)}")

@@ -7,11 +7,12 @@ adversarial order; arrival models reorder it and attach timestamps.
 
 Seeded generation uses SplitMix64 (64-bit state, one mixed stream per
 online vertex) so instances are reproducible bit-for-bit from (params,
-seed) and the generator is easy to restate outside Python. gen_random
-computes its streams as numpy uint64 blocks, many draws per call; the
-scalar SplitMix64 class serves the arrival models and the suites, and
-bench/reference.py restates the streams one draw at a time. Golden tests
-should still pin serialized instance files rather than seeds.
+seed) and the generator is easy to restate outside Python. gen_random and
+the arrival models draw their streams as numpy uint64 blocks, many streams
+per call (_streams); the scalar SplitMix64 class serves the suites and is
+the tests' reference, and bench/reference.py restates gen_random's streams
+one draw at a time. Golden tests should still pin serialized instance files
+rather than seeds.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +44,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # SplitMix64's two output multipliers, for the scalar and the array mixer.
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# gen_random draws at most max(n, _BLOCK_DRAWS) values per numpy block.
+# gen_random draws at most max(n, _BLOCK_DRAWS) values per numpy block, and
+# the arrival models at most max(m, _BLOCK_DRAWS).
 _BLOCK_DRAWS = 1 << 12
 
 # Largest n_offline, number of arrivals and number of edges of an instance.
@@ -94,25 +97,33 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _streams(seeds, count: int) -> np.ndarray:
+    """A uint64 array whose row r holds the first count outputs of
+    SplitMix64(seeds[r]): output i (from 1) is mix(seed + i * G). seeds is
+    a sequence of ints, each masked to 64 bits, or a uint64 array."""
+    u64 = np.uint64
+    if not isinstance(seeds, np.ndarray):
+        seeds = np.array([s & _MASK64 for s in seeds], dtype=u64)
+    return _mix64(seeds[:, None] + np.arange(1, count + 1, dtype=u64) * u64(_GOLDEN))
+
+
 def _edge_rows(n: int, m: int, p: float, seed: int):
     """The adjacency rows of gen_random's G(n, m, p), one boolean row of n
     per arrival, drawn in blocks of at most max(n, _BLOCK_DRAWS) values.
 
-    Arrival j's stream is SplitMix64(seed).split(j + 1): its seed is
-    mix((seed ^ (j + 1) * G) + G), and its u-th draw mix(seed_j + (u + 1) * G).
-    Edge (u, j) is present when (draw >> 11) * 2^-53 < p; as that product is
-    exact, this is (draw >> 11) < ceil(p * 2^53).
+    Arrival j's stream is SplitMix64(seed).split(j + 1): its seed is the
+    first output of SplitMix64(seed ^ (j + 1) * G), and its u-th draw decides
+    edge (u, j). The edge is present when (draw >> 11) * 2^-53 < p; as that
+    product is exact, this is (draw >> 11) < ceil(p * 2^53).
     """
     u64 = np.uint64
     golden, root = u64(_GOLDEN), u64(seed & _MASK64)
-    steps = np.arange(1, n + 1, dtype=u64) * golden
     limit = u64(math.ceil(p * 2.0 ** 53))
     rows = max(1, _BLOCK_DRAWS // n)
     for j0 in range(0, m, rows):
         keys = np.arange(j0 + 1, min(j0 + rows, m) + 1, dtype=u64) * golden
         keys ^= root
-        keys += golden
-        draws = _mix64(_mix64(keys)[:, None] + steps)
+        draws = _streams(_streams(keys, 1)[:, 0], n)
         draws >>= u64(11)
         yield from draws < limit
 
@@ -129,6 +140,15 @@ class Arrival:
         object.__setattr__(self, "nbrs", tuple(sorted(set(self.nbrs))))
 
 
+def _int_neighbors(arr: Arrival) -> Arrival:
+    """arr with its neighbors as ints; InputError for a neighbor that is
+    neither an int nor a numpy int (bools included)."""
+    bad = [u for u in arr.nbrs if isinstance(u, bool) or not isinstance(u, (int, np.integer))]
+    if bad:
+        raise InputError(f"arrival {arr.id}: neighbor {bad[0]!r} is not an int")
+    return Arrival(arr.id, tuple(map(int, arr.nbrs)))
+
+
 @dataclass
 class Instance:
     name: str
@@ -138,11 +158,17 @@ class Instance:
 
     def __post_init__(self):
         """InputError when n_offline is not the budget's ground-set size, a
-        neighbor lies outside 0..n_offline-1, or two arrivals share an id."""
+        neighbor is not an int (bools included) or lies outside
+        0..n_offline-1, or two arrivals share an id. Neighbors that are
+        numpy ints are taken as ints."""
         n = self.n_offline
         if n != self.f.ground.size:
             raise InputError(f"n_offline = {n} differs from the budget's ground set size "
                              f"{self.f.ground.size}")
+        # one column check of the neighbor types; the per-arrival pass runs
+        # only when it fails, to name the arrival or convert numpy ints
+        if not set(map(type, chain.from_iterable(arr.nbrs for arr in self.arrivals))) <= {int}:
+            self.arrivals = [_int_neighbors(arr) for arr in self.arrivals]
         first: dict[int, int] = {}
         for i, arr in enumerate(self.arrivals):
             if arr.nbrs and (arr.nbrs[0] < 0 or arr.nbrs[-1] >= n):
@@ -207,23 +233,43 @@ def by_timestamp(arrivals, timestamps: dict[int, float]) -> list[tuple[Arrival, 
     return sorted(stamped, key=lambda at: (at[1], at[0].id))
 
 
+def arrival_orders(instance: Instance, kind: str, seeds):
+    """order_arrivals(instance, ArrivalModel(kind, s)) for each s in seeds
+    (a sequence of ints), in turn, from streams drawn as blocks of at most
+    max(m, _BLOCK_DRAWS) values.
+
+    Under 'permutation' the k-th draw d of a seed's stream sets Fisher-Yates
+    position i = m - 1 - k against j = d % (i + 1), SplitMix64.randint's
+    plain modulo. Under 'timestamps' the i-th draw stamps the i-th stored
+    arrival with (d >> 11) * 2^-53, SplitMix64.random's exact float.
+    """
+    ArrivalModel(kind)  # InputError for an unknown kind
+    arrivals = instance.arrivals
+    m = len(arrivals)
+    if m == 0 or kind == "adversarial":
+        for _ in seeds:
+            yield [(a, (i + 1) / m) for i, a in enumerate(arrivals)]
+        return
+    rows = max(1, _BLOCK_DRAWS // m)
+    ids = [a.id for a in arrivals]
+    for lo in range(0, len(seeds), rows):
+        block = seeds[lo:lo + rows]
+        if kind == "permutation":
+            picks = _streams(block, m - 1) % np.arange(m, 1, -1, dtype=np.uint64)
+            for row in picks.tolist():
+                order = list(arrivals)
+                for i, j in zip(range(m - 1, 0, -1), row):
+                    order[i], order[j] = order[j], order[i]
+                yield [(a, (i + 1) / m) for i, a in enumerate(order)]
+        else:
+            stamps = (_streams(block, m) >> np.uint64(11)) * 2.0 ** -53
+            for row in stamps.tolist():
+                yield by_timestamp(arrivals, dict(zip(ids, row)))
+
+
 def order_arrivals(instance: Instance, model: ArrivalModel) -> list[tuple[Arrival, float]]:
     """Processing order with a timestamp per arrival, ascending."""
-    arrivals = list(instance.arrivals)
-    m = len(arrivals)
-    if m == 0:
-        return []
-    if model.kind == "adversarial":
-        return [(a, (i + 1) / m) for i, a in enumerate(arrivals)]
-    if model.kind == "permutation":
-        rng = SplitMix64(model.seed)
-        for i in range(m - 1, 0, -1):  # Fisher-Yates
-            j = rng.randint(i + 1)
-            arrivals[i], arrivals[j] = arrivals[j], arrivals[i]
-        return [(a, (i + 1) / m) for i, a in enumerate(arrivals)]
-    # timestamps: one i.i.d. uniform per arrival, ties broken by id
-    rng = SplitMix64(model.seed)
-    return by_timestamp(arrivals, {a.id: rng.random() for a in arrivals})
+    return next(arrival_orders(instance, model.kind, [model.seed]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +538,55 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
         nbrs = checked(json_list, need(entry, "nbrs", ctx), f"{ctx}.nbrs")
         edges += len(nbrs)
         check_size(f"{where}: edges", edges)
-        # one column check: types, then range, then duplicates
-        if not (set(map(type, nbrs)) <= {int}
-                and (not nbrs or (min(nbrs) >= 0 and max(nbrs) < n))
-                and len(set(nbrs)) == len(nbrs)):
+        # types first, as Arrival sorts them; then range and repeats, read
+        # off Arrival's ascending distinct ids
+        if not set(map(type, nbrs)) <= {int}:
             _bad_neighbor(nbrs, n, ctx)
-        arrivals.append(Arrival(vid, tuple(nbrs)))
+        arr = Arrival(vid, tuple(nbrs))
+        if len(arr.nbrs) != len(nbrs) or (nbrs and (arr.nbrs[0] < 0 or arr.nbrs[-1] >= n)):
+            _bad_neighbor(nbrs, n, ctx)
+        arrivals.append(arr)
     try:
         return Instance(name, n, f, arrivals)
     except InputError as e:  # a duplicate online id, named by its position
         raise ParseError(f"{where}.{e}") from e
 
 
+_JSON_SCALARS = {int, float, str, bool, type(None)}
+
+
+def _indented(obj, pad: str) -> str:
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(key)}: {_indented(value, inner)}"
+                 for key, value in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _JSON_SCALARS:
+            # one C-encoder call: its item separator carries the line break
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_indented(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
+def indented_json(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for nested
+    dicts with string keys, lists and JSON scalars. json.dumps with an
+    indent runs the pure-Python encoder; here each list of scalars is
+    encoded by one call of the C encoder."""
+    return _indented(obj, "")
+
+
 def save(instance: Instance, path: str | os.PathLike):
+    """Write the instance as indented_json(instance.to_dict()) plus LF."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write(indented_json(instance.to_dict()))
         fh.write("\n")
 
 

@@ -533,19 +533,17 @@ def lovasz(f: SubmodularFn, y: Sequence[float]) -> float:
     Computed by the exact sorted form: with coordinates ascending and suffix
     sets Y_i, the value is sum_i (y_i - y_{i-1}) f(Y_i) plus a top slab
     (1 - max y) f(empty) that matters only for tables with f(empty) > 0.
+    The suffix values are one chain, grown from the empty set in descending
+    order and read back reversed.
     """
     y = _check_potentials(f.ground, y)
-    n = f.ground.size
-    order = sorted(range(n), key=lambda u: (y[u], u))
-    suffix = 0
-    for u in order:
-        suffix |= 1 << u  # after the loop: full mask
+    order = sorted(range(f.ground.size), key=lambda u: (y[u], u))
+    suffix_values = f.chain_values(0, order[::-1])[::-1]
     total = 0.0
     prev = 0.0
-    for u in order:
-        total += (y[u] - prev) * f.value_mask(suffix)
+    for u, value in zip(order, suffix_values):
+        total += (y[u] - prev) * value
         prev = y[u]
-        suffix &= ~(1 << u)
     total += (1.0 - prev) * f.value_mask(0)
     return total
 

@@ -560,8 +560,12 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     skipped = len(edges) - len(live_edges)
 
     rng = np.random.default_rng(seed)
-    draws = rng.random((trials, m))
+    draws = rng.random((trials, m)).tolist()
     ids = [arr.id for arr in instance.arrivals]
+    # live edges grouped by arrival, in live_edges order
+    live_nbrs: dict[int, list[int]] = {}
+    for u, vid in live_edges:
+        live_nbrs.setdefault(vid, []).append(u)
 
     value_sum = 0.0
     dom_checked = 0
@@ -569,8 +573,8 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     mono_min_slack = math.inf
     samples = np.empty((trials, len(live_edges)), dtype=np.float64)
 
-    for k in range(trials):
-        ts = {vid: float(draws[k, i]) for i, vid in enumerate(ids)}
+    for k, stamps in enumerate(draws):
+        ts = dict(zip(ids, stamps))
         ordered = by_timestamp(instance.arrivals, ts)
         steps = _greedy_core(f, ordered)
         y, z = _greedy_duals(steps, n)
@@ -578,17 +582,21 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
         tcrit = critical_times(f, ordered, steps)
         bounds: dict[float, float] = {}  # tc takes at most m + 1 values in a trial
         row = []
-        for u, vid in live_edges:
-            tc = tcrit[vid].get(u, 1.0)
-            if ts[vid] < tc:
-                dom_checked += 1
-                if vid not in z:
-                    dom_violations += 1
-            bound = bounds.get(tc)
-            if bound is None:
-                bound = bounds[tc] = (1.0 + ALPHA) * (1.0 - dual_split_rate(tc))
-            mono_min_slack = min(mono_min_slack, y[u] - bound)
-            row.append(y[u] + z.get(vid, 0.0))
+        for vid, us in live_nbrs.items():
+            crit, tv, zv, matched = tcrit[vid], ts[vid], z.get(vid, 0.0), vid in z
+            for u in us:
+                tc = crit.get(u, 1.0)
+                if tv < tc:
+                    dom_checked += 1
+                    if not matched:
+                        dom_violations += 1
+                bound = bounds.get(tc)
+                if bound is None:
+                    bound = bounds[tc] = (1.0 + ALPHA) * (1.0 - dual_split_rate(tc))
+                slack = y[u] - bound
+                if slack < mono_min_slack:
+                    mono_min_slack = slack
+                row.append(y[u] + zv)
         samples[k] = row
 
     edge_reports = []

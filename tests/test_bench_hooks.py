@@ -10,6 +10,7 @@ also reads and edits trace files as JSON; the last tests replay those
 reads and edits on the current trace format.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -154,3 +155,30 @@ def test_benchmark_greedy_check_reads_the_final_block(tmp_path):
     data["final"]["x"].pop()  # the matched set no longer agrees
     workloads.RandomArrivalN16._check_greedy(ops, "partition", data, budget, arrivals)
     assert not ops.correct
+
+
+# sha256 of the two lines `run --algorithm greedy-ra --trials 400` printed
+# when each trial was a full run_random_arrival_greedy; random-arrival-n16
+# parses the first. The sparse instance's means move with the draws.
+TRIALS_OUTPUT_SHA256 = {
+    ("n16", "permutation"): "40c1799eba785295c8c81609e259f09ac2774ef2464f375fd3e9f7d9a562fe2d",
+    ("n16", "timestamps"): "40c1799eba785295c8c81609e259f09ac2774ef2464f375fd3e9f7d9a562fe2d",
+    ("sparse", "permutation"): "b12c3fd3ce8a6b4a92664d6cba52bd5c44f599a500c4dfa11ba92f6cb9dd549f",
+    ("sparse", "timestamps"): "9e53f6b06db7c72a48a2236cf69fc15274ffbf090359f6b3436047677772e38a",
+}
+
+
+@pytest.mark.parametrize("key, model", sorted(TRIALS_OUTPUT_SHA256))
+def test_trials_output_is_pinned(tmp_path, capsys, key, model):
+    g = GroundSet(16)
+    inst = {"n16": gen_random(16, 48, 0.3, UniformRank(g, 8), seed=800),
+            "sparse": gen_random(16, 16, 0.1, PartitionBudget(
+                g, [range(i, 16, 4) for i in range(4)], [2] * 4), seed=803)}[key]
+    path = tmp_path / "i.json"
+    save(inst, path)
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--algorithm", "greedy-ra", "--model", model,
+                     "--model-seed", "1000", "--trials", "400"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIALS_OUTPUT_SHA256[key, model], out

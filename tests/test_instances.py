@@ -3,12 +3,15 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidmatch import instances
+from matroidmatch.algorithms import run_mobvc, run_random_arrival_greedy
 from matroidmatch.cli import main
 from matroidmatch.errors import InputError, ParseError, SizeError
 from matroidmatch.instances import (
@@ -17,8 +20,10 @@ from matroidmatch.instances import (
     ArrivalModel,
     Instance,
     SplitMix64,
+    arrival_orders,
     gen_random,
     gen_upper_triangular,
+    indented_json,
     instance_from_dict,
     load,
     make_matroid_suite,
@@ -29,6 +34,7 @@ from matroidmatch.instances import (
 )
 from matroidmatch.submodular import (
     Cardinality,
+    ExplicitTable,
     GroundSet,
     PartitionBudget,
     UniformRank,
@@ -414,6 +420,57 @@ def test_gen_random_file_bytes_are_pinned(tmp_path):
         "8a95adb457986821e22fa56a12e75013b107db8032d964481b4fb050216ff90d")
 
 
+@pytest.mark.parametrize("count", [0, 1, 48])
+def test_stream_block_is_the_scalar_generator(count):
+    # any int seeds, masked to 64 bits, including a run of seed + i that
+    # crosses 2^64 as the trials' seeds may
+    for seeds in ([0, 1, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5],
+                  [2 ** 64 - 2 + i for i in range(4)]):
+        block = instances._streams(seeds, count)
+        assert block.dtype == np.uint64 and block.shape == (len(seeds), count)
+        for seed, row in zip(seeds, block.tolist()):
+            rng = SplitMix64(seed)
+            assert row == [rng.next_u64() for _ in range(count)], seed
+
+
+def scalar_order(instance, model):
+    """order_arrivals restated one SplitMix64 draw at a time."""
+    arrivals = list(instance.arrivals)
+    m = len(arrivals)
+    rng = SplitMix64(model.seed)
+    if model.kind == "timestamps":
+        ts = {a.id: rng.random() for a in arrivals}
+        return sorted(((a, ts[a.id]) for a in arrivals), key=lambda at: (at[1], at[0].id))
+    if model.kind == "permutation":
+        for i in range(m - 1, 0, -1):  # Fisher-Yates
+            j = rng.randint(i + 1)
+            arrivals[i], arrivals[j] = arrivals[j], arrivals[i]
+    return [(a, (i + 1) / m) for i, a in enumerate(arrivals)]
+
+
+@pytest.mark.parametrize("kind", ArrivalModel.KINDS)
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 48, 300])
+def test_arrival_models_are_the_scalar_streams(kind, m):
+    # 200 seeds cross a block boundary at m = 48 (85 streams per block) and
+    # m = 300 (13); the ids are shuffled so the id order is not the stored one
+    rng = SplitMix64(m)
+    ids = list(range(m))
+    for i in range(m - 1, 0, -1):
+        j = rng.randint(i + 1)
+        ids[i], ids[j] = ids[j], ids[i]
+    inst = Instance("x", 3, Cardinality(GroundSet(3)),
+                    [Arrival(v, (v % 3,)) for v in ids])
+    seeds = [0, -1, 2 ** 64 - 1, 2 ** 64 + 5] + list(range(2 ** 64 - 100, 2 ** 64 + 100))
+    want = [scalar_order(inst, ArrivalModel(kind, s)) for s in seeds]
+    assert list(arrival_orders(inst, kind, seeds)) == want
+    assert [order_arrivals(inst, ArrivalModel(kind, s)) for s in seeds[:4]] == want[:4]
+
+
+def test_arrival_orders_refuses_an_unknown_kind():
+    with pytest.raises(InputError, match="unknown arrival model"):
+        next(arrival_orders(gen_upper_triangular(3), "sorted", [0]))
+
+
 def test_splitmix_stream_is_stable():
     # reference value of the first output for seed 0 (pins the generator spec)
     assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
@@ -453,7 +510,85 @@ class TestInstanceBoundary:
         with pytest.raises(InputError, match="share an online id"):
             Instance("x", 3, Cardinality(GroundSet(3)), [Arrival(1, (0,)), Arrival(1, (2,))])
 
+    @pytest.mark.parametrize("nbr", [0.5, 1.0, True, np.bool_(True), "1", None],
+                             ids=["half", "float", "bool", "numpy-bool", "string", "null"])
+    def test_non_integer_neighbor(self, nbr):
+        # neither run may get one: greedy-ra raised a raw TypeError on 0.5
+        # and matched True as element 1
+        f = Cardinality(GroundSet(3))
+        for run in (run_mobvc, run_random_arrival_greedy):
+            with pytest.raises(InputError, match="is not an int"):
+                run(Instance("x", 3, f, [Arrival(1, (0,)), Arrival(0, (nbr,))]))
+
+    def test_numpy_int_neighbors_become_ints(self):
+        f = Cardinality(GroundSet(3))
+        inst = Instance("x", 3, f, [Arrival(0, (np.int64(2), np.uint8(0))), Arrival(1, (1,))])
+        assert [a.nbrs for a in inst.arrivals] == [(0, 2), (1,)]
+        assert all(type(u) is int for a in inst.arrivals for u in a.nbrs)
+        assert run_random_arrival_greedy(inst).state.matched == {0, 1}
+        with pytest.raises(InputError, match="outside 0..2"):
+            Instance("x", 3, f, [Arrival(0, (np.int64(3),))])
+
     def test_edges_of_the_range_and_empty_arrivals(self):
         f = Cardinality(GroundSet(3))
         assert Instance("x", 3, f, [Arrival(0, (0, 2)), Arrival(1, ())]).m_online == 2
         assert Instance("empty", 0, Cardinality(GroundSet(0))).m_online == 0
+
+
+# ---------------------------------------------------------------------------
+# The instance writer
+# ---------------------------------------------------------------------------
+
+NAMES = st.text(st.characters(codec="utf-8"), max_size=12)
+
+
+@st.composite
+def written_instances(draw):
+    """Instances of every family, with empty arrival lists and neighbour
+    lists, any Unicode name, and infinite and non-integral caps."""
+    n = draw(st.integers(0, 7))
+    g = GroundSet(n)
+    caps = st.one_of(st.integers(0, 3), st.sampled_from([0.5, 1e-300, 2.5e17, math.inf]),
+                     st.floats(0.0, 10.0))
+    family = draw(st.sampled_from(["cardinality", "uniform", "partition", "weighted", "table"]))
+    if family == "cardinality":
+        f = Cardinality(g)
+    elif family == "uniform":
+        f = UniformRank(g, draw(st.integers(0, n + 1)))
+    elif family == "partition":
+        ids = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [b for b in ([u for u in range(n) if ids[u] == k] for k in range(3)) if b]
+        f = PartitionBudget(g, blocks, [draw(caps) for _ in blocks])
+    elif family == "weighted":
+        f = WeightedThreshold(g, [draw(caps) for _ in range(n)], draw(caps))
+    else:
+        f = ExplicitTable(g, [draw(caps) for _ in range(1 << n)])
+    m = draw(st.integers(0, 4))
+    nbrs = st.lists(st.integers(0, n - 1), unique=True) if n else st.just([])
+    arrivals = [Arrival(v, tuple(draw(nbrs))) for v in range(m)]
+    return Instance(draw(NAMES), n, f, arrivals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=written_instances())
+def test_writer_is_json_dumps_indented(tmp_path_factory, inst):
+    want = json.dumps(inst.to_dict(), indent=2, sort_keys=True)
+    assert indented_json(inst.to_dict()) == want
+    path = tmp_path_factory.mktemp("w") / "i.json"
+    save(inst, path)
+    assert path.read_bytes() == (want + "\n").encode("utf-8")
+
+
+def test_writer_on_large_and_golden_instances(tmp_path, capsys):
+    for d in (gen_random(200, 400, 0.3, seed=101).to_dict(),
+              json.loads((Path(__file__).parent / "golden" / "tri3.json").read_text()),
+              json.loads((Path(__file__).parent / "golden" / "random-coverage.json").read_text())):
+        assert indented_json(d) == json.dumps(d, indent=2, sort_keys=True)
+    # generate's stdout is the file save writes
+    path = tmp_path / "g.json"
+    assert main(["generate", "random", "--n", "5", "--m", "4", "--p", "0.5",
+                 "--f", "partition:0,0,1,1,1:1.5,inf", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["generate", "random", "--n", "5", "--m", "4", "--p", "0.5",
+                 "--f", "partition:0,0,1,1,1:1.5,inf"]) == 0
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")

@@ -26,12 +26,13 @@ from matroidmatch.algorithms import (
     RunTrace,
     _greedy_core,
     dual_split_rate,
+    greedy_trials,
     run_random_arrival_greedy,
     save_trace,
 )
 from matroidmatch.cli import main
 from matroidmatch.constants import ALPHA
-from matroidmatch.errors import InputError
+from matroidmatch.errors import InputError, PreconditionError
 from matroidmatch.instances import (
     Arrival,
     ArrivalModel,
@@ -47,6 +48,7 @@ from matroidmatch.submodular import (
     GroundSet,
     PartitionBudget,
     UniformRank,
+    WeightedThreshold,
     lovasz,
     mask_members,
     span_mask,
@@ -263,6 +265,35 @@ def test_suite_lemma_reports_unchanged():
     reports = [verify_random_arrival_lemmas(inst, trials=100, seed=3).to_dict()
                for inst in make_matroid_suite(20)]
     assert sha256(json.dumps(reports, sort_keys=True).encode()) == SUITE_REPORT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Value-only trials
+# ---------------------------------------------------------------------------
+
+def sparse_instance(seed):
+    """n16 with few edges: the matching size, and so both values, vary
+    from one order to the next."""
+    g = GroundSet(16)
+    f = PartitionBudget(g, [range(i, 16, 4) for i in range(4)], [2, 2, 2, 2])
+    return gen_random(16, 16, 0.1, f, seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "timestamps"])
+@pytest.mark.parametrize("seed, trials", [(1000, 1), (7, 40), (2 ** 64 - 3, 6)])
+def test_trials_are_the_per_trial_runs(kind, seed, trials):
+    for inst in (sparse_instance(803), n16_instance("uniform", 1), make_matroid_suite(3)[2]):
+        pairs = greedy_trials(inst, kind, seed, trials)
+        runs = [run_random_arrival_greedy(inst, ArrivalModel(kind, seed + i))
+                for i in range(trials)]
+        assert pairs == [(run.primal_value, run.dual_value) for run in runs]
+    assert len({p for p, _ in greedy_trials(sparse_instance(803), kind, 7, 40)}) > 1
+
+
+def test_trials_refuse_a_budget_that_is_no_matroid():
+    inst = gen_random(4, 4, 0.5, WeightedThreshold(GroundSet(4), [0.5, 1.0, 1.5, 2.0], 2.0))
+    with pytest.raises(PreconditionError, match="matroid rank"):
+        greedy_trials(inst, "permutation", 0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,45 @@ class TestChainValues:
         assert f.chain_values(0, []) == []
 
 
+def loop_lovasz(f, y):
+    """lovasz before it read a chain: one value_mask per suffix set."""
+    order = sorted(range(f.ground.size), key=lambda u: (y[u], u))
+    suffix = f.ground.full_mask
+    total = prev = 0.0
+    for u in order:
+        total += (y[u] - prev) * f.value_mask(suffix)
+        prev = y[u]
+        suffix &= ~(1 << u)
+    return total + (1.0 - prev) * f.value_mask(0)
+
+
+class TestLovaszChain:
+    # lovasz reads its suffix values from chain_values; the floats must be
+    # those of the value_mask loop (compared by repr, so NaN from an
+    # infinite cap times a zero slab matches NaN)
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=budgets(), data=st.data())
+    def test_equals_the_value_mask_loop(self, f, data):
+        level = st.one_of(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 1.0]), st.floats(0.0, 1.0))
+        y = data.draw(st.lists(level, min_size=f.ground.size, max_size=f.ground.size))
+        assert repr(lovasz(f, y)) == repr(loop_lovasz(f, y))
+
+    @pytest.mark.parametrize("n", [1, 6, 63, 64, 65, 200])
+    def test_at_the_mask_width_boundaries(self, n):
+        rng = random.Random(n)
+        for f in chain_budgets(n):
+            for _ in range(10):
+                y = [rng.choice([0.0, 0.5, 1.0, rng.random()]) for _ in range(n)]
+                assert repr(lovasz(f, y)) == repr(loop_lovasz(f, y)), f
+
+    def test_table_with_positive_empty_value(self):
+        f = ExplicitTable(GroundSet(3), [0.5, 1.0, 1.25, 1.5, 0.75, 1.5, 1.5, 2.0])
+        for y in ([0.0] * 3, [0.2, 0.7, 0.2], [1.0, 0.0, 0.5]):
+            assert lovasz(f, y) == loop_lovasz(f, y)
+        assert lovasz(f, [0.0] * 3) == 0.5
+
+
 class TestSerialization:
     def test_round_trip_all_families(self):
         for f in all_families(4):
