@@ -66,6 +66,8 @@ from .submodular import (
 )
 
 ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
+# Judged by their cover cost (the dual); the others by their matching value.
+COVER_ALGORITHMS = ("obvc", "mobvc")
 
 # Version of the JSON written by save_trace; load_trace reads no other.
 TRACE_FORMAT = 5
@@ -549,6 +551,22 @@ def greedy_trials(instance: Instance, kind: str, seed: int,
     n = instance.n_offline
     return [_greedy_run(f, n, ordered)[3:]
             for ordered in arrival_orders(instance, kind, range(seed, seed + trials))]
+
+
+def run_algorithm(algorithm: str, instance: Instance,
+                  model: ArrivalModel | None = None) -> RunTrace:
+    """The run of the algorithm named by algorithm, one of ALGORITHMS.
+    model orders the arrivals of greedy-ra; the waterfilling runs take the
+    stored order."""
+    if algorithm == "obvc":
+        return run_obvc(instance)
+    if algorithm == "mobvc":
+        return run_mobvc(instance)
+    if algorithm == "mobm-pd":
+        return run_mobm_pd(instance)
+    if algorithm == "greedy-ra":
+        return run_random_arrival_greedy(instance, model)
+    raise InputError(f"unknown algorithm {algorithm!r}")
 
 
 # ---------------------------------------------------------------------------

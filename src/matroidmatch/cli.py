@@ -2,7 +2,9 @@
 
 Subcommands: generate (instance files), run (one algorithm, one CSV line),
 verify (replay plus feasibility checks on a saved trace), audit (charging
-argument on a saved trace), sweep (ratio table over seeds to CSV).
+argument on a saved trace), sweep (ratio table over seeds to CSV). The
+commands parse and print; what verify and audit check is verify.check_run
+and verify.audit_charging.
 
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage or input error. Floats print with 12 significant digits so golden
@@ -15,18 +17,16 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, is_dataclass
 
 from .algorithms import (
+    ALGORITHMS,
+    COVER_ALGORITHMS,
     greedy_trials,
     load_trace,
-    run_mobm_pd,
-    run_mobvc,
-    run_obvc,
-    run_random_arrival_greedy,
+    run_algorithm,
     save_trace,
 )
-from .constants import DEFAULT_TOL, ONE_MINUS_INV_E, ONE_PLUS_ALPHA
+from .constants import DEFAULT_TOL
 from .errors import InputError, ParseError
 from .instances import (
     ArrivalModel,
@@ -38,11 +38,9 @@ from .instances import (
     random_coverage_table,
     save,
 )
-from .submodular import GroundSet, SubmodularFn, fn_from_spec, lovasz
-from .verify import audit_charging, check_cover, check_matching, offline_opt, round_increments
+from .submodular import GroundSet, SubmodularFn, fn_from_spec
+from .verify import audit_charging, check_run, offline_opt
 
-COVER_ALGORITHMS = ("obvc", "mobvc")
-MATCHING_ALGORITHMS = ("mobm-pd", "greedy-ra")
 RUN_CSV_COLUMNS = "algorithm,instance,primal_value,dual_value,offline_opt,ratio"
 SWEEP_CSV_HEADER = "algorithm,instance,seed,primal,dual,opt,ratio,ms"
 
@@ -121,18 +119,6 @@ def _ratio(algorithm: str, primal: float, dual: float, opt: float) -> float:
     return value / opt
 
 
-def _run_algorithm(algorithm: str, instance: Instance, model: ArrivalModel | None = None):
-    if algorithm == "obvc":
-        return run_obvc(instance)
-    if algorithm == "mobvc":
-        return run_mobvc(instance)
-    if algorithm == "mobm-pd":
-        return run_mobm_pd(instance)
-    if algorithm == "greedy-ra":
-        return run_random_arrival_greedy(instance, model)
-    raise InputError(f"unknown algorithm {algorithm!r}")
-
-
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -186,7 +172,7 @@ def cmd_run(args) -> int:
               f"mean={fmt(sum(ratios) / k)} max={fmt(max(ratios))}")
         return 0
 
-    trace = _run_algorithm(alg, inst, ArrivalModel(args.model, args.model_seed))
+    trace = run_algorithm(alg, inst, ArrivalModel(args.model, args.model_seed))
     if args.trace:
         save_trace(trace, args.trace)
     ratio = _ratio(alg, trace.primal_value, trace.dual_value, opt)
@@ -199,103 +185,9 @@ def cmd_run(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _load_instance_and_trace(args):
-    """The --instance file and the trace file, checked to belong together."""
-    inst = load(args.instance)
-    trace = load_trace(args.trace)
-    if trace.instance_name != inst.name or trace.n_offline != inst.n_offline:
-        raise InputError(
-            f"trace is for instance {trace.instance_name!r} (n={trace.n_offline}), "
-            f"got {inst.name!r} (n={inst.n_offline})")
-    return inst, trace
-
-
-def _first_difference(stored, replayed, tol: float, path: str = "") -> str | None:
-    """The first field, in the trace's own order, where a stored trace and
-    its replay differ (floats by more than tol, anything else at all), named
-    by its path and both values; None when there is none."""
-    if is_dataclass(stored):
-        pairs = [(f.name, getattr(stored, f.name), getattr(replayed, f.name))
-                 for f in fields(stored) if f.compare]
-        path += "." if path else ""
-    elif isinstance(stored, tuple) and hasattr(stored, "_fields"):  # a named tuple
-        pairs = list(zip(stored._fields, stored, replayed))
-        path += "." if path else ""
-    elif isinstance(stored, dict):
-        missing = sorted(stored.keys() ^ replayed.keys())
-        if missing:
-            side = "the replay" if missing[0] in stored else "the trace"
-            return f"{path}[{_key_text(missing[0])}] is missing from {side}"
-        pairs = [(f"[{_key_text(k)}]", stored[k], replayed[k]) for k in sorted(stored)]
-    elif isinstance(stored, (list, tuple)):
-        if len(stored) != len(replayed):
-            return f"{path} has {len(stored)} entries, replayed {len(replayed)}"
-        pairs = [(f"[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, replayed))]
-    elif isinstance(stored, float) or isinstance(replayed, float):  # a sum over nothing is int 0
-        if abs(stored - replayed) <= tol:
-            return None
-        return f"{path} = {fmt(stored)} != replayed {fmt(replayed)}"
-    else:
-        return None if stored == replayed else f"{path} = {stored!r} != replayed {replayed!r}"
-    for name, a, b in pairs:
-        diff = _first_difference(a, b, tol, path + name)
-        if diff is not None:
-            return diff
-    return None
-
-
-def _key_text(key) -> str:
-    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
-
-
-def _verify_checks(trace, inst: Instance, tol: float) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-    alg = trace.algorithm
-
-    if alg == "greedy-ra":
-        replay = run_random_arrival_greedy(
-            inst, timestamps={rec.v: rec.t for rec in trace.rounds})
-    else:
-        replay = _run_algorithm(alg, inst)
-    diff = None if trace == replay else _first_difference(trace, replay, tol)
-    checks.append(("replay-match", diff is None, diff or ""))
-
-    y, z, x = trace.state.y, trace.state.z, trace.state.x
-    dual_direct = lovasz(inst.f, y) + sum(z.values())
-    checks.append(("dual-consistent", abs(dual_direct - trace.dual_value) <= tol,
-                   f"lovasz + sum z = {fmt(dual_direct)} vs stored {fmt(trace.dual_value)}"))
-
-    opt = offline_opt(inst).value
-    if alg in COVER_ALGORITHMS:
-        rep = check_cover(y, z, inst, tol=tol)
-        checks.append(("cover-feasible", rep.ok, "; ".join(rep.violations[:3])))
-        bound = (ONE_PLUS_ALPHA + 1e-6) * opt + tol
-        checks.append(("competitive", trace.dual_value <= bound,
-                       f"cost {fmt(trace.dual_value)} vs (1+a)*opt = {fmt(ONE_PLUS_ALPHA * opt)}"))
-    else:
-        rep = check_matching(x, inst, tol=tol)
-        checks.append(("matching-feasible", rep.ok, "; ".join(rep.violations[:3])))
-        primal_direct = sum(x.values())
-        checks.append(("primal-consistent", abs(primal_direct - trace.primal_value) <= tol,
-                       f"sum x = {fmt(primal_direct)} vs stored {fmt(trace.primal_value)}"))
-        checks.append(("weak-duality", trace.primal_value <= trace.dual_value + tol,
-                       f"primal {fmt(trace.primal_value)} vs dual {fmt(trace.dual_value)}"))
-        if alg == "mobm-pd":
-            worst = 0.0
-            for dP, dD in round_increments(trace):
-                worst = max(worst, abs(dD - ONE_PLUS_ALPHA * dP) / max(1.0, abs(dD)))
-            checks.append(("pd-rounds", worst <= tol,
-                           f"max |dD - (1+a) dP| relative gap {worst:.3g}"))
-            bound = (ONE_MINUS_INV_E - 1e-6) * opt - tol
-            checks.append(("competitive", trace.primal_value >= bound,
-                           f"value {fmt(trace.primal_value)} vs (1-1/e)*opt = "
-                           f"{fmt(ONE_MINUS_INV_E * opt)}"))
-    return checks
-
-
 def cmd_verify(args) -> int:
-    inst, trace = _load_instance_and_trace(args)
-    checks = _verify_checks(trace, inst, args.tol)
+    inst, trace = load(args.instance), load_trace(args.trace)
+    checks = check_run(trace, inst, args.tol)
     ok = all(c[1] for c in checks)
     if args.json:
         print(json.dumps({"ok": ok, "checks": [
@@ -314,7 +206,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_audit(args) -> int:
-    inst, trace = _load_instance_and_trace(args)
+    inst, trace = load(args.instance), load_trace(args.trace)
     cert = offline_opt(inst)
     rep = audit_charging(trace, cert, inst, tol=args.tol)
     if args.json:
@@ -346,7 +238,7 @@ def cmd_audit(args) -> int:
 def cmd_sweep(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for a in algorithms:
-        if a not in COVER_ALGORITHMS + MATCHING_ALGORITHMS:
+        if a not in ALGORITHMS:
             raise InputError(f"unknown algorithm {a!r}")
     if "greedy-ra" not in algorithms and args.model != "adversarial":
         raise InputError(f"--algorithms {args.algorithms!r} run once in the stored arrival "
@@ -370,7 +262,7 @@ def cmd_sweep(args) -> int:
         model = ArrivalModel(args.model, seed)
         for alg in algorithms:
             t0 = time.perf_counter()
-            trace = _run_algorithm(alg, inst, model)
+            trace = run_algorithm(alg, inst, model)
             ms = 0.0 if args.repro else (time.perf_counter() - t0) * 1000.0
             ratio = _ratio(alg, trace.primal_value, trace.dual_value, opt)
             rows.append(f"{alg},{inst.name},{seed},{fmt(trace.primal_value)},"
@@ -410,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    + RUN_CSV_COLUMNS)
     p.add_argument("instance", help="instance JSON path")
     p.add_argument("--algorithm", required=True,
-                   choices=COVER_ALGORITHMS + MATCHING_ALGORITHMS)
+                   choices=ALGORITHMS)
     p.add_argument("--model", default="adversarial", choices=ArrivalModel.KINDS,
                    help="arrival order model (greedy-ra)")
     p.add_argument("--model-seed", type=int, default=0)

@@ -9,10 +9,11 @@ Seeded generation uses SplitMix64 (64-bit state, one mixed stream per
 online vertex) so instances are reproducible bit-for-bit from (params,
 seed) and the generator is easy to restate outside Python. gen_random and
 the arrival models draw their streams as numpy uint64 blocks, many streams
-per call (_streams); the scalar SplitMix64 class serves the suites and is
-the tests' reference, and bench/reference.py restates gen_random's streams
-one draw at a time. Golden tests should still pin serialized instance files
-rather than seeds.
+per call (_streams); the scalar SplitMix64 class serves
+random_coverage_table, round_cover and the test suites (tests/helpers.py)
+and is the tests' reference, and bench/reference.py restates gen_random's
+streams one draw at a time. Golden tests should still pin serialized
+instance files rather than seeds.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ from .submodular import (
     Cardinality,
     ExplicitTable,
     GroundSet,
-    PartitionBudget,
     SubmodularFn,
-    UniformRank,
-    WeightedThreshold,
     as_mask,
     fn_from_spec,
     mask_members,
@@ -342,84 +340,6 @@ def random_coverage_table(n: int, seed: int, universe: int | None = None) -> Exp
             covered |= covers[u]
         values.append(sum(weights[j] for j in mask_members(covered)))
     return ExplicitTable(GroundSet(n), values)
-
-
-def _random_matroid_fn(n: int, stream: SplitMix64) -> SubmodularFn:
-    g = GroundSet(n)
-    pick = stream.randint(3)
-    if pick == 0 or n == 1:
-        return Cardinality(g)
-    if pick == 1:
-        return UniformRank(g, 1 + stream.randint(n))
-    # random partition with caps >= 1 so no element is spanned by the empty set
-    k = 1 + stream.randint(min(3, n))
-    blocks = [[] for _ in range(k)]
-    for u in range(n):
-        blocks[stream.randint(k)].append(u)
-    blocks = [b for b in blocks if b]
-    caps = [1 + stream.randint(2) for _ in blocks]
-    return PartitionBudget(g, blocks, caps)
-
-
-def make_suite(count: int = 200, n_max: int = 12, m_max: int = 12,
-               seed: int = 0) -> list[Instance]:
-    """Deterministic mixed-family test suite of at least `count` instances.
-
-    Starts with the triangular family, then cycles random graphs through
-    all five function families. Explicit tables come from random coverage,
-    so every instance is monotone submodular by construction.
-    """
-    if count < 1:
-        raise InputError("count must be >= 1")
-    suite = [gen_upper_triangular(n) for n in range(1, min(n_max, 12) + 1)]
-    root = SplitMix64(seed ^ 0xC0FFEE)
-    i = 0
-    while len(suite) < count:
-        n = 2 + i % (n_max - 1)
-        m = 1 + (i * 5 + 3) % m_max
-        p = (0.15, 0.35, 0.55, 0.75, 0.95)[i % 5]
-        s = root.next_u64() >> 16
-        kind = i % 5
-        g = GroundSet(n)
-        if kind == 0:
-            f = Cardinality(g)
-        elif kind == 1:
-            f = UniformRank(g, 1 + i % n)
-        elif kind == 2:
-            f = _random_matroid_fn(n, SplitMix64(s))
-        elif kind == 3:
-            w_stream = SplitMix64(s ^ 0xBEEF)
-            weights = [0.25 + w_stream.random() for _ in range(n)]
-            f = WeightedThreshold(g, weights, 1.0 + w_stream.random() * n / 2)
-        else:
-            f = random_coverage_table(min(n, 8), s)
-            n = f.ground.size
-        inst = gen_random(n, m, p, f, seed=s, name=None)
-        inst.name = f"suite-{len(suite):03d}-{inst.name}"
-        suite.append(inst)
-        i += 1
-    return suite
-
-
-def make_matroid_suite(count: int = 20, n_max: int = 8, m_max: int = 8,
-                       seed: int = 1) -> list[Instance]:
-    """Instances whose f is a matroid rank with no rank-zero singletons."""
-    if count < 1:
-        raise InputError("count must be >= 1")
-    suite = []
-    root = SplitMix64(seed ^ 0x5EED)
-    i = 0
-    while len(suite) < count:
-        n = 2 + i % (n_max - 1)
-        m = 1 + (i * 3 + 1) % m_max
-        p = (0.3, 0.5, 0.7, 0.9)[i % 4]
-        s = root.next_u64() >> 16
-        f = _random_matroid_fn(n, SplitMix64(s))
-        inst = gen_random(n, m, p, f, seed=s)
-        inst.name = f"matroid-{len(suite):03d}-{inst.name}"
-        suite.append(inst)
-        i += 1
-    return suite
 
 
 # ---------------------------------------------------------------------------

@@ -396,32 +396,34 @@ class ExplicitTable(SubmodularFn):
         return {"family": "explicit_table", "values": [float(v) for v in self.table]}
 
 
+# Family tag -> (class, the spec fields its constructor takes after the ground set).
+_SPEC_FIELDS = {cls.family: (cls, names) for cls, names in [
+    (Cardinality, ()), (UniformRank, ("k",)), (PartitionBudget, ("blocks", "caps")),
+    (WeightedThreshold, ("weights", "cap")), (ExplicitTable, ("values",))]}
+
+
 def fn_from_spec(spec: dict, ground: GroundSet) -> SubmodularFn:
-    """Build a SubmodularFn from its tagged-dict serialization."""
+    """Build a SubmodularFn from its tagged-dict serialization, the form
+    every budget read from an instance file or a --f flag takes.
+
+    InputError for a malformed spec, and for a budget that takes a value
+    that is not finite. A budget is monotone, so that value is f of the
+    whole ground set, where finite weights can still add up to inf.
+    """
     if not isinstance(spec, dict) or "family" not in spec:
         raise InputError("f spec must be an object with a 'family' tag")
     family = spec["family"]
-    if family == "cardinality":
-        return Cardinality(ground)
-    if family == "uniform_rank":
-        if "k" not in spec:
-            raise InputError("uniform_rank spec needs field 'k'")
-        return UniformRank(ground, spec["k"])
-    if family == "partition_budget":
-        for field in ("blocks", "caps"):
-            if field not in spec:
-                raise InputError(f"partition_budget spec needs field '{field}'")
-        return PartitionBudget(ground, spec["blocks"], spec["caps"])
-    if family == "weighted_threshold":
-        for field in ("weights", "cap"):
-            if field not in spec:
-                raise InputError(f"weighted_threshold spec needs field '{field}'")
-        return WeightedThreshold(ground, spec["weights"], spec["cap"])
-    if family == "explicit_table":
-        if "values" not in spec:
-            raise InputError("explicit_table spec needs field 'values'")
-        return ExplicitTable(ground, spec["values"])
-    raise InputError(f"unknown function family {family!r}")
+    if not isinstance(family, str) or family not in _SPEC_FIELDS:
+        raise InputError(f"unknown function family {family!r}")
+    cls, names = _SPEC_FIELDS[family]
+    for name in names:
+        if name not in spec:
+            raise InputError(f"{family} spec needs field '{name}'")
+    f = cls(ground, *(spec[name] for name in names))
+    top = f.value_mask(ground.full_mask)
+    if not math.isfinite(top):
+        raise InputError(f"f(ground set) = {top}; budget values must be finite")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -546,34 +548,6 @@ def lovasz(f: SubmodularFn, y: Sequence[float]) -> float:
         prev = y[u]
     total += (1.0 - prev) * f.value_mask(0)
     return total
-
-
-def lovasz_mc(f: SubmodularFn, y: Sequence[float], samples: int = 100_000,
-              seed: int = 0) -> float:
-    """Monte-Carlo estimate of the Lovasz extension: average f({u : y_u >= t}).
-
-    A threshold t selects one of the n + 1 suffix sets of y sorted
-    ascending, so the samples are counted per suffix and each suffix set
-    met is evaluated once, as a Python-int mask (any n).
-    """
-    y = _check_potentials(f.ground, y)
-    if samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
-    n = f.ground.size
-    rng = np.random.default_rng(seed)
-    t = rng.random(samples)
-    order = sorted(range(n), key=lambda u: (y[u], u))
-    # {u : y_u >= t} is order[i:] with i the number of potentials below t
-    counts = np.bincount(np.searchsorted([y[u] for u in order], t, side="left"),
-                         minlength=n + 1)
-    total = 0.0
-    suffix = 0
-    for i in range(n, -1, -1):
-        if i < n:
-            suffix |= 1 << order[i]
-        if counts[i]:
-            total += int(counts[i]) * f.value_mask(suffix)
-    return total / samples
 
 
 def is_matroid_rank(f: SubmodularFn) -> bool:

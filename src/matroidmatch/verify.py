@@ -4,21 +4,32 @@ Everything here is deliberately independent of the online code paths: the
 optimum is a self-checked min cut (brute-force enumeration for budgets
 without a laminar form), matching feasibility re-derives the constraints
 from scratch, and the charging audit recomputes integrals from the raw
-trace regions. A disagreement between an auditor and a run is
-evidence against the run, never the other way around.
+trace regions. The one exception is check_run's replay, which reruns the
+algorithm because comparing a trace with its rerun is that check. A
+disagreement between an auditor and a run is evidence against the run,
+never the other way around.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .algorithms import RunTrace, _greedy_core, _greedy_duals, _spanned_at, dual_split_rate
+from .algorithms import (
+    COVER_ALGORITHMS,
+    RunTrace,
+    _greedy_core,
+    _greedy_duals,
+    _spanned_at,
+    dual_split_rate,
+    run_algorithm,
+    run_random_arrival_greedy,
+)
 from .barchart import charge_integral
-from .constants import ALPHA, DEFAULT_TOL, charge_potential
+from .constants import ALPHA, DEFAULT_TOL, ONE_MINUS_INV_E, ONE_PLUS_ALPHA, charge_potential
 from .errors import InputError, InvariantError, SizeError
 from .instances import Instance, by_timestamp
 from .submodular import (
@@ -200,19 +211,23 @@ class _FlowNetwork:
         return push
 
 
+class _Report:
+    """Base of the report dataclasses: to_dict is dataclasses.asdict, its
+    keys in field order and nested reports as dicts."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 # ---------------------------------------------------------------------------
 # Matching and duality checks
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CheckReport:
+class CheckReport(_Report):
     ok: bool
     violations: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "violations": list(self.violations),
-                "details": dict(self.details)}
 
 
 def check_matching(x: dict[tuple[int, int], float], instance: Instance,
@@ -299,18 +314,6 @@ def _laminar_excess(x_u: list[float], weights: list[float],
     return excess, smask
 
 
-def check_weak_duality(x: dict[tuple[int, int], float], y, z: dict[int, float],
-                       f: SubmodularFn, tol: float = DEFAULT_TOL) -> CheckReport:
-    """sum of x <= Lovasz(f, y) + sum of z, always, for feasible pairs."""
-    primal = sum(x.values())
-    dual = lovasz(f, y) + sum(z.values())
-    ok = primal <= dual + tol
-    report = CheckReport(ok=ok, details={"primal": primal, "dual": dual})
-    if not ok:
-        report.violations.append(f"primal {primal:.12g} exceeds dual {dual:.12g}")
-    return report
-
-
 def round_increments(trace: RunTrace) -> list[tuple[float, float]]:
     """(dP, dD) of each round of a waterfilling trace, derived from what the
     trace stores: dD = (1 - a) plus the area of the round's new regions, and
@@ -364,11 +367,122 @@ def expected_rounding_cost(f: SubmodularFn, y, z: dict[int, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Checks of a saved run
+# ---------------------------------------------------------------------------
+
+def check_pair(trace: RunTrace, instance: Instance):
+    """InputError unless trace is a run on instance: the same instance name
+    and the same number of offline vertices."""
+    if trace.instance_name != instance.name or trace.n_offline != instance.n_offline:
+        raise InputError(
+            f"trace is for instance {trace.instance_name!r} (n={trace.n_offline}), "
+            f"got {instance.name!r} (n={instance.n_offline})")
+
+
+def _check_tol(tol: float):
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
+def check_run(trace: RunTrace, instance: Instance,
+              tol: float = DEFAULT_TOL) -> list[tuple[str, bool, str]]:
+    """Every check of a saved run, in order, as (name, ok, detail): the
+    replay (greedy-ra at the trace's own timestamps), the stored dual, then
+    feasibility and the competitive bound, with the stored primal, weak
+    duality and mobm-pd's per-round identity for matching runs. InputError
+    when check_pair refuses the pair or tol is not finite and >= 0.
+    """
+    check_pair(trace, instance)
+    _check_tol(tol)
+    checks: list[tuple[str, bool, str]] = []
+    alg = trace.algorithm
+
+    if alg == "greedy-ra":
+        replay = run_random_arrival_greedy(
+            instance, timestamps={rec.v: rec.t for rec in trace.rounds})
+    else:
+        replay = run_algorithm(alg, instance)
+    diff = None if trace == replay else _first_difference(trace, replay, tol)
+    checks.append(("replay-match", diff is None, diff or ""))
+
+    y, z, x = trace.state.y, trace.state.z, trace.state.x
+    dual_direct = lovasz(instance.f, y) + sum(z.values())
+    checks.append(("dual-consistent", abs(dual_direct - trace.dual_value) <= tol,
+                   f"lovasz + sum z = {dual_direct:.12g} vs stored {trace.dual_value:.12g}"))
+
+    opt = offline_opt(instance).value
+    if alg in COVER_ALGORITHMS:
+        rep = check_cover(y, z, instance, tol=tol)
+        checks.append(("cover-feasible", rep.ok, "; ".join(rep.violations[:3])))
+        bound = (ONE_PLUS_ALPHA + 1e-6) * opt + tol
+        checks.append(("competitive", trace.dual_value <= bound,
+                       f"cost {trace.dual_value:.12g} vs (1+a)*opt = "
+                       f"{ONE_PLUS_ALPHA * opt:.12g}"))
+        return checks
+    rep = check_matching(x, instance, tol=tol)
+    checks.append(("matching-feasible", rep.ok, "; ".join(rep.violations[:3])))
+    primal_direct = sum(x.values())
+    checks.append(("primal-consistent", abs(primal_direct - trace.primal_value) <= tol,
+                   f"sum x = {primal_direct:.12g} vs stored {trace.primal_value:.12g}"))
+    checks.append(("weak-duality", trace.primal_value <= trace.dual_value + tol,
+                   f"primal {trace.primal_value:.12g} vs dual {trace.dual_value:.12g}"))
+    if alg == "mobm-pd":
+        worst = 0.0
+        for dP, dD in round_increments(trace):
+            worst = max(worst, abs(dD - ONE_PLUS_ALPHA * dP) / max(1.0, abs(dD)))
+        checks.append(("pd-rounds", worst <= tol,
+                       f"max |dD - (1+a) dP| relative gap {worst:.3g}"))
+        bound = (ONE_MINUS_INV_E - 1e-6) * opt - tol
+        checks.append(("competitive", trace.primal_value >= bound,
+                       f"value {trace.primal_value:.12g} vs (1-1/e)*opt = "
+                       f"{ONE_MINUS_INV_E * opt:.12g}"))
+    return checks
+
+
+def _first_difference(stored, replayed, tol: float, path: str = "") -> str | None:
+    """The first field, in the trace's own order, where a stored trace and
+    its replay differ (floats by more than tol, anything else at all), named
+    by its path and both values; None when there is none."""
+    if is_dataclass(stored):
+        pairs = [(f.name, getattr(stored, f.name), getattr(replayed, f.name))
+                 for f in fields(stored) if f.compare]
+        path += "." if path else ""
+    elif isinstance(stored, tuple) and hasattr(stored, "_fields"):  # a named tuple
+        pairs = list(zip(stored._fields, stored, replayed))
+        path += "." if path else ""
+    elif isinstance(stored, dict):
+        missing = sorted(stored.keys() ^ replayed.keys())
+        if missing:
+            side = "the replay" if missing[0] in stored else "the trace"
+            return f"{path}[{_key_text(missing[0])}] is missing from {side}"
+        pairs = [(f"[{_key_text(k)}]", stored[k], replayed[k]) for k in sorted(stored)]
+    elif isinstance(stored, (list, tuple)):
+        if len(stored) != len(replayed):
+            return f"{path} has {len(stored)} entries, replayed {len(replayed)}"
+        pairs = [(f"[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, replayed))]
+    elif isinstance(stored, float) or isinstance(replayed, float):  # a sum over nothing is int 0
+        if abs(stored - replayed) <= tol:
+            return None
+        return f"{path} = {stored:.12g} != replayed {replayed:.12g}"
+    else:
+        return None if stored == replayed else f"{path} = {stored!r} != replayed {replayed!r}"
+    for name, a, b in pairs:
+        diff = _first_difference(a, b, tol, path + name)
+        if diff is not None:
+            return diff
+    return None
+
+
+def _key_text(key) -> str:
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
+# ---------------------------------------------------------------------------
 # Charging audit
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RoundAudit:
+class RoundAudit(_Report):
     v: int
     in_opt_cover: bool
     charge: float
@@ -376,24 +490,14 @@ class RoundAudit:
     ok: bool
     pervertex_lhs: float | None = None  # obvc per-vertex form only
 
-    def to_dict(self) -> dict:
-        return {"v": self.v, "in_opt_cover": self.in_opt_cover,
-                "charge": self.charge, "required": self.required, "ok": self.ok,
-                "pervertex_lhs": self.pervertex_lhs}
-
 
 @dataclass
-class AuditReport:
+class AuditReport(_Report):
     rounds: list[RoundAudit]
     total_charge: float
     budget: float
     global_ok: bool
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {"rounds": [r.to_dict() for r in self.rounds],
-                "total_charge": self.total_charge, "budget": self.budget,
-                "global_ok": self.global_ok, "ok": self.ok}
 
 
 def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
@@ -409,7 +513,12 @@ def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
     cover feed the global sum. For plain-graph traces the per-vertex form
     sum over raised u of F(a) - F(old y_u) >= 1 - a is checked as well,
     F being the charge antiderivative.
+
+    InputError when the trace is not a run on instance (check_pair) or tol
+    is not finite and >= 0.
     """
+    check_pair(trace, instance)
+    _check_tol(tol)
     if trace.algorithm not in ("obvc", "mobvc", "mobm-pd"):
         raise InputError(f"charging audit applies to waterfilling traces, "
                          f"not {trace.algorithm!r}")
@@ -491,20 +600,16 @@ def critical_times(f: SubmodularFn, ordered, steps) -> dict[int, dict[int, float
 
 
 @dataclass
-class EdgeFeasibility:
+class EdgeFeasibility(_Report):
     u: int
     v: int
     mean: float
     stderr: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {"u": self.u, "v": self.v, "mean": self.mean,
-                "stderr": self.stderr, "ok": self.ok}
-
 
 @dataclass
-class RandomArrivalReport:
+class RandomArrivalReport(_Report):
     trials: int
     mean_value: float
     dominance_checked: int
@@ -521,15 +626,7 @@ class RandomArrivalReport:
                 and self.feasibility_ok)
 
     def to_dict(self) -> dict:
-        return {"trials": self.trials, "mean_value": self.mean_value,
-                "dominance_checked": self.dominance_checked,
-                "dominance_violations": self.dominance_violations,
-                "monotonicity_min_slack": self.monotonicity_min_slack,
-                "monotonicity_ok": self.monotonicity_ok,
-                "edges": [e.to_dict() for e in self.edges],
-                "feasibility_ok": self.feasibility_ok,
-                "skipped_rank_zero_edges": self.skipped_rank_zero_edges,
-                "ok": self.ok}
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,

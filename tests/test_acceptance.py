@@ -20,8 +20,6 @@ from matroidmatch.constants import ALPHA, ONE_MINUS_INV_E, ONE_PLUS_ALPHA, charg
 from matroidmatch.instances import (
     SplitMix64,
     gen_upper_triangular,
-    make_matroid_suite,
-    make_suite,
     random_coverage_table,
 )
 from matroidmatch.submodular import (
@@ -32,7 +30,6 @@ from matroidmatch.submodular import (
     UniformRank,
     WeightedThreshold,
     lovasz,
-    lovasz_mc,
     verify_axioms,
 )
 from matroidmatch.verify import (
@@ -43,6 +40,8 @@ from matroidmatch.verify import (
     round_increments,
     verify_random_arrival_lemmas,
 )
+
+from helpers import lovasz_mc, make_matroid_suite, make_suite
 
 # regression pins for the 20-vertex triangular instance; recorded once from
 # this implementation, the brackets below are the actual acceptance bound

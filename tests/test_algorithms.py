@@ -27,8 +27,6 @@ from matroidmatch.instances import (
     Instance,
     gen_random,
     gen_upper_triangular,
-    make_matroid_suite,
-    make_suite,
     random_coverage_table,
 )
 from matroidmatch.submodular import (
@@ -40,6 +38,8 @@ from matroidmatch.submodular import (
     lovasz,
 )
 from matroidmatch.verify import round_increments
+
+from helpers import make_matroid_suite, make_suite
 
 TOL = 1e-9
 

@@ -105,7 +105,7 @@ def test_run_attributes_the_benchmark_reads(algorithm):
     # workloads._same_trace compares these fields; the tracer's count_bars
     # reads the chart of every waterfilling run
     inst = gen_random(6, 8, 0.5, Cardinality(GroundSet(6)), seed=3)
-    trace = cli._run_algorithm(algorithm, inst)
+    trace = algorithms.run_algorithm(algorithm, inst)
     for name in RUN_ATTRIBUTES:
         assert hasattr(trace, name), name
     for name in STATE_ATTRIBUTES:

@@ -1,6 +1,8 @@
 """End-to-end tests driving the CLI through main()."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +63,29 @@ class TestGenerate:
 
     def test_missing_m(self, capsys):
         assert main(["generate", "random", "--n", "4"]) == 2
+
+    @pytest.mark.parametrize("spec", ["weighted:inf,1:inf", "weighted:1e308,1e308:inf"])
+    def test_infinite_budget_refused(self, tmp_path, capsys, spec):
+        # these budgets used to give mobm-pd primal 0 against OPT 2 and a NaN dual
+        argv = ["generate", "random", "--n", "2", "--m", "2", "--p", "1.0", "--f", spec]
+        assert main(argv) == 2
+        assert "f(ground set) = inf; budget values must be finite" in capsys.readouterr().err
+        path = tmp_path / "i.json"
+        f = {"family": "weighted_threshold", "weights": [math.inf, 1.0], "cap": math.inf}
+        path.write_text(json.dumps({"name": "inf", "n_offline": 2, "f": f, "arrivals": []}))
+        assert main(["run", str(path), "--algorithm", "mobm-pd"]) == 2
+        assert f"error: {path}.f: f(ground set) = inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["weighted:inf,1:2", "weighted:1,1:inf", "partition:0,0:inf"])
+    def test_infinite_caps_and_weights_run(self, tmp_path, capsys, spec):
+        ipath, tpath = str(tmp_path / "i.json"), str(tmp_path / "t.json")
+        assert main(["generate", "random", "--n", "2", "--m", "2", "--p", "1.0", "--f", spec,
+                     "--out", ipath]) == 0
+        for algorithm in ("mobvc", "mobm-pd"):
+            assert main(["run", ipath, "--algorithm", algorithm, "--trace", tpath]) == 0
+            assert main(["verify", tpath, "--instance", ipath]) == 0
+            assert main(["audit", tpath, "--instance", ipath]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestFlagParsers:
@@ -199,6 +224,29 @@ class TestVerify:
         other = tmp_path / "other.json"
         main(["generate", "triangular", "--n", "5", "--out", str(other)])
         assert main(["verify", tpath, "--instance", str(other)]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "audit"])
+    def test_mismatched_instance_message(self, tmp_path, capsys, command):
+        ipath, tpath = self.make_pair(tmp_path)
+        other = tmp_path / "other.json"
+        main(["generate", "triangular", "--n", "4", "--out", str(other)])
+        capsys.readouterr()
+        assert main([command, tpath, "--instance", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: trace is for instance {load(ipath).name!r} (n=5), "
+                                f"got 'triangular-4' (n=4)\n")
+
+    @pytest.mark.parametrize("command", ["verify", "audit"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tolerance_refused(self, tmp_path, capsys, command, tol):
+        # inf passed every check, nan failed equal values, -1 failed correct runs
+        ipath, tpath = self.make_pair(tmp_path)
+        capsys.readouterr()
+        assert main([command, tpath, "--instance", ipath, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and >= 0" in captured.err
 
     def test_json_report(self, tmp_path, capsys):
         ipath, tpath = self.make_pair(tmp_path)
@@ -418,3 +466,73 @@ class TestGreedyAtLargeN:
         err = capsys.readouterr().err
         assert "requires a matroid rank budget" in err
         assert "limited to n" not in err
+
+
+class TestCheckOutputPins:
+    """sha256 of the stdout of verify and audit, text and --json, on fixed
+    runs and on one corrupted trace: these bytes are the checks' interface,
+    and moving the checks between modules must not change them."""
+
+    PARTITION = "partition:0,0,1,1,2,2:1,2,1"
+    VERIFY = {
+        ("obvc", False): "ccb0f9b6377f00dded64021cddb69a4694b6fee7e60f63731731c0f1941ac020",
+        ("obvc", True): "47f552b116bdde9174c10495fc9f2dfd1d1d585e4ab4bbd4b9e5ec67cfc859a2",
+        ("mobvc", False): "ccb0f9b6377f00dded64021cddb69a4694b6fee7e60f63731731c0f1941ac020",
+        ("mobvc", True): "7b0c34d1baad29f1fe2eeb8b2232050d82132662b3ccb19e23dfb83b3bf3ae09",
+        ("mobm-pd", False): "541ad8bd83dd85b8da081a0e14709e18146380e0f8ae84a2b91e250271c09f82",
+        ("mobm-pd", True): "07b3ba0f365f13737a22f3bb2ac7ac5b80e0df597e47a5f9723614f4f312b470",
+        ("greedy-ra", False): "6da0d9aa141c702f7971a43ac50eb82f32dbbe8e96c759ece6ea66a95de01e91",
+        ("greedy-ra", True): "82e9ab2fc1a7b75128e38f2bb0c2bfa1c789cabaea282c402f2b6b21c43d7af0",
+        ("corrupt", False): "94d8a8bda004c951b0072e994a5acbbe5e759510a2a9430084a7b0500922e6b0",
+        ("corrupt", True): "10f9ee64de0f15cd14949e7e057fd40b13fd15547e89ada84d4972659f714a04",
+    }
+    AUDIT = {
+        ("mobvc", False): "8ddf4cddccd26695177f11d71dc4aaa3dcb4f3a0b2e189ab390fa78f86597407",
+        ("mobvc", True): "14d5a1c9a12805d46b00694267c2f6c064b7da7d69b1198ad5859ee91a02d0a7",
+        ("mobm-pd", False): "8ddf4cddccd26695177f11d71dc4aaa3dcb4f3a0b2e189ab390fa78f86597407",
+        ("mobm-pd", True): "14d5a1c9a12805d46b00694267c2f6c064b7da7d69b1198ad5859ee91a02d0a7",
+        ("corrupt", False): "976a791cba9f4a1d3e54df67291926ce8ae04a8a156262f2f7b16ebc304f4d8a",
+        ("corrupt", True): "5b8802d6e2772bfe6dd6d29cbc45b319631466d0ab4d34b851324f5e6a695e4b",
+    }
+
+    def make_pair(self, tmp_path, algorithm):
+        """Instance and trace files of one run: obvc on a cardinality budget,
+        the others on a partition matroid; 'corrupt' is a mobm-pd trace with
+        halved potentials, a matching entry moved and its first
+        round's regions flattened."""
+        spec = "cardinality" if algorithm == "obvc" else self.PARTITION
+        ipath, tpath = tmp_path / "i.json", tmp_path / "t.json"
+        assert main(["generate", "random", "--n", "6", "--m", "9", "--p", "0.45",
+                     "--seed", "21", "--f", spec, "--out", str(ipath)]) == 0
+        run_as = "mobm-pd" if algorithm == "corrupt" else algorithm
+        assert main(["run", str(ipath), "--algorithm", run_as, "--trace", str(tpath)]) == 0
+        if algorithm == "corrupt":
+            data = json.loads(tpath.read_text(encoding="utf-8"))
+            data["final"]["y"] = [v / 2 for v in data["final"]["y"]]
+            data["final"]["x"][0][2] += 0.25
+            rounds = data["rounds"]
+            for j in range(rounds["regions"][0]):  # the first round's charge drops to 0
+                rounds["new_height"][j] = rounds["old_height"][j]
+            tpath.write_text(json.dumps(data), encoding="utf-8")
+        return str(ipath), str(tpath)
+
+    def stdout_sha(self, capsys, argv, rc):
+        capsys.readouterr()
+        assert main(argv) == rc
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("algorithm", ["obvc", "mobvc", "mobm-pd", "greedy-ra", "corrupt"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_verify(self, tmp_path, capsys, algorithm, as_json):
+        ipath, tpath = self.make_pair(tmp_path, algorithm)
+        argv = ["verify", tpath, "--instance", ipath] + (["--json"] if as_json else [])
+        rc = 1 if algorithm == "corrupt" else 0
+        assert self.stdout_sha(capsys, argv, rc) == self.VERIFY[algorithm, as_json]
+
+    @pytest.mark.parametrize("algorithm", ["mobvc", "mobm-pd", "corrupt"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_audit(self, tmp_path, capsys, algorithm, as_json):
+        ipath, tpath = self.make_pair(tmp_path, algorithm)
+        argv = ["audit", tpath, "--instance", ipath] + (["--json"] if as_json else [])
+        rc = 1 if algorithm == "corrupt" else 0
+        assert self.stdout_sha(capsys, argv, rc) == self.AUDIT[algorithm, as_json]

@@ -26,8 +26,6 @@ from matroidmatch.instances import (
     indented_json,
     instance_from_dict,
     load,
-    make_matroid_suite,
-    make_suite,
     order_arrivals,
     random_coverage_table,
     save,
@@ -42,6 +40,8 @@ from matroidmatch.submodular import (
     is_matroid_rank,
     verify_axioms,
 )
+
+from helpers import make_matroid_suite, make_suite
 
 
 class TestGenerators:

@@ -40,7 +40,6 @@ from matroidmatch.instances import (
     by_timestamp,
     gen_random,
     load,
-    make_matroid_suite,
     save,
 )
 from matroidmatch.submodular import (
@@ -54,6 +53,8 @@ from matroidmatch.submodular import (
     span_mask,
 )
 from matroidmatch.verify import critical_times, critical_value, verify_random_arrival_lemmas
+
+from helpers import make_matroid_suite
 
 
 # ---------------------------------------------------------------------------

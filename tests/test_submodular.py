@@ -24,13 +24,14 @@ from matroidmatch.submodular import (
     fn_from_spec,
     is_matroid_rank,
     lovasz,
-    lovasz_mc,
     marginal,
     mask_members,
     span,
     span_mask,
     verify_axioms,
 )
+
+from helpers import lovasz_mc
 
 TOL = 1e-9
 
@@ -659,6 +660,61 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(InputError):
             fn_from_spec({"family": "uniform_rank"}, GroundSet(2))
+
+
+# Numbers at and past the end of the float range, for budget specs.
+EXTREMES = [0.0, 1.0, 2.5, 1e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def extreme_specs(draw):
+    """(n, spec) of a monotone budget whose numbers may be infinite, NaN or
+    large enough to add up to inf; the table is modular, so it is monotone
+    whenever it is nonnegative."""
+    n = draw(st.integers(1, 3))
+    value = st.sampled_from(EXTREMES)
+    numbers = [draw(value) for _ in range(n)]
+    family = draw(st.sampled_from(["weighted", "partition", "table"]))
+    if family == "weighted":
+        return n, {"family": "weighted_threshold", "weights": numbers, "cap": draw(value)}
+    if family == "partition":
+        return n, {"family": "partition_budget", "blocks": [[u] for u in range(n)],
+                   "caps": numbers}
+    values = [sum(w for u, w in enumerate(numbers) if mask >> u & 1) for mask in range(1 << n)]
+    return n, {"family": "explicit_table", "values": values}
+
+
+class TestFiniteBudgets:
+    @settings(max_examples=300, deadline=None)
+    @given(case=extreme_specs(), y=st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                            min_size=3, max_size=3))
+    def test_finite_or_refused(self, case, y):
+        n, spec = case
+        try:
+            f = fn_from_spec(spec, GroundSet(n))
+        except InputError:
+            return
+        assert all(math.isfinite(f.value_mask(mask)) for mask in range(1 << n)), spec
+        assert not math.isnan(lovasz(f, y[:n])), spec
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "weighted_threshold", "weights": [math.inf, 1.0], "cap": math.inf},
+        {"family": "weighted_threshold", "weights": [1e308, 1e308], "cap": math.inf},
+        {"family": "explicit_table", "values": [0.0, 1.0, 1e308, math.inf]},
+    ])
+    def test_infinite_value_refused(self, spec):
+        with pytest.raises(InputError, match=r"f\(ground set\) = inf"):
+            fn_from_spec(spec, GroundSet(2))
+
+    @pytest.mark.parametrize("spec, top", [
+        ({"family": "weighted_threshold", "weights": [math.inf, 1.0], "cap": 2.0}, 2.0),
+        ({"family": "weighted_threshold", "weights": [1.0, 1.0], "cap": math.inf}, 2.0),
+        ({"family": "partition_budget", "blocks": [[0, 1]], "caps": [math.inf]}, 2.0),
+    ])
+    def test_infinite_caps_and_weights_kept(self, spec, top):
+        f = fn_from_spec(spec, GroundSet(2))
+        assert f.value_mask(0b11) == top
+        assert lovasz(f, [0.0, 0.5]) == 0.5
 
 
 def test_mask_helpers():

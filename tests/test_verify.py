@@ -21,8 +21,6 @@ from matroidmatch.instances import (
     Instance,
     gen_random,
     gen_upper_triangular,
-    make_matroid_suite,
-    make_suite,
     random_coverage_table,
 )
 from matroidmatch.submodular import (
@@ -39,12 +37,14 @@ from matroidmatch.verify import (
     audit_charging,
     check_cover,
     check_matching,
-    check_weak_duality,
+    check_run,
     critical_value,
     expected_rounding_cost,
     offline_opt,
     verify_random_arrival_lemmas,
 )
+
+from helpers import make_matroid_suite, make_suite
 
 TOL = 1e-9
 
@@ -339,15 +339,15 @@ class TestWeakDualityAndCover:
     def test_pd_traces_satisfy_weak_duality(self):
         for inst in make_suite(count=12, n_max=6, m_max=6, seed=5):
             trace = run_mobm_pd(inst)
-            rep = check_weak_duality(trace.state.x, trace.state.y,
-                                     trace.state.z, inst.f)
-            assert rep.ok, rep.violations
+            checks = {name: (ok, detail) for name, ok, detail in check_run(trace, inst)}
+            assert checks["weak-duality"][0], checks["weak-duality"][1]
 
     def test_duality_violation_detected(self):
-        g = GroundSet(1)
-        f = Cardinality(g)
-        rep = check_weak_duality({(0, 0): 2.0}, [0.5], {}, f)
-        assert not rep.ok
+        inst = single_edge()
+        trace = run_mobm_pd(inst)
+        trace.primal_value = 2.0
+        checks = {name: (ok, detail) for name, ok, detail in check_run(trace, inst)}
+        assert checks["weak-duality"] == (False, "primal 2 vs dual 1")
 
     def test_cover_feasible_on_mobvc(self):
         inst = gen_upper_triangular(5)
@@ -359,6 +359,40 @@ class TestWeakDualityAndCover:
         rep = check_cover([0.3], {0: 0.3}, inst)
         assert not rep.ok
         assert "uncovered" in rep.violations[0]
+
+
+class TestSavedRun:
+    """check_run and audit_charging refuse what they cannot judge: a trace
+    of another instance and a tolerance that is not finite and >= 0."""
+
+    MISMATCH = "trace is for instance 'triangular-3' (n=3), got {!r} (n={})"
+
+    @pytest.mark.parametrize("other", [gen_upper_triangular(4), single_edge(n=3)],
+                             ids=["size", "name"])
+    def test_mismatched_pair_refused(self, other):
+        inst = gen_upper_triangular(3)
+        trace = run_mobvc(inst)
+        message = self.MISMATCH.format(other.name, other.n_offline)
+        with pytest.raises(InputError) as exc:
+            check_run(trace, other)
+        assert str(exc.value) == message
+        with pytest.raises(InputError) as exc:
+            audit_charging(trace, offline_opt(other), other)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_bad_tolerance_refused(self, tol):
+        inst = gen_upper_triangular(3)
+        trace = run_mobvc(inst)
+        with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
+            check_run(trace, inst, tol)
+        with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
+            audit_charging(trace, offline_opt(inst), inst, tol)
+
+    def test_zero_tolerance_taken(self):
+        inst = gen_upper_triangular(3)
+        names = [name for name, _, _ in check_run(run_mobvc(inst), inst, 0.0)]
+        assert names == ["replay-match", "dual-consistent", "cover-feasible", "competitive"]
 
 
 class TestExpectedRoundingCost:
