@@ -25,11 +25,8 @@ import numpy as np
 from .constants import DEFAULT_TOL
 from .errors import InputError, SizeError
 
-# Exhaustive axiom / rank checks enumerate all 2^n subsets.
+# Largest n for which anything enumerates all 2^n subsets (all_masks).
 EXHAUSTIVE_LIMIT = 16
-# Largest n whose 2^n value table values_for_masks (and with it the
-# brute-force offline optimum) builds.
-OFFLINE_OPT_LIMIT = 24
 
 # (weights, groups): f(S) = sum over (members, cap) in groups of
 # min(sum of weights[u] over u in S & members, cap); the groups partition
@@ -101,6 +98,16 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def all_masks(n: int) -> np.ndarray:
+    """Every subset of n elements as an int64 mask, ascending: the one
+    place an enumeration of all 2^n subsets starts. SizeError above
+    EXHAUSTIVE_LIMIT, before anything is allocated."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise SizeError(f"enumerating all 2^n subsets is limited to "
+                        f"n <= {EXHAUSTIVE_LIMIT}; n = {n}")
+    return np.arange(1 << n, dtype=np.int64)
+
+
 # Maps the ASCII digits of bin(mask) to the bytes 0 and 1, for compress().
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -138,30 +145,8 @@ class SubmodularFn:
         return out
 
     def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
-        """f at each mask of an int64 array.
-
-        With a laminar form, the 2^n table is built by doubling: each
-        group's weight sums are added in ascending element order, as
-        value_mask adds them, so the values are the same to the bit.
-        Without one, a value_mask loop. SizeError above OFFLINE_OPT_LIMIT,
-        before anything is allocated.
-        """
-        n = self.ground.size
-        if n > OFFLINE_OPT_LIMIT:
-            raise SizeError(f"values_for_masks builds a table of 2^n values; "
-                            f"n = {n} > {OFFLINE_OPT_LIMIT}")
-        form = self.laminar_form()
-        if form is None:
-            return np.array([self.value_mask(int(m)) for m in masks], dtype=np.float64)
-        weights, groups = form
-        table = np.zeros(1 << n)
-        for members, cap in groups:
-            members = set(members)
-            sums = np.zeros(1)
-            for u, w in enumerate(weights):
-                sums = np.concatenate((sums, sums + w if u in members else sums))
-            table += np.minimum(sums, cap)
-        return table[masks]
+        """f at each mask of an int64 array: one value_mask call per mask."""
+        return np.array([self.value_mask(int(m)) for m in masks], dtype=np.float64)
 
     def span_mask(self, mask: int) -> int:
         """mask plus every element whose marginal on it is at most
@@ -304,30 +289,16 @@ class PartitionBudget(SubmodularFn):
         return out
 
     def span_mask(self, mask: int) -> int:
-        """A block at its cap is spanned. Any other block's members share one
-        marginal, taken as value_mask takes it: the same sum over the same
-        terms in the same order, that block's term at count + 1, so that
-        non-integral caps round as they do there. With integral caps every
-        term is a small integer and the sums are exact, so that marginal is
-        exactly 1 and the cap test alone decides, in O(B) for B blocks."""
-        if self._integral_caps:
-            out = mask
-            for bm, c in zip(self._block_masks, self.caps):
-                if (mask & bm).bit_count() >= c:
-                    out |= bm
-            return out
-        counts = [(mask & bm).bit_count() for bm in self._block_masks]
-        terms = [min(k, c) for k, c in zip(counts, self.caps)]
-        base = float(sum(terms))
+        """With integral caps every term of value_mask's sum is a small
+        integer and the sums are exact, so a block below its cap has
+        marginal exactly 1 and one at its cap is spanned: O(B) for B
+        blocks. Other caps take the marginal loop."""
+        if not self._integral_caps:
+            return super().span_mask(mask)
         out = mask
-        for j, (bm, k, c) in enumerate(zip(self._block_masks, counts, self.caps)):
-            if k >= c:
+        for bm, c in zip(self._block_masks, self.caps):
+            if (mask & bm).bit_count() >= c:
                 out |= bm
-                continue
-            terms[j] = min(k + 1, c)
-            if float(sum(terms)) - base <= DEFAULT_TOL:
-                out |= bm
-            terms[j] = k
         return out
 
     def laminar_form(self) -> LaminarForm:
@@ -353,6 +324,11 @@ class WeightedThreshold(SubmodularFn):
             raise InputError("weights must be nonnegative")
         if not cap >= 0:
             raise InputError("cap must be nonnegative")
+        # value_mask's sum on the ground set: f is monotone, so this is its
+        # largest value, and finite weights can still add up to inf
+        top = min(reduce(operator.add, weights, 0.0), float(cap))
+        if math.isinf(top):
+            raise InputError(f"f(ground set) = {top}; budget values must be finite")
         self.weights = weights
         self.cap = float(cap)
 
@@ -371,7 +347,8 @@ class WeightedThreshold(SubmodularFn):
 
 
 class ExplicitTable(SubmodularFn):
-    """Dense table of all 2^n values, indexed by bitmask. Limited to n <= 16."""
+    """Dense table of all 2^n values, indexed by bitmask. Limited to n <= 16;
+    every value must be finite and nonnegative."""
 
     family = "explicit_table"
 
@@ -384,6 +361,12 @@ class ExplicitTable(SubmodularFn):
         table = np.asarray(values, dtype=np.float64)
         if not np.all(table >= 0):  # NaN fails too
             raise InputError("table values must be nonnegative")
+        inf = np.flatnonzero(np.isinf(table))
+        if inf.size:  # the last is the ground set when f is monotone
+            m = int(inf[-1])
+            subset = ("ground set" if m == ground.full_mask
+                      else "{" + ", ".join(map(str, mask_members(m))) + "}")
+            raise InputError(f"f({subset}) = inf; budget values must be finite")
         self.table = table
 
     def value_mask(self, mask: int) -> float:
@@ -405,11 +388,8 @@ _SPEC_FIELDS = {cls.family: (cls, names) for cls, names in [
 def fn_from_spec(spec: dict, ground: GroundSet) -> SubmodularFn:
     """Build a SubmodularFn from its tagged-dict serialization, the form
     every budget read from an instance file or a --f flag takes.
-
-    InputError for a malformed spec, and for a budget that takes a value
-    that is not finite. A budget is monotone, so that value is f of the
-    whole ground set, where finite weights can still add up to inf.
-    """
+    InputError for a malformed spec, and (from the constructor) for a
+    budget that takes a value that is not finite."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise InputError("f spec must be an object with a 'family' tag")
     family = spec["family"]
@@ -419,11 +399,7 @@ def fn_from_spec(spec: dict, ground: GroundSet) -> SubmodularFn:
     for name in names:
         if name not in spec:
             raise InputError(f"{family} spec needs field '{name}'")
-    f = cls(ground, *(spec[name] for name in names))
-    top = f.value_mask(ground.full_mask)
-    if not math.isfinite(top):
-        raise InputError(f"f(ground set) = {top}; budget values must be finite")
-    return f
+    return cls(ground, *(spec[name] for name in names))
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +445,13 @@ def verify_axioms(f: SubmodularFn, tol: float = DEFAULT_TOL) -> AxiomReport:
     S. Both yield witnesses of the documented (A, B, e) shape with
     B = A + b, e = a.
     """
-    n = f.ground.size
-    if n > EXHAUSTIVE_LIMIT:
-        raise SizeError(f"exhaustive axiom check limited to n <= {EXHAUSTIVE_LIMIT}")
-    return _exhaustive_axioms(f.values_for_masks(np.arange(1 << n, dtype=np.int64)), tol)
+    return _exhaustive_axioms(f.values_for_masks(all_masks(f.ground.size)), tol)
 
 
 def _exhaustive_axioms(vals: np.ndarray, tol: float) -> AxiomReport:
-    """verify_axioms on the table of f over all 2^n masks."""
+    """verify_axioms on the values of f at all_masks(n)."""
     n = len(vals).bit_length() - 1
-    masks = np.arange(1 << n, dtype=np.int64)
+    masks = all_masks(n)
     nonneg = True
     negative_witness = None
     bad = np.nonzero(vals < -tol)[0]
@@ -570,10 +543,7 @@ def is_matroid_rank(f: SubmodularFn) -> bool:
         f._matroid_rank = _laminar_matroid(*form, tol)
         return f._matroid_rank
     n = f.ground.size
-    if n > EXHAUSTIVE_LIMIT:
-        raise SizeError(f"matroid rank check limited to n <= {EXHAUSTIVE_LIMIT} "
-                        f"for budgets without a laminar form")
-    masks = np.arange(1 << n, dtype=np.int64)
+    masks = all_masks(n)
     vals = f.values_for_masks(masks)
     ok = abs(vals[0]) <= tol
     ok = ok and bool(np.all(np.abs(vals - np.round(vals)) <= tol))

@@ -30,20 +30,16 @@ from .algorithms import (
 )
 from .barchart import charge_integral
 from .constants import ALPHA, DEFAULT_TOL, ONE_MINUS_INV_E, ONE_PLUS_ALPHA, charge_potential
-from .errors import InputError, InvariantError, SizeError
+from .errors import InputError, InvariantError
 from .instances import Instance, by_timestamp
 from .submodular import (
-    OFFLINE_OPT_LIMIT,
     SubmodularFn,
+    all_masks,
     is_matroid_rank,
     lovasz,
     mask_members,
     span_mask,
 )
-
-# Brute-force limits for budgets without a laminar form: the offline
-# optimum's is OFFLINE_OPT_LIMIT, the matching check's this one.
-EXHAUSTIVE_MATCHING_LIMIT = 20
 
 # Residual capacity at or below this counts as saturated in the min cut.
 FLOW_EPS = 1e-12
@@ -73,7 +69,7 @@ class OptCertificate:
 def offline_opt(instance: Instance) -> OptCertificate:
     """Min cut of the budget's flow network when f has a laminar form (any
     n); brute force over all subsets of the offline side otherwise
-    (n <= 24)."""
+    (all_masks: n <= 16, SizeError above)."""
     form = instance.f.laminar_form()
     if form is None:
         return _brute_force_opt(instance)
@@ -81,11 +77,8 @@ def offline_opt(instance: Instance) -> OptCertificate:
 
 
 def _brute_force_opt(instance: Instance) -> OptCertificate:
-    n = instance.n_offline
-    if n > OFFLINE_OPT_LIMIT:
-        raise SizeError(f"offline_opt enumerates 2^n subsets; n = {n} > {OFFLINE_OPT_LIMIT}")
-    masks = np.arange(1 << n, dtype=np.int64)
-    uncovered = np.zeros(1 << n, dtype=np.float64)
+    masks = all_masks(instance.n_offline)
+    uncovered = np.zeros(len(masks), dtype=np.float64)
     for arr in instance.arrivals:
         nm = instance.neighbor_mask(arr)
         if nm:
@@ -236,7 +229,8 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
     offline mass within the budget polytope (x(S) <= f(S) for all S).
 
     The polytope test is exact in closed form for budgets with a laminar
-    form (any n) and exhaustive for the others (n <= 20)."""
+    form (any n) and exhaustive for the others (all_masks: n <= 16,
+    SizeError above)."""
     n = instance.n_offline
     f = instance.f
     report = CheckReport(ok=True)
@@ -267,11 +261,12 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
                 f"offline mass {load:.12g} exceeds budget f(S) = {f.value_mask(smask):.12g} "
                 f"on S = {sorted(mask_members(smask))}")
         report.details["budget_mode"] = "laminar"
-    elif n <= EXHAUSTIVE_MATCHING_LIMIT:
+    else:
+        masks = all_masks(n)
         load = np.zeros(1, dtype=np.float64)
         for u in range(n):
             load = np.concatenate([load, load + x_u[u]])
-        fvals = f.values_for_masks(np.arange(1 << n, dtype=np.int64))
+        fvals = f.values_for_masks(masks)
         bad = np.nonzero(load > fvals + tol)[0]
         if bad.size:
             m = int(bad[0])
@@ -279,9 +274,6 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
                 f"offline mass {load[m]:.12g} exceeds budget f(S) = {fvals[m]:.12g} "
                 f"on S = {sorted(mask_members(m))}")
         report.details["budget_mode"] = "exhaustive"
-    else:
-        raise SizeError(f"budget-polytope check enumerates 2^n subsets; "
-                        f"n = {n} > {EXHAUSTIVE_MATCHING_LIMIT}")
 
     report.details["total"] = sum(x.values())
     report.ok = not report.violations
@@ -498,9 +490,10 @@ class AuditReport(_Report):
     budget: float
     global_ok: bool
     ok: bool
+    offline_opt: float
 
 
-def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
+def audit_charging(trace: RunTrace, instance: Instance,
                    tol: float = DEFAULT_TOL) -> AuditReport:
     """Audit the charging argument behind the (1 + ALPHA) cover guarantee.
 
@@ -514,14 +507,16 @@ def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
     sum over raised u of F(a) - F(old y_u) >= 1 - a is checked as well,
     F being the charge antiderivative.
 
-    InputError when the trace is not a run on instance (check_pair) or tol
-    is not finite and >= 0.
+    The optimal cover is offline_opt(instance), computed only after the
+    inputs pass: InputError when the trace is not a run on instance
+    (check_pair), tol is not finite and >= 0, or the trace is greedy-ra's.
     """
     check_pair(trace, instance)
     _check_tol(tol)
     if trace.algorithm not in ("obvc", "mobvc", "mobm-pd"):
         raise InputError(f"charging audit applies to waterfilling traces, "
                          f"not {trace.algorithm!r}")
+    cert = offline_opt(instance)
     rounds_out: list[RoundAudit] = []
     total = 0.0
     y_old = [0.0] * trace.n_offline
@@ -543,7 +538,7 @@ def audit_charging(trace: RunTrace, cert: OptCertificate, instance: Instance,
             y_old[u] = rec.a
     budget = ALPHA * instance.f.value(cert.argmin_offline)
     global_ok = total <= budget + tol
-    return AuditReport(rounds_out, total, budget, global_ok, ok and global_ok)
+    return AuditReport(rounds_out, total, budget, global_ok, ok and global_ok, cert.value)
 
 
 # ---------------------------------------------------------------------------

@@ -230,12 +230,12 @@ def test_criterion_5_triangular_tightness():
             f"both pinned to recorded values")
 
 
-def test_criterion_6_charging_audit(suite, certs, mobvc_traces, obvc_traces, mobm_traces):
+def test_criterion_6_charging_audit(mobvc_traces, obvc_traces, mobm_traces):
     bad = []
     audited = 0
     for group in (obvc_traces, mobvc_traces, mobm_traces):
         for inst, trace in group:
-            rep = audit_charging(trace, certs[inst.name], inst)
+            rep = audit_charging(trace, inst)
             audited += 1
             if not rep.ok:
                 which = "global budget" if not rep.global_ok else "a round bound"

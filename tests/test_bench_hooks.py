@@ -92,7 +92,7 @@ def test_verify_never_reaches_chain_values(monkeypatch):
         monkeypatch.setattr(cls, "chain_values", refuse, raising=False)
     for inst, trace in runs:
         assert verify.check_matching(trace.state.x, inst).ok
-        assert verify.audit_charging(trace, verify.offline_opt(inst), inst).ok
+        assert verify.audit_charging(trace, inst).ok
 
 
 RUN_ATTRIBUTES = ("algorithm", "instance_name", "n_offline", "rounds",

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from matroidmatch import verify
 from matroidmatch.algorithms import load_trace, run_mobvc, run_random_arrival_greedy, save_trace
 from matroidmatch.cli import main, parse_fn_spec, parse_seeds
 from matroidmatch.constants import ONE_PLUS_ALPHA
@@ -311,6 +312,26 @@ class TestAudit:
         save_trace(run_random_arrival_greedy(inst), tpath)
         assert main(["audit", str(tpath), "--instance", ipath]) == 2
 
+    def test_refused_before_the_min_cut(self, tmp_path, capsys, monkeypatch):
+        # a mismatched trace, a bad --tol and a greedy-ra trace exit 2
+        # without paying for the offline optimum
+        ipath, other = str(tmp_path / "i.json"), str(tmp_path / "other.json")
+        vc, greedy = str(tmp_path / "vc.json"), str(tmp_path / "greedy.json")
+        for argv in (["generate", "triangular", "--n", "5", "--out", ipath],
+                     ["generate", "triangular", "--n", "4", "--out", other],
+                     ["run", ipath, "--algorithm", "mobvc", "--trace", vc],
+                     ["run", ipath, "--algorithm", "greedy-ra", "--trace", greedy]):
+            assert main(argv) == 0
+        calls = []
+        real = verify.offline_opt
+        monkeypatch.setattr(verify, "offline_opt", lambda inst: calls.append(inst) or real(inst))
+        for argv in ([vc, "--instance", other], [vc, "--instance", ipath, "--tol", "nan"],
+                     [greedy, "--instance", ipath]):
+            assert main(["audit"] + argv) == 2
+        assert calls == []
+        assert main(["audit", vc, "--instance", ipath]) == 0
+        assert len(calls) == 1
+
     def test_corrupt_round_fails(self, tmp_path, capsys):
         # flattening a region to zero charge breaks the per-round bound
         ipath = tmp_path / "i.json"
@@ -345,7 +366,7 @@ class TestAudit:
 
 
 class TestBeyondBruteForce:
-    """n = 30 is past the 2^n enumeration limit (24) of a brute-force optimum."""
+    """n = 30 is past the 2^n enumeration limit (16) of a brute-force optimum."""
 
     @staticmethod
     def lp_opt(inst, blocks, caps):

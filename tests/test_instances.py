@@ -545,11 +545,13 @@ NAMES = st.text(st.characters(codec="utf-8"), max_size=12)
 @st.composite
 def written_instances(draw):
     """Instances of every family, with empty arrival lists and neighbour
-    lists, any Unicode name, and infinite and non-integral caps."""
+    lists, any Unicode name, and infinite and non-integral caps and
+    weights; never a budget with an infinite value, which is refused."""
     n = draw(st.integers(0, 7))
     g = GroundSet(n)
     caps = st.one_of(st.integers(0, 3), st.sampled_from([0.5, 1e-300, 2.5e17, math.inf]),
                      st.floats(0.0, 10.0))
+    finite = caps.filter(math.isfinite)
     family = draw(st.sampled_from(["cardinality", "uniform", "partition", "weighted", "table"]))
     if family == "cardinality":
         f = Cardinality(g)
@@ -560,9 +562,10 @@ def written_instances(draw):
         blocks = [b for b in ([u for u in range(n) if ids[u] == k] for k in range(3)) if b]
         f = PartitionBudget(g, blocks, [draw(caps) for _ in blocks])
     elif family == "weighted":
-        f = WeightedThreshold(g, [draw(caps) for _ in range(n)], draw(caps))
+        weights = [draw(caps) for _ in range(n)]
+        f = WeightedThreshold(g, weights, draw(finite if math.inf in weights else caps))
     else:
-        f = ExplicitTable(g, [draw(caps) for _ in range(1 << n)])
+        f = ExplicitTable(g, [draw(finite) for _ in range(1 << n)])
     m = draw(st.integers(0, 4))
     nbrs = st.lists(st.integers(0, n - 1), unique=True) if n else st.just([])
     arrivals = [Arrival(v, tuple(draw(nbrs))) for v in range(m)]

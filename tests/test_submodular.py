@@ -1,18 +1,22 @@
 """Unit and property tests for the set-function module."""
 
 import copy
+import inspect
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroidmatch import submodular
 from matroidmatch.constants import DEFAULT_TOL
 from matroidmatch.errors import InputError, SizeError
+from matroidmatch.instances import Arrival, Instance
 from matroidmatch.submodular import (
-    OFFLINE_OPT_LIMIT,
+    EXHAUSTIVE_LIMIT,
     Cardinality,
     ExplicitTable,
     GroundSet,
@@ -20,6 +24,7 @@ from matroidmatch.submodular import (
     SubmodularFn,
     UniformRank,
     WeightedThreshold,
+    all_masks,
     as_mask,
     fn_from_spec,
     is_matroid_rank,
@@ -30,6 +35,7 @@ from matroidmatch.submodular import (
     span_mask,
     verify_axioms,
 )
+from matroidmatch.verify import check_matching, offline_opt
 
 from helpers import lovasz_mc
 
@@ -297,8 +303,8 @@ class TestLaminarForm:
         return fams
 
     def test_reproduces_values_for_masks(self):
-        # values_for_masks builds its table from laminar_form, so the form
-        # is checked against the scalar oracle instead
+        # the min cut and the closed-form polytope test are built from
+        # laminar_form, so the form is checked against the scalar oracle
         rng = random.Random(5)
         for n in (0, 1, 4, 7, 10):
             for f in self.families(n, rng):
@@ -322,14 +328,36 @@ class TestLaminarForm:
                 some = np.array([0, (1 << n) - 1, (1 << n) // 3], dtype=np.int64)
                 assert f.values_for_masks(some).tolist() == table[some].tolist()
 
-    @pytest.mark.parametrize("n", [OFFLINE_OPT_LIMIT + 1, 63, 70])
-    def test_table_size_limit(self, n):
-        # refused before the 2^n table is allocated (at n = 70 numpy would
-        # fail on the shape, at n = 30 it would ask for 8 GB)
+
+class TestAllMasks:
+    def test_every_subset_ascending(self):
+        assert all_masks(0).tolist() == [0]
+        masks = all_masks(EXHAUSTIVE_LIMIT)
+        assert masks.dtype == np.int64
+        assert masks.tolist() == list(range(1 << EXHAUSTIVE_LIMIT))
+
+    @pytest.mark.parametrize("n", [EXHAUSTIVE_LIMIT + 1, 63, 70])
+    def test_one_size_limit(self, n):
+        # every 2^n enumeration is refused before anything is allocated (at
+        # n = 70 numpy would fail on the shape, at n = 30 it would ask for 8 GB)
         g = GroundSet(n)
-        for f in (Cardinality(g), WeightedThreshold(g, [1.0] * n, 3.0)):
-            with pytest.raises(SizeError, match="2\\^n"):
-                f.values_for_masks(np.array([0, 1], dtype=np.int64))
+        opaque = Instance("big", n, Opaque(Cardinality(g)), [Arrival(0, (0,))])
+        for call in (lambda: all_masks(n),
+                     lambda: verify_axioms(Cardinality(g)),
+                     lambda: is_matroid_rank(Opaque(Cardinality(g))),
+                     lambda: offline_opt(opaque),
+                     lambda: check_matching({(0, 0): 1.0}, opaque)):
+            with pytest.raises(SizeError, match=f"2\\^n .* n = {n}$"):
+                call()
+
+    def test_one_home_in_src(self):
+        # all_masks is the only place in the package that starts a 2^n
+        # enumeration, so its limit is the only one
+        src = Path(submodular.__file__).parent
+        found = {path.name: path.read_text(encoding="utf-8").count("np.arange(1 <<")
+                 for path in sorted(src.glob("*.py"))}
+        assert {name: k for name, k in found.items() if k} == {"submodular.py": 1}
+        assert "np.arange(1 <<" in inspect.getsource(all_masks)
 
 
 class Laminar(SubmodularFn):
@@ -363,9 +391,6 @@ class Opaque(SubmodularFn):
 
     def value_mask(self, mask):
         return self.inner.value_mask(mask)
-
-    def values_for_masks(self, masks):
-        return self.inner.values_for_masks(masks)
 
 
 WEIGHTS = [0.0, 1.0, 1.0, 1.0, 1.5, 2.0, 0.5]
@@ -463,10 +488,12 @@ def near_tol_ulps(bases):
 def budgets(draw):
     """Any budget family on n <= 12, with caps and weights at and near the
     places where the span decision turns: 0, integers, DEFAULT_TOL, and
-    non-integral values."""
+    non-integral values; never a budget with an infinite value, which is
+    refused."""
     n = draw(st.integers(0, 12))
     g = GroundSet(n)
     near = st.one_of(near_tol(CAPS + [0.3, 1e-9]), near_tol_ulps([0.0, 0.3, 1.0, 2.0]))
+    finite = near.filter(math.isfinite)
     family = draw(st.sampled_from(["cardinality", "uniform", "partition", "weighted",
                                    "table"]))
     if family == "cardinality":
@@ -479,9 +506,10 @@ def budgets(draw):
         blocks = [b for b in blocks if b]
         return PartitionBudget(g, blocks, [draw(near) for _ in blocks])
     if family == "weighted":
-        return WeightedThreshold(g, [draw(near) for _ in range(n)], draw(near))
+        weights = [draw(near) for _ in range(n)]
+        return WeightedThreshold(g, weights, draw(finite if math.inf in weights else near))
     k = min(n, 6)
-    return ExplicitTable(GroundSet(k), [draw(near) for _ in range(1 << k)])
+    return ExplicitTable(GroundSet(k), [draw(finite) for _ in range(1 << k)])
 
 
 class TestSpan:
@@ -705,6 +733,17 @@ class TestFiniteBudgets:
     def test_infinite_value_refused(self, spec):
         with pytest.raises(InputError, match=r"f\(ground set\) = inf"):
             fn_from_spec(spec, GroundSet(2))
+
+    @pytest.mark.parametrize("make, subset", [
+        (lambda g: WeightedThreshold(g, [math.inf, 1.0], math.inf), "ground set"),
+        (lambda g: WeightedThreshold(g, [1e308, 1e308], math.inf), "ground set"),
+        # not monotone, so f(ground set) = 2 is finite; lovasz at (0.5, 0.5) was NaN
+        (lambda g: ExplicitTable(g, [0.0, 1.0, math.inf, 2.0]), "{1}"),
+    ], ids=["inf-weight", "overflow", "non-monotone-table"])
+    def test_constructors_refuse(self, make, subset):
+        with pytest.raises(InputError) as exc:
+            make(GroundSet(2))
+        assert str(exc.value) == f"f({subset}) = inf; budget values must be finite"
 
     @pytest.mark.parametrize("spec, top", [
         ({"family": "weighted_threshold", "weights": [math.inf, 1.0], "cap": 2.0}, 2.0),
