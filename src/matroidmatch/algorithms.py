@@ -478,15 +478,6 @@ def _greedy_core(f: SubmodularFn, ordered, m_mask: int = 0,
     return steps
 
 
-def _spanned_at(steps) -> dict[int, float]:
-    """Element -> timestamp of the greedy step that brought it into the span."""
-    out: dict[int, float] = {}
-    for _, t, _, newly in steps:
-        if newly:
-            out.update(dict.fromkeys(mask_members(newly), t))
-    return out
-
-
 def _greedy_duals(steps, n: int) -> tuple[list[float], dict[int, float]]:
     """Potentials y and online duals z of a greedy run: a step matched at
     time t gives its arrival (1 + ALPHA) e^(t-1) and each element it spans
@@ -545,7 +536,10 @@ def greedy_trials(instance: Instance, kind: str, seed: int,
                   trials: int) -> list[tuple[float, float]]:
     """(primal, dual) of run_random_arrival_greedy(instance,
     ArrivalModel(kind, seed + i)) for i = 0..trials-1, equal to the bit,
-    with the orders drawn as blocks and no run record built."""
+    with the orders drawn as blocks and no run record built. InputError
+    when trials is not an int >= 1 (bools included)."""
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise InputError(f"trials must be an int >= 1, got {trials!r}")
     f = instance.f
     _require_matroid(f)
     n = instance.n_offline

@@ -231,6 +231,24 @@ def by_timestamp(arrivals, timestamps: dict[int, float]) -> list[tuple[Arrival, 
     return sorted(stamped, key=lambda at: (at[1], at[0].id))
 
 
+def stamp_orders(arrivals, stamps: np.ndarray) -> list[list[tuple[Arrival, float]]]:
+    """by_timestamp of every row of stamps, a float64 block with one column
+    per arrival, in the order of arrivals: one lexsort orders the whole
+    block by t, ties by id. InputError when the block has another width or
+    a stamp outside [0, 1] (NaN included)."""
+    m = len(arrivals)
+    if stamps.ndim != 2 or stamps.shape[1] != m:
+        raise InputError(f"need a block of timestamps with {m} columns, got shape {stamps.shape}")
+    if not ((stamps >= 0.0) & (stamps <= 1.0)).all():
+        raise InputError("timestamps must lie in [0, 1]")
+    # each arrival's rank by id stands in for its id, which need not fit a numpy int
+    ranks = np.empty(m, dtype=np.intp)
+    ranks[sorted(range(m), key=lambda i: arrivals[i].id)] = np.arange(m)
+    idx = np.lexsort((np.broadcast_to(ranks, stamps.shape), stamps), axis=-1)
+    times = np.take_along_axis(stamps, idx, axis=-1).tolist()
+    return [list(zip(map(arrivals.__getitem__, row), ts)) for row, ts in zip(idx.tolist(), times)]
+
+
 def arrival_orders(instance: Instance, kind: str, seeds):
     """order_arrivals(instance, ArrivalModel(kind, s)) for each s in seeds
     (a sequence of ints), in turn, from streams drawn as blocks of at most
@@ -249,7 +267,6 @@ def arrival_orders(instance: Instance, kind: str, seeds):
             yield [(a, (i + 1) / m) for i, a in enumerate(arrivals)]
         return
     rows = max(1, _BLOCK_DRAWS // m)
-    ids = [a.id for a in arrivals]
     for lo in range(0, len(seeds), rows):
         block = seeds[lo:lo + rows]
         if kind == "permutation":
@@ -260,9 +277,7 @@ def arrival_orders(instance: Instance, kind: str, seeds):
                     order[i], order[j] = order[j], order[i]
                 yield [(a, (i + 1) / m) for i, a in enumerate(order)]
         else:
-            stamps = (_streams(block, m) >> np.uint64(11)) * 2.0 ** -53
-            for row in stamps.tolist():
-                yield by_timestamp(arrivals, dict(zip(ids, row)))
+            yield from stamp_orders(arrivals, (_streams(block, m) >> np.uint64(11)) * 2.0 ** -53)
 
 
 def order_arrivals(instance: Instance, model: ArrivalModel) -> list[tuple[Arrival, float]]:

@@ -23,7 +23,6 @@ from .algorithms import (
     RunTrace,
     _greedy_core,
     _greedy_duals,
-    _spanned_at,
     dual_split_rate,
     run_algorithm,
     run_random_arrival_greedy,
@@ -31,7 +30,7 @@ from .algorithms import (
 from .barchart import charge_integral
 from .constants import ALPHA, DEFAULT_TOL, ONE_MINUS_INV_E, ONE_PLUS_ALPHA, charge_potential
 from .errors import InputError, InvariantError
-from .instances import Instance, by_timestamp
+from .instances import Instance, by_timestamp, check_size, stamp_orders
 from .submodular import (
     SubmodularFn,
     all_masks,
@@ -43,6 +42,9 @@ from .submodular import (
 
 # Residual capacity at or below this counts as saturated in the min cut.
 FLOW_EPS = 1e-12
+# Trials per block of the random-arrival lemma audit; its numpy arrays hold
+# one block's rows, so they stay small whatever the number of trials.
+_LEMMA_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +547,17 @@ def audit_charging(trace: RunTrace, instance: Instance,
 # Random-arrival lemmas
 # ---------------------------------------------------------------------------
 
+def _spanned_row(steps, row: list[float]) -> list[float]:
+    """row with each element a greedy step brought into the span set to
+    that step's timestamp, one lowest set bit at a time; returns row."""
+    for _, t, _, newly in steps:
+        while newly:
+            low = newly & -newly
+            row[low.bit_length() - 1] = t
+            newly ^= low
+    return row
+
+
 def critical_value(instance: Instance, v: int, timestamps: dict[int, float]) -> dict[int, float]:
     """Per-element critical times for the greedy run without online vertex v.
 
@@ -555,42 +568,44 @@ def critical_value(instance: Instance, v: int, timestamps: dict[int, float]) -> 
     others = [a for a in instance.arrivals if a.id != v]
     if len(others) == len(instance.arrivals):
         raise InputError(f"no arrival with id {v}")
-    crit = _spanned_at(_greedy_core(instance.f, by_timestamp(others, timestamps)))
-    return {u: crit.get(u, 1.0) for u in range(instance.n_offline)}
+    steps = _greedy_core(instance.f, by_timestamp(others, timestamps))
+    return dict(enumerate(_spanned_row(steps, [1.0] * instance.n_offline)))
 
 
-def critical_times(f: SubmodularFn, ordered, steps) -> dict[int, dict[int, float]]:
+def critical_times(f: SubmodularFn, ordered, steps) -> dict[int, list[float]]:
     """Every arrival's critical times from one greedy run: f is a matroid
-    rank and steps is _greedy_core(f, ordered). Arrival v maps to the
-    element -> timestamp map of the run without v, as critical_value
-    computes it but without the 1.0 entries of elements never spanned.
+    rank and steps is _greedy_core(f, ordered). Arrival v maps to the row
+    of the run without v, element u's critical time at index u, as
+    critical_value computes it (1.0 for an element never spanned).
 
     An arrival whose step picked nothing changed no state, so the run
-    without it is the full run. One matched at position p leaves the run's
-    first p steps as they were; the run without it resumes from their
-    matched mask over the arrivals after p, until its span rejoins the full
-    run's, after which every step is the full run's again.
+    without it is the full run, and all such arrivals share the full run's
+    row. One matched at position p leaves the run's first p steps as they
+    were; the run without it resumes from their matched mask over the
+    arrivals after p, until its span rejoins the full run's, after which
+    every step is the full run's again.
     """
-    full = _spanned_at(steps)
+    n = f.ground.size
+    full = _spanned_row(steps, [1.0] * n)
     spans = []  # the full run's span after each step
     span_now = span_mask(f, 0)
     for step in steps:
         span_now |= step[3]
         spans.append(span_now)
-    out: dict[int, dict[int, float]] = {}
-    before: dict[int, float] = {}  # spanned-at of the steps before p
+    out: dict[int, list[float]] = {}
+    before = [1.0] * n  # the critical times of the steps before p
     m_mask = 0
-    for p, (vid, t, pick, newly) in enumerate(steps):
+    for p, step in enumerate(steps):
+        vid, pick = step[0], step[2]
         if pick is None:
             out[vid] = full
             continue
         replay = _greedy_core(f, ordered[p + 1:], m_mask, spans[p + 1:])
         # once rejoined, the replay spanned just what steps p.. of the full run did
-        crit = dict(full if len(replay) < len(steps) - p - 1 else before)
-        crit.update(_spanned_at(replay))
-        out[vid] = crit
+        rejoined = len(replay) < len(steps) - p - 1
+        out[vid] = _spanned_row(replay, list(full if rejoined else before))
         m_mask |= 1 << pick
-        before.update(dict.fromkeys(mask_members(newly), t))
+        _spanned_row((step,), before)
     return out
 
 
@@ -640,66 +655,83 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     Edges at rank-zero elements are skipped: f({u}) = 0 means u can never
     leave the span of the empty set, no matching ever uses the edge, and
     the per-edge lemmas are vacuous for it.
+
+    Trials run in blocks of _LEMMA_BLOCK, drawn in turn from one
+    default_rng(seed) stream and ordered by stamp_orders. Each trial's
+    greedy run, duals and critical rows are Python; numpy then computes
+    the block's dominance counts, monotonicity slacks and y_u + z_v, with
+    each distinct critical time's bound from dual_split_rate. y_u + z_v
+    is written into samples, one C-order row per trial: the column means
+    then round as a per-trial loop's do, where the F-order array that the
+    fancy indexing returns would move some of them by an ulp. InputError
+    for a trials or seed that is not an int (bools included), fewer than
+    2 trials or a negative seed; SizeError when trials x max(m, live
+    edges) exceeds INSTANCE_SIZE_LIMIT; all before anything is drawn.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{name} must be an int, got {value!r}")
+    if trials < 2:
+        raise InputError("need at least 2 trials")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     f = instance.f
     if not is_matroid_rank(f):
         raise InputError("random-arrival lemmas require a matroid rank budget")
-    if trials < 2:
-        raise InputError("need at least 2 trials")
-    n, m = instance.n_offline, instance.m_online
-    edges = [(u, arr.id) for arr in instance.arrivals for u in arr.nbrs]
-    live_edges = [(u, vid) for u, vid in edges if f.value_mask(1 << u) >= 0.5]
-    skipped = len(edges) - len(live_edges)
+    n, m, arrivals = instance.n_offline, instance.m_online, instance.arrivals
+    edges = [(u, j) for j, arr in enumerate(arrivals) for u in arr.nbrs]
+    live_edges = [(u, j) for u, j in edges if f.value_mask(1 << u) >= 0.5]
+    check_size("trials x max(m, live edges)", trials * max(m, len(live_edges)))
+    eu = np.array([u for u, _ in live_edges], dtype=np.intp)
+    ev = np.array([j for _, j in live_edges], dtype=np.intp)
+    ids = [arr.id for arr in arrivals]
 
     rng = np.random.default_rng(seed)
-    draws = rng.random((trials, m)).tolist()
-    ids = [arr.id for arr in instance.arrivals]
-    # live edges grouped by arrival, in live_edges order
-    live_nbrs: dict[int, list[int]] = {}
-    for u, vid in live_edges:
-        live_nbrs.setdefault(vid, []).append(u)
-
     value_sum = 0.0
     dom_checked = 0
     dom_violations = 0
     mono_min_slack = math.inf
     samples = np.empty((trials, len(live_edges)), dtype=np.float64)
 
-    for k, stamps in enumerate(draws):
-        ts = dict(zip(ids, stamps))
-        ordered = by_timestamp(instance.arrivals, ts)
-        steps = _greedy_core(f, ordered)
-        y, z = _greedy_duals(steps, n)
-        value_sum += len(z)
-        tcrit = critical_times(f, ordered, steps)
-        bounds: dict[float, float] = {}  # tc takes at most m + 1 values in a trial
-        row = []
-        for vid, us in live_nbrs.items():
-            crit, tv, zv, matched = tcrit[vid], ts[vid], z.get(vid, 0.0), vid in z
-            for u in us:
-                tc = crit.get(u, 1.0)
-                if tv < tc:
-                    dom_checked += 1
-                    if not matched:
-                        dom_violations += 1
-                bound = bounds.get(tc)
-                if bound is None:
-                    bound = bounds[tc] = (1.0 + ALPHA) * (1.0 - dual_split_rate(tc))
-                slack = y[u] - bound
-                if slack < mono_min_slack:
-                    mono_min_slack = slack
-                row.append(y[u] + zv)
-        samples[k] = row
+    for lo in range(0, trials, _LEMMA_BLOCK):
+        stamps = rng.random((min(_LEMMA_BLOCK, trials - lo), m))
+        ys, zs, rows, offsets = [], [], [], []
+        for ordered in stamp_orders(arrivals, stamps):
+            steps = _greedy_core(f, ordered)
+            y, z = _greedy_duals(steps, n)
+            value_sum += len(z)
+            ys.append(y)
+            zs.append([z.get(vid, 0.0) for vid in ids])
+            at: dict[int, int] = {}  # id of a distinct row -> its index in rows
+            for row in map(critical_times(f, ordered, steps).__getitem__, ids):
+                if id(row) not in at:
+                    at[id(row)] = len(rows)
+                    rows.append(row)
+                offsets.append(at[id(row)])
+        if not live_edges:
+            continue
+        # one row per trial, one column per live edge
+        tc = np.array(rows)[np.reshape(offsets, stamps.shape)[:, ev], eu]
+        yu = np.array(ys)[:, eu]
+        zv = np.array(zs)[:, ev]
+        first = stamps[:, ev] < tc
+        dom_checked += int(first.sum())
+        dom_violations += int((first & (zv == 0.0)).sum())  # z_v > 0 when v is matched
+        times, inverse = np.unique(tc, return_inverse=True)
+        bounds = np.array([(1.0 + ALPHA) * (1.0 - dual_split_rate(t)) for t in times.tolist()])
+        bound = bounds[inverse].reshape(tc.shape)  # the bound of each edge's critical time
+        mono_min_slack = min(mono_min_slack, float((yu - bound).min()))
+        np.add(yu, zv, out=samples[lo:lo + len(stamps)])
 
     edge_reports = []
     feas_ok = True
     if live_edges:
         means = samples.mean(axis=0)
         stderrs = np.sqrt(samples.var(axis=0) / trials)
-        for j, (u, vid) in enumerate(live_edges):
+        for j, (u, v) in enumerate(live_edges):
             ok = means[j] >= 1.0 - 3.0 * stderrs[j] - tol
             feas_ok = feas_ok and bool(ok)
-            edge_reports.append(EdgeFeasibility(u, vid, float(means[j]),
+            edge_reports.append(EdgeFeasibility(u, ids[v], float(means[j]),
                                                 float(stderrs[j]), bool(ok)))
 
     if math.isinf(mono_min_slack):
@@ -713,5 +745,5 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
         monotonicity_ok=mono_min_slack >= -tol,
         edges=edge_reports,
         feasibility_ok=feas_ok,
-        skipped_rank_zero_edges=skipped,
+        skipped_rank_zero_edges=len(edges) - len(live_edges),
     )

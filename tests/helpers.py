@@ -3,19 +3,24 @@
 make_suite and make_matroid_suite are the deterministic instance suites the
 acceptance criteria and the property tests run over; lovasz_mc is the
 Monte-Carlo estimate of the Lovasz extension that criterion 2 checks the
-exact lovasz against.
+exact lovasz against; ref_random_arrival_lemmas is the per-edge loop the
+blocked random-arrival audit is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
+from matroidmatch.algorithms import _greedy_core, _greedy_duals, dual_split_rate
+from matroidmatch.constants import ALPHA, DEFAULT_TOL
 from matroidmatch.errors import InputError
 from matroidmatch.instances import (
     Instance,
     SplitMix64,
+    by_timestamp,
     gen_random,
     gen_upper_triangular,
     random_coverage_table,
@@ -28,6 +33,12 @@ from matroidmatch.submodular import (
     UniformRank,
     WeightedThreshold,
     _check_potentials,
+    is_matroid_rank,
+)
+from matroidmatch.verify import (
+    EdgeFeasibility,
+    RandomArrivalReport,
+    critical_value,
 )
 
 
@@ -136,3 +147,85 @@ def lovasz_mc(f: SubmodularFn, y: Sequence[float], samples: int = 100_000,
         if counts[i]:
             total += int(counts[i]) * f.value_mask(suffix)
     return total / samples
+
+
+def ref_random_arrival_lemmas(instance: Instance, trials: int = 1000,
+                              seed: int = 0, tol: float = DEFAULT_TOL) -> RandomArrivalReport:
+    """verify_random_arrival_lemmas as a per-trial, per-edge loop: the
+    reference the blocked audit must equal to the bit. Its one change is
+    that each arrival's critical times come from critical_value, an
+    independent rerun without the arrival, not from critical_times."""
+    f = instance.f
+    if not is_matroid_rank(f):
+        raise InputError("random-arrival lemmas require a matroid rank budget")
+    if trials < 2:
+        raise InputError("need at least 2 trials")
+    n, m = instance.n_offline, instance.m_online
+    edges = [(u, arr.id) for arr in instance.arrivals for u in arr.nbrs]
+    live_edges = [(u, vid) for u, vid in edges if f.value_mask(1 << u) >= 0.5]
+    skipped = len(edges) - len(live_edges)
+
+    rng = np.random.default_rng(seed)
+    draws = rng.random((trials, m)).tolist()
+    ids = [arr.id for arr in instance.arrivals]
+    # live edges grouped by arrival, in live_edges order
+    live_nbrs: dict[int, list[int]] = {}
+    for u, vid in live_edges:
+        live_nbrs.setdefault(vid, []).append(u)
+
+    value_sum = 0.0
+    dom_checked = 0
+    dom_violations = 0
+    mono_min_slack = math.inf
+    samples = np.empty((trials, len(live_edges)), dtype=np.float64)
+
+    for k, stamps in enumerate(draws):
+        ts = dict(zip(ids, stamps))
+        ordered = by_timestamp(instance.arrivals, ts)
+        steps = _greedy_core(f, ordered)
+        y, z = _greedy_duals(steps, n)
+        value_sum += len(z)
+        tcrit = {vid: critical_value(instance, vid, ts) for vid in ids}
+        bounds: dict[float, float] = {}  # tc takes at most m + 1 values in a trial
+        row = []
+        for vid, us in live_nbrs.items():
+            crit, tv, zv, matched = tcrit[vid], ts[vid], z.get(vid, 0.0), vid in z
+            for u in us:
+                tc = crit.get(u, 1.0)
+                if tv < tc:
+                    dom_checked += 1
+                    if not matched:
+                        dom_violations += 1
+                bound = bounds.get(tc)
+                if bound is None:
+                    bound = bounds[tc] = (1.0 + ALPHA) * (1.0 - dual_split_rate(tc))
+                slack = y[u] - bound
+                if slack < mono_min_slack:
+                    mono_min_slack = slack
+                row.append(y[u] + zv)
+        samples[k] = row
+
+    edge_reports = []
+    feas_ok = True
+    if live_edges:
+        means = samples.mean(axis=0)
+        stderrs = np.sqrt(samples.var(axis=0) / trials)
+        for j, (u, vid) in enumerate(live_edges):
+            ok = means[j] >= 1.0 - 3.0 * stderrs[j] - tol
+            feas_ok = feas_ok and bool(ok)
+            edge_reports.append(EdgeFeasibility(u, vid, float(means[j]),
+                                                float(stderrs[j]), bool(ok)))
+
+    if math.isinf(mono_min_slack):
+        mono_min_slack = 0.0
+    return RandomArrivalReport(
+        trials=trials,
+        mean_value=value_sum / trials,
+        dominance_checked=dom_checked,
+        dominance_violations=dom_violations,
+        monotonicity_min_slack=mono_min_slack,
+        monotonicity_ok=mono_min_slack >= -tol,
+        edges=edge_reports,
+        feasibility_ok=feas_ok,
+        skipped_rank_zero_edges=skipped,
+    )

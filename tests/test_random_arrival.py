@@ -3,22 +3,25 @@
 The greedy core keeps one record per step, (vid, t, pick, newly-spanned
 mask), and everything else (duals, critical times) is derived from it;
 neighbours are sorted once when an Arrival is built and timestamps once by
-by_timestamp. The reference below is the earlier core, which sorted each
-arrival's neighbours on every step and kept every derived field, kept as a
-test oracle: runs and critical values must equal it to the bit, and the
-hashes pinned here were written by it. Its rounds hold decisions only, as
-trace rounds do.
+by_timestamp, or by stamp_orders for a block of them. The reference below
+is the earlier core, which sorted each arrival's neighbours on every step
+and kept every derived field, kept as a test oracle: runs and critical
+values must equal it to the bit, and the hashes pinned here were written
+by it. Its rounds hold decisions only, as trace rounds do.
 """
 
 import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroidmatch import algorithms, verify
 from matroidmatch.algorithms import (
     ALGORITHMS,
     GreedyRound,
@@ -41,6 +44,7 @@ from matroidmatch.instances import (
     gen_random,
     load,
     save,
+    stamp_orders,
 )
 from matroidmatch.submodular import (
     Cardinality,
@@ -52,9 +56,14 @@ from matroidmatch.submodular import (
     mask_members,
     span_mask,
 )
-from matroidmatch.verify import critical_times, critical_value, verify_random_arrival_lemmas
+from matroidmatch.verify import (
+    _LEMMA_BLOCK,
+    critical_times,
+    critical_value,
+    verify_random_arrival_lemmas,
+)
 
-from helpers import make_matroid_suite
+from helpers import make_matroid_suite, ref_random_arrival_lemmas
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +178,8 @@ class TestMatchesReference:
 
 
 class TestCriticalTimes:
-    """critical_times reads every arrival's critical values off one run."""
+    """critical_times reads every arrival's critical values off one run, as
+    one row of n per arrival."""
 
     @staticmethod
     def check(inst, ts):
@@ -177,8 +187,7 @@ class TestCriticalTimes:
         crit = critical_times(inst.f, ordered, _greedy_core(inst.f, ordered))
         assert sorted(crit) == sorted(ts)
         for a in inst.arrivals:
-            assert {u: crit[a.id].get(u, 1.0) for u in range(inst.n_offline)} \
-                == critical_value(inst, a.id, ts)
+            assert dict(enumerate(crit[a.id])) == critical_value(inst, a.id, ts)
         return crit
 
     @settings(max_examples=300, deadline=None)
@@ -195,10 +204,12 @@ class TestCriticalTimes:
             Arrival(3, (1, 2)), Arrival(4, ()), Arrival(5, (3, 0))])
         ts = {0: 0.25, 1: 0.25, 2: 0.5, 3: 0.75, 4: 0.75, 5: 0.875}
         crit = self.check(inst, ts)
-        full = {0: 0.25, 1: 0.25, 2: 0.75, 3: 0.75}
-        assert crit[1] == crit[2] == crit[4] == crit[5] == full
-        assert crit[0] == {0: 0.5, 1: 0.5, 2: 0.75, 3: 0.75}
-        assert crit[3] == {0: 0.25, 1: 0.25, 2: 0.875, 3: 0.875}
+        full = [0.25, 0.25, 0.75, 0.75, 1.0]
+        assert crit[1] == full
+        # the arrivals that picked nothing share the full run's row
+        assert crit[1] is crit[2] is crit[4] is crit[5]
+        assert crit[0] == [0.5, 0.5, 0.75, 0.75, 1.0]
+        assert crit[3] == [0.25, 0.25, 0.875, 0.875, 1.0]
 
 
 def n16_instance(family, seed):
@@ -269,6 +280,78 @@ def test_suite_lemma_reports_unchanged():
 
 
 # ---------------------------------------------------------------------------
+# The audit in blocks of trials
+# ---------------------------------------------------------------------------
+
+def report_json(report):
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("trials", [2, _LEMMA_BLOCK - 1, _LEMMA_BLOCK, _LEMMA_BLOCK + 1,
+                                    2 * _LEMMA_BLOCK + 1])
+@pytest.mark.parametrize("family", ["uniform", "partition"])
+def test_blocks_report_the_per_edge_loop(family, trials):
+    inst = n16_instance(family, 2)
+    assert report_json(verify_random_arrival_lemmas(inst, trials, seed=7)) \
+        == report_json(ref_random_arrival_lemmas(inst, trials, seed=7))
+
+
+def edge_cases():
+    g = GroundSet(3)
+    return [
+        Instance("no arrivals", 3, Cardinality(g), []),
+        Instance("no live edges", 3, UniformRank(g, 0), [Arrival(4, (0, 2)), Arrival(1, (1,))]),
+        # element 2 has no edge and element 1 only arrival 5's, so the run
+        # without 5 never spans either: critical time 1.0
+        Instance("never spanned", 3, Cardinality(g),
+                 [Arrival(5, (1,)), Arrival(2, (0,)), Arrival(0, ())]),
+    ]
+
+
+@pytest.mark.parametrize("inst", edge_cases(), ids=lambda inst: inst.name)
+def test_blocks_on_edge_cases(inst):
+    for trials in (2, _LEMMA_BLOCK + 1):
+        assert report_json(verify_random_arrival_lemmas(inst, trials, seed=4)) \
+            == report_json(ref_random_arrival_lemmas(inst, trials, seed=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=matroid_instances(), trials=st.sampled_from([2, 3, _LEMMA_BLOCK + 1]),
+       seed=st.integers(0, 2 ** 32))
+def test_blocks_on_drawn_instances(inst, trials, seed):
+    assert report_json(verify_random_arrival_lemmas(inst, trials, seed)) \
+        == report_json(ref_random_arrival_lemmas(inst, trials, seed))
+
+
+# span_mask calls of verify_random_arrival_lemmas(n16_instance(family, 1),
+# trials=200, seed=1), counted on the per-edge loop: the blocks replay every
+# arrival the loop did, no fewer
+LEMMA_SPAN_CALLS = {"uniform": 10657, "partition": 10170}
+
+
+@pytest.mark.parametrize("family", sorted(LEMMA_SPAN_CALLS))
+def test_lemma_audit_span_calls(monkeypatch, family):
+    calls = 0
+
+    def counted(f, mask):
+        nonlocal calls
+        calls += 1
+        return span_mask(f, mask)
+    monkeypatch.setattr(algorithms, "span_mask", counted)
+    monkeypatch.setattr(verify, "span_mask", counted)
+    verify_random_arrival_lemmas(n16_instance(family, 1), trials=200, seed=1)
+    assert calls == LEMMA_SPAN_CALLS[family]
+
+
+def test_dual_split_rate_is_the_one_exponential():
+    # the audit's bounds and the run's duals both take e^(t - 1) from
+    # dual_split_rate's math.exp; np.exp may round differently
+    src = Path(algorithms.__file__).parent
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if "np.exp" in path.read_text(encoding="utf-8")] == []
+
+
+# ---------------------------------------------------------------------------
 # Value-only trials
 # ---------------------------------------------------------------------------
 
@@ -289,6 +372,12 @@ def test_trials_are_the_per_trial_runs(kind, seed, trials):
                 for i in range(trials)]
         assert pairs == [(run.primal_value, run.dual_value) for run in runs]
     assert len({p for p, _ in greedy_trials(sparse_instance(803), kind, 7, 40)}) > 1
+
+
+@pytest.mark.parametrize("trials", [-3, 0, True, 2.5])
+def test_trials_must_be_an_int_of_at_least_one(trials):
+    with pytest.raises(InputError, match=re.escape(f"trials must be an int >= 1, got {trials!r}")):
+        greedy_trials(sparse_instance(803), "timestamps", 0, trials)
 
 
 def test_trials_refuse_a_budget_that_is_no_matroid():
@@ -342,6 +431,53 @@ def test_by_timestamp_sorts_by_time_then_id():
     assert by_timestamp([a, b], {3: 0.5, 1: 0.5}) == [(b, 0.5), (a, 0.5)]
     assert by_timestamp([a, b], {3: 0.25, 1: 1}) == [(a, 0.25), (b, 1.0)]
     assert by_timestamp([], {}) == []
+
+
+@st.composite
+def stamp_blocks(draw):
+    """Arrivals with ids in no particular order and a block of 0 to 4 rows
+    of their timestamps; heavy ties draw every stamp from four values."""
+    vids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True))
+    pool = st.sampled_from([0.0, 0.25, 0.5, 1.0]) if draw(st.booleans()) else stamps
+    rows = draw(st.integers(0, 4))
+    block = np.array([[draw(pool) for _ in vids] for _ in range(rows)], dtype=np.float64)
+    return [Arrival(vid, ()) for vid in vids], block.reshape(rows, len(vids))
+
+
+class TestStampOrders:
+    """stamp_orders is by_timestamp on every row of a block."""
+
+    @staticmethod
+    def by_rows(arrivals, block):
+        ids = [a.id for a in arrivals]
+        return [by_timestamp(arrivals, dict(zip(ids, row))) for row in block.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=stamp_blocks())
+    def test_equals_by_timestamp(self, drawn):
+        arrivals, block = drawn
+        assert stamp_orders(arrivals, block) == self.by_rows(arrivals, block)
+
+    def test_small_blocks(self):
+        one = [Arrival(7, (0,))]
+        for block in (np.empty((0, 1)), np.array([[0.5]]), np.array([[1.0], [0.0]])):
+            assert stamp_orders(one, block) == self.by_rows(one, block)
+        # ties go by id, also past a numpy int
+        arrivals = [Arrival(2 ** 70, ()), Arrival(-1, ()), Arrival(3, ())]
+        block = np.full((2, 3), 0.25)
+        assert stamp_orders(arrivals, block) == self.by_rows(arrivals, block)
+        assert [a.id for a, _ in stamp_orders(arrivals, block)[0]] == [-1, 3, 2 ** 70]
+
+    @pytest.mark.parametrize("block, message", [
+        (np.zeros((2, 3)), "need a block of timestamps with 2 columns, got shape (2, 3)"),
+        (np.zeros(2), "need a block of timestamps with 2 columns, got shape (2,)"),
+        (np.array([[0.5, 1.5]]), "timestamps must lie in [0, 1]"),
+        (np.array([[0.5, 0.5], [-0.1, 0.5]]), "timestamps must lie in [0, 1]"),
+        (np.array([[0.5, math.nan]]), "timestamps must lie in [0, 1]"),
+    ])
+    def test_bad_blocks_rejected(self, block, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            stamp_orders(pair().arrivals, block)
 
 
 BAD_STAMPS = [

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from matroidmatch.algorithms import (
 from matroidmatch.constants import ALPHA, charge_potential
 from matroidmatch.errors import InputError, InvariantError, SizeError
 from matroidmatch.instances import (
+    INSTANCE_SIZE_LIMIT,
     Arrival,
     ArrivalModel,
     Instance,
@@ -534,6 +536,22 @@ class TestRandomArrivalLemmas:
     def test_too_few_trials(self):
         with pytest.raises(InputError):
             verify_random_arrival_lemmas(single_edge(), trials=1)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"trials": 2.5}, InputError, "trials must be an int, got 2.5"),
+        ({"trials": True}, InputError, "trials must be an int, got True"),
+        ({"seed": 2.5}, InputError, "seed must be an int, got 2.5"),
+        ({"seed": False}, InputError, "seed must be an int, got False"),
+        ({"seed": -1}, InputError, "seed must be >= 0, got -1"),
+        ({"trials": INSTANCE_SIZE_LIMIT + 1}, SizeError, "exceeds the instance size limit"),
+        ({"trials": 10 ** 12}, SizeError, "exceeds the instance size limit"),
+    ])
+    def test_bad_arguments_refused_before_any_draw(self, monkeypatch, kwargs, error, message):
+        def no_draw(*args, **kw):
+            raise AssertionError("drew before the argument checks")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(error, match=message):
+            verify_random_arrival_lemmas(single_edge(), **kwargs)
 
     def test_report_serializes(self):
         rep = verify_random_arrival_lemmas(single_edge(), trials=10, seed=0)
