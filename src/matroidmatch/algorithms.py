@@ -537,9 +537,10 @@ def greedy_trials(instance: Instance, kind: str, seed: int,
     """(primal, dual) of run_random_arrival_greedy(instance,
     ArrivalModel(kind, seed + i)) for i = 0..trials-1, equal to the bit,
     with the orders drawn as blocks and no run record built. InputError
-    when trials is not an int >= 1 (bools included)."""
+    when trials is not an int >= 1 or seed not an int (bools included)."""
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise InputError(f"trials must be an int >= 1, got {trials!r}")
+    ArrivalModel(kind, seed)  # InputError for an unknown kind or a non-int seed
     f = instance.f
     _require_matroid(f)
     n = instance.n_offline

@@ -14,6 +14,7 @@ outputs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -155,13 +156,13 @@ def cmd_run(args) -> int:
     if args.trials > 1 and args.model == "adversarial":
         raise InputError("--trials repeats one deterministic run under the adversarial "
                          "model; use --model permutation or timestamps")
+    if args.trials > 1 and args.trace:
+        raise InputError("--trace holds a single run; drop it or use --trials 1")
     inst = load(args.instance)
     opt = offline_opt(inst).value
     alg = args.algorithm
 
     if alg == "greedy-ra" and args.trials > 1:
-        if args.trace:
-            raise InputError("--trace holds a single run; drop it or use --trials 1")
         pairs = greedy_trials(inst, args.model, args.model_seed, args.trials)
         primals, duals = [p for p, _ in pairs], [d for _, d in pairs]
         ratios = [_ratio(alg, p, d, opt) for p, d in pairs]
@@ -277,7 +278,9 @@ def cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first main call, not at import; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="matroidmatch",
         description="Online bipartite matching and vertex cover under "

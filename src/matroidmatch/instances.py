@@ -204,9 +204,9 @@ class Instance:
 class ArrivalModel:
     """How online vertices are ordered and stamped.
 
-    kind is one of 'adversarial' (stored order, rank/m timestamps),
-    'permutation' (seeded uniform shuffle, rank/m timestamps), or
-    'timestamps' (i.i.d. uniform draws, sorted ascending, ties by id).
+    kind is one of 'adversarial' (stored order, rank/m timestamps), 'permutation'
+    (seeded uniform shuffle, rank/m timestamps), or 'timestamps' (i.i.d. uniform
+    draws, sorted ascending, ties by id). seed is an int, not a bool, mod 2^64.
     """
 
     kind: str = "adversarial"
@@ -217,6 +217,8 @@ class ArrivalModel:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InputError(f"unknown arrival model {self.kind!r}; expected one of {self.KINDS}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InputError(f"arrival model seed must be an int, got {self.seed!r}")
 
 
 def by_timestamp(arrivals, timestamps: dict[int, float]) -> list[tuple[Arrival, float]]:

@@ -1,13 +1,18 @@
 """End-to-end tests driving the CLI through main()."""
 
+import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matroidmatch import verify
+from matroidmatch import cli, verify
 from matroidmatch.algorithms import load_trace, run_mobvc, run_random_arrival_greedy, save_trace
 from matroidmatch.cli import main, parse_fn_spec, parse_seeds
 from matroidmatch.constants import ONE_PLUS_ALPHA
@@ -188,6 +193,22 @@ class TestRun:
                    "--trials", "3", "--trace", str(tmp_path / "t.json")])
         assert rc == 2
         assert "--trace holds a single run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["permutation", "timestamps"])
+    def test_trials_trace_refused_before_the_min_cut(self, edge_file, tmp_path, capsys,
+                                                     monkeypatch, model):
+        # --trials with --trace exits 2 without loading the instance or
+        # paying for the offline optimum
+        _, path = edge_file
+        calls = []
+        real_load, real_opt = cli.load, cli.offline_opt
+        monkeypatch.setattr(cli, "load", lambda p: calls.append("load") or real_load(p))
+        monkeypatch.setattr(cli, "offline_opt", lambda i: calls.append("opt") or real_opt(i))
+        argv = ["run", path, "--algorithm", "greedy-ra", "--model", model, "--trials", "3"]
+        assert main(argv + ["--trace", str(tmp_path / "t.json")]) == 2
+        assert calls == []
+        assert main(argv) == 0
+        assert calls == ["load", "opt"]
 
     def test_missing_file(self, capsys):
         assert main(["run", "no-such.json", "--algorithm", "obvc"]) == 2
@@ -557,3 +578,88 @@ class TestCheckOutputPins:
         argv = ["audit", tpath, "--instance", ipath] + (["--json"] if as_json else [])
         rc = 1 if algorithm == "corrupt" else 0
         assert self.stdout_sha(capsys, argv, rc) == self.AUDIT[algorithm, as_json]
+
+
+class TestSharedParser:
+    """main builds its parser once per process and reuses it, so a call
+    must not see anything an earlier call left behind."""
+
+    # sha256 of --help at COLUMNS=80 on CPython 3.11, as the parser printed
+    # it when every main call built its own
+    HELP = {
+        (): "b2d3ec81b2abd826567a11fef0fc5117d908da01259e6a0718e1c50553923933",
+        ("generate",): "58536d219b6e3129a8529bd62e65c706bbdb74a69b2e3dba223e1c8155b55a1e",
+        ("run",): "0eab045b1b4fded29d35a28041e5fd38b92a9f9b2fe2dc38fb1023ce24d25a51",
+        ("verify",): "d87fa8c0addc9a56777dada874215edf70f09afcee42a932fedffa9b13913b1c",
+        ("audit",): "59cba9f6863b423b88b1e4604fab2eb854d655e457614cccc4d81df435600d0d",
+        ("sweep",): "399233a3464dd6e3d86dc0fe9b2384ce52ae817cced019535356ffbc8c532bac",
+    }
+
+    @staticmethod
+    def call(capsys, argv):
+        """(exit code, stdout, stderr) of one in-process main call."""
+        capsys.readouterr()
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects its arguments this way
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_calls_in_sequence_match_calls_alone(self, tmp_path, capsys):
+        ipath, tpath = str(tmp_path / "i.json"), str(tmp_path / "t.json")
+        assert main(["generate", "random", "--n", "5", "--m", "6", "--seed", "11",
+                     "--f", "uniform:2", "--out", ipath]) == 0
+        assert main(["run", ipath, "--algorithm", "mobm-pd", "--trace", tpath]) == 0
+        sequence = [
+            ["run", ipath, "--algorithm", "greedy-ra", "--trials", "zero"],
+            ["run", ipath, "--algorithm", "greedy-ra", "--model", "timestamps",
+             "--model-seed", "3", "--trials", "5"],
+            ["run", ipath, "--algorithm", "greedy-ra"],
+            ["verify", tpath, "--instance", ipath, "--json"],
+            ["verify", tpath, "--instance", ipath],
+        ]
+        alone = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            alone.append(self.call(capsys, argv))
+        cli.build_parser.cache_clear()
+        together = [self.call(capsys, argv) for argv in sequence]
+        assert cli.build_parser.cache_info().misses == 1
+        assert together == alone
+        assert [rc for rc, _, _ in alone] == [2, 0, 0, 0, 0]
+        assert "invalid int value: 'zero'" in alone[0][2]
+        assert alone[1][1].count("\n") == 2 and alone[2][1].count("\n") == 1
+        assert alone[3][1].startswith("{") and alone[4][1].startswith("PASS ")
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        rc, out, _ = self.call(capsys, list(command) + ["--help"])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP[command]
+
+    def test_ten_calls_build_the_parser_once(self, edge_file, capsys, monkeypatch):
+        _, path = edge_file
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for _ in range(10):
+            assert main(["run", path, "--algorithm", "obvc"]) == 0
+        assert built.count("matroidmatch") == 1
+
+    def test_python_dash_m(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-m", "matroidmatch", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == self.call(capsys, ["--help"])[1]

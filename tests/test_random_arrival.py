@@ -380,6 +380,39 @@ def test_trials_must_be_an_int_of_at_least_one(trials):
         greedy_trials(sparse_instance(803), "timestamps", 0, trials)
 
 
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_trials_seed_must_be_an_int(seed):
+    # 2.5 used to raise a raw TypeError from range, and True ran as seed 1
+    with pytest.raises(InputError, match=re.escape(f"seed must be an int, got {seed!r}")):
+        greedy_trials(sparse_instance(803), "timestamps", seed, 2)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, None])
+def test_arrival_model_seed_must_be_an_int(seed):
+    # a float seed used to build, and the greedy run then raised a raw
+    # TypeError from the 64-bit mask
+    with pytest.raises(InputError, match=re.escape(f"seed must be an int, got {seed!r}")):
+        ArrivalModel("permutation", seed)
+
+
+def test_model_seeds_are_taken_mod_2_64(tmp_path, capsys):
+    """--model-seed -1 and 2^64 - 1 draw the same order, and print the line
+    and write the trace bytes they did before seeds were checked."""
+    ipath, tpath = str(tmp_path / "i.json"), str(tmp_path / "t.json")
+    assert main(["generate", "random", "--n", "6", "--m", "9", "--p", "0.45", "--seed", "21",
+                 "--f", "partition:0,0,1,1,2,2:1,2,1", "--out", ipath]) == 0
+    pins = {"timestamps": "513f3a6dfa4e924badc0aa14563425f5013e133890be422c465050190d31204b",
+            "permutation": "ff813942b301c0f10c0879f2d21c67e72118ab0c9294fc30a8de693f119c9d7c"}
+    for model, sha in pins.items():
+        for seed in ("-1", str(2 ** 64 - 1)):
+            capsys.readouterr()
+            assert main(["run", ipath, "--algorithm", "greedy-ra", "--model", model,
+                         "--model-seed", seed, "--trace", tpath]) == 0
+            assert capsys.readouterr().out == (
+                "greedy-ra,random-n6-m9-p0.45-s21-partition_budget,4,6.32790682748,4,1\n")
+            assert hashlib.sha256(Path(tpath).read_bytes()).hexdigest() == sha
+
+
 def test_trials_refuse_a_budget_that_is_no_matroid():
     inst = gen_random(4, 4, 0.5, WeightedThreshold(GroundSet(4), [0.5, 1.0, 1.5, 2.0], 2.0))
     with pytest.raises(PreconditionError, match="matroid rank"):
