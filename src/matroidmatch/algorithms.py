@@ -36,7 +36,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
 
 from .barchart import BarChart, NewRegion, snap
 from .constants import ALPHA
@@ -58,7 +58,6 @@ from .instances import (
 )
 from .submodular import (
     SubmodularFn,
-    as_mask,
     is_matroid_rank,
     lovasz,
     mask_members,
@@ -70,7 +69,7 @@ ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
 COVER_ALGORITHMS = ("obvc", "mobvc")
 
 # Version of the JSON written by save_trace; load_trace reads no other.
-TRACE_FORMAT = 5
+TRACE_FORMAT = 6
 
 
 def dual_split_rate(t: float) -> float:
@@ -97,9 +96,9 @@ def _sup_below(bounds: list[float], hvals: list[float], target: float) -> float:
     raise InvariantError("h(0) <= target must hold; no crossing found")
 
 
-def water_level(chart: BarChart, nbrs) -> float:
-    """Exact water level for an arrival with neighbor set nbrs at the
-    chart's current potentials.
+def water_level(chart: BarChart, nmask: int) -> float:
+    """Exact water level for an arrival whose neighbor set has the mask
+    nmask (Instance.neighbor_mask), at the chart's current potentials.
 
     Segment slopes are read off the bars: on the bar with member set L the
     slope of h is -1 + f(L + nbrs) - f(L). Non-neighbor potentials matter
@@ -111,8 +110,6 @@ def water_level(chart: BarChart, nbrs) -> float:
     the oracle is called only on bars that miss a neighbor.
     """
     f = chart.f
-    nmask = as_mask(f.ground, nbrs)
-
     ivs = chart.intervals
     k = chart.first_missing(nmask)
     lo = ivs[k].lo if k < len(ivs) else ivs[-1].hi
@@ -150,15 +147,47 @@ def _modular_water_level(y, nbrs) -> float:
 # Run records
 # ---------------------------------------------------------------------------
 
+def _ascending(ids: tuple[int, ...]) -> bool:
+    return all(map(operator.lt, ids, ids[1:]))
+
+
 def _offline_ids(col, v: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """The X column: per round, offline ids in 0..n-1. v is the column of
-    arrival ids, of the same length, to name a bad round."""
+    """The X column: per round, strictly ascending offline ids in 0..n-1.
+    v is the column of arrival ids, of the same length, to name a bad
+    round."""
     X = list(map(json_ints, col))
     ids = list(chain.from_iterable(X))
     if ids and (min(ids) < 0 or max(ids) >= n):
         i = next(i for i, xs in enumerate(X) if not all(0 <= u < n for u in xs))
         raise ValueError(f"round v={v[i]}: X = {X[i]} outside 0..{n - 1}")
+    if not all(map(_ascending, X)):
+        i = next(i for i, xs in enumerate(X) if not _ascending(xs))
+        raise ValueError(f"round v={v[i]}: X = {X[i]} is not strictly ascending")
     return X
+
+
+def _x_column(rounds: list["WaterfillRound"], x: dict[tuple[int, int], float]) -> list:
+    """The x column of a mobm-pd trace: x_uv for each u of each round's X
+    (v the round's arrival), in order, None where the round gave u nothing.
+    InvariantError when x has an entry the column cannot hold, one outside
+    its round's X."""
+    col = [x.get((u, rec.v)) for rec in rounds for u in rec.X]
+    stored = len(col) - col.count(None)
+    if stored != len(x):
+        raise InvariantError(f"x has {len(x)} entries, but its rounds' X hold {stored} of them")
+    return col
+
+
+def _x_from_column(col, rounds: list["WaterfillRound"]) -> dict[tuple[int, int], float]:
+    """Inverse of _x_column, with the entries in column order; ValueError
+    for a column of another length or an entry neither null nor a finite
+    number."""
+    col = json_list(col)
+    keys = [(u, rec.v) for rec in rounds for u in rec.X]
+    if len(col) != len(keys):
+        raise ValueError(f"x column of {len(col)} entries for {len(keys)} raised ids")
+    stored = list(map(operator.is_not, col, repeat(None)))
+    return dict(zip(compress(keys, stored), json_numbers(list(compress(col, stored)))))
 
 
 def _same_length(what: str, **cols):
@@ -172,10 +201,11 @@ class WaterfillRound:
     """One arrival of a waterfilling run (obvc, mobvc, mobm-pd): its
     decisions only.
 
-    a is the water level, X the offline elements raised to it, regions the
-    new chart mass. The arrival's dual is 1 - a, its primal split over X is
-    the final x at v, and the round's increments follow from these
-    (verify.round_increments).
+    a is the water level, X the offline elements raised to it (ascending),
+    regions the new chart mass. The arrival's dual is 1 - a, its primal
+    split over X is the final x at v (state.x, which a mobm-pd trace stores
+    as an x column aligned with X), and the round's increments follow from
+    these (verify.round_increments).
     """
 
     v: int
@@ -283,13 +313,16 @@ def _json_rows(v, width: int) -> list[list]:
 class RunTrace:
     """One run: its rounds, in arrival order, and its final state.
 
-    On disk (format 5) the rounds are one object of parallel columns, one
+    On disk (format 6) the rounds are one object of parallel columns, one
     entry per round: waterfilling runs store v, a, X and regions (each
     round's region count), and the region fields lo, hi, old_height and
     new_height as flat columns over all rounds in order; greedy runs store
-    v, t, X and matched. The final block holds y, z as [v, z_v] rows, x as
-    [u, v, x_uv] rows sorted by (u, v), matched_offline, primal_value and
-    dual_value.
+    v, t, X and matched. A mobm-pd trace also stores x as a column over
+    the flattened X: the entry of u in round v's X is x_uv, or null when
+    the round gave u nothing. The final block holds y, z as [v, z_v] rows,
+    matched_offline, primal_value and dual_value; a greedy-ra trace also
+    holds x there as [u, v, 1.0] rows sorted by (u, v). Loading rebuilds
+    state.x from whichever of the two a trace has.
     """
 
     algorithm: str
@@ -302,20 +335,27 @@ class RunTrace:
 
     def to_dict(self) -> dict:
         x = self.state.x
+        rounds = _round_type(self.algorithm).to_columns(self.rounds)
+        final = {
+            "y": list(self.state.y),
+            "z": sorted(self.state.z.items()),
+            "matched_offline": sorted(self.state.matched),
+            "primal_value": self.primal_value,
+            "dual_value": self.dual_value,
+        }
+        if self.algorithm == "greedy-ra":
+            final["x"] = [(u, v, x[u, v]) for u, v in sorted(x)]
+        elif self.algorithm == "mobm-pd":
+            rounds["x"] = _x_column(self.rounds, x)
+        elif x:
+            raise InvariantError(f"a {self.algorithm} run has {len(x)} x entries to store")
         return {
             "format": TRACE_FORMAT,
             "algorithm": self.algorithm,
             "instance": {"name": self.instance_name, "n_offline": self.n_offline},
             "alpha": ALPHA,
-            "rounds": _round_type(self.algorithm).to_columns(self.rounds),
-            "final": {
-                "y": list(self.state.y),
-                "z": sorted(self.state.z.items()),
-                "x": [(u, v, x[u, v]) for u, v in sorted(x)],
-                "matched_offline": sorted(self.state.matched),
-                "primal_value": self.primal_value,
-                "dual_value": self.dual_value,
-            },
+            "rounds": rounds,
+            "final": final,
         }
 
     @staticmethod
@@ -337,17 +377,26 @@ class RunTrace:
             raise ValueError(f"bad instance block {d['instance']!r}")
         if json_number(d["alpha"]) != ALPHA:
             raise ValueError(f"trace alpha {d['alpha']} differs from ALPHA = {ALPHA}")
-        rounds = _round_type(algorithm).from_columns(d["rounds"], n)
-        fin = d["final"]
+        cols, fin = d["rounds"], d["final"]
+        rounds = _round_type(algorithm).from_columns(cols, n)
+        if algorithm == "greedy-ra":
+            xu, xv, xval = _json_rows(fin["x"], 3)
+            x = dict(zip(zip(json_ints(xu), json_ints(xv)), json_numbers(xval)))
+        elif algorithm == "mobm-pd":
+            x = _x_from_column(cols["x"], rounds)
+        else:
+            x = {}
+        if ("x" in cols) != (algorithm == "mobm-pd") or ("x" in fin) != (algorithm == "greedy-ra"):
+            raise ValueError(f"a {algorithm} trace stores x elsewhere: mobm-pd in the rounds, "
+                             f"greedy-ra in the final block, and the others nowhere")
         y = json_numbers(fin["y"])
         if len(y) != n:
             raise ValueError(f"{len(y)} final potentials for n_offline = {n}")
         zv, zval = _json_rows(fin["z"], 2)
-        xu, xv, xval = _json_rows(fin["x"], 3)
         state = OnlineState(
             y=y,
             z=dict(zip(json_ints(zv), json_numbers(zval))),
-            x=dict(zip(zip(json_ints(xu), json_ints(xv)), json_numbers(xval))),
+            x=x,
             matched=frozenset(json_ints(fin["matched_offline"])),
         )
         return RunTrace(algorithm, name, n, rounds, state,
@@ -355,7 +404,7 @@ class RunTrace:
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
-    """Write the trace as one line of compact sorted-key JSON (format 5,
+    """Write the trace as one line of compact sorted-key JSON (format 6,
     columnar rounds; see RunTrace).
 
     json.dumps encodes in one call to the C encoder; json.dump to a file,
@@ -413,7 +462,7 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
         if algorithm == "obvc":
             a = _modular_water_level(y, arr.nbrs)
         else:
-            a = water_level(chart, arr.nbrs)
+            a = water_level(chart, instance.neighbor_mask(arr))
         X = tuple([u for u in arr.nbrs if y[u] < a])  # a list comprehension is the faster loop
         raised = chart.raise_to(X, a)
         z[arr.id] = 1.0 - a

@@ -153,6 +153,10 @@ class Instance:
     n_offline: int
     f: SubmodularFn
     arrivals: list[Arrival] = field(default_factory=list)
+    # neighbor_mask's masks, built on first use and keyed by the arrival
+    # itself, so an arrival put in later gets its own
+    _masks: dict[Arrival, int] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         """InputError when n_offline is not the budget's ground-set size, a
@@ -189,7 +193,12 @@ class Instance:
         return [(u, arr.id) for arr in self.arrivals for u in arr.nbrs]
 
     def neighbor_mask(self, arrival: Arrival) -> int:
-        return as_mask(self.ground, arrival.nbrs)
+        """The mask of arrival's neighbors: as_mask on its first call for
+        an arrival, then the mask kept from it."""
+        mask = self._masks.get(arrival)
+        if mask is None:
+            mask = self._masks[arrival] = as_mask(self.ground, arrival.nbrs)
+        return mask
 
     def to_dict(self) -> dict:
         return {

@@ -35,6 +35,7 @@ from matroidmatch.submodular import (
     PartitionBudget,
     UniformRank,
     WeightedThreshold,
+    as_mask,
     lovasz,
 )
 from matroidmatch.verify import round_increments
@@ -75,22 +76,22 @@ class TestWaterLevel:
     def test_one_fresh_neighbor_fills(self):
         f = Cardinality(GroundSet(1))
         chart = BarChart.from_potentials(f, [0.0])
-        assert water_level(chart, (0,)) == 1.0
+        assert water_level(chart, 0b1) == 1.0
 
     def test_two_fresh_neighbors_stop_at_alpha(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.0, 0.0])
-        assert water_level(chart, (0, 1)) == pytest.approx(ALPHA, abs=1e-12)
+        assert water_level(chart, 0b11) == pytest.approx(ALPHA, abs=1e-12)
 
     def test_rank_one_budget_is_free(self):
         f = UniformRank(GroundSet(2), 1)
         chart = BarChart.from_potentials(f, [0.0, 0.0])
-        assert water_level(chart, (0, 1)) == 1.0
+        assert water_level(chart, 0b11) == 1.0
 
     def test_no_neighbors(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.0, 0.0])
-        assert water_level(chart, ()) == 1.0
+        assert water_level(chart, 0) == 1.0
 
     def test_non_neighbor_levels_shift_breakpoints(self):
         # u1 is not a neighbor, but its level changes where the level sets
@@ -98,7 +99,7 @@ class TestWaterLevel:
         f = UniformRank(GroundSet(2), 1)
         y = [0.0, 0.6]
         chart = BarChart.from_potentials(f, y)
-        a = water_level(chart, (0,))
+        a = water_level(chart, 0b1)
         # h(a) = 1 - a for a <= 0.6 (no rank gain below u1's level),
         # then climbs at slope 0 -> it never exceeds 1 + ALPHA
         assert a == 1.0
@@ -114,7 +115,7 @@ class TestWaterLevel:
             nbrs = tuple(u for u in range(n) if rng.random() < 0.6)
             f = Cardinality(GroundSet(n))
             chart = BarChart.from_potentials(f, y)
-            a1 = water_level(chart, nbrs)
+            a1 = water_level(chart, as_mask(f.ground, nbrs))
             a2 = _modular_water_level(y, nbrs)
             assert a1 == pytest.approx(a2, abs=1e-12)
 
@@ -263,7 +264,7 @@ class TestRegionBases:
             chart = BarChart.from_potentials(inst.f, [0.0] * inst.n_offline)
             for arr in inst.arrivals:
                 y = chart.levels
-                a = water_level(chart, arr.nbrs)
+                a = water_level(chart, inst.neighbor_mask(arr))
                 X = [u for u in sorted(set(arr.nbrs)) if y[u] < a]
                 nonempty += self.raise_and_check(chart, X, a)
         assert nonempty > 100  # the check saw many bars with members

@@ -7,7 +7,8 @@ disk. A rename or deletion in the package would surface only there, so this
 test reads the tracer's lists (without installing anything), resolves each
 name, and reads each attribute on a run of every algorithm. The benchmark
 also reads and edits trace files as JSON; the last tests replay those
-reads and edits on the current trace format.
+reads and edits on the current trace format, and one pass of each workload
+runs in process.
 """
 
 import hashlib
@@ -43,6 +44,12 @@ def load_tracer():
 
 
 TRACER = load_tracer()
+
+
+def load_workloads():
+    sys.path.insert(0, str(BENCH))  # workloads imports its sibling modules by name
+    import workloads
+    return workloads
 
 
 @pytest.mark.parametrize("name", TRACER.FUNCTIONS)
@@ -137,9 +144,8 @@ def test_benchmark_potential_corruption_fails_verify(tmp_path, capsys):
 def test_benchmark_greedy_check_reads_the_final_block(tmp_path):
     # random-arrival-n16 checks a greedy-ra trace from its final x triples
     # and matched_offline; this runs its own check on a fresh trace
-    sys.path.insert(0, str(BENCH))  # workloads imports its sibling modules by name
+    workloads = load_workloads()
     import reference
-    import workloads
 
     ipath, tpath = tmp_path / "i.json", tmp_path / "greedy.json"
     f = PartitionBudget(GroundSet(16), [range(i, 16, 4) for i in range(4)], [2] * 4)
@@ -155,6 +161,23 @@ def test_benchmark_greedy_check_reads_the_final_block(tmp_path):
     data["final"]["x"].pop()  # the matched set no longer agrees
     workloads.RandomArrivalN16._check_greedy(ops, "partition", data, budget, arrivals)
     assert not ops.correct
+
+
+@pytest.mark.parametrize("name", sorted(load_workloads().WORKLOADS))
+def test_one_pass_of_each_workload(tmp_path, name):
+    # one in-process pass as bench/run.py makes it, with every call timed
+    # at a unit slowdown: each output check holds and no call fails, so a
+    # change to what the benchmark reads (a trace file's JSON included)
+    # shows here
+    workloads = load_workloads()
+    workload = workloads.WORKLOADS[name](matroidmatch, tmp_path, 1)
+    workload.setup()
+    workload.prepare()
+    ops = workloads.Ops(matroidmatch, lambda: 1.0)
+    ops.begin_pass()
+    workload.run_pass(ops)
+    assert ops.correct and ops.failed == 0, ops.errors
+    assert ops.attempted > 0 and ops.wall_s[0] > 0.0
 
 
 # sha256 of the two lines `run --algorithm greedy-ra --trials 400` printed

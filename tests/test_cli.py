@@ -21,6 +21,16 @@ from matroidmatch.instances import Arrival, Instance, gen_random, load, save
 from matroidmatch.submodular import Cardinality, GroundSet, PartitionBudget, WeightedThreshold
 
 
+def raise_first_x(data: dict, by: float = 0.25) -> tuple[int, int]:
+    """Add by to the x entry of a mobm-pd trace dict with the smallest
+    (u, v), the first that verify names; returns that (u, v)."""
+    rounds = data["rounds"]
+    keys = [(u, v) for v, X in zip(rounds["v"], rounds["X"]) for u in X]
+    key, i = min((k, i) for i, k in enumerate(keys) if rounds["x"][i] is not None)
+    rounds["x"][i] += by
+    return key
+
+
 @pytest.fixture
 def edge_file(tmp_path):
     g = GroundSet(1)
@@ -234,8 +244,7 @@ class TestVerify:
     def test_corrupted_x_fails(self, tmp_path, capsys):
         ipath, tpath = self.make_pair(tmp_path, "mobm-pd")
         data = json.loads(open(tpath).read())
-        u, v, val = data["final"]["x"][0]
-        data["final"]["x"][0] = [u, v, val + 0.25]
+        u, v = raise_first_x(data)
         open(tpath, "w").write(json.dumps(data))
         assert main(["verify", tpath, "--instance", ipath]) == 1
         out = capsys.readouterr().out
@@ -551,7 +560,7 @@ class TestCheckOutputPins:
         if algorithm == "corrupt":
             data = json.loads(tpath.read_text(encoding="utf-8"))
             data["final"]["y"] = [v / 2 for v in data["final"]["y"]]
-            data["final"]["x"][0][2] += 0.25
+            raise_first_x(data)
             rounds = data["rounds"]
             for j in range(rounds["regions"][0]):  # the first round's charge drops to 0
                 rounds["new_height"][j] = rounds["old_height"][j]

@@ -225,22 +225,22 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of save_trace's bytes (format 5: the format-4 bytes the reference
-# greedy wrote, with the rounds stored as columns; each loads to the same
-# RunTrace as the format-4 file did).
+# sha256 of save_trace's bytes (format 6: the format-4 bytes the reference
+# greedy wrote, with the rounds stored as columns and the format digit 6;
+# each loads to the same RunTrace as the format-4 file did).
 GREEDY_TRACE_SHA256 = {
-    ("uniform", 1, "adversarial"): "6b2a4bd439e8f1ef31e23234147ec2034090d10dd19510abba125fbb23fdb27f",
-    ("uniform", 1, "permutation"): "6ac53e52bad0b3023dda34d4ce34e760c2e87a45274eaf1da8837b10d82f2321",
-    ("uniform", 1, "timestamps"): "bee43dda6c4b4f651ca8fd4cb0d275fcf10cfba14f90cfe9df01f8fd7262d09a",
-    ("partition", 1, "adversarial"): "1ffee7c8ace90b975fa4b3c04af3e0fd498184d79a0010b535799c0a8823a380",
-    ("partition", 1, "permutation"): "648cd9862da46f0267a997690e33c993237b85b0370ba359b0b36287f9c1f2db",
-    ("partition", 1, "timestamps"): "e49ba504a2d0eaba59c49896e13e9730612f1d5ad429d9a8017db9c666464e53",
-    ("uniform", 2, "adversarial"): "582f2a19130b026b774a1582af8baa58035e89114e9b5418665e29f1ea2085de",
-    ("uniform", 2, "permutation"): "b68b455c0419a3e6a1f3fe96d794cac24ecddca8e2559475c576c65bd386a5b0",
-    ("uniform", 2, "timestamps"): "220d597a0e87c8862acbf03ff4db1e094c3f4aeb85839e3bfa750ba089b646dc",
-    ("partition", 2, "adversarial"): "8f9b03005fa9b5b9e21479b016c8ba083194d84a1c7aa9deb2907d7135c84a4c",
-    ("partition", 2, "permutation"): "213837d41f46b09fde07c6d527c522d6fa411188db8fe5f352b0f03708b805f8",
-    ("partition", 2, "timestamps"): "9d00e344d0c5fdb9ed1905a43e0c764c72943919ccd689a583235dba4d0a81fd",
+    ("uniform", 1, "adversarial"): "e6520801d734c3c5fab41276aeb8fc0fad6e21556364f5b7283af7f7abd50248",
+    ("uniform", 1, "permutation"): "d4ba90e71f314c38f6564b1ef994cf5ef137ad0cbcb5c30fac0abbfa0e2978f3",
+    ("uniform", 1, "timestamps"): "b17198d421f8a6e7830f982ffcb38318bb598ed24e4e02f9d0afcb276cac3933",
+    ("partition", 1, "adversarial"): "350c352cda1477a85a987ac732aa412ad0f1c21e5aee549eb4e59c44c31047aa",
+    ("partition", 1, "permutation"): "dda299b1bb4dd6329b9ca9bc6c827c78cbc8f185dc2043ae21722149ade85006",
+    ("partition", 1, "timestamps"): "dc852280754ab0837774e6ffab5d85b122ce848ecb5a52bf60919e96bd4dc37b",
+    ("uniform", 2, "adversarial"): "69d15ef3b8807c1b759f09c7d81b17b5c0e327b76d793384488cad61da92e57f",
+    ("uniform", 2, "permutation"): "e9ba91008e421e3c800a079c850d0fb40b86edf06f5ee934b3bc067879866a6a",
+    ("uniform", 2, "timestamps"): "95a54b593b08319ca9bc709e28a20768d1c90b09a187f6272058a419d233ecb1",
+    ("partition", 2, "adversarial"): "0e1ab6b7d4ef43608d9af3a3df2062b2386ce367053d27a1a420a506a32c7d8e",
+    ("partition", 2, "permutation"): "d868cdcfe92e2a2ea000d1091576cecd405961e24dc88431c77219ef4be619a4",
+    ("partition", 2, "timestamps"): "3eba9f3b80cba26a425d858b0cd66172a073350562af56b73f96d6b060e3f04f",
 }
 
 # sha256 of the sorted-key JSON of verify_random_arrival_lemmas(instance,
@@ -397,12 +397,13 @@ def test_arrival_model_seed_must_be_an_int(seed):
 
 def test_model_seeds_are_taken_mod_2_64(tmp_path, capsys):
     """--model-seed -1 and 2^64 - 1 draw the same order, and print the line
-    and write the trace bytes they did before seeds were checked."""
+    they did before seeds were checked and write the same trace (format 6
+    bytes since)."""
     ipath, tpath = str(tmp_path / "i.json"), str(tmp_path / "t.json")
     assert main(["generate", "random", "--n", "6", "--m", "9", "--p", "0.45", "--seed", "21",
                  "--f", "partition:0,0,1,1,2,2:1,2,1", "--out", ipath]) == 0
-    pins = {"timestamps": "513f3a6dfa4e924badc0aa14563425f5013e133890be422c465050190d31204b",
-            "permutation": "ff813942b301c0f10c0879f2d21c67e72118ab0c9294fc30a8de693f119c9d7c"}
+    pins = {"timestamps": "c5544dd013ec6b433301f94e607a8aeaddbc25c665f99e783ba26a7189cb538d",
+            "permutation": "1d38ed789fcb516b1b80bd89d75970e0b864808600ee4edcdf2352dec5911093"}
     for model, sha in pins.items():
         for seed in ("-1", str(2 ** 64 - 1)):
             capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Trace format 5: exact round trips, the fields a file keeps, and hostile
+"""Trace format 6: exact round trips, the fields a file keeps, and hostile
 input (load_trace raises ParseError, the CLI exits 2, never a traceback)."""
 
 import json
@@ -21,9 +21,15 @@ from matroidmatch.algorithms import (
 )
 from matroidmatch.cli import main
 from matroidmatch.constants import ALPHA
-from matroidmatch.errors import ParseError
-from matroidmatch.instances import ArrivalModel, gen_random, save
-from matroidmatch.submodular import GroundSet, UniformRank, WeightedThreshold
+from matroidmatch.errors import InvariantError, ParseError
+from matroidmatch.instances import ArrivalModel, gen_random, random_coverage_table, save
+from matroidmatch.submodular import (
+    Cardinality,
+    GroundSet,
+    PartitionBudget,
+    UniformRank,
+    WeightedThreshold,
+)
 
 ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
 
@@ -64,38 +70,102 @@ class TestFormat:
         kind = GreedyRound if alg == "greedy-ra" else WaterfillRound
         assert trace.rounds and all(type(r) is kind for r in back.rounds)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mobm_pd_round_trip_every_family(self, tmp_path_factory, data):
+        # x goes to disk as a column aligned with X, null where a round gave
+        # an element nothing; loading rebuilds the same state.x
+        n = data.draw(st.integers(1, 8))
+        g = GroundSet(n)
+        f = data.draw(st.sampled_from([
+            Cardinality(g), UniformRank(g, data.draw(st.integers(0, n))),
+            PartitionBudget(g, [range(0, n, 2), range(1, n, 2)],
+                            data.draw(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+                                               min_size=2, max_size=2))),
+            WeightedThreshold(g, data.draw(st.lists(st.floats(0.0, 2.0), min_size=n,
+                                                    max_size=n)), data.draw(st.floats(0.0, 3.0))),
+            random_coverage_table(n, data.draw(st.integers(0, 99)))]))
+        inst = gen_random(n, data.draw(st.integers(0, 10)), data.draw(st.floats(0.0, 1.0)), f,
+                          seed=data.draw(st.integers(0, 2 ** 64 - 1)))
+        trace = run_mobm_pd(inst)
+        path = tmp_path_factory.mktemp("r") / "t.json"
+        save_trace(trace, path)
+        back = load_trace(path)
+        assert back == trace
+        col = json.loads(path.read_text(encoding="utf-8"))["rounds"]["x"]
+        assert len(col) - col.count(None) == len(trace.state.x)
+
+    def test_absent_and_zero_x_entries_round_trip(self, tmp_path):
+        # a partition budget leaves raised elements without x; an x entry of
+        # 0.0 (or -0.0) is present and must stay so
+        f = PartitionBudget(GroundSet(8), [range(0, 8, 2), range(1, 8, 2)], [1.0, 2.0])
+        trace = run_mobm_pd(gen_random(8, 12, 0.5, f, seed=3))
+        x = trace.state.x
+        keys = [(u, rec.v) for rec in trace.rounds for u in rec.X]
+        assert len(x) < len(keys)
+        first, second = [k for k in keys if k in x][:2]
+        x[first], x[second] = 0.0, -0.0
+        path = tmp_path / "t.json"
+        save_trace(trace, path)
+        col = json.loads(path.read_text(encoding="utf-8"))["rounds"]["x"]
+        assert col.count(None) == len(keys) - len(x)
+        assert col[keys.index(first)] == 0.0 and col[keys.index(second)] == 0.0
+        back = load_trace(path)
+        assert back == trace
+        assert math.copysign(1.0, back.state.x[second]) == -1.0
+
+    @pytest.mark.parametrize("alg", ["obvc", "mobvc", "mobm-pd"])
+    def test_x_outside_the_rounds_is_not_written(self, tmp_path, alg):
+        # the x column holds only entries within their round's X, and cover
+        # traces hold none
+        trace = run(alg)
+        v = trace.rounds[0].v
+        trace.state.x[next(u for u in range(6) if u not in trace.rounds[0].X), v] = 0.5
+        with pytest.raises(InvariantError):
+            save_trace(trace, tmp_path / "t.json")
+
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_one_line_of_compact_sorted_json(self, tmp_path, alg):
         save_trace(run(alg), tmp_path / "t.json")
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert data["format"] == TRACE_FORMAT == 5
+        assert data["format"] == TRACE_FORMAT == 6
 
     def test_round_fields(self):
+        columns = {"v", "a", "X", "regions", "lo", "hi", "old_height", "new_height"}
         pd_rounds = TRACE_DICTS["mobm-pd"]["rounds"]
-        assert set(pd_rounds) == {"v", "a", "X", "regions",
-                                  "lo", "hi", "old_height", "new_height"}
+        assert set(pd_rounds) == columns | {"x"}
         assert sum(pd_rounds["regions"]) == len(pd_rounds["lo"]) > 0
+        assert len(pd_rounds["x"]) == sum(map(len, pd_rounds["X"]))
+        assert set(TRACE_DICTS["obvc"]["rounds"]) == set(TRACE_DICTS["mobvc"]["rounds"]) == columns
         assert set(TRACE_DICTS["greedy-ra"]["rounds"]) == {"v", "t", "X", "matched"}
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_final_block_the_benchmark_reads(self, alg):
-        # bench/workloads.py reads these keys and shapes straight from the JSON
+        # bench/workloads.py reads from the JSON a mobvc trace's final.y
+        # (certify-n20 moves a potential and expects verify to fail) and a
+        # greedy-ra trace's final.x rows and matched_offline (random-arrival-n16
+        # checks the matching from them). mobm-pd keeps its x in the rounds.
         final = TRACE_DICTS[alg]["final"]
-        assert set(final) == {"y", "z", "x", "matched_offline", "primal_value", "dual_value"}
+        keys = {"y", "z", "matched_offline", "primal_value", "dual_value"}
+        assert set(final) == (keys | {"x"} if alg == "greedy-ra" else keys)
         assert len(final["y"]) == INSTANCES[alg].n_offline
         assert all(type(v) is int and type(zv) is float for v, zv in final["z"])
         assert all(type(u) is int and type(v) is int and type(val) is float
-                   for u, v, val in final["x"])
+                   for u, v, val in final.get("x", []))
         assert final["matched_offline"] == sorted(final["matched_offline"])
-        if alg in ("mobm-pd", "greedy-ra"):
-            assert final["x"] and final["primal_value"] > 0
+        if alg == "mobm-pd":
+            col = TRACE_DICTS[alg]["rounds"]["x"]
+            assert all(val is None or type(val) is float for val in col)
+            assert any(col) and final["primal_value"] > 0
         if alg == "greedy-ra":
+            assert final["x"] and final["primal_value"] > 0
             assert sorted(u for u, _, _ in final["x"]) == final["matched_offline"]
 
     @pytest.mark.parametrize("found", [1, 2, pytest.param(3, id="format-3"),
-                                       pytest.param(4, id="format-4"), "3", None, "missing"])
+                                       pytest.param(4, id="format-4"),
+                                       pytest.param(5, id="format-5"), "3", None, "missing"])
     def test_other_versions_rejected(self, tmp_path, found):
         data = dict(TRACE_DICTS["mobvc"])
         if found == "missing":
@@ -249,18 +319,18 @@ class TestHostileInput:
             assert rc in (0, 1, 2)
 
 
-WATERFILL_COLUMNS = ("v", "a", "X", "regions", "lo", "hi", "old_height", "new_height")
+PD_COLUMNS = ("v", "a", "X", "regions", "lo", "hi", "old_height", "new_height", "x")
 GREEDY_COLUMNS = ("v", "t", "X", "matched")
 FLOAT_POSITIONS = {
-    "mobm-pd": [("rounds", key, 0) for key in ("a", "lo", "hi", "old_height", "new_height")]
-    + [("final", "y", 0), ("final", "z", 0, 1), ("final", "x", 0, 2)],
-    "greedy-ra": [("rounds", "t", 0)],
+    "mobm-pd": [("rounds", key, 0) for key in ("a", "lo", "hi", "old_height", "new_height", "x")]
+    + [("final", "y", 0), ("final", "z", 0, 1)],
+    "greedy-ra": [("rounds", "t", 0), ("final", "x", 0, 2)],
 }
 INT_POSITIONS = {
     "mobm-pd": [("rounds", "v", 0), ("rounds", "regions", 0), ("rounds", "X", 0, 0),
-                ("final", "z", 0, 0), ("final", "x", 0, 0), ("final", "x", 0, 1)],
+                ("final", "z", 0, 0)],
     "greedy-ra": [("rounds", "v", 0), ("rounds", "matched", 0), ("rounds", "X", 0, 0),
-                  ("final", "matched_offline", 0)],
+                  ("final", "x", 0, 0), ("final", "x", 0, 1), ("final", "matched_offline", 0)],
 }
 # json.dumps cannot write the literal 1e999 (JSON for a float beyond range,
 # read back as inf), so the test writes it in place of this marker
@@ -277,6 +347,29 @@ def pop_at(path):
     return lambda data: at(data, path).pop()
 
 
+def x_column(data):
+    # one null per raised id: the length a mobm-pd column would have
+    data["rounds"]["x"] = [None] * sum(map(len, data["rounds"]["X"]))
+
+
+def final_x_rows(data):
+    data["final"]["x"] = [[u, v, 0.5] for v, X in zip(data["rounds"]["v"], data["rounds"]["X"])
+                          for u in X]
+
+
+def final_x_rows_with_bool(index):
+    # format 5's place for a mobm-pd run's x, its first row holding a bool id
+    def edit(data):
+        final_x_rows(data)
+        data["final"]["x"][0][index] = True
+    return edit
+
+
+def reverse_longest_X(data):
+    # test_unordered_X_rejected covers a repeated id
+    max(data["rounds"]["X"], key=len).reverse()
+
+
 def count_sum_above(data):
     data["rounds"]["regions"][0] += 1
 
@@ -290,7 +383,7 @@ def negative_count(data):
 
 def hostile_columns():
     cases = []
-    for alg, keys in (("mobm-pd", WATERFILL_COLUMNS), ("greedy-ra", GREEDY_COLUMNS)):
+    for alg, keys in (("mobm-pd", PD_COLUMNS), ("greedy-ra", GREEDY_COLUMNS)):
         cases += [pytest.param(alg, pop_at(("rounds", key)), id=f"{alg}-short-{key}")
                   for key in keys]
         for path in INT_POSITIONS[alg]:
@@ -306,7 +399,16 @@ def hostile_columns():
         cases.append(pytest.param(alg, set_at(("rounds", "X", 0), [-1]), id=f"{alg}-X-negative"))
     pd = "mobm-pd"
     cases += [
-        pytest.param(pd, pop_at(("final", "x", 0)), id="short-x-row"),
+        pytest.param(pd, lambda data: data["rounds"]["x"].append(0.5), id="long-x-column"),
+        pytest.param("mobvc", x_column, id="x-column-on-mobvc"),
+        pytest.param("obvc", x_column, id="x-column-on-obvc"),
+        pytest.param("greedy-ra", x_column, id="x-column-on-greedy-ra"),
+        pytest.param(pd, final_x_rows, id="final-x-on-mobm-pd"),
+        pytest.param(pd, final_x_rows_with_bool(0), id="mobm-pd-bool-final-x-0-0"),
+        pytest.param(pd, final_x_rows_with_bool(1), id="mobm-pd-bool-final-x-0-1"),
+        pytest.param("mobvc", final_x_rows, id="final-x-on-mobvc"),
+        pytest.param(pd, reverse_longest_X, id="descending-X"),
+        pytest.param("greedy-ra", reverse_longest_X, id="greedy-descending-X"),
         pytest.param(pd, lambda data: data["final"]["z"][0].append(0.0), id="long-z-row"),
         pytest.param(pd, count_sum_above, id="count-sum-above"),
         pytest.param(pd, negative_count, id="negative-count"),
@@ -320,7 +422,7 @@ def hostile_columns():
 
 
 class TestHostileColumns:
-    """Format 5 checks each column as a whole; every bad column is a
+    """Format 6 checks each column as a whole; every bad column is a
     ParseError and exit 2 from verify and audit."""
 
     @pytest.mark.parametrize("alg, edit", hostile_columns())
@@ -336,6 +438,22 @@ class TestHostileColumns:
         for command in ("verify", "audit"):
             assert main([command, str(tpath), "--instance", str(tmp_path / "i.json")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("alg", ["mobvc", "mobm-pd", "greedy-ra"])
+    def test_unordered_X_rejected(self, tmp_path, capsys, alg):
+        # a repeated id, as in X = [0, 0, 2, 4, 6, 7], used to load and fail
+        # only verify's replay; the x column is aligned with X, so a repeat
+        # would drop an x entry
+        data = json.loads(json.dumps(TRACE_DICTS[alg]))
+        i, X = next((i, X) for i, X in enumerate(data["rounds"]["X"]) if len(X) >= 2)
+        X[1] = X[0]
+        tpath = write_json(tmp_path / "t.json", data)
+        with pytest.raises(ParseError, match=rf"round v={data['rounds']['v'][i]}: "
+                                             rf"X = .* is not strictly ascending"):
+            load_trace(tpath)
+        save(INSTANCES[alg], tmp_path / "i.json")
+        assert main(["verify", str(tpath), "--instance", str(tmp_path / "i.json")]) == 2
+        assert "not strictly ascending" in capsys.readouterr().err
 
     def test_int_in_a_float_column_accepted(self, tmp_path):
         # as json_number accepts it: an integral float written as an int
@@ -406,10 +524,12 @@ class TestEveryNumberChecked:
         assert changed > 40
 
     def test_pd_rounds_reads_the_stored_x(self, tmp_path, capsys):
-        # a round's dP is derived from final.x, so pd-rounds fails on a
+        # a round's dP is derived from the stored x, so pd-rounds fails on a
         # changed x entry, and so does the replay
         data = json.loads(json.dumps(TRACE_DICTS["mobm-pd"]))
-        data["final"]["x"][0][2] += 0.25
+        col = data["rounds"]["x"]
+        i = next(i for i, val in enumerate(col) if val is not None)
+        col[i] += 0.25
         save(INSTANCES["mobm-pd"], tmp_path / "i.json")
         tpath = write_json(tmp_path / "t.json", data)
         assert main(["verify", str(tpath), "--instance", str(tmp_path / "i.json")]) == 1

@@ -40,6 +40,7 @@ from matroidmatch.submodular import (
     PartitionBudget,
     UniformRank,
     WeightedThreshold,
+    as_mask,
 )
 
 FAMILIES = ("cardinality", "uniform", "partition", "weighted", "table")
@@ -219,7 +220,8 @@ class TestMatchesFullScan:
     def test_water_level(self, chart, data):
         n = chart.f.ground.size
         nbrs = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
-        assert water_level(chart, nbrs) == ref_water_level(chart, nbrs)
+        nmask = as_mask(chart.f.ground, nbrs)
+        assert water_level(chart, nmask) == ref_water_level(chart, nbrs)
 
     @settings(max_examples=400, deadline=None)
     @given(chart=charts(), data=st.data())
@@ -239,7 +241,8 @@ class TestMatchesFullScan:
         b, gain = data.draw(st.sampled_from(gains or [(0.0, ALPHA)]))
         c = data.draw(st.sampled_from(_around(ALPHA + b))) / gain
         chart = scaled_chart(chart, c)
-        assert water_level(chart, nbrs) == ref_water_level(chart, nbrs)
+        nmask = as_mask(chart.f.ground, nbrs)
+        assert water_level(chart, nmask) == ref_water_level(chart, nbrs)
 
     @settings(max_examples=400, deadline=None)
     @given(bounds=st.sets(levels, min_size=1, max_size=8), data=st.data())
@@ -282,8 +285,9 @@ class TestMatchesFullScan:
         y = [1.0, 0.5, 1.0, 0.5 + SNAP_EPS / 2, 0.0]
         chart = BarChart.from_potentials(f, y)
         for nbrs in [(), (0,), (0, 2), (1, 3), (0, 1, 2, 3, 4)]:
-            assert water_level(chart, nbrs) == ref_water_level(chart, nbrs)
-        assert water_level(chart, ()) == water_level(chart, (0, 2)) == 1.0
+            nmask = as_mask(f.ground, nbrs)
+            assert water_level(chart, nmask) == ref_water_level(chart, nbrs)
+        assert water_level(chart, 0) == water_level(chart, 0b101) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +311,19 @@ def online_budget(family, n=200):
 RUNS = {"obvc": run_obvc, "mobvc": run_mobvc, "mobm-pd": run_mobm_pd}
 
 # sha256 of save_trace's bytes for gen_random(200, 400, 0.3, budget,
-# seed=101) (format 5: the format-4 bytes the full-scan implementation
-# wrote, with the rounds stored as columns; each loads to the same RunTrace
-# as the format-4 file did).
+# seed=101) (format 6: the format-4 bytes the full-scan implementation
+# wrote, with the rounds stored as columns and a mobm-pd run's x as a rounds
+# column; each loads to the same RunTrace as the format-4 file did).
 TRACE_SHA256 = {
-    ("cardinality", "obvc"): "b326b2f3dde54cac51906057de4b52701076a691b30a6994821922c821e88e92",
-    ("cardinality", "mobvc"): "f42439f99ba80734dcdff39f5efbf85b0d0891aeded8d55ccbb2b8bb60e3884c",
-    ("cardinality", "mobm-pd"): "8be50962a9fce276f4cc6e9cd33d86b9c8665bdb775242d6d07d6ae8254ea83a",
-    ("uniform", "mobvc"): "83b2cecdbe257a0458c0264829614b2fbe8ba335b6be1ccbd238cf29420433f0",
-    ("uniform", "mobm-pd"): "c34451c89e9af2f0d0e0d17322fa60d2741d58aa05bcea8bc863d238da161cbc",
-    ("partition", "mobvc"): "1037e1495d03c7c0bed9fd60635d4d2ba3c79fd090e9cc2736b5f2daea7bb408",
-    ("partition", "mobm-pd"): "e422486015e27f024eeb5d327ea5f406e624d1e580d4118ee96731c887cf2ea5",
-    ("weighted", "mobvc"): "2236a648b9cd407c204d50b2c60d9c7cf257f700f31e0ec65beaefbf348e47f2",
-    ("weighted", "mobm-pd"): "02619c7e477411ecfe061b39aabffd6ba5e815fd37fb010b91d50ce37dcfd884",
+    ("cardinality", "obvc"): "70bc808d3ecf755052c39fd586d7ea5ed2e62b66f8770b54708afc138372d172",
+    ("cardinality", "mobvc"): "e9fe1793ed58aa42b38ad6b0f0353afb2c8bf8ef1f73d14a29c59b58d847ae26",
+    ("cardinality", "mobm-pd"): "49bf401c391d1bb076fbe77f8bd36c632f8c149a06e14b7ce2cb740b784c40fa",
+    ("uniform", "mobvc"): "89136ea3bc5bd25e775eaff4791482ff1c81c81ab95408ade79dd3d737c9eec5",
+    ("uniform", "mobm-pd"): "9cbe7a629ea928163c93ee98a641203abccf4f67c41cd51aaacf7cdf7783f1d0",
+    ("partition", "mobvc"): "fd1d1bbcbb1f0dea376098081d7998e16cec711ee0de0d24d43fdf8158e9ceb7",
+    ("partition", "mobm-pd"): "f72ec6df2cfebbd6c3aa2e4360aebfcef5e20e175d253cc9c0bd96eec043e79f",
+    ("weighted", "mobvc"): "e43cc827f283d879f88f6fea4b4abef13b389ed979745e17562cf1c5584d5758",
+    ("weighted", "mobm-pd"): "8575205c5d98b76d0d66d7b563f52b465b3a07c722a42ed4a51519115c65a70c",
 }
 
 
