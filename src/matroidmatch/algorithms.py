@@ -69,7 +69,7 @@ ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
 COVER_ALGORITHMS = ("obvc", "mobvc")
 
 # Version of the JSON written by save_trace; load_trace reads no other.
-TRACE_FORMAT = 6
+TRACE_FORMAT = 7
 
 
 def dual_split_rate(t: float) -> float:
@@ -153,13 +153,21 @@ def _ascending(ids: tuple[int, ...]) -> bool:
 
 def _offline_ids(col, v: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """The X column: per round, strictly ascending offline ids in 0..n-1.
-    v is the column of arrival ids, of the same length, to name a bad
-    round."""
-    X = list(map(json_ints, col))
-    ids = list(chain.from_iterable(X))
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        i = next(i for i, xs in enumerate(X) if not all(0 <= u < n for u in xs))
-        raise ValueError(f"round v={v[i]}: X = {X[i]} outside 0..{n - 1}")
+    The types and the range are checked over the flattened column; the
+    per-round pass runs only when that fails, to name the bad round. v is
+    the column of arrival ids, of the same length."""
+    rows = json_list(col)
+    ids = list(chain.from_iterable(rows)) if set(map(type, rows)) <= {list} else None
+    if (ids is None or not set(map(type, ids)) <= {int}
+            or (ids and (min(ids) < 0 or max(ids) >= n))):
+        for vid, row in zip(v, rows):
+            try:
+                xs = json_ints(row)
+            except ValueError as e:
+                raise ValueError(f"round v={vid}: X: {e}") from None
+            if not all(0 <= u < n for u in xs):
+                raise ValueError(f"round v={vid}: X = {xs} outside 0..{n - 1}")
+    X = list(map(tuple, rows))
     if not all(map(_ascending, X)):
         i = next(i for i, xs in enumerate(X) if not _ascending(xs))
         raise ValueError(f"round v={v[i]}: X = {X[i]} is not strictly ascending")
@@ -216,21 +224,26 @@ class WaterfillRound:
     @staticmethod
     def to_columns(rounds: list["WaterfillRound"]) -> dict:
         regions = [r for rec in rounds for r in rec.regions]
+        lo, hi = [r.lo for r in regions], [r.hi for r in regions]
+        bounds = sorted(set(lo).union(hi))
+        index = {b: i for i, b in enumerate(bounds)}
         return {"v": [rec.v for rec in rounds], "a": [rec.a for rec in rounds],
                 "X": [rec.X for rec in rounds],
                 "regions": [len(rec.regions) for rec in rounds],
-                "lo": [r.lo for r in regions], "hi": [r.hi for r in regions],
+                "bounds": bounds, "lo": list(map(index.__getitem__, lo)),
+                "hi": list(map(index.__getitem__, hi)),
                 "old_height": [r.old_height for r in regions],
                 "new_height": [r.new_height for r in regions]}
 
     @staticmethod
     def from_columns(cols: dict, n: int) -> list["WaterfillRound"]:
         """Inverse of to_columns; ValueError, TypeError or KeyError on a
-        malformed or out-of-range column. Each bar must satisfy
-        0 <= lo <= hi <= 1."""
+        malformed or out-of-range column. bounds must be strictly ascending
+        within [0, 1] with every entry used, and each region's lo and hi
+        indexes into it with lo <= hi."""
         v, a, counts = json_ints(cols["v"]), json_numbers(cols["a"]), json_ints(cols["regions"])
         X = json_list(cols["X"])
-        lo, hi = json_numbers(cols["lo"]), json_numbers(cols["hi"])
+        bounds, lo, hi = json_numbers(cols["bounds"]), json_ints(cols["lo"]), json_ints(cols["hi"])
         old, new = json_numbers(cols["old_height"]), json_numbers(cols["new_height"])
         _same_length("round", v=v, a=a, X=X, regions=counts)
         _same_length("region", lo=lo, hi=hi, old_height=old, new_height=new)
@@ -241,13 +254,32 @@ class WaterfillRound:
         if a and (min(a) < 0.0 or max(a) > 1.0):
             bad = next(level for level in a if not 0.0 <= level <= 1.0)
             raise ValueError(f"water level a = {bad} outside [0, 1]")
-        if lo and (min(lo) < 0.0 or max(hi) > 1.0 or not all(map(operator.le, lo, hi))):
-            i = next(i for i in range(len(lo)) if not 0.0 <= lo[i] <= hi[i] <= 1.0)
-            raise ValueError(f"region [{lo[i]}, {hi[i]}] outside [0, 1]")
-        X = _offline_ids(X, v, n)
-        regions = map(NewRegion, lo, hi, old, new)
+        _check_bounds(bounds, lo, hi)
+        regions = map(NewRegion, map(bounds.__getitem__, lo), map(bounds.__getitem__, hi),
+                      old, new)
         return [WaterfillRound(vid, level, ids, tuple(islice(regions, k)))
-                for vid, level, ids, k in zip(v, a, X, counts)]
+                for vid, level, ids, k in zip(v, a, _offline_ids(X, v, n), counts)]
+
+
+def _check_bounds(bounds: list[float], lo: tuple[int, ...], hi: tuple[int, ...]):
+    """ValueError unless bounds is strictly ascending within [0, 1], lo and
+    hi are indexes into it with lo <= hi, and they use every entry: one
+    bytes form per trace."""
+    if bounds and (min(bounds) < 0.0 or max(bounds) > 1.0):
+        bad = next(b for b in bounds if not 0.0 <= b <= 1.0)
+        raise ValueError(f"region bound {bad} outside [0, 1]")
+    if not all(map(operator.lt, bounds, bounds[1:])):
+        i = next(i for i in range(len(bounds) - 1) if not bounds[i] < bounds[i + 1])
+        raise ValueError(f"bounds[{i + 1}] = {bounds[i + 1]} is not above "
+                         f"bounds[{i}] = {bounds[i]}")
+    if lo and (min(lo) < 0 or max(hi) >= len(bounds) or not all(map(operator.le, lo, hi))):
+        i = next(i for i in range(len(lo)) if not 0 <= lo[i] <= hi[i] < len(bounds))
+        raise ValueError(f"region {i}: lo = {lo[i]}, hi = {hi[i]} are not indexes "
+                         f"0 <= lo <= hi < {len(bounds)} into bounds")
+    used = set(lo).union(hi)
+    if len(used) != len(bounds):
+        unused = next(i for i in range(len(bounds)) if i not in used)
+        raise ValueError(f"bounds[{unused}] = {bounds[unused]} is no region's lo or hi")
 
 
 @dataclass
@@ -313,16 +345,17 @@ def _json_rows(v, width: int) -> list[list]:
 class RunTrace:
     """One run: its rounds, in arrival order, and its final state.
 
-    On disk (format 6) the rounds are one object of parallel columns, one
+    On disk (format 7) the rounds are one object of parallel columns, one
     entry per round: waterfilling runs store v, a, X and regions (each
     round's region count), and the region fields lo, hi, old_height and
-    new_height as flat columns over all rounds in order; greedy runs store
-    v, t, X and matched. A mobm-pd trace also stores x as a column over
-    the flattened X: the entry of u in round v's X is x_uv, or null when
-    the round gave u nothing. The final block holds y, z as [v, z_v] rows,
-    matched_offline, primal_value and dual_value; a greedy-ra trace also
-    holds x there as [u, v, 1.0] rows sorted by (u, v). Loading rebuilds
-    state.x from whichever of the two a trace has.
+    new_height as flat columns over all rounds in order, lo and hi as
+    indexes into bounds, the ascending distinct values of both; greedy runs
+    store v, t, X and matched. A mobm-pd trace also stores x as a column
+    over the flattened X: the entry of u in round v's X is x_uv, or null
+    when the round gave u nothing. The final block holds y, z as [v, z_v]
+    rows, matched_offline, primal_value and dual_value; a greedy-ra trace
+    also holds x there as [u, v, 1.0] rows sorted by (u, v). Loading
+    rebuilds state.x from whichever of the two a trace has.
     """
 
     algorithm: str
@@ -399,13 +432,18 @@ class RunTrace:
             x=x,
             matched=frozenset(json_ints(fin["matched_offline"])),
         )
-        return RunTrace(algorithm, name, n, rounds, state,
-                        json_number(fin["primal_value"]), json_number(fin["dual_value"]))
+        # a run without x entries stores the empty sum, the int 0; it loads
+        # as 0 so that the loaded trace saves to the same bytes
+        primal = fin["primal_value"]
+        if not (type(primal) is int and primal == 0):
+            primal = json_number(primal)
+        return RunTrace(algorithm, name, n, rounds, state, primal,
+                        json_number(fin["dual_value"]))
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
-    """Write the trace as one line of compact sorted-key JSON (format 6,
-    columnar rounds; see RunTrace).
+    """Write the trace as one line of compact sorted-key JSON (format 7,
+    columnar rounds, each region bound written once; see RunTrace).
 
     json.dumps encodes in one call to the C encoder; json.dump to a file,
     or any indent, goes through the pure-Python one. Columns keep the
@@ -459,12 +497,13 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
     rounds: list[WaterfillRound] = []
     for arr in instance.arrivals:
         y = chart.levels
+        nmask = instance.neighbor_mask(arr)
         if algorithm == "obvc":
             a = _modular_water_level(y, arr.nbrs)
         else:
-            a = water_level(chart, instance.neighbor_mask(arr))
+            a = water_level(chart, nmask)
         X = tuple([u for u in arr.nbrs if y[u] < a])  # a list comprehension is the faster loop
-        raised = chart.raise_to(X, a)
+        raised = chart.raise_to(X, nmask & ~chart.at_or_above(a), a)
         z[arr.id] = 1.0 - a
         if algorithm == "mobm-pd":
             for u, val in _primal_increments(f, raised, X, a + ALPHA).items():

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .constants import ALPHA, SNAP_EPS
 from .errors import InputError, PreconditionError
-from .submodular import SubmodularFn, _check_potentials, as_mask, mask_members
+from .submodular import SubmodularFn, _check_potentials, as_mask
 
 __all__ = ["Interval", "NewRegion", "BarChart", "charge_integral", "snap"]
 
@@ -109,24 +109,24 @@ class BarChart:
     def area(self) -> float:
         return sum(iv.width * iv.height for iv in self.intervals)
 
-    def raise_to(self, X, a: float) -> list[tuple[NewRegion, int]]:
+    def raise_to(self, X, xmask: int, a: float) -> list[tuple[NewRegion, int]]:
         """Raise every element of X to level a; return the new regions,
         each paired with its base: the member mask of its bar before the
         raise, whose height is the region's old_height.
 
-        a is snapped to the chart first. Callers pre-filter X: every u in X
-        must currently sit strictly below the snapped a, or the chart is
-        left untouched and PreconditionError raised. Bars entirely below a
-        gain X's missing elements; the bar containing a is split first.
-        Only regions with a positive height delta are returned, but
-        membership is extended on every affected bar either way.
+        X holds ascending element ids and xmask is their mask; a round
+        holds both (xmask from at_or_above). a is snapped to the chart
+        first. Every u in X must currently sit strictly below the snapped
+        a, or the chart is left untouched and PreconditionError raised.
+        Bars entirely below a gain X's missing elements; the bar containing
+        a is split first. Only regions with a positive height delta are
+        returned, but membership is extended on every affected bar either
+        way.
         """
         if not 0.0 <= a <= 1.0:
             raise InputError(f"level a = {a} outside [0, 1]")
-        xmask = as_mask(self.f.ground, X)
         if not xmask:
             return []
-        X = mask_members(xmask)
         a = self.snap(a)
         for u in X:
             if self._levels[u] >= a:
@@ -146,6 +146,17 @@ class BarChart:
         for u in X:
             self._levels[u] = a
         return regions
+
+    def at_or_above(self, a: float) -> int:
+        """Mask of the elements whose level is at least a: the members of
+        the first bar with hi >= a. Every level is a chart bound, and no
+        bound lies between that bar's lo and a, so the non-members are the
+        elements below a."""
+        ivs = self.intervals
+        if a <= ivs[0].lo:
+            return self.f.ground.full_mask
+        i = bisect_left(ivs, a, key=attrgetter("hi"))
+        return ivs[i].mask if i < len(ivs) else 0
 
     def first_missing(self, mask: int) -> int:
         """Index of the first bar that misses an element of mask, or the

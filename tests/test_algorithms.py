@@ -250,9 +250,9 @@ class TestRegionBases:
     before the raise (the bar a split cut it from)."""
 
     @staticmethod
-    def raise_and_check(chart, X, a) -> int:
+    def raise_and_check(chart, X, xmask, a) -> int:
         before = [(iv.lo, iv.hi, iv.mask) for iv in chart.intervals]
-        raised = chart.raise_to(X, a)
+        raised = chart.raise_to(X, xmask, a)
         for r, base in raised:
             owners = [mask for lo, hi, mask in before if lo <= r.lo and r.hi <= hi]
             assert owners == [base], (r, owners, base)
@@ -266,7 +266,8 @@ class TestRegionBases:
                 y = chart.levels
                 a = water_level(chart, inst.neighbor_mask(arr))
                 X = [u for u in sorted(set(arr.nbrs)) if y[u] < a]
-                nonempty += self.raise_and_check(chart, X, a)
+                xmask = inst.neighbor_mask(arr) & ~chart.at_or_above(a)
+                nonempty += self.raise_and_check(chart, X, xmask, a)
         assert nonempty > 100  # the check saw many bars with members
 
     def test_random_charts_every_family(self):
@@ -294,7 +295,7 @@ class TestRegionBases:
                                     rng.choice(bounds) + rng.choice([-1, 1]) * SNAP_EPS / 2])
                     a = min(max(a, 0.0), 1.0)
                     X = [u for u in range(n) if y[u] < chart.snap(a) and rng.random() < 0.7]
-                    nonempty += self.raise_and_check(chart, X, a)
+                    nonempty += self.raise_and_check(chart, X, sum(1 << u for u in X), a)
         assert nonempty > 100
 
 

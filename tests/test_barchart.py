@@ -71,7 +71,7 @@ class TestRaise:
     def test_raise_from_zero(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.0, 0.0])
-        [(r, base)] = chart.raise_to([0, 1], 0.5)
+        [(r, base)] = chart.raise_to([0, 1], 0b11, 0.5)
         assert (r.lo, r.hi, r.old_height, r.new_height, base) == (0.0, 0.5, 0.0, 2.0, 0)
         assert chart.area() == pytest.approx(1.0, abs=TOL)
         assert chart.levels == [0.5, 0.5]
@@ -79,7 +79,7 @@ class TestRaise:
     def test_raise_above_existing(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.3, 0.0])
-        raised = chart.raise_to([1], 0.6)
+        raised = chart.raise_to([1], 0b10, 0.6)
         got = [(r.lo, r.hi, r.old_height, r.new_height, base) for r, base in raised]
         assert got == [(0.0, 0.3, 1.0, 2.0, 0b01), (0.3, 0.6, 0.0, 1.0, 0)]
         assert sum(r.area for r, _ in raised) == pytest.approx(0.6, abs=TOL)
@@ -89,14 +89,14 @@ class TestRaise:
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.3, 0.7])
         before = [vars(iv).copy() for iv in chart.intervals]
-        assert chart.raise_to([], 0.9) == []
+        assert chart.raise_to([], 0, 0.9) == []
         assert [vars(iv) for iv in chart.intervals] == before
 
     def test_zero_delta_regions_dropped_but_membership_kept(self):
         f = UniformRank(GroundSet(2), 1)
         chart = BarChart.from_potentials(f, [0.8, 0.0])
         # below 0.5 the rank is already 1, so only membership changes there
-        assert chart.raise_to([1], 0.5) == []
+        assert chart.raise_to([1], 0b10, 0.5) == []
         assert chart.levels == [0.8, 0.5]
         assert chart.intervals[0].mask == 0b11
         assert chart.area() == pytest.approx(lovasz(f, [0.8, 0.5]), abs=TOL)
@@ -105,9 +105,9 @@ class TestRaise:
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.4, 0.0])
         with pytest.raises(InputError):
-            chart.raise_to([1], 1.5)
+            chart.raise_to([1], 0b10, 1.5)
         with pytest.raises(PreconditionError):
-            chart.raise_to([0], 0.4)  # already at 0.4
+            chart.raise_to([0], 0b01, 0.4)  # already at 0.4
 
     def test_refuses_a_raise_that_snaps_below_the_level(self):
         # bounds 0.5 and 0.5 + 5e-13 are closer than SNAP_EPS; a snaps to
@@ -117,13 +117,13 @@ class TestRaise:
         chart = BarChart.from_potentials(f, [0.5, 0.5 + 5e-13, 0.0])
         before = [vars(iv).copy() for iv in chart.intervals], chart.levels
         with pytest.raises(PreconditionError):
-            chart.raise_to([1], 0.5 + 9e-13)
+            chart.raise_to([1], 0b10, 0.5 + 9e-13)
         assert ([vars(iv) for iv in chart.intervals], chart.levels) == before
 
     def test_snap_to_existing_boundary(self):
         f = Cardinality(GroundSet(2))
         chart = BarChart.from_potentials(f, [0.25, 0.0])
-        chart.raise_to([1], 0.25 + 4e-13)
+        chart.raise_to([1], 0b10, 0.25 + 4e-13)
         # the near-coincident level snaps: no sliver interval appears
         bounds = [iv.lo for iv in chart.intervals] + [1.0]
         assert min(b2 - b1 for b1, b2 in zip(bounds, bounds[1:])) > 1e-6
@@ -131,7 +131,7 @@ class TestRaise:
     def test_regions_never_cross_a(self):
         f = Cardinality(GroundSet(3))
         chart = BarChart.from_potentials(f, [0.0, 0.5, 0.9])
-        for r, _ in chart.raise_to([0, 1], 0.7):
+        for r, _ in chart.raise_to([0, 1], 0b11, 0.7):
             assert r.hi <= 0.7 + 1e-15
 
 
@@ -166,7 +166,8 @@ class TestRaiseFuzz:
                     a = rng.random()
                     X = [u for u in range(n) if y[u] < a and rng.random() < 0.6]
                     before = chart.area()
-                    raised = chart.raise_to(X, a)
+                    xmask = sum(1 << u for u in X)
+                    raised = chart.raise_to(X, xmask, a)
                     regions = [r for r, _ in raised]
                     after = chart.area()
                     y2 = chart.levels
@@ -175,7 +176,6 @@ class TestRaiseFuzz:
                         lovasz(f, y2) - lovasz(f, y), abs=TOL)
                     assert after - before == pytest.approx(
                         sum(r.area for r in regions), abs=TOL)
-                    xmask = sum(1 << u for u in X)
                     for r, base in raised:
                         assert r.hi <= a + 1e-15
                         assert r.new_height - r.old_height > 0

@@ -40,7 +40,8 @@ class TestInstanceFiles:
         assert out.read_bytes() == (GOLDEN / "random-coverage.json").read_bytes()
 
     def test_files_use_lf(self):
-        for name in ("tri3.json", "random-coverage.json", "tri3-mobvc-trace.json"):
+        for name in ("tri3.json", "random-coverage.json", "tri3-mobvc-trace.json",
+                     "tri3-mobvc-trace-v6.json"):
             raw = (GOLDEN / name).read_bytes()
             assert b"\r" not in raw
             assert raw.endswith(b"\n")
@@ -83,6 +84,17 @@ class TestTraceFile:
             assert main([command, str(old), "--instance", str(GOLDEN / "tri3.json")]) == 2
             err = capsys.readouterr().err
             assert "trace format 1" in err and "re-run" in err
+
+    def test_format_6_trace_rejected(self, capsys):
+        # the trace this file pinned before format 7: lo and hi as floats,
+        # with no bounds column
+        old = GOLDEN / "tri3-mobvc-trace-v6.json"
+        with pytest.raises(ParseError, match=r"trace format 6 is not supported.*re-run"):
+            load_trace(old)
+        for command in ("verify", "audit"):
+            assert main([command, str(old), "--instance", str(GOLDEN / "tri3.json")]) == 2
+            err = capsys.readouterr().err
+            assert "trace format 6" in err and "re-run" in err
 
     def test_trace_loads_consistently(self):
         trace = load_trace(GOLDEN / "tri3-mobvc-trace.json")

@@ -225,22 +225,22 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of save_trace's bytes (format 6: the format-4 bytes the reference
-# greedy wrote, with the rounds stored as columns and the format digit 6;
+# sha256 of save_trace's bytes (format 7: the format-4 bytes the reference
+# greedy wrote, with the rounds stored as columns and the format digit 7;
 # each loads to the same RunTrace as the format-4 file did).
 GREEDY_TRACE_SHA256 = {
-    ("uniform", 1, "adversarial"): "e6520801d734c3c5fab41276aeb8fc0fad6e21556364f5b7283af7f7abd50248",
-    ("uniform", 1, "permutation"): "d4ba90e71f314c38f6564b1ef994cf5ef137ad0cbcb5c30fac0abbfa0e2978f3",
-    ("uniform", 1, "timestamps"): "b17198d421f8a6e7830f982ffcb38318bb598ed24e4e02f9d0afcb276cac3933",
-    ("partition", 1, "adversarial"): "350c352cda1477a85a987ac732aa412ad0f1c21e5aee549eb4e59c44c31047aa",
-    ("partition", 1, "permutation"): "dda299b1bb4dd6329b9ca9bc6c827c78cbc8f185dc2043ae21722149ade85006",
-    ("partition", 1, "timestamps"): "dc852280754ab0837774e6ffab5d85b122ce848ecb5a52bf60919e96bd4dc37b",
-    ("uniform", 2, "adversarial"): "69d15ef3b8807c1b759f09c7d81b17b5c0e327b76d793384488cad61da92e57f",
-    ("uniform", 2, "permutation"): "e9ba91008e421e3c800a079c850d0fb40b86edf06f5ee934b3bc067879866a6a",
-    ("uniform", 2, "timestamps"): "95a54b593b08319ca9bc709e28a20768d1c90b09a187f6272058a419d233ecb1",
-    ("partition", 2, "adversarial"): "0e1ab6b7d4ef43608d9af3a3df2062b2386ce367053d27a1a420a506a32c7d8e",
-    ("partition", 2, "permutation"): "d868cdcfe92e2a2ea000d1091576cecd405961e24dc88431c77219ef4be619a4",
-    ("partition", 2, "timestamps"): "3eba9f3b80cba26a425d858b0cd66172a073350562af56b73f96d6b060e3f04f",
+    ("uniform", 1, "adversarial"): "a9d3f6a3869c958b5742c2433c88b4f8a8a6aab6df289d47bb8a007e9206c6d6",
+    ("uniform", 1, "permutation"): "fce12eb22836c72afd7c0abf49e313aea7e4ba9bf69450a5e4205d523b0e3cac",
+    ("uniform", 1, "timestamps"): "30352301f0e0c39484ae6f1b323fd1d7d070bf7c12d6f365e60f9461f390de13",
+    ("partition", 1, "adversarial"): "07e4ecb43363c3bb7dcabfa8f68c705a319f781a8bfb622531b07b0148405b91",
+    ("partition", 1, "permutation"): "a2d00aa148a819b6ea59870f9dbb6d2138d70c724fc0b47d0abb7df661144474",
+    ("partition", 1, "timestamps"): "2609b1cc46d3b41a04d8c0b78e9b462455df9e4b87d8b53b07271a145822d1ae",
+    ("uniform", 2, "adversarial"): "b310ac9e12b58f267fc019d1e5854d6121ec712ddf1531403cc5b9a193eb6637",
+    ("uniform", 2, "permutation"): "65287ab1536a194a0d7d35f1f0077a556ec9dce2fe6ec6283e5f6b6e838fd392",
+    ("uniform", 2, "timestamps"): "86963d5b28fad08e46d2cb0c23668479aa9a098d4905ac36050e694f9ba1cd69",
+    ("partition", 2, "adversarial"): "1bac53ec26a3e9069b9094435e0402315f764cb5aff0a99f3af363f4406aad01",
+    ("partition", 2, "permutation"): "333b252993ae6ee45ebaf8f9eb3728c93330e6cb982a87d6b4adca59a78ead3a",
+    ("partition", 2, "timestamps"): "d974903fec81463c32e3217c8b1d11920d16c8e298f1484faae35851d00759c7",
 }
 
 # sha256 of the sorted-key JSON of verify_random_arrival_lemmas(instance,
@@ -397,13 +397,13 @@ def test_arrival_model_seed_must_be_an_int(seed):
 
 def test_model_seeds_are_taken_mod_2_64(tmp_path, capsys):
     """--model-seed -1 and 2^64 - 1 draw the same order, and print the line
-    they did before seeds were checked and write the same trace (format 6
+    they did before seeds were checked and write the same trace (format 7
     bytes since)."""
     ipath, tpath = str(tmp_path / "i.json"), str(tmp_path / "t.json")
     assert main(["generate", "random", "--n", "6", "--m", "9", "--p", "0.45", "--seed", "21",
                  "--f", "partition:0,0,1,1,2,2:1,2,1", "--out", ipath]) == 0
-    pins = {"timestamps": "c5544dd013ec6b433301f94e607a8aeaddbc25c665f99e783ba26a7189cb538d",
-            "permutation": "1d38ed789fcb516b1b80bd89d75970e0b864808600ee4edcdf2352dec5911093"}
+    pins = {"timestamps": "fc46682f92cef058d4abadfb9abfe3881c4ebcbb072b08236bbfdaf283c97b62",
+            "permutation": "0258d61038afc088de31515944a3a8249488b9dffebfc17dffaf68b3c00cf2b7"}
     for model, sha in pins.items():
         for seed in ("-1", str(2 ** 64 - 1)):
             capsys.readouterr()

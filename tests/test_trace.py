@@ -1,4 +1,4 @@
-"""Trace format 6: exact round trips, the fields a file keeps, and hostile
+"""Trace format 7: exact round trips, the fields a file keeps, and hostile
 input (load_trace raises ParseError, the CLI exits 2, never a traceback)."""
 
 import json
@@ -53,6 +53,18 @@ def run(alg):
 
 
 TRACE_DICTS = {alg: json.loads(json.dumps(run(alg).to_dict())) for alg in ALGORITHMS}
+
+
+def set_region_bounds(data, i, lo, hi):
+    """Give region i of a waterfilling trace dict the bounds lo and hi, and
+    write the bounds column again the way save_trace does."""
+    rounds = data["rounds"]
+    bounds = rounds["bounds"]
+    los, his = [bounds[j] for j in rounds["lo"]], [bounds[j] for j in rounds["hi"]]
+    los[i], his[i] = lo, hi
+    rounds["bounds"] = sorted(set(los) | set(his))
+    index = {b: j for j, b in enumerate(rounds["bounds"])}
+    rounds["lo"], rounds["hi"] = [index[b] for b in los], [index[b] for b in his]
 
 
 def write_json(path, data):
@@ -130,10 +142,10 @@ class TestFormat:
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert data["format"] == TRACE_FORMAT == 6
+        assert data["format"] == TRACE_FORMAT == 7
 
     def test_round_fields(self):
-        columns = {"v", "a", "X", "regions", "lo", "hi", "old_height", "new_height"}
+        columns = {"v", "a", "X", "regions", "bounds", "lo", "hi", "old_height", "new_height"}
         pd_rounds = TRACE_DICTS["mobm-pd"]["rounds"]
         assert set(pd_rounds) == columns | {"x"}
         assert sum(pd_rounds["regions"]) == len(pd_rounds["lo"]) > 0
@@ -165,7 +177,8 @@ class TestFormat:
 
     @pytest.mark.parametrize("found", [1, 2, pytest.param(3, id="format-3"),
                                        pytest.param(4, id="format-4"),
-                                       pytest.param(5, id="format-5"), "3", None, "missing"])
+                                       pytest.param(5, id="format-5"),
+                                       pytest.param(6, id="format-6"), "3", None, "missing"])
     def test_other_versions_rejected(self, tmp_path, found):
         data = dict(TRACE_DICTS["mobvc"])
         if found == "missing":
@@ -193,11 +206,12 @@ class TestFormat:
 
     @pytest.mark.parametrize("lo, hi", [(-ALPHA, 0.5), (-2.0, 0.5), (0.5, 1.5), (0.6, 0.5)])
     def test_region_outside_the_chart_rejected(self, tmp_path, capsys, lo, hi):
-        # lo = -ALPHA would divide by zero in the charge integral
+        # lo = -ALPHA would divide by zero in the charge integral; the first
+        # region gets these bounds, and bounds is rebuilt as save_trace would
         data = json.loads(json.dumps(TRACE_DICTS["mobvc"]))
-        data["rounds"]["lo"][0], data["rounds"]["hi"][0] = lo, hi
+        set_region_bounds(data, 0, lo, hi)
         trace = write_json(tmp_path / "t.json", data)
-        with pytest.raises(ParseError, match="outside"):
+        with pytest.raises(ParseError, match="outside" if lo < 0 or hi > 1 else "lo <= hi"):
             load_trace(trace)
         save(INSTANCES["mobvc"], tmp_path / "i.json")
         assert main(["audit", str(trace), "--instance", str(tmp_path / "i.json")]) == 2
@@ -319,10 +333,11 @@ class TestHostileInput:
             assert rc in (0, 1, 2)
 
 
-PD_COLUMNS = ("v", "a", "X", "regions", "lo", "hi", "old_height", "new_height", "x")
+PD_COLUMNS = ("v", "a", "X", "regions", "bounds", "lo", "hi", "old_height", "new_height", "x")
 GREEDY_COLUMNS = ("v", "t", "X", "matched")
 FLOAT_POSITIONS = {
-    "mobm-pd": [("rounds", key, 0) for key in ("a", "lo", "hi", "old_height", "new_height", "x")]
+    "mobm-pd": [("rounds", key, 0)
+                for key in ("a", "bounds", "lo", "hi", "old_height", "new_height", "x")]
     + [("final", "y", 0), ("final", "z", 0, 1)],
     "greedy-ra": [("rounds", "t", 0), ("final", "x", 0, 2)],
 }
@@ -381,6 +396,11 @@ def negative_count(data):
     counts[0] = -1
 
 
+def swap_first_lo_hi(data):
+    rounds = data["rounds"]
+    rounds["lo"][0], rounds["hi"][0] = rounds["hi"][0], rounds["lo"][0]
+
+
 def hostile_columns():
     cases = []
     for alg, keys in (("mobm-pd", PD_COLUMNS), ("greedy-ra", GREEDY_COLUMNS)):
@@ -412,9 +432,9 @@ def hostile_columns():
         pytest.param(pd, lambda data: data["final"]["z"][0].append(0.0), id="long-z-row"),
         pytest.param(pd, count_sum_above, id="count-sum-above"),
         pytest.param(pd, negative_count, id="negative-count"),
-        pytest.param(pd, set_at(("rounds", "lo", 0), 0.75), id="lo-above-hi"),
-        pytest.param(pd, set_at(("rounds", "lo", 0), -0.25), id="lo-negative"),
-        pytest.param(pd, set_at(("rounds", "hi", 0), 1.25), id="hi-above-1"),
+        pytest.param(pd, swap_first_lo_hi, id="lo-above-hi"),
+        pytest.param(pd, set_at(("rounds", "lo", 0), -1), id="lo-negative"),
+        pytest.param(pd, set_at(("rounds", "bounds", -1), 1.25), id="hi-above-1"),
         pytest.param(pd, set_at(("rounds", "a", 0), -0.25), id="a-negative"),
         pytest.param(pd, set_at(("rounds", "a", 0), 1.25), id="a-above-1"),
     ]
@@ -422,7 +442,7 @@ def hostile_columns():
 
 
 class TestHostileColumns:
-    """Format 6 checks each column as a whole; every bad column is a
+    """Format 7 checks each column as a whole; every bad column is a
     ParseError and exit 2 from verify and audit."""
 
     @pytest.mark.parametrize("alg, edit", hostile_columns())
@@ -461,11 +481,141 @@ class TestHostileColumns:
         rounds = data["rounds"]
         i = rounds["a"].index(1.0)
         rounds["a"][i] = 1
-        rounds["lo"][0] = int(rounds["lo"][0])
-        assert rounds["lo"][0] == 0
+        rounds["bounds"][0] = int(rounds["bounds"][0])
+        assert rounds["bounds"][0] == 0
         back = load_trace(write_json(tmp_path / "t.json", data))
         assert back == run("mobm-pd")
         assert type(back.rounds[i].a) is float and type(back.rounds[0].regions[0].lo) is float
+
+
+def insert_unused_bound(data):
+    # a value between the first two bounds that no region names; every
+    # index above it moves up one, so the regions keep their values
+    rounds = data["rounds"]
+    bounds = rounds["bounds"]
+    bounds.insert(1, (bounds[0] + bounds[1]) / 2)
+    for key in ("lo", "hi"):
+        rounds[key] = [i + (i >= 1) for i in rounds[key]]
+
+
+def swap_at(key, i, j):
+    def edit(data):
+        col = data["rounds"][key]
+        col[i], col[j] = col[j], col[i]
+    return edit
+
+
+def repeat_bound(data):
+    bounds = data["rounds"]["bounds"]
+    bounds[2] = bounds[1]
+
+
+def first_index_as_float(key):
+    def edit(data):
+        col = data["rounds"][key]
+        col[0] = float(col[0])
+    return edit
+
+
+def first_index_past_the_end(key):
+    def edit(data):
+        data["rounds"][key][0] = len(data["rounds"]["bounds"])
+    return edit
+
+
+# With the hostile columns above (a bool, string, NaN, infinity or 1e999
+# in bounds, lo or hi, a short bounds column, lo = -1, lo above hi, a bound
+# above 1), every way a bounds column or an index can be wrong.
+BOUND_CORRUPTIONS = [
+    pytest.param(swap_at("bounds", 1, 2), "is not above", id="bounds-unsorted"),
+    pytest.param(repeat_bound, "is not above", id="bounds-duplicate"),
+    pytest.param(set_at(("rounds", "bounds", 0), -0.25), "outside", id="bounds-below-0"),
+    pytest.param(insert_unused_bound, "no region's lo or hi", id="bounds-unused"),
+    pytest.param(set_at(("rounds", "hi", 0), -1), "not indexes", id="hi-negative-index"),
+    pytest.param(first_index_past_the_end("lo"), "not indexes", id="lo-past-the-end"),
+    pytest.param(first_index_past_the_end("hi"), "not indexes", id="hi-past-the-end"),
+    pytest.param(first_index_as_float("lo"), "integer", id="lo-float"),
+    pytest.param(first_index_as_float("hi"), "integer", id="hi-float"),
+]
+
+
+class TestBounds:
+    """Format 7 writes each region bound once, in the bounds column, and lo
+    and hi as indexes into it."""
+
+    def test_bounds_are_the_distinct_region_bounds(self):
+        trace = run("mobm-pd")
+        rounds = TRACE_DICTS["mobm-pd"]["rounds"]
+        regions = [r for rec in trace.rounds for r in rec.regions]
+        bounds = rounds["bounds"]
+        assert bounds == sorted({r.lo for r in regions} | {r.hi for r in regions})
+        assert all(type(i) is int for i in rounds["lo"] + rounds["hi"])
+        assert [bounds[i] for i in rounds["lo"]] == [r.lo for r in regions]
+        assert [bounds[i] for i in rounds["hi"]] == [r.hi for r in regions]
+
+    def test_run_without_regions(self, tmp_path):
+        # an arrival with no neighbours raises nothing: empty bounds
+        f = Cardinality(GroundSet(2))
+        trace = run_mobvc(gen_random(2, 3, 0.0, f, seed=1))
+        path = tmp_path / "t.json"
+        save_trace(trace, path)
+        rounds = json.loads(path.read_text(encoding="utf-8"))["rounds"]
+        assert rounds["bounds"] == rounds["lo"] == rounds["hi"] == []
+        assert load_trace(path) == trace
+
+    @pytest.mark.parametrize("edit, match", BOUND_CORRUPTIONS)
+    def test_rejected(self, tmp_path, capsys, edit, match):
+        data = json.loads(json.dumps(TRACE_DICTS["mobm-pd"]))
+        assert len(data["rounds"]["bounds"]) >= 3
+        edit(data)
+        tpath = write_json(tmp_path / "t.json", data)
+        with pytest.raises(ParseError, match=match):
+            load_trace(tpath)
+        save(INSTANCES["mobm-pd"], tmp_path / "i.json")
+        for command in ("verify", "audit"):
+            assert main([command, str(tpath), "--instance", str(tmp_path / "i.json")]) == 2
+        capsys.readouterr()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_every_closed_form(self, tmp_path_factory, data):
+        # load(save(t)) == t, and saving the loaded trace writes the same bytes
+        n = data.draw(st.integers(1, 8))
+        g = GroundSet(n)
+        family = data.draw(st.sampled_from(["cardinality", "uniform", "partition", "weighted"]))
+        if family == "cardinality":
+            f = Cardinality(g)
+        elif family == "uniform":
+            f = UniformRank(g, data.draw(st.integers(0, n)))
+        elif family == "partition":
+            f = PartitionBudget(g, [range(0, n, 2), range(1, n, 2)],
+                                data.draw(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+                                                   min_size=2, max_size=2)))
+        else:
+            f = WeightedThreshold(g, data.draw(st.lists(st.floats(0.0, 2.0), min_size=n,
+                                                        max_size=n)),
+                                  data.draw(st.floats(0.0, 3.0)))
+        runner = data.draw(st.sampled_from(
+            [run_obvc, run_mobvc, run_mobm_pd] if family == "cardinality"
+            else [run_mobvc, run_mobm_pd]))
+        inst = gen_random(n, data.draw(st.integers(0, 10)), data.draw(st.floats(0.0, 1.0)), f,
+                          seed=data.draw(st.integers(0, 2 ** 64 - 1)))
+        trace = runner(inst)
+        tmp = tmp_path_factory.mktemp("b")
+        save_trace(trace, tmp / "t.json")
+        back = load_trace(tmp / "t.json")
+        assert back == trace
+        save_trace(back, tmp / "again.json")
+        assert (tmp / "again.json").read_bytes() == (tmp / "t.json").read_bytes()
+
+    def test_bad_X_id_names_its_round(self, tmp_path):
+        # X is checked as one column; a failure names the round
+        data = json.loads(json.dumps(TRACE_DICTS["mobvc"]))
+        i = next(i for i, X in enumerate(data["rounds"]["X"]) if X)
+        data["rounds"]["X"][i][0] = True
+        with pytest.raises(ParseError, match=rf"round v={data['rounds']['v'][i]}: X: "
+                                             r"expected an integer, got True"):
+            load_trace(write_json(tmp_path / "t.json", data))
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +627,12 @@ OFFLINE_ID_FIELDS = ("X", "matched", "matched_offline")
 
 def id_kind(path) -> str | None:
     """'offline' or 'online' when the number at path is an element or
-    arrival id, else None."""
+    arrival id, 'bound' when it indexes the bounds column, else None."""
     if path[0] == "rounds":
         if path[1] == "v":
             return "online"
+        if path[1] in ("lo", "hi"):
+            return "bound"
         return "offline" if path[1] in OFFLINE_ID_FIELDS else None
     if path[:2] == ("final", "z"):
         return "online" if path[3] == 0 else None
@@ -491,9 +643,9 @@ def id_kind(path) -> str | None:
 
 class TestEveryNumberChecked:
     """Changing any stored number of a valid trace makes verify fail: ids
-    become a different valid id, every other number moves by 0.25. The
-    greedy timestamps t are the exception, since verify replays the run at
-    the stored timestamps."""
+    and bound indexes become a different valid one, every other number
+    moves by 0.25. The greedy timestamps t are the exception, since verify
+    replays the run at the stored timestamps."""
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_each_number(self, tmp_path, capsys, alg):
@@ -514,6 +666,8 @@ class TestEveryNumberChecked:
                 new = (value + 1) % inst.n_offline
             elif kind == "online":
                 new = online[(online.index(value) + 1) % len(online)]
+            elif kind == "bound":
+                new = (value + 1) % len(data["rounds"]["bounds"])
             else:
                 new = value + 0.25
             write_json(tpath, replace(data, path, new))

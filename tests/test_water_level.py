@@ -41,6 +41,7 @@ from matroidmatch.submodular import (
     UniformRank,
     WeightedThreshold,
     as_mask,
+    mask_members,
 )
 
 FAMILIES = ("cardinality", "uniform", "partition", "weighted", "table")
@@ -205,7 +206,7 @@ def charts(draw):
         X = [u for u in draw(st.sets(st.integers(0, n - 1)))
              if chart.levels[u] < chart.snap(a)]
         twin = copy.deepcopy(chart)
-        assert chart.raise_to(X, a) == ref_raise_to(twin, X, a)
+        assert chart.raise_to(X, sum(1 << u for u in X), a) == ref_raise_to(twin, X, a)
         assert chart_state(chart) == chart_state(twin)
     return chart
 
@@ -251,6 +252,22 @@ class TestMatchesFullScan:
         a = data.draw(st.sampled_from(_offsets(data.draw(st.sampled_from(bounds))))
                       | levels)
         assert snap(bounds, a) == ref_snap_to(bounds, a)
+
+    @settings(max_examples=400, deadline=None)
+    @given(chart=charts(), data=st.data())
+    def test_raised_mask_is_X(self, chart, data):
+        # a round raises X = {u in N(v) : y_u < a} and passes raise_to its
+        # mask, the neighbours missing from the first bar with hi >= a; at
+        # a drawn level and at every chart bound, 0 included
+        n = chart.f.ground.size
+        nbrs = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+        nmask = as_mask(chart.f.ground, nbrs)
+        bounds = [chart.intervals[0].lo] + [iv.hi for iv in chart.intervals]
+        a = data.draw(st.sampled_from(_offsets(data.draw(st.sampled_from(bounds)))) | levels)
+        y = chart.levels
+        for level in [a, *bounds]:
+            X = tuple(u for u in nbrs if y[u] < level)
+            assert mask_members(nmask & ~chart.at_or_above(level)) == X
 
     @settings(max_examples=400, deadline=None)
     @given(chart=charts(), data=st.data())
@@ -311,19 +328,20 @@ def online_budget(family, n=200):
 RUNS = {"obvc": run_obvc, "mobvc": run_mobvc, "mobm-pd": run_mobm_pd}
 
 # sha256 of save_trace's bytes for gen_random(200, 400, 0.3, budget,
-# seed=101) (format 6: the format-4 bytes the full-scan implementation
-# wrote, with the rounds stored as columns and a mobm-pd run's x as a rounds
-# column; each loads to the same RunTrace as the format-4 file did).
+# seed=101) (format 7: the format-4 bytes the full-scan implementation
+# wrote, with the rounds stored as columns, a mobm-pd run's x as a rounds
+# column and each region bound once in a bounds column; each file decoded
+# back to format-6 columns hashes to its format-6 pin).
 TRACE_SHA256 = {
-    ("cardinality", "obvc"): "70bc808d3ecf755052c39fd586d7ea5ed2e62b66f8770b54708afc138372d172",
-    ("cardinality", "mobvc"): "e9fe1793ed58aa42b38ad6b0f0353afb2c8bf8ef1f73d14a29c59b58d847ae26",
-    ("cardinality", "mobm-pd"): "49bf401c391d1bb076fbe77f8bd36c632f8c149a06e14b7ce2cb740b784c40fa",
-    ("uniform", "mobvc"): "89136ea3bc5bd25e775eaff4791482ff1c81c81ab95408ade79dd3d737c9eec5",
-    ("uniform", "mobm-pd"): "9cbe7a629ea928163c93ee98a641203abccf4f67c41cd51aaacf7cdf7783f1d0",
-    ("partition", "mobvc"): "fd1d1bbcbb1f0dea376098081d7998e16cec711ee0de0d24d43fdf8158e9ceb7",
-    ("partition", "mobm-pd"): "f72ec6df2cfebbd6c3aa2e4360aebfcef5e20e175d253cc9c0bd96eec043e79f",
-    ("weighted", "mobvc"): "e43cc827f283d879f88f6fea4b4abef13b389ed979745e17562cf1c5584d5758",
-    ("weighted", "mobm-pd"): "8575205c5d98b76d0d66d7b563f52b465b3a07c722a42ed4a51519115c65a70c",
+    ("cardinality", "obvc"): "852442b50b9c3cde7871993a814c0db8f7512694d933e7e73a3d3f4cd4b0c584",
+    ("cardinality", "mobvc"): "49f088a4e84a9362943ad7ab4f058496f81c924975c6a03d9f453dcad30700d7",
+    ("cardinality", "mobm-pd"): "c0786518683b591febd6c9ae21115db1cd4c410b32529271ca24f73e5a441544",
+    ("uniform", "mobvc"): "da711bf20e3745e8f42c9361bd2083fee62cf3a64dbb6c0e1efaabfe563c2708",
+    ("uniform", "mobm-pd"): "b43c03e4da524a9af0b791bf8b5113df3c396b3ba0d960d42d4c6fb5c7e0f605",
+    ("partition", "mobvc"): "5797d62c0135c933406d71301df65576e4d9a23e30a574da50fda0d89c33b110",
+    ("partition", "mobm-pd"): "ec9062ed060c7e1662b6c053da90fd24fa1f8648de1ecfeb69acd8f2c6279ab6",
+    ("weighted", "mobvc"): "b4cdcff525cdd76b487f5777b9f90333729905b247a1e22ee869bc10ed3e3731",
+    ("weighted", "mobm-pd"): "a479ee240db48e8fe382b10c2f11c66bfed6a1a20c7cbf6aa7c872f53ee0d1d1",
 }
 
 
