@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 
 from .barchart import BarChart, NewRegion, snap
-from .constants import ALPHA
-from .errors import InputError, InvariantError, ParseError, PreconditionError
+from .constants import ALPHA, DEFAULT_TOL
+from .errors import InputError, InvariantError, ParseError, PreconditionError, check_int, check_tol
 from .instances import (
     Arrival,
     ArrivalModel,
@@ -98,7 +98,7 @@ def _sup_below(bounds: list[float], hvals: list[float], target: float) -> float:
 
 def water_level(chart: BarChart, nmask: int) -> float:
     """Exact water level for an arrival whose neighbor set has the mask
-    nmask (Instance.neighbor_mask), at the chart's current potentials.
+    nmask (its entry in Instance.masks), at the chart's current potentials.
 
     Segment slopes are read off the bars: on the bar with member set L the
     slope of h is -1 + f(L + nbrs) - f(L). Non-neighbor potentials matter
@@ -497,7 +497,7 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
     rounds: list[WaterfillRound] = []
     for arr in instance.arrivals:
         y = chart.levels
-        nmask = instance.neighbor_mask(arr)
+        nmask = instance.masks[arr.id]
         if algorithm == "obvc":
             a = _modular_water_level(y, arr.nbrs)
         else:
@@ -603,12 +603,14 @@ def run_random_arrival_greedy(instance: Instance,
 
     The budget must be a matroid rank. Arrivals are ordered by the model
     (default adversarial, stamping rank/m) unless explicit timestamps are
-    given, which is the hook used by tests. Each arrival takes its
-    lowest-id neighbor outside span(matched set).
+    given, which is the hook used by tests; InputError when both are. Each
+    arrival takes its lowest-id neighbor outside span(matched set).
     """
     f = instance.f
     _require_matroid(f)
     if timestamps is not None:
+        if model is not None:
+            raise InputError("give an arrival model or timestamps, not both")
         ordered = by_timestamp(instance.arrivals, timestamps)
     else:
         ordered = order_arrivals(instance, model or ArrivalModel())
@@ -626,8 +628,7 @@ def greedy_trials(instance: Instance, kind: str, seed: int,
     ArrivalModel(kind, seed + i)) for i = 0..trials-1, equal to the bit,
     with the orders drawn as blocks and no run record built. InputError
     when trials is not an int >= 1 or seed not an int (bools included)."""
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise InputError(f"trials must be an int >= 1, got {trials!r}")
+    check_int("trials", trials, 1)
     ArrivalModel(kind, seed)  # InputError for an unknown kind or a non-int seed
     f = instance.f
     _require_matroid(f)
@@ -658,11 +659,12 @@ def run_algorithm(algorithm: str, instance: Instance,
 
 def round_cover(instance: Instance, y, z: dict[int, float],
                 gamma: float | None = None, seed: int | None = None,
-                tol: float = 1e-9) -> tuple[frozenset[int], frozenset[int]]:
+                tol: float = DEFAULT_TOL) -> tuple[frozenset[int], frozenset[int]]:
     """Round fractional cover duals to an integral cover with one shared
     threshold: u enters at y_u >= gamma, v at z_v >= 1 - gamma (both
     inclusive). Requires y_u + z_v >= 1 - tol on every edge, which makes
-    the output a cover for every gamma in [0, 1]."""
+    the output a cover for every gamma in [0, 1] (and tol finite, >= 0)."""
+    check_tol(tol)
     y = [float(v) for v in y]
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")

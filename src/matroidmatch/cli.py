@@ -31,7 +31,6 @@ from .constants import DEFAULT_TOL
 from .errors import InputError, ParseError
 from .instances import (
     ArrivalModel,
-    Instance,
     gen_random,
     gen_upper_triangular,
     indented_json,
@@ -124,18 +123,23 @@ def _ratio(algorithm: str, primal: float, dual: float, opt: float) -> float:
 # generate
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
+def _instances(args, seeds):
+    """The instances of --kind, --n, --m, --p and --f, one per seed in turn;
+    InputError at once for --f on triangular instances or no --m on random."""
     if args.kind == "triangular":
         if args.f is not None:
             raise InputError("triangular instances fix the cardinality budget; drop --f")
-        inst = gen_upper_triangular(args.n)
-    else:
-        if args.m is None:
-            raise InputError("generate random needs --m")
-        f = parse_fn_spec(args.f, args.n) if args.f else None
-        inst = gen_random(args.n, args.m, args.p, f=f, seed=args.seed, name=args.name)
+        return (gen_upper_triangular(args.n) for _ in seeds)
+    if args.m is None:
+        raise InputError(f"{args.command} random needs --m")
+    f = parse_fn_spec(args.f, args.n) if args.f else None
+    return (gen_random(args.n, args.m, args.p, f=f, seed=seed) for seed in seeds)
+
+
+def cmd_generate(args) -> int:
+    inst = next(_instances(args, [args.seed]))
     if args.name:
-        inst = Instance(args.name, inst.n_offline, inst.f, list(inst.arrivals))
+        inst.name = args.name
     if args.out:
         save(inst, args.out)
     else:
@@ -242,20 +246,8 @@ def cmd_sweep(args) -> int:
         raise InputError(f"--algorithms {args.algorithms!r} run once in the stored arrival "
                          f"order; --model applies to greedy-ra only")
     seeds = parse_seeds(args.seeds)
-    f = None
-    if args.f:
-        if args.kind == "triangular":
-            raise InputError("triangular instances fix the cardinality budget; drop --f")
-        f = parse_fn_spec(args.f, args.n)
-
     rows = [SWEEP_CSV_HEADER]
-    for seed in seeds:
-        if args.kind == "triangular":
-            inst = gen_upper_triangular(args.n)
-        else:
-            if args.m is None:
-                raise InputError("sweep random needs --m")
-            inst = gen_random(args.n, args.m, args.p, f=f, seed=seed)
+    for seed, inst in zip(seeds, _instances(args, seeds)):
         opt = offline_opt(inst).value
         model = ArrivalModel(args.model, seed)
         for alg in algorithms:

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types and argument checks shared across the package.
 
 All input-shaped failures derive from ValueError so callers can catch one
 base class; the CLI maps them to exit code 2. InvariantError signals an
 internal inconsistency (a bug), never bad user input.
 """
+
+import math
 
 
 class InputError(ValueError):
@@ -24,3 +26,17 @@ class ParseError(InputError):
 
 class InvariantError(RuntimeError):
     """Internal state violates a structural invariant."""
+
+
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """value if it is an int (not a bool) of at least minimum, else InputError."""
+    bound = "" if minimum is None else f" >= {minimum}"
+    if isinstance(value, bool) or not isinstance(value, int) or bound and value < minimum:
+        raise InputError(f"{name} must be an int{bound}, got {value!r}")
+    return value
+
+
+def check_tol(tol: float):
+    """InputError unless tol is a finite number >= 0 (NaN refused)."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tolerance must be finite and >= 0, got {tol!r}")

@@ -26,13 +26,12 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, ParseError, SizeError
+from .errors import InputError, ParseError, SizeError, check_int
 from .submodular import (
     Cardinality,
     ExplicitTable,
     GroundSet,
     SubmodularFn,
-    as_mask,
     fn_from_spec,
     mask_members,
 )
@@ -153,10 +152,8 @@ class Instance:
     n_offline: int
     f: SubmodularFn
     arrivals: list[Arrival] = field(default_factory=list)
-    # neighbor_mask's masks, built on first use and keyed by the arrival
-    # itself, so an arrival put in later gets its own
-    _masks: dict[Arrival, int] = field(default_factory=dict, init=False, repr=False,
-                                       compare=False)
+    # online id -> the mask of its neighbors, built with the id checks
+    masks: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """InputError when n_offline is not the budget's ground-set size, a
@@ -171,14 +168,18 @@ class Instance:
         # only when it fails, to name the arrival or convert numpy ints
         if not set(map(type, chain.from_iterable(arr.nbrs for arr in self.arrivals))) <= {int}:
             self.arrivals = [_int_neighbors(arr) for arr in self.arrivals]
-        first: dict[int, int] = {}
+        masks = self.masks = {}
         for i, arr in enumerate(self.arrivals):
             if arr.nbrs and (arr.nbrs[0] < 0 or arr.nbrs[-1] >= n):
                 raise InputError(f"arrival {arr.id}: a neighbor lies outside 0..{n - 1}")
-            j = first.setdefault(arr.id, i)
-            if j != i:
+            if arr.id in masks:
+                j = next(k for k, a in enumerate(self.arrivals) if a.id == arr.id)
                 raise InputError(f"arrivals[{i}].id: duplicate online id {arr.id}; "
                                  f"arrivals {j} and {i} share an online id")
+            mask = 0
+            for u in arr.nbrs:
+                mask |= 1 << u
+            masks[arr.id] = mask
 
     @property
     def ground(self) -> GroundSet:
@@ -191,14 +192,6 @@ class Instance:
     def edges(self) -> list[tuple[int, int]]:
         """(offline u, online v) pairs."""
         return [(u, arr.id) for arr in self.arrivals for u in arr.nbrs]
-
-    def neighbor_mask(self, arrival: Arrival) -> int:
-        """The mask of arrival's neighbors: as_mask on its first call for
-        an arrival, then the mask kept from it."""
-        mask = self._masks.get(arrival)
-        if mask is None:
-            mask = self._masks[arrival] = as_mask(self.ground, arrival.nbrs)
-        return mask
 
     def to_dict(self) -> dict:
         return {
@@ -226,27 +219,25 @@ class ArrivalModel:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InputError(f"unknown arrival model {self.kind!r}; expected one of {self.KINDS}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise InputError(f"arrival model seed must be an int, got {self.seed!r}")
+        check_int("arrival model seed", self.seed)
 
 
 def by_timestamp(arrivals, timestamps: dict[int, float]) -> list[tuple[Arrival, float]]:
-    """(arrival, t) pairs sorted by t, ties by id. InputError when an
-    arrival has no timestamp or one outside [0, 1] (NaN included)."""
+    """(arrival, t) pairs sorted by t, ties by id: stamp_orders of the one
+    row of timestamps. InputError when an arrival has no timestamp or one
+    outside [0, 1] (NaN included)."""
     missing = [a.id for a in arrivals if a.id not in timestamps]
     if missing:
         raise InputError(f"timestamps missing for arrivals {missing}")
-    stamped = [(a, float(timestamps[a.id])) for a in arrivals]
-    if not all(0.0 <= t <= 1.0 for _, t in stamped):
-        raise InputError("timestamps must lie in [0, 1]")
-    return sorted(stamped, key=lambda at: (at[1], at[0].id))
+    return stamp_orders(arrivals, np.array([[timestamps[a.id] for a in arrivals]],
+                                           dtype=np.float64))[0]
 
 
 def stamp_orders(arrivals, stamps: np.ndarray) -> list[list[tuple[Arrival, float]]]:
-    """by_timestamp of every row of stamps, a float64 block with one column
-    per arrival, in the order of arrivals: one lexsort orders the whole
-    block by t, ties by id. InputError when the block has another width or
-    a stamp outside [0, 1] (NaN included)."""
+    """The (arrival, t) pairs of every row of stamps, a float64 block with
+    one column per arrival, in the order of arrivals: one lexsort orders the
+    whole block by t (as Python floats), ties by id. InputError when the
+    block has another width or a stamp outside [0, 1] (NaN included)."""
     m = len(arrivals)
     if stamps.ndim != 2 or stamps.shape[1] != m:
         raise InputError(f"need a block of timestamps with {m} columns, got shape {stamps.shape}")
@@ -303,7 +294,7 @@ def order_arrivals(instance: Instance, model: ArrivalModel) -> list[tuple[Arriva
 def gen_upper_triangular(n: int) -> Instance:
     """v_j neighbors {u_j, ..., u_n} under cardinality: opt = n, and the
     adversarial order is the classic hard sequence for ratio 1 - 1/e."""
-    if n < 1:
+    if check_int("n", n) < 1:
         raise InputError(f"n must be >= 1, got {n}")
     check_size("n_offline", n)
     check_size("edges", n * (n + 1) // 2)
@@ -318,7 +309,8 @@ def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
     probability p, decided by a per-online-vertex SplitMix64 stream (see
     _edge_rows). SizeError at the first arrival whose running edge count
     exceeds INSTANCE_SIZE_LIMIT."""
-    if n < 1 or m < 0:
+    check_int("seed", seed)
+    if check_int("n", n) < 1 or check_int("m", m) < 0:
         raise InputError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability p = {p} outside [0, 1]")
@@ -346,10 +338,10 @@ def random_coverage_table(n: int, seed: int, universe: int | None = None) -> Exp
     weight covered by S. Always nonnegative, monotone, and submodular, and
     generically none of the closed-form families.
     """
-    if n < 1 or n > 12:
+    check_int("seed", seed)
+    if not 1 <= check_int("n", n) <= 12:
         raise InputError(f"coverage tables supported for 1 <= n <= 12, got {n}")
-    if universe is None:
-        universe = 2 * n + 1
+    universe = 2 * n + 1 if universe is None else check_int("universe", universe)
     rng = SplitMix64(seed)
     weights = [0.05 + rng.random() for _ in range(universe)]
     covers = []

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constants import DEFAULT_TOL
-from .errors import InputError, SizeError
+from .errors import InputError, SizeError, check_int
 
 # Largest n for which anything enumerates all 2^n subsets (all_masks).
 EXHAUSTIVE_LIMIT = 16
@@ -206,9 +206,7 @@ class UniformRank(SubmodularFn):
 
     def __init__(self, ground: GroundSet, k: int):
         super().__init__(ground)
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise InputError(f"uniform rank k must be an int >= 0, got {k!r}")
-        self.k = k
+        self.k = check_int("uniform rank k", k, 0)
 
     def value_mask(self, mask: int) -> float:
         return float(min(mask.bit_count(), self.k))

@@ -29,10 +29,11 @@ from .algorithms import (
 )
 from .barchart import charge_integral
 from .constants import ALPHA, DEFAULT_TOL, ONE_MINUS_INV_E, ONE_PLUS_ALPHA, charge_potential
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, check_int, check_tol
 from .instances import Instance, by_timestamp, check_size, stamp_orders
 from .submodular import (
     SubmodularFn,
+    _check_potentials,
     all_masks,
     is_matroid_rank,
     lovasz,
@@ -81,10 +82,8 @@ def offline_opt(instance: Instance) -> OptCertificate:
 def _brute_force_opt(instance: Instance) -> OptCertificate:
     masks = all_masks(instance.n_offline)
     uncovered = np.zeros(len(masks), dtype=np.float64)
-    for arr in instance.arrivals:
-        nm = instance.neighbor_mask(arr)
-        if nm:
-            uncovered += (masks & nm) != nm
+    for nm in instance.masks.values():
+        uncovered += (masks & nm) != nm
     cost = instance.f.values_for_masks(masks) + uncovered
     best = int(np.argmin(cost))  # first index = smallest bitmask on ties
     return OptCertificate(float(cost[best]), frozenset(mask_members(best)),
@@ -93,8 +92,7 @@ def _brute_force_opt(instance: Instance) -> OptCertificate:
 
 def _forced_online(instance: Instance, smask: int) -> frozenset[int]:
     """{v : N(v) not within S}: the online side a cover with offline part S needs."""
-    return frozenset(arr.id for arr in instance.arrivals
-                     if (instance.neighbor_mask(arr) & ~smask) != 0)
+    return frozenset(vid for vid, nm in instance.masks.items() if nm & ~smask)
 
 
 def _min_cut_opt(instance: Instance, weights: list[float],
@@ -232,19 +230,19 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
 
     The polytope test is exact in closed form for budgets with a laminar
     form (any n) and exhaustive for the others (all_masks: n <= 16,
-    SizeError above)."""
+    SizeError above). InputError when tol is not finite and >= 0."""
+    check_tol(tol)
     n = instance.n_offline
     f = instance.f
+    masks = instance.masks
     report = CheckReport(ok=True)
-    online_ids = {arr.id for arr in instance.arrivals}
-    nbr_sets = {arr.id: set(arr.nbrs) for arr in instance.arrivals}
     x_u = [0.0] * n
     x_v: dict[int, float] = {}
     for (u, vid), val in x.items():
-        if not (0 <= u < n) or vid not in online_ids:
+        if not (0 <= u < n) or vid not in masks:
             report.violations.append(f"x[{u},{vid}]: no such vertex pair")
             continue
-        if u not in nbr_sets[vid]:
+        if not (masks[vid] >> u) & 1:
             report.violations.append(f"x[{u},{vid}]: not an edge")
         if val < -tol:
             report.violations.append(f"x[{u},{vid}] = {val} < 0")
@@ -323,7 +321,11 @@ def round_increments(trace: RunTrace) -> list[tuple[float, float]]:
 
 def check_cover(y, z: dict[int, float], instance: Instance,
                 tol: float = DEFAULT_TOL) -> CheckReport:
-    """Fractional cover feasibility: y_u + z_v >= 1 on every edge."""
+    """Fractional cover feasibility: y_u + z_v >= 1 on every edge. InputError
+    for a y of another length than n_offline or a tol not finite and >= 0."""
+    check_tol(tol)
+    if len(y) != instance.n_offline:
+        raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
     report = CheckReport(ok=True)
     for u, vid in instance.edges():
         have = y[u] + z.get(vid, 0.0)
@@ -341,10 +343,10 @@ def expected_rounding_cost(f: SubmodularFn, y, z: dict[int, float]) -> float:
     Piecewise-constant in gamma with breakpoints at the potentials and at
     1 - z_v, integrated segment by segment. Equals Lovasz(f, y) + sum z
     whenever every z_v lies in [0, 1]; for larger z the online term
-    saturates at probability one.
+    saturates at probability one. y must hold n potentials in [0, 1].
     """
     n = f.ground.size
-    y = [float(v) for v in y]
+    y = _check_potentials(f.ground, y)
     points = {0.0, 1.0}
     points |= {v for v in y if 0.0 < v < 1.0}
     points |= {1.0 - zv for zv in z.values() if 0.0 < 1.0 - zv < 1.0}
@@ -373,11 +375,6 @@ def check_pair(trace: RunTrace, instance: Instance):
             f"got {instance.name!r} (n={instance.n_offline})")
 
 
-def _check_tol(tol: float):
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InputError(f"tolerance must be finite and >= 0, got {tol!r}")
-
-
 def check_run(trace: RunTrace, instance: Instance,
               tol: float = DEFAULT_TOL) -> list[tuple[str, bool, str]]:
     """Every check of a saved run, in order, as (name, ok, detail): the
@@ -387,7 +384,7 @@ def check_run(trace: RunTrace, instance: Instance,
     when check_pair refuses the pair or tol is not finite and >= 0.
     """
     check_pair(trace, instance)
-    _check_tol(tol)
+    check_tol(tol)
     checks: list[tuple[str, bool, str]] = []
     alg = trace.algorithm
 
@@ -514,7 +511,7 @@ def audit_charging(trace: RunTrace, instance: Instance,
     (check_pair), tol is not finite and >= 0, or the trace is greedy-ra's.
     """
     check_pair(trace, instance)
-    _check_tol(tol)
+    check_tol(tol)
     if trace.algorithm not in ("obvc", "mobvc", "mobm-pd"):
         raise InputError(f"charging audit applies to waterfilling traces, "
                          f"not {trace.algorithm!r}")
@@ -665,12 +662,12 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     then round as a per-trial loop's do, where the F-order array that the
     fancy indexing returns would move some of them by an ulp. InputError
     for a trials or seed that is not an int (bools included), fewer than
-    2 trials or a negative seed; SizeError when trials x max(m, live
-    edges) exceeds INSTANCE_SIZE_LIMIT; all before anything is drawn.
+    2 trials, a negative seed or a bad tol; SizeError when trials x max(m,
+    live edges) exceeds INSTANCE_SIZE_LIMIT; all before anything is drawn.
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"{name} must be an int, got {value!r}")
+    check_int("trials", trials)
+    check_int("seed", seed)
+    check_tol(tol)
     if trials < 2:
         raise InputError("need at least 2 trials")
     if seed < 0:

@@ -264,9 +264,9 @@ class TestRegionBases:
             chart = BarChart.from_potentials(inst.f, [0.0] * inst.n_offline)
             for arr in inst.arrivals:
                 y = chart.levels
-                a = water_level(chart, inst.neighbor_mask(arr))
+                a = water_level(chart, inst.masks[arr.id])
                 X = [u for u in sorted(set(arr.nbrs)) if y[u] < a]
-                xmask = inst.neighbor_mask(arr) & ~chart.at_or_above(a)
+                xmask = inst.masks[arr.id] & ~chart.at_or_above(a)
                 nonempty += self.raise_and_check(chart, X, xmask, a)
         assert nonempty > 100  # the check saw many bars with members
 

@@ -80,6 +80,25 @@ class TestGenerate:
     def test_missing_m(self, capsys):
         assert main(["generate", "random", "--n", "4"]) == 2
 
+    def test_instance_flags_refused_by_command(self, capsys):
+        # generate and sweep build their instances through one helper
+        for argv, message in [
+                (["generate", "random", "--n", "4"], "generate random needs --m"),
+                (["sweep", "--n", "4", "--seeds", "0", "--algorithms", "mobvc"],
+                 "sweep random needs --m"),
+                (["sweep", "--kind", "triangular", "--n", "4", "--f", "uniform:2",
+                  "--seeds", "0", "--algorithms", "mobvc"], "fix the cardinality budget")]:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
+    @pytest.mark.parametrize("kind", ["triangular", "random"])
+    def test_name_flag(self, capsys, kind):
+        argv = ["generate", kind, "--n", "3", "--name", "mine"]
+        assert main(argv + (["--m", "2"] if kind == "random" else [])) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == "mine"
+
     @pytest.mark.parametrize("spec", ["weighted:inf,1:inf", "weighted:1e308,1e308:inf"])
     def test_infinite_budget_refused(self, tmp_path, capsys, spec):
         # these budgets used to give mobm-pd primal 0 against OPT 2 and a NaN dual

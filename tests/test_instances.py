@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from matroidmatch.submodular import (
     PartitionBudget,
     UniformRank,
     WeightedThreshold,
+    as_mask,
     is_matroid_rank,
     verify_axioms,
 )
@@ -116,6 +118,21 @@ class TestGenerators:
         monkeypatch.setattr(instances, "_mix64", counting_mix)
         assert gen_random(n, m, 0.3, seed=3).to_dict() == expected
         assert sizes and max(sizes) <= max(n, instances._BLOCK_DRAWS)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: gen_random(2.5, 3, 0.5), "n must be an int, got 2.5"),
+        (lambda: gen_random(True, 3, 0.5), "n must be an int, got True"),
+        (lambda: gen_random(3, 2.0, 0.5), "m must be an int, got 2.0"),
+        (lambda: gen_random(3, 2, 0.5, seed=1.5), "seed must be an int, got 1.5"),
+        (lambda: gen_upper_triangular(2.0), "n must be an int, got 2.0"),
+        (lambda: random_coverage_table(3.0, 1), "n must be an int, got 3.0"),
+        (lambda: random_coverage_table(3, 1.5), "seed must be an int, got 1.5"),
+        (lambda: random_coverage_table(3, 1, 4.0), "universe must be an int, got 4.0"),
+    ])
+    def test_int_arguments_checked(self, call, message):
+        # a raw TypeError, or for a bool an instance with n_offline=True
+        with pytest.raises(InputError, match=re.escape(message)):
+            call()
 
     def test_coverage_table_is_submodular(self):
         for seed in (0, 1, 2, 77):
@@ -528,6 +545,22 @@ class TestInstanceBoundary:
         assert run_random_arrival_greedy(inst).state.matched == {0, 1}
         with pytest.raises(InputError, match="outside 0..2"):
             Instance("x", 3, f, [Arrival(0, (np.int64(3),))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_masks_are_as_mask_of_the_neighbors(self, data):
+        # one mask per online id, in arrival order, from neighbour lists that
+        # may be empty, repeat an id, or hold numpy ints; n passes 64 bits
+        n = data.draw(st.integers(0, 70))
+        vids = data.draw(st.lists(st.integers(-3, 2 ** 70), max_size=6, unique=True))
+        as_int = st.sampled_from([int, np.int64, np.uint16])
+        ids = st.lists(st.integers(0, n - 1), max_size=9) if n else st.just([])
+        nbrs = [[data.draw(as_int)(u) for u in data.draw(ids)] for _ in vids]
+        inst = Instance("x", n, Cardinality(GroundSet(n)),
+                        [Arrival(vid, tuple(us)) for vid, us in zip(vids, nbrs)])
+        assert list(inst.masks) == vids
+        for vid, us in zip(vids, nbrs):
+            assert inst.masks[vid] == as_mask(inst.ground, us)
 
     def test_edges_of_the_range_and_empty_arrivals(self):
         f = Cardinality(GroundSet(3))

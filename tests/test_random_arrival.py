@@ -467,6 +467,22 @@ def test_by_timestamp_sorts_by_time_then_id():
     assert by_timestamp([], {}) == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(vids=st.lists(st.integers(-3, 30) | st.integers(2 ** 63 - 2, 2 ** 70),
+                     max_size=8, unique=True),
+       data=st.data())
+def test_by_timestamp_is_the_sorted_reference(vids, data):
+    """by_timestamp, which is stamp_orders of one row, against the sorted
+    reference: ties (heavy when stamps come from a four-value pool), ids
+    past a numpy int, no arrivals, and int stamps given back as floats."""
+    arrivals = [Arrival(vid, ()) for vid in vids]
+    pool = st.sampled_from([0, 1, 0.0, 0.5, 1.0]) | stamps
+    ts = {vid: data.draw(pool) for vid in vids}
+    got = by_timestamp(arrivals, ts)
+    assert got == ref_sorted(arrivals, ts)
+    assert all(type(t) is float for _, t in got)
+
+
 @st.composite
 def stamp_blocks(draw):
     """Arrivals with ids in no particular order and a block of 0 to 4 rows
@@ -479,12 +495,12 @@ def stamp_blocks(draw):
 
 
 class TestStampOrders:
-    """stamp_orders is by_timestamp on every row of a block."""
+    """stamp_orders is the sorted reference on every row of a block."""
 
     @staticmethod
     def by_rows(arrivals, block):
         ids = [a.id for a in arrivals]
-        return [by_timestamp(arrivals, dict(zip(ids, row))) for row in block.tolist()]
+        return [ref_sorted(arrivals, dict(zip(ids, row))) for row in block.tolist()]
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=stamp_blocks())
@@ -521,6 +537,14 @@ BAD_STAMPS = [
     ({3: math.nan, 1: 0.5}, "timestamps must lie in [0, 1]"),
     ({3: 0.5, 1: math.nan}, "timestamps must lie in [0, 1]"),
 ]
+
+
+def test_model_and_timestamps_not_both():
+    # the model used to be dropped without a word
+    inst = pair()
+    with pytest.raises(InputError, match="give an arrival model or timestamps, not both"):
+        run_random_arrival_greedy(inst, model=ArrivalModel("permutation", 3),
+                                  timestamps={3: 0.5, 1: 0.25})
 
 
 @pytest.mark.parametrize("ts, message", BAD_STAMPS)

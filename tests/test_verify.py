@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidmatch.algorithms import (
+    round_cover,
     run_mobm_pd,
     run_mobvc,
     run_obvc,
@@ -121,7 +122,7 @@ class TestOfflineOpt:
             best = min(
                 inst.f.value_mask(m) + sum(
                     1 for a in inst.arrivals
-                    if (inst.neighbor_mask(a) & ~m) != 0)
+                    if (inst.masks[a.id] & ~m) != 0)
                 for m in range(1 << inst.n_offline))
             assert math.isclose(cert.value, best, abs_tol=1e-12)
 
@@ -388,6 +389,19 @@ class TestSavedRun:
         with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
             audit_charging(trace, inst, tol)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("call", [
+        lambda inst, tol: check_matching({(0, 0): 5.0, (1, 0): 3.0}, inst, tol=tol),
+        lambda inst, tol: check_cover([0.0, 0.0], {}, inst, tol=tol),
+        lambda inst, tol: verify_random_arrival_lemmas(inst, trials=2, tol=tol),
+        lambda inst, tol: round_cover(inst, [1.0, 1.0], {}, tol=tol),
+    ], ids=["check_matching", "check_cover", "lemmas", "round_cover"])
+    def test_every_tolerance_is_checked(self, call, tol):
+        # with tol = nan every comparison was false, so the overfull matching
+        # and the uncovered edges passed
+        with pytest.raises(InputError, match="tolerance must be finite and >= 0"):
+            call(gen_upper_triangular(2), tol)
+
     def test_zero_tolerance_taken(self):
         inst = gen_upper_triangular(3)
         names = [name for name, _, _ in check_run(run_mobvc(inst), inst, 0.0)]
@@ -400,6 +414,19 @@ class TestExpectedRoundingCost:
             trace = run_mobvc(inst)
             got = expected_rounding_cost(inst.f, trace.state.y, trace.state.z)
             assert math.isclose(got, trace.dual_value, abs_tol=1e-9)
+
+    def test_potentials_of_the_wrong_length_refused(self):
+        # a raw IndexError, or for a longer y a silent 1.5
+        cases = [(2, [0.5]), (3, [0.5, 0.5, 0.5, 0.9])]
+        for n, y in cases:
+            with pytest.raises(InputError, match=f"need {n} potentials, got {len(y)}"):
+                expected_rounding_cost(Cardinality(GroundSet(n)), y, {})
+        with pytest.raises(InputError, match="need 2 potentials, got 1"):
+            check_cover([1.0], {}, gen_upper_triangular(2))
+        with pytest.raises(InputError, match="need 2 potentials, got 3"):
+            check_cover([1.0, 1.0, 1.0], {}, gen_upper_triangular(2))
+        # check_cover checks only the length: a potential past 1 still covers
+        assert check_cover([1.5, 1.0], {}, gen_upper_triangular(2)).ok
 
     def test_saturates_above_one(self):
         # z past 1 cannot raise the expectation further
