@@ -40,12 +40,20 @@ from itertools import chain, compress, islice, repeat
 
 from .barchart import BarChart, NewRegion, snap
 from .constants import ALPHA, DEFAULT_TOL
-from .errors import InputError, InvariantError, ParseError, PreconditionError, check_int, check_tol
+from .errors import (
+    InputError,
+    InvariantError,
+    ParseError,
+    PreconditionError,
+    check_finite,
+    check_int,
+    check_tol,
+)
 from .instances import (
     Arrival,
     ArrivalModel,
     Instance,
-    SplitMix64,
+    _uniforms,
     arrival_orders,
     by_timestamp,
     json_int,
@@ -663,17 +671,24 @@ def round_cover(instance: Instance, y, z: dict[int, float],
     """Round fractional cover duals to an integral cover with one shared
     threshold: u enters at y_u >= gamma, v at z_v >= 1 - gamma (both
     inclusive). Requires y_u + z_v >= 1 - tol on every edge, which makes
-    the output a cover for every gamma in [0, 1] (and tol finite, >= 0)."""
+    the output a cover for every gamma in [0, 1] (and tol finite, >= 0).
+    Without gamma, the threshold is seed's first _uniforms draw (seed 0 by
+    default). InputError for a gamma with a seed, a non-int seed, or a
+    non-finite y or z."""
     check_tol(tol)
     y = [float(v) for v in y]
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
+    check_finite("y", enumerate(y))
+    check_finite("z", z.items())
     for u, vid in instance.edges():
         if y[u] + z.get(vid, 0.0) < 1.0 - tol:
             raise PreconditionError(
                 f"edge ({u}, {vid}) is uncovered: y={y[u]}, z={z.get(vid, 0.0)}")
     if gamma is None:
-        gamma = SplitMix64(0 if seed is None else seed).random()
+        gamma = _uniforms([check_int("seed", 0 if seed is None else seed)], 1).item()
+    elif seed is not None:
+        raise InputError("give gamma or a seed, not both")
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma = {gamma} outside [0, 1]")
     S = frozenset(u for u in range(instance.n_offline) if y[u] >= gamma)

@@ -22,17 +22,16 @@ bound, so raises to nearly equal levels create no sliver bars.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
-from .constants import ALPHA, SNAP_EPS
+from .constants import SNAP_EPS
 from .errors import InputError, PreconditionError
 from .submodular import SubmodularFn, _check_potentials, as_mask
 
-__all__ = ["Interval", "NewRegion", "BarChart", "charge_integral", "snap"]
+__all__ = ["Interval", "NewRegion", "BarChart", "snap"]
 
 
 def snap(bounds, a: float) -> float:
@@ -183,17 +182,3 @@ class BarChart:
                 self.intervals.insert(i, Interval(iv.lo, a, iv.mask, iv.height))
                 iv.lo = a
 
-
-def charge_integral(regions) -> float:
-    """Integral of the density (1 - x) / (x + ALPHA) over the given regions,
-    x being the horizontal (level) coordinate.
-
-    Closed form per region: delta_height * ((1 + ALPHA) * ln((hi + ALPHA)
-    / (lo + ALPHA)) - (hi - lo)).
-    """
-    total = 0.0
-    for r in regions:
-        dh = r.new_height - r.old_height
-        total += dh * ((1.0 + ALPHA) * math.log((r.hi + ALPHA) / (r.lo + ALPHA))
-                       - (r.hi - r.lo))
-    return total

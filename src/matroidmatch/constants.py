@@ -30,3 +30,15 @@ def charge_potential(x: float) -> float:
     unit-height strip spanning [a, b].
     """
     return (1.0 + ALPHA) * math.log((x + ALPHA) / ALPHA) - x
+
+
+def charge_integral(regions) -> float:
+    """Integral of the density (1 - x) / (x + ALPHA) over the given regions,
+    x the level: per region, its height change times charge_potential(hi) -
+    charge_potential(lo), computed with one log."""
+    total = 0.0
+    for r in regions:
+        dh = r.new_height - r.old_height
+        total += dh * ((1.0 + ALPHA) * math.log((r.hi + ALPHA) / (r.lo + ALPHA))
+                       - (r.hi - r.lo))
+    return total

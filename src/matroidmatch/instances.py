@@ -7,13 +7,12 @@ adversarial order; arrival models reorder it and attach timestamps.
 
 Seeded generation uses SplitMix64 (64-bit state, one mixed stream per
 online vertex) so instances are reproducible bit-for-bit from (params,
-seed) and the generator is easy to restate outside Python. gen_random and
-the arrival models draw their streams as numpy uint64 blocks, many streams
-per call (_streams); the scalar SplitMix64 class serves
-random_coverage_table, round_cover and the test suites (tests/helpers.py)
-and is the tests' reference, and bench/reference.py restates gen_random's
-streams one draw at a time. Golden tests should still pin serialized
-instance files rather than seeds.
+seed) and the generator is easy to restate outside Python. _streams, the
+one place in the package that turns seeds into numbers, draws many streams
+per call as numpy uint64 blocks; _uniforms makes floats of them. The tests
+hold both to the one-draw-at-a-time SplitMix64 class in tests/helpers.py,
+and bench/reference.py restates gen_random's streams on its own. Golden
+tests should still pin serialized instance files rather than seeds.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .submodular import (
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# SplitMix64's two output multipliers, for the scalar and the array mixer.
+# SplitMix64's two output multipliers; _mix64 is the package's one mixer.
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # gen_random draws at most max(n, _BLOCK_DRAWS) values per numpy block, and
@@ -55,31 +54,6 @@ def check_size(what: str, count: int):
     if count > INSTANCE_SIZE_LIMIT:
         raise SizeError(f"{what} = {count} exceeds the instance size limit "
                         f"{INSTANCE_SIZE_LIMIT}")
-
-
-class SplitMix64:
-    """Tiny portable PRNG; split(key) derives an independent child stream."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def random(self) -> float:
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def randint(self, n: int) -> int:
-        # rejection-free modulo is fine at desk scale
-        return self.next_u64() % n
-
-    def split(self, key: int) -> "SplitMix64":
-        child = SplitMix64((self.state ^ (key * _GOLDEN)) & _MASK64)
-        return SplitMix64(child.next_u64())
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -104,14 +78,21 @@ def _streams(seeds, count: int) -> np.ndarray:
     return _mix64(seeds[:, None] + np.arange(1, count + 1, dtype=u64) * u64(_GOLDEN))
 
 
+def _uniforms(seeds, count: int) -> np.ndarray:
+    """The float64 array (_streams(seeds, count) >> 11) * 2^-53: each draw's
+    top 53 bits as an exact float in [0, 1)."""
+    return (_streams(seeds, count) >> np.uint64(11)) * 2.0 ** -53
+
+
 def _edge_rows(n: int, m: int, p: float, seed: int):
     """The adjacency rows of gen_random's G(n, m, p), one boolean row of n
     per arrival, drawn in blocks of at most max(n, _BLOCK_DRAWS) values.
 
-    Arrival j's stream is SplitMix64(seed).split(j + 1): its seed is the
-    first output of SplitMix64(seed ^ (j + 1) * G), and its u-th draw decides
-    edge (u, j). The edge is present when (draw >> 11) * 2^-53 < p; as that
-    product is exact, this is (draw >> 11) < ceil(p * 2^53).
+    Arrival j's stream (SplitMix64(seed).split(j + 1) in the tests'
+    reference class) is seeded by the first output of the stream of
+    seed ^ (j + 1) * G, and its u-th draw decides edge (u, j). The edge is
+    present when (draw >> 11) * 2^-53 < p; as that product is exact, this is
+    (draw >> 11) < ceil(p * 2^53).
     """
     u64 = np.uint64
     golden, root = u64(_GOLDEN), u64(seed & _MASK64)
@@ -257,9 +238,9 @@ def arrival_orders(instance: Instance, kind: str, seeds):
     max(m, _BLOCK_DRAWS) values.
 
     Under 'permutation' the k-th draw d of a seed's stream sets Fisher-Yates
-    position i = m - 1 - k against j = d % (i + 1), SplitMix64.randint's
-    plain modulo. Under 'timestamps' the i-th draw stamps the i-th stored
-    arrival with (d >> 11) * 2^-53, SplitMix64.random's exact float.
+    position i = m - 1 - k against j = d % (i + 1), a plain modulo. Under
+    'timestamps' the i-th draw stamps the i-th stored arrival with its
+    _uniforms float.
     """
     ArrivalModel(kind)  # InputError for an unknown kind
     arrivals = instance.arrivals
@@ -279,7 +260,7 @@ def arrival_orders(instance: Instance, kind: str, seeds):
                     order[i], order[j] = order[j], order[i]
                 yield [(a, (i + 1) / m) for i, a in enumerate(order)]
         else:
-            yield from stamp_orders(arrivals, (_streams(block, m) >> np.uint64(11)) * 2.0 ** -53)
+            yield from stamp_orders(arrivals, _uniforms(block, m))
 
 
 def order_arrivals(instance: Instance, model: ArrivalModel) -> list[tuple[Arrival, float]]:
@@ -336,21 +317,22 @@ def random_coverage_table(n: int, seed: int, universe: int | None = None) -> Exp
 
     Element u covers a random subset of a weighted universe; f(S) is the
     weight covered by S. Always nonnegative, monotone, and submodular, and
-    generically none of the closed-form families.
+    generically none of the closed-form families. One row of _uniforms
+    draws gives the universe's weights 0.05 + d, then each element's row: it
+    covers j when d < 0.45. SizeError when universe * 2^n exceeds
+    INSTANCE_SIZE_LIMIT.
     """
     check_int("seed", seed)
     if not 1 <= check_int("n", n) <= 12:
         raise InputError(f"coverage tables supported for 1 <= n <= 12, got {n}")
     universe = 2 * n + 1 if universe is None else check_int("universe", universe)
-    rng = SplitMix64(seed)
-    weights = [0.05 + rng.random() for _ in range(universe)]
-    covers = []
-    for _ in range(n):
-        mask = 0
-        for j in range(universe):
-            if rng.random() < 0.45:
-                mask |= 1 << j
-        covers.append(mask)
+    if universe < 1:
+        raise InputError(f"universe must be >= 1, got {universe}")
+    check_size("coverage table work universe * 2^n", universe << n)
+    draws = _uniforms([seed], universe * (n + 1))[0]
+    weights = (0.05 + draws[:universe]).tolist()
+    covers = [sum(1 << j for j in np.flatnonzero(row < 0.45).tolist())
+              for row in draws[universe:].reshape(n, universe)]
     values = []
     for smask in range(1 << n):
         covered = 0

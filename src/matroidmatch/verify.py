@@ -27,9 +27,15 @@ from .algorithms import (
     run_algorithm,
     run_random_arrival_greedy,
 )
-from .barchart import charge_integral
-from .constants import ALPHA, DEFAULT_TOL, ONE_MINUS_INV_E, ONE_PLUS_ALPHA, charge_potential
-from .errors import InputError, InvariantError, check_int, check_tol
+from .constants import (
+    ALPHA,
+    DEFAULT_TOL,
+    ONE_MINUS_INV_E,
+    ONE_PLUS_ALPHA,
+    charge_integral,
+    charge_potential,
+)
+from .errors import InputError, InvariantError, check_finite, check_int, check_tol
 from .instances import Instance, by_timestamp, check_size, stamp_orders
 from .submodular import (
     SubmodularFn,
@@ -230,8 +236,9 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
 
     The polytope test is exact in closed form for budgets with a laminar
     form (any n) and exhaustive for the others (all_masks: n <= 16,
-    SizeError above). InputError when tol is not finite and >= 0."""
+    SizeError above). InputError for a non-finite x or tol, or a tol < 0."""
     check_tol(tol)
+    check_finite("x", x.items())
     n = instance.n_offline
     f = instance.f
     masks = instance.masks
@@ -322,10 +329,13 @@ def round_increments(trace: RunTrace) -> list[tuple[float, float]]:
 def check_cover(y, z: dict[int, float], instance: Instance,
                 tol: float = DEFAULT_TOL) -> CheckReport:
     """Fractional cover feasibility: y_u + z_v >= 1 on every edge. InputError
-    for a y of another length than n_offline or a tol not finite and >= 0."""
+    for a y of another length than n_offline, a non-finite y, z or tol, or a
+    tol < 0."""
     check_tol(tol)
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
+    check_finite("y", enumerate(y))
+    check_finite("z", z.items())
     report = CheckReport(ok=True)
     for u, vid in instance.edges():
         have = y[u] + z.get(vid, 0.0)
@@ -343,10 +353,12 @@ def expected_rounding_cost(f: SubmodularFn, y, z: dict[int, float]) -> float:
     Piecewise-constant in gamma with breakpoints at the potentials and at
     1 - z_v, integrated segment by segment. Equals Lovasz(f, y) + sum z
     whenever every z_v lies in [0, 1]; for larger z the online term
-    saturates at probability one. y must hold n potentials in [0, 1].
+    saturates at probability one. y must hold n potentials in [0, 1] and z
+    finite values (InputError otherwise).
     """
     n = f.ground.size
     y = _check_potentials(f.ground, y)
+    check_finite("z", z.items())
     points = {0.0, 1.0}
     points |= {v for v in y if 0.0 < v < 1.0}
     points |= {1.0 - zv for zv in z.values() if 0.0 < 1.0 - zv < 1.0}

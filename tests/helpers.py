@@ -1,7 +1,9 @@
 """Test-only fixtures and reference oracles.
 
-make_suite and make_matroid_suite are the deterministic instance suites the
-acceptance criteria and the property tests run over; lovasz_mc is the
+SplitMix64 is the one-draw-at-a-time generator that the package's blocked
+streams (instances._streams, _uniforms) are tested against; make_suite and
+make_matroid_suite are the deterministic instance suites the acceptance
+criteria and the property tests run over; lovasz_mc is the
 Monte-Carlo estimate of the Lovasz extension that criterion 2 checks the
 exact lovasz against; ref_random_arrival_lemmas is the per-edge loop the
 blocked random-arrival audit is checked against.
@@ -18,8 +20,11 @@ from matroidmatch.algorithms import _greedy_core, _greedy_duals, dual_split_rate
 from matroidmatch.constants import ALPHA, DEFAULT_TOL
 from matroidmatch.errors import InputError
 from matroidmatch.instances import (
+    _GOLDEN,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     Instance,
-    SplitMix64,
     by_timestamp,
     gen_random,
     gen_upper_triangular,
@@ -40,6 +45,31 @@ from matroidmatch.verify import (
     RandomArrivalReport,
     critical_value,
 )
+
+
+class SplitMix64:
+    """Tiny portable PRNG; split(key) derives an independent child stream."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GOLDEN) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def randint(self, n: int) -> int:
+        # rejection-free modulo is fine at desk scale
+        return self.next_u64() % n
+
+    def split(self, key: int) -> "SplitMix64":
+        child = SplitMix64((self.state ^ (key * _GOLDEN)) & _MASK64)
+        return SplitMix64(child.next_u64())
 
 
 def _random_matroid_fn(n: int, stream: SplitMix64) -> SubmodularFn:

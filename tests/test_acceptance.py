@@ -18,7 +18,6 @@ from matroidmatch.algorithms import (
 )
 from matroidmatch.constants import ALPHA, ONE_MINUS_INV_E, ONE_PLUS_ALPHA, charge_potential
 from matroidmatch.instances import (
-    SplitMix64,
     gen_upper_triangular,
     random_coverage_table,
 )
@@ -41,7 +40,7 @@ from matroidmatch.verify import (
     verify_random_arrival_lemmas,
 )
 
-from helpers import lovasz_mc, make_matroid_suite, make_suite
+from helpers import SplitMix64, lovasz_mc, make_matroid_suite, make_suite
 
 # regression pins for the 20-vertex triangular instance; recorded once from
 # this implementation, the brackets below are the actual acceptance bound

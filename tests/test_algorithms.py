@@ -40,7 +40,7 @@ from matroidmatch.submodular import (
 )
 from matroidmatch.verify import round_increments
 
-from helpers import make_matroid_suite, make_suite
+from helpers import SplitMix64, make_matroid_suite, make_suite
 
 TOL = 1e-9
 
@@ -382,6 +382,27 @@ class TestRoundCover:
         one = round_cover(inst, [1.0], {0: 0.0}, seed=3)
         two = round_cover(inst, [1.0], {0: 0.0}, seed=3)
         assert one == two
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 2.5}, "seed must be an int, got 2.5"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"seed": 3, "gamma": 0.5}, "give gamma or a seed, not both"),
+    ])
+    def test_seed_checked(self, kwargs, message):
+        # a raw TypeError, a run at seed 1, and a seed silently dropped
+        with pytest.raises(InputError, match=message):
+            round_cover(single_edge(), [1.0], {0: 0.0}, **kwargs)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, -1, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+                                      2 ** 70 + 5])
+    def test_seeded_gamma_is_the_reference_draw(self, seed):
+        # y_0 sits on the reference class's first draw and y_1 one float
+        # below it, so only the exact threshold splits them
+        gamma = SplitMix64(seed or 0).random()
+        inst = gen_upper_triangular(2)
+        y = [gamma, math.nextafter(gamma, 0.0)]
+        S, T = round_cover(inst, y, {0: 1.0, 1: 1.0}, seed=seed)
+        assert S == {0} and T == {0, 1}
 
 
 class TestTraceSerialization:

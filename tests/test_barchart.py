@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from matroidmatch.barchart import BarChart, NewRegion, charge_integral
-from matroidmatch.constants import ALPHA
+from matroidmatch.barchart import BarChart, NewRegion
+from matroidmatch.constants import ALPHA, charge_integral
 from matroidmatch.errors import InputError, PreconditionError
 from matroidmatch.submodular import (
     Cardinality,

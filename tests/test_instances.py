@@ -20,7 +20,6 @@ from matroidmatch.instances import (
     Arrival,
     ArrivalModel,
     Instance,
-    SplitMix64,
     arrival_orders,
     gen_random,
     gen_upper_triangular,
@@ -43,7 +42,7 @@ from matroidmatch.submodular import (
     verify_axioms,
 )
 
-from helpers import make_matroid_suite, make_suite
+from helpers import SplitMix64, make_matroid_suite, make_suite
 
 
 class TestGenerators:
@@ -448,6 +447,66 @@ def test_stream_block_is_the_scalar_generator(count):
         for seed, row in zip(seeds, block.tolist()):
             rng = SplitMix64(seed)
             assert row == [rng.next_u64() for _ in range(count)], seed
+
+
+@given(st.lists(st.integers(-(2 ** 70), 2 ** 70), max_size=5), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_uniforms_are_the_scalar_random(seeds, count):
+    block = instances._uniforms(seeds, count)
+    assert block.dtype == np.float64 and block.shape == (len(seeds), count)
+    for seed, row in zip(seeds, block.tolist()):
+        rng = SplitMix64(seed)
+        assert row == [rng.random() for _ in range(count)], seed
+
+
+def test_one_splitmix64_in_src():
+    # _streams is the package's one generator; the scalar class is the
+    # tests' reference (helpers.SplitMix64)
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(Path(instances.__file__).parent.glob("*.py"))]
+    assert not any("class SplitMix64" in text for text in texts)
+    # the golden-ratio increment and the two output multipliers
+    for constant in ("0x9E3779B97F4A7C15", "0xBF58476D1CE4E5B9", "0x94D049BB133111EB"):
+        assert sum(text.count(constant) for text in texts) == 1, constant
+
+
+def scalar_coverage_table(n: int, seed: int, universe: int) -> list[float]:
+    """random_coverage_table's values restated one SplitMix64 draw at a time."""
+    rng = SplitMix64(seed)
+    weights = [0.05 + rng.random() for _ in range(universe)]
+    covers = [sum(1 << j for j in range(universe) if rng.random() < 0.45) for _ in range(n)]
+    values = []
+    for smask in range(1 << n):
+        covered = 0
+        for u in range(n):
+            if smask >> u & 1:
+                covered |= covers[u]
+        values.append(sum(weights[j] for j in range(universe) if covered >> j & 1))
+    return values
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 70 + 5])
+def test_coverage_table_is_the_scalar_streams(seed):
+    for n, universe in ((1, 1), (3, None), (5, 2), (7, 64)):
+        f = random_coverage_table(n, seed, universe)
+        want = scalar_coverage_table(n, seed, 2 * n + 1 if universe is None else universe)
+        assert f.table.tolist() == want, (n, universe)
+
+
+def test_coverage_table_work_is_bounded():
+    # the draws are one block allocated up front; a universe of 3 * 10^8
+    # used to run until killed, and a universe of 0 built an all-zero table
+    for universe in (0, -3):
+        with pytest.raises(InputError, match=f"universe must be >= 1, got {universe}"):
+            random_coverage_table(3, 1, universe)
+    with pytest.raises(SizeError, match="universe \\* 2\\^n = 2400000000 exceeds"):
+        random_coverage_table(3, 1, 300_000_000)
+    edge = INSTANCE_SIZE_LIMIT >> 12
+    assert random_coverage_table(12, 1, edge).ground.size == 12
+    with pytest.raises(SizeError):
+        random_coverage_table(12, 1, edge + 1)
+    for spec in ("coverage:1:300000000", "coverage:1:0"):
+        assert main(["generate", "random", "--n", "3", "--m", "2", "--f", spec]) == 2
 
 
 def scalar_order(instance, model):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -406,6 +407,23 @@ class TestSavedRun:
         inst = gen_upper_triangular(3)
         names = [name for name, _, _ in check_run(run_mobvc(inst), inst, 0.0)]
         assert names == ["replay-match", "dual-consistent", "cover-feasible", "competitive"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call, entry", [
+        (lambda inst, bad: check_cover([bad, 1.0], {0: 0.0}, inst), "y[0]"),
+        (lambda inst, bad: check_cover([1.0, 1.0], {0: bad}, inst), "z[0]"),
+        (lambda inst, bad: check_matching({(0, 0): bad, (1, 1): 0.5}, inst), "x[0,0]"),
+        (lambda inst, bad: round_cover(inst, [bad, 1.0], {0: 0.0}, gamma=0.5), "y[0]"),
+        (lambda inst, bad: round_cover(inst, [1.0, 1.0], {0: bad}, gamma=0.5), "z[0]"),
+        (lambda inst, bad: expected_rounding_cost(inst.f, [bad, 0.5], {}), "y[0]"),
+        (lambda inst, bad: expected_rounding_cost(inst.f, [0.5, 0.5], {0: bad}), "z[0]"),
+    ], ids=["check_cover-y", "check_cover-z", "check_matching-x", "round_cover-y",
+            "round_cover-z", "expected_rounding_cost-y", "expected_rounding_cost-z"])
+    def test_every_value_is_finite(self, call, entry, bad):
+        # every test was written value < bound, which NaN fails: a NaN cover
+        # or matching passed, and round_cover returned an empty "cover"
+        with pytest.raises(InputError, match=re.escape(f"{entry} = {bad}")):
+            call(gen_upper_triangular(2), bad)
 
 
 class TestExpectedRoundingCost:

@@ -29,7 +29,6 @@ from matroidmatch.barchart import BarChart, Interval, NewRegion, snap
 from matroidmatch.constants import ALPHA, SNAP_EPS
 from matroidmatch.instances import (
     Instance,
-    SplitMix64,
     gen_random,
     gen_upper_triangular,
     random_coverage_table,
@@ -43,6 +42,8 @@ from matroidmatch.submodular import (
     as_mask,
     mask_members,
 )
+
+from helpers import SplitMix64
 
 FAMILIES = ("cardinality", "uniform", "partition", "weighted", "table")
 
