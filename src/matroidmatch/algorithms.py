@@ -47,7 +47,6 @@ from .errors import (
     PreconditionError,
     check_finite,
     check_int,
-    check_tol,
 )
 from .instances import (
     Arrival,
@@ -665,24 +664,25 @@ def run_algorithm(algorithm: str, instance: Instance,
 # Rounding
 # ---------------------------------------------------------------------------
 
-def round_cover(instance: Instance, y, z: dict[int, float],
-                gamma: float | None = None, seed: int | None = None,
-                tol: float = DEFAULT_TOL) -> tuple[frozenset[int], frozenset[int]]:
+def round_cover(instance: Instance, y, z: dict[int, float], gamma: float | None = None,
+                seed: int | None = None) -> tuple[frozenset[int], frozenset[int]]:
     """Round fractional cover duals to an integral cover with one shared
     threshold: u enters at y_u >= gamma, v at z_v >= 1 - gamma (both
-    inclusive). Requires y_u + z_v >= 1 - tol on every edge, which makes
-    the output a cover for every gamma in [0, 1] (and tol finite, >= 0).
-    Without gamma, the threshold is seed's first _uniforms draw (seed 0 by
-    default). InputError for a gamma with a seed, a non-int seed, or a
-    non-finite y or z."""
-    check_tol(tol)
+    inclusive). Requires y_u + z_v >= 1 - DEFAULT_TOL on every edge, which
+    makes the output a cover for every gamma in [0, 1]. Without gamma, the
+    threshold is seed's first _uniforms draw (seed 0 by default).
+    InputError for a gamma with a seed, a non-int seed, a non-finite y or
+    z, or a key of z that is no online vertex."""
     y = [float(v) for v in y]
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
     check_finite("y", enumerate(y))
     check_finite("z", z.items())
+    for vid in z:
+        if vid not in instance.masks:
+            raise InputError(f"z[{vid}]: no such online vertex")
     for u, vid in instance.edges():
-        if y[u] + z.get(vid, 0.0) < 1.0 - tol:
+        if y[u] + z.get(vid, 0.0) < 1.0 - DEFAULT_TOL:
             raise PreconditionError(
                 f"edge ({u}, {vid}) is uncovered: y={y[u]}, z={z.get(vid, 0.0)}")
     if gamma is None:

@@ -27,10 +27,10 @@ from .algorithms import (
     run_algorithm,
     save_trace,
 )
-from .constants import DEFAULT_TOL
 from .errors import InputError, ParseError
 from .instances import (
     ArrivalModel,
+    check_size,
     gen_random,
     gen_upper_triangular,
     indented_json,
@@ -88,8 +88,10 @@ def parse_fn_spec(text: str, n: int) -> SubmodularFn:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Comma list with ranges: '0,2,5-8' -> [0, 2, 5, 6, 7, 8]."""
-    seeds: list[int] = []
+    """Comma list with ranges: '0,2,5-8' -> [0, 2, 5, 6, 7, 8]. SizeError,
+    before the list is built, when it would hold more than
+    INSTANCE_SIZE_LIMIT seeds."""
+    ranges: list[tuple[int, int]] = []
     try:
         for piece in text.split(","):
             piece = piece.strip()
@@ -100,14 +102,15 @@ def parse_seeds(text: str) -> list[int]:
                 a, b = int(lo), int(hi)
                 if b < a:
                     raise ParseError(f"empty seed range {piece!r}")
-                seeds.extend(range(a, b + 1))
             else:
-                seeds.append(int(piece))
+                a = b = int(piece)
+            ranges.append((a, b))
     except ValueError as exc:
         raise ParseError(f"bad --seeds value {text!r}: {exc}") from exc
-    if not seeds:
+    if not ranges:
         raise ParseError("no seeds given")
-    return seeds
+    check_size("seeds", sum(b - a + 1 for a, b in ranges))
+    return [seed for a, b in ranges for seed in range(a, b + 1)]
 
 
 def _ratio(algorithm: str, primal: float, dual: float, opt: float) -> float:
@@ -192,7 +195,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     inst, trace = load(args.instance), load_trace(args.trace)
-    checks = check_run(trace, inst, args.tol)
+    checks = check_run(trace, inst)
     ok = all(c[1] for c in checks)
     if args.json:
         print(json.dumps({"ok": ok, "checks": [
@@ -212,7 +215,7 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     inst, trace = load(args.instance), load_trace(args.trace)
-    rep = audit_charging(trace, inst, tol=args.tol)
+    rep = audit_charging(trace, inst)
     if args.json:
         print(json.dumps(rep.to_dict(), indent=2))
         return 0 if rep.ok else 1
@@ -308,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "duality, and competitive bounds")
     p.add_argument("trace", help="trace JSON path")
     p.add_argument("--instance", required=True, help="instance JSON path")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_verify)
 
@@ -316,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "waterfilling trace")
     p.add_argument("trace", help="trace JSON path")
     p.add_argument("--instance", required=True, help="instance JSON path")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_audit)
 

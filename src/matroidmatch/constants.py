@@ -16,7 +16,7 @@ ALPHA = 1.0 / (math.e - 1.0)
 ONE_PLUS_ALPHA = 1.0 + ALPHA
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
-# Default absolute tolerance for float comparisons at desk scale.
+# Every check's absolute tolerance for float comparisons at desk scale.
 DEFAULT_TOL = 1e-9
 
 # Boundary snapping distance for bar-chart splits and water levels.

@@ -36,12 +36,6 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
-def check_tol(tol: float):
-    """InputError unless tol is a finite number >= 0 (NaN refused)."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InputError(f"tolerance must be finite and >= 0, got {tol!r}")
-
-
 def check_finite(name: str, items):
     """InputError naming the first (key, value) of items whose value is NaN
     or infinite; a tuple key is written k1,k2."""

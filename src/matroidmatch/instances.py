@@ -285,7 +285,7 @@ def gen_upper_triangular(n: int) -> Instance:
 
 
 def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
-               seed: int = 0, name: str | None = None) -> Instance:
+               seed: int = 0) -> Instance:
     """G(n, m, p) bipartite: each (u, v) edge present independently with
     probability p, decided by a per-online-vertex SplitMix64 stream (see
     _edge_rows). SizeError at the first arrival whose running edge count
@@ -307,9 +307,7 @@ def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
         edges += len(nbrs)
         check_size("edges", edges)
         arrivals.append(Arrival(j, tuple(nbrs)))
-    if name is None:
-        name = f"random-n{n}-m{m}-p{p:g}-s{seed}-{f.family}"
-    return Instance(name, n, f, arrivals)
+    return Instance(f"random-n{n}-m{m}-p{p:g}-s{seed}-{f.family}", n, f, arrivals)
 
 
 def random_coverage_table(n: int, seed: int, universe: int | None = None) -> ExplicitTable:

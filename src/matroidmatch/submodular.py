@@ -433,9 +433,9 @@ class AxiomReport:
         return self.nonnegative and self.monotone and self.submodular
 
 
-def verify_axioms(f: SubmodularFn, tol: float = DEFAULT_TOL) -> AxiomReport:
+def verify_axioms(f: SubmodularFn) -> AxiomReport:
     """Check nonnegativity, monotonicity, and submodularity over all 2^n
-    subsets (n <= 16, SizeError above).
+    subsets (n <= 16, SizeError above), each up to DEFAULT_TOL.
 
     It relies on the local characterizations: monotone iff every
     single-element marginal is nonnegative, submodular iff
@@ -443,16 +443,16 @@ def verify_axioms(f: SubmodularFn, tol: float = DEFAULT_TOL) -> AxiomReport:
     S. Both yield witnesses of the documented (A, B, e) shape with
     B = A + b, e = a.
     """
-    return _exhaustive_axioms(f.values_for_masks(all_masks(f.ground.size)), tol)
+    return _exhaustive_axioms(f.values_for_masks(all_masks(f.ground.size)))
 
 
-def _exhaustive_axioms(vals: np.ndarray, tol: float) -> AxiomReport:
+def _exhaustive_axioms(vals: np.ndarray) -> AxiomReport:
     """verify_axioms on the values of f at all_masks(n)."""
     n = len(vals).bit_length() - 1
     masks = all_masks(n)
     nonneg = True
     negative_witness = None
-    bad = np.nonzero(vals < -tol)[0]
+    bad = np.nonzero(vals < -DEFAULT_TOL)[0]
     if bad.size:
         nonneg = False
         negative_witness = frozenset(mask_members(int(bad[0])))
@@ -463,7 +463,7 @@ def _exhaustive_axioms(vals: np.ndarray, tol: float) -> AxiomReport:
         if not monotone:
             break
         absent = masks[((masks >> u) & 1) == 0]
-        viol = np.nonzero(vals[absent | (1 << u)] < vals[absent] - tol)[0]
+        viol = np.nonzero(vals[absent | (1 << u)] < vals[absent] - DEFAULT_TOL)[0]
         if viol.size:
             monotone = False
             m = int(absent[viol[0]])
@@ -478,7 +478,7 @@ def _exhaustive_axioms(vals: np.ndarray, tol: float) -> AxiomReport:
             absent = masks[(((masks >> a) & 1) == 0) & (((masks >> b) & 1) == 0)]
             lhs = vals[absent | (1 << a)] + vals[absent | (1 << b)]
             rhs = vals[absent | (1 << a) | (1 << b)] + vals[absent]
-            viol = np.nonzero(lhs < rhs - tol)[0]
+            viol = np.nonzero(lhs < rhs - DEFAULT_TOL)[0]
             if viol.size:
                 submod = False
                 m = int(absent[viol[0]])
@@ -535,51 +535,49 @@ def is_matroid_rank(f: SubmodularFn) -> bool:
     """
     if f._matroid_rank is not None:
         return f._matroid_rank
-    tol = DEFAULT_TOL
     form = f.laminar_form()
     if form is not None:
-        f._matroid_rank = _laminar_matroid(*form, tol)
+        f._matroid_rank = _laminar_matroid(*form)
         return f._matroid_rank
     n = f.ground.size
     masks = all_masks(n)
     vals = f.values_for_masks(masks)
-    ok = abs(vals[0]) <= tol
-    ok = ok and bool(np.all(np.abs(vals - np.round(vals)) <= tol))
+    ok = abs(vals[0]) <= DEFAULT_TOL
+    ok = ok and bool(np.all(np.abs(vals - np.round(vals)) <= DEFAULT_TOL))
     if ok:
         for u in range(n):
             absent = masks[((masks >> u) & 1) == 0]
             diff = vals[absent | (1 << u)] - vals[absent]
-            if not np.all((np.abs(diff) <= tol) | (np.abs(diff - 1.0) <= tol)):
+            if not np.all((np.abs(diff) <= DEFAULT_TOL) | (np.abs(diff - 1.0) <= DEFAULT_TOL)):
                 ok = False
                 break
-    ok = ok and _exhaustive_axioms(vals, tol).ok
+    ok = ok and _exhaustive_axioms(vals).ok
     f._matroid_rank = ok
     return ok
 
 
-def _laminar_matroid(weights: list[float], groups: list[tuple[tuple[int, ...], float]],
-                     tol: float) -> bool:
+def _laminar_matroid(weights: list[float], groups: list[tuple[tuple[int, ...], float]]) -> bool:
     """is_matroid_rank's answer for a laminar form, in O(n log n).
 
     A laminar form is monotone submodular with f(empty) = 0, so only the
     integer values and the 0/1 marginals are in question. In a group f is
     min(c(T), cap), where a weight above the cap acts as the cap, so take
     w = min(weight, cap): each w is a marginal at T = empty and must be
-    within tol of 0 ("small") or 1 ("unit"). The sums of the subsets with
-    j units fill a short interval, from the j lightest units to the j
-    heaviest plus every small one, and f is monotone in the sum, so the
-    two ends carry every extreme:
+    within DEFAULT_TOL of 0 ("small") or 1 ("unit"). The sums of the
+    subsets with j units fill a short interval, from the j lightest units
+    to the j heaviest plus every small one, and f is monotone in the sum,
+    so the two ends carry every extreme:
     - a unit's marginal at sum s is neither near 0 nor near 1 exactly when
-      cap - 1 + tol < s < cap - tol, and only j < (number of units)
-      leaves a unit out of the subset;
+      cap - 1 + DEFAULT_TOL < s < cap - DEFAULT_TOL, and only
+      j < (number of units) leaves a unit out of the subset;
     - the groups' values add up, and so do their largest errors above and
-      below an integer, which must each stay within tol.
+      below an integer, which must each stay within DEFAULT_TOL.
     """
     above = below = 0.0
     for members, cap in groups:
         ws = [min(weights[u], cap) for u in members]
-        small = [w for w in ws if w <= tol]
-        units = sorted(w for w in ws if w > tol and abs(w - 1.0) <= tol)
+        small = [w for w in ws if w <= DEFAULT_TOL]
+        units = sorted(w for w in ws if w > DEFAULT_TOL and abs(w - 1.0) <= DEFAULT_TOL)
         if len(small) + len(units) != len(ws):
             return False
         light, heavy = 0.0, sum(small)
@@ -589,14 +587,14 @@ def _laminar_matroid(weights: list[float], groups: list[tuple[tuple[int, ...], f
                 light += units[j - 1]
                 heavy += units[-j]
             for s in (light, heavy):
-                if j < len(units) and cap - 1.0 + tol < s < cap - tol:
+                if j < len(units) and cap - 1.0 + DEFAULT_TOL < s < cap - DEFAULT_TOL:
                     return False
                 v = min(s, cap)
                 err = v - round(v)
                 err_hi, err_lo = max(err_hi, err), max(err_lo, -err)
         above += err_hi
         below += err_lo
-    return above <= tol and below <= tol
+    return above <= DEFAULT_TOL and below <= DEFAULT_TOL
 
 
 def span_mask(f: SubmodularFn, mask: int) -> int:

@@ -35,7 +35,7 @@ from .constants import (
     charge_integral,
     charge_potential,
 )
-from .errors import InputError, InvariantError, check_finite, check_int, check_tol
+from .errors import InputError, InvariantError, check_finite, check_int
 from .instances import Instance, by_timestamp, check_size, stamp_orders
 from .submodular import (
     SubmodularFn,
@@ -229,15 +229,15 @@ class CheckReport(_Report):
     details: dict = field(default_factory=dict)
 
 
-def check_matching(x: dict[tuple[int, int], float], instance: Instance,
-                   tol: float = DEFAULT_TOL) -> CheckReport:
+def check_matching(x: dict[tuple[int, int], float], instance: Instance) -> CheckReport:
     """Feasibility of a fractional matching: x >= 0, unit online mass, and
     offline mass within the budget polytope (x(S) <= f(S) for all S).
 
     The polytope test is exact in closed form for budgets with a laminar
     form (any n) and exhaustive for the others (all_masks: n <= 16,
-    SizeError above). InputError for a non-finite x or tol, or a tol < 0."""
-    check_tol(tol)
+    SizeError above). Ids that are numpy ints are taken as ints; any other
+    id that is not an int (bools included) is no such vertex pair.
+    InputError for a non-finite x."""
     check_finite("x", x.items())
     n = instance.n_offline
     f = instance.f
@@ -245,24 +245,25 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
     report = CheckReport(ok=True)
     x_u = [0.0] * n
     x_v: dict[int, float] = {}
-    for (u, vid), val in x.items():
-        if not (0 <= u < n) or vid not in masks:
-            report.violations.append(f"x[{u},{vid}]: no such vertex pair")
+    for (key_u, key_v), val in x.items():
+        u, vid = _vertex_id(key_u), _vertex_id(key_v)
+        if u is None or vid is None or not 0 <= u < n or vid not in masks:
+            report.violations.append(f"x[{key_u},{key_v}]: no such vertex pair")
             continue
         if not (masks[vid] >> u) & 1:
             report.violations.append(f"x[{u},{vid}]: not an edge")
-        if val < -tol:
+        if val < -DEFAULT_TOL:
             report.violations.append(f"x[{u},{vid}] = {val} < 0")
         x_u[u] += val
         x_v[vid] = x_v.get(vid, 0.0) + val
     for vid, tot in sorted(x_v.items()):
-        if tot > 1.0 + tol:
+        if tot > 1.0 + DEFAULT_TOL:
             report.violations.append(f"online mass at v={vid} is {tot} > 1")
 
     form = f.laminar_form()
     if form is not None:
         excess, smask = _laminar_excess(x_u, *form)
-        if excess > tol:
+        if excess > DEFAULT_TOL:
             load = sum(x_u[u] for u in mask_members(smask))
             report.violations.append(
                 f"offline mass {load:.12g} exceeds budget f(S) = {f.value_mask(smask):.12g} "
@@ -274,7 +275,7 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
         for u in range(n):
             load = np.concatenate([load, load + x_u[u]])
         fvals = f.values_for_masks(masks)
-        bad = np.nonzero(load > fvals + tol)[0]
+        bad = np.nonzero(load > fvals + DEFAULT_TOL)[0]
         if bad.size:
             m = int(bad[0])
             report.violations.append(
@@ -285,6 +286,13 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance,
     report.details["total"] = sum(x.values())
     report.ok = not report.violations
     return report
+
+
+def _vertex_id(key) -> int | None:
+    """key as an int when it is an int or a numpy int (bools excluded), else None."""
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+        return None
+    return int(key)
 
 
 def _laminar_excess(x_u: list[float], weights: list[float],
@@ -326,20 +334,19 @@ def round_increments(trace: RunTrace) -> list[tuple[float, float]]:
             for rec in trace.rounds]
 
 
-def check_cover(y, z: dict[int, float], instance: Instance,
-                tol: float = DEFAULT_TOL) -> CheckReport:
-    """Fractional cover feasibility: y_u + z_v >= 1 on every edge. InputError
-    for a y of another length than n_offline, a non-finite y, z or tol, or a
-    tol < 0."""
-    check_tol(tol)
+def check_cover(y, z: dict[int, float], instance: Instance) -> CheckReport:
+    """Fractional cover feasibility: y_u + z_v >= 1 on every edge, and every
+    key of z an online vertex. InputError for a y of another length than
+    n_offline or a non-finite y or z."""
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
     check_finite("y", enumerate(y))
     check_finite("z", z.items())
-    report = CheckReport(ok=True)
+    report = CheckReport(ok=True, violations=[f"z[{vid}]: no such online vertex"
+                                              for vid in z if vid not in instance.masks])
     for u, vid in instance.edges():
         have = y[u] + z.get(vid, 0.0)
-        if have < 1.0 - tol:
+        if have < 1.0 - DEFAULT_TOL:
             report.violations.append(
                 f"edge ({u}, {vid}) uncovered: y + z = {have:.12g} < 1")
     report.ok = not report.violations
@@ -387,16 +394,14 @@ def check_pair(trace: RunTrace, instance: Instance):
             f"got {instance.name!r} (n={instance.n_offline})")
 
 
-def check_run(trace: RunTrace, instance: Instance,
-              tol: float = DEFAULT_TOL) -> list[tuple[str, bool, str]]:
+def check_run(trace: RunTrace, instance: Instance) -> list[tuple[str, bool, str]]:
     """Every check of a saved run, in order, as (name, ok, detail): the
     replay (greedy-ra at the trace's own timestamps), the stored dual, then
     feasibility and the competitive bound, with the stored primal, weak
-    duality and mobm-pd's per-round identity for matching runs. InputError
-    when check_pair refuses the pair or tol is not finite and >= 0.
+    duality and mobm-pd's per-round identity for matching runs, each at
+    DEFAULT_TOL. InputError when check_pair refuses the pair.
     """
     check_pair(trace, instance)
-    check_tol(tol)
     checks: list[tuple[str, bool, str]] = []
     alg = trace.algorithm
 
@@ -405,46 +410,46 @@ def check_run(trace: RunTrace, instance: Instance,
             instance, timestamps={rec.v: rec.t for rec in trace.rounds})
     else:
         replay = run_algorithm(alg, instance)
-    diff = None if trace == replay else _first_difference(trace, replay, tol)
+    diff = None if trace == replay else _first_difference(trace, replay)
     checks.append(("replay-match", diff is None, diff or ""))
 
     y, z, x = trace.state.y, trace.state.z, trace.state.x
     dual_direct = lovasz(instance.f, y) + sum(z.values())
-    checks.append(("dual-consistent", abs(dual_direct - trace.dual_value) <= tol,
+    checks.append(("dual-consistent", abs(dual_direct - trace.dual_value) <= DEFAULT_TOL,
                    f"lovasz + sum z = {dual_direct:.12g} vs stored {trace.dual_value:.12g}"))
 
     opt = offline_opt(instance).value
     if alg in COVER_ALGORITHMS:
-        rep = check_cover(y, z, instance, tol=tol)
+        rep = check_cover(y, z, instance)
         checks.append(("cover-feasible", rep.ok, "; ".join(rep.violations[:3])))
-        bound = (ONE_PLUS_ALPHA + 1e-6) * opt + tol
+        bound = (ONE_PLUS_ALPHA + 1e-6) * opt + DEFAULT_TOL
         checks.append(("competitive", trace.dual_value <= bound,
                        f"cost {trace.dual_value:.12g} vs (1+a)*opt = "
                        f"{ONE_PLUS_ALPHA * opt:.12g}"))
         return checks
-    rep = check_matching(x, instance, tol=tol)
+    rep = check_matching(x, instance)
     checks.append(("matching-feasible", rep.ok, "; ".join(rep.violations[:3])))
     primal_direct = sum(x.values())
-    checks.append(("primal-consistent", abs(primal_direct - trace.primal_value) <= tol,
+    checks.append(("primal-consistent", abs(primal_direct - trace.primal_value) <= DEFAULT_TOL,
                    f"sum x = {primal_direct:.12g} vs stored {trace.primal_value:.12g}"))
-    checks.append(("weak-duality", trace.primal_value <= trace.dual_value + tol,
+    checks.append(("weak-duality", trace.primal_value <= trace.dual_value + DEFAULT_TOL,
                    f"primal {trace.primal_value:.12g} vs dual {trace.dual_value:.12g}"))
     if alg == "mobm-pd":
         worst = 0.0
         for dP, dD in round_increments(trace):
             worst = max(worst, abs(dD - ONE_PLUS_ALPHA * dP) / max(1.0, abs(dD)))
-        checks.append(("pd-rounds", worst <= tol,
+        checks.append(("pd-rounds", worst <= DEFAULT_TOL,
                        f"max |dD - (1+a) dP| relative gap {worst:.3g}"))
-        bound = (ONE_MINUS_INV_E - 1e-6) * opt - tol
+        bound = (ONE_MINUS_INV_E - 1e-6) * opt - DEFAULT_TOL
         checks.append(("competitive", trace.primal_value >= bound,
                        f"value {trace.primal_value:.12g} vs (1-1/e)*opt = "
                        f"{ONE_MINUS_INV_E * opt:.12g}"))
     return checks
 
 
-def _first_difference(stored, replayed, tol: float, path: str = "") -> str | None:
+def _first_difference(stored, replayed, path: str = "") -> str | None:
     """The first field, in the trace's own order, where a stored trace and
-    its replay differ (floats by more than tol, anything else at all), named
+    its replay differ (floats by more than DEFAULT_TOL, anything else at all), named
     by its path and both values; None when there is none."""
     if is_dataclass(stored):
         pairs = [(f.name, getattr(stored, f.name), getattr(replayed, f.name))
@@ -464,13 +469,13 @@ def _first_difference(stored, replayed, tol: float, path: str = "") -> str | Non
             return f"{path} has {len(stored)} entries, replayed {len(replayed)}"
         pairs = [(f"[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, replayed))]
     elif isinstance(stored, float) or isinstance(replayed, float):  # a sum over nothing is int 0
-        if abs(stored - replayed) <= tol:
+        if abs(stored - replayed) <= DEFAULT_TOL:
             return None
         return f"{path} = {stored:.12g} != replayed {replayed:.12g}"
     else:
         return None if stored == replayed else f"{path} = {stored!r} != replayed {replayed!r}"
     for name, a, b in pairs:
-        diff = _first_difference(a, b, tol, path + name)
+        diff = _first_difference(a, b, path + name)
         if diff is not None:
             return diff
     return None
@@ -504,8 +509,7 @@ class AuditReport(_Report):
     offline_opt: float
 
 
-def audit_charging(trace: RunTrace, instance: Instance,
-                   tol: float = DEFAULT_TOL) -> AuditReport:
+def audit_charging(trace: RunTrace, instance: Instance) -> AuditReport:
     """Audit the charging argument behind the (1 + ALPHA) cover guarantee.
 
     Per round with online vertex outside the optimal cover, the new chart
@@ -518,12 +522,12 @@ def audit_charging(trace: RunTrace, instance: Instance,
     sum over raised u of F(a) - F(old y_u) >= 1 - a is checked as well,
     F being the charge antiderivative.
 
-    The optimal cover is offline_opt(instance), computed only after the
-    inputs pass: InputError when the trace is not a run on instance
-    (check_pair), tol is not finite and >= 0, or the trace is greedy-ra's.
+    Each inequality is checked at DEFAULT_TOL. The optimal cover is
+    offline_opt(instance), computed only after the inputs pass: InputError
+    when the trace is not a run on instance (check_pair) or the trace is
+    greedy-ra's.
     """
     check_pair(trace, instance)
-    check_tol(tol)
     if trace.algorithm not in ("obvc", "mobvc", "mobm-pd"):
         raise InputError(f"charging audit applies to waterfilling traces, "
                          f"not {trace.algorithm!r}")
@@ -536,11 +540,11 @@ def audit_charging(trace: RunTrace, instance: Instance,
         charge = charge_integral(rec.regions)
         required = 1.0 - rec.a
         in_cover = rec.v in cert.cover_online
-        round_ok = charge >= required - tol
+        round_ok = charge >= required - DEFAULT_TOL
         pervertex = None
         if trace.algorithm == "obvc":
             pervertex = sum(charge_potential(rec.a) - charge_potential(y_old[u]) for u in rec.X)
-            round_ok = round_ok and pervertex >= required - tol
+            round_ok = round_ok and pervertex >= required - DEFAULT_TOL
         if not in_cover:
             total += charge
         ok = ok and round_ok
@@ -548,7 +552,7 @@ def audit_charging(trace: RunTrace, instance: Instance,
         for u in rec.X:
             y_old[u] = rec.a
     budget = ALPHA * instance.f.value(cert.argmin_offline)
-    global_ok = total <= budget + tol
+    global_ok = total <= budget + DEFAULT_TOL
     return AuditReport(rounds_out, total, budget, global_ok, ok and global_ok, cert.value)
 
 
@@ -649,7 +653,7 @@ class RandomArrivalReport(_Report):
 
 
 def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
-                                 seed: int = 0, tol: float = DEFAULT_TOL) -> RandomArrivalReport:
+                                 seed: int = 0) -> RandomArrivalReport:
     """Monte-Carlo check of the three structural lemmas behind the greedy
     guarantee, against independently drawn timestamp profiles.
 
@@ -674,12 +678,11 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     then round as a per-trial loop's do, where the F-order array that the
     fancy indexing returns would move some of them by an ulp. InputError
     for a trials or seed that is not an int (bools included), fewer than
-    2 trials, a negative seed or a bad tol; SizeError when trials x max(m,
-    live edges) exceeds INSTANCE_SIZE_LIMIT; all before anything is drawn.
+    2 trials or a negative seed; SizeError when trials x max(m, live edges)
+    exceeds INSTANCE_SIZE_LIMIT; all before anything is drawn.
     """
     check_int("trials", trials)
     check_int("seed", seed)
-    check_tol(tol)
     if trials < 2:
         raise InputError("need at least 2 trials")
     if seed < 0:
@@ -738,7 +741,7 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
         means = samples.mean(axis=0)
         stderrs = np.sqrt(samples.var(axis=0) / trials)
         for j, (u, v) in enumerate(live_edges):
-            ok = means[j] >= 1.0 - 3.0 * stderrs[j] - tol
+            ok = means[j] >= 1.0 - 3.0 * stderrs[j] - DEFAULT_TOL
             feas_ok = feas_ok and bool(ok)
             edge_reports.append(EdgeFeasibility(u, ids[v], float(means[j]),
                                                 float(stderrs[j]), bool(ok)))
@@ -751,7 +754,7 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
         dominance_checked=dom_checked,
         dominance_violations=dom_violations,
         monotonicity_min_slack=mono_min_slack,
-        monotonicity_ok=mono_min_slack >= -tol,
+        monotonicity_ok=mono_min_slack >= -DEFAULT_TOL,
         edges=edge_reports,
         feasibility_ok=feas_ok,
         skipped_rank_zero_edges=len(edges) - len(live_edges),

@@ -122,7 +122,7 @@ def make_suite(count: int = 200, n_max: int = 12, m_max: int = 12,
         else:
             f = random_coverage_table(min(n, 8), s)
             n = f.ground.size
-        inst = gen_random(n, m, p, f, seed=s, name=None)
+        inst = gen_random(n, m, p, f, seed=s)
         inst.name = f"suite-{len(suite):03d}-{inst.name}"
         suite.append(inst)
         i += 1

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matroidmatch
 from matroidmatch import cli, verify
 from matroidmatch.algorithms import load_trace, run_mobvc, run_random_arrival_greedy, save_trace
 from matroidmatch.cli import main, parse_fn_spec, parse_seeds
 from matroidmatch.constants import ONE_PLUS_ALPHA
-from matroidmatch.errors import ParseError
-from matroidmatch.instances import Arrival, Instance, gen_random, load, save
+from matroidmatch.errors import ParseError, SizeError
+from matroidmatch.instances import INSTANCE_SIZE_LIMIT, Arrival, Instance, gen_random, load, save
 from matroidmatch.submodular import Cardinality, GroundSet, PartitionBudget, WeightedThreshold
 
 
@@ -147,6 +149,20 @@ class TestFlagParsers:
             parse_seeds("8-5")
         with pytest.raises(ParseError):
             parse_seeds(",")
+
+    @pytest.mark.parametrize("text", [f"0-{INSTANCE_SIZE_LIMIT}",
+                                      f"7,0-{INSTANCE_SIZE_LIMIT - 1}"])
+    def test_seed_count_limited(self, capsys, text):
+        # the pieces' counts add up before any list is built, which a huge
+        # range used to run out of memory on
+        message = f"seeds = {INSTANCE_SIZE_LIMIT + 1} exceeds the instance size limit"
+        with pytest.raises(SizeError, match=message):
+            parse_seeds(text)
+        capsys.readouterr()
+        assert main(["sweep", "--n", "3", "--m", "2", "--seeds", text,
+                     "--algorithms", "obvc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 class TestRun:
@@ -287,17 +303,6 @@ class TestVerify:
         assert captured.err == (f"error: trace is for instance {load(ipath).name!r} (n=5), "
                                 f"got 'triangular-4' (n=4)\n")
 
-    @pytest.mark.parametrize("command", ["verify", "audit"])
-    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
-    def test_bad_tolerance_refused(self, tmp_path, capsys, command, tol):
-        # inf passed every check, nan failed equal values, -1 failed correct runs
-        ipath, tpath = self.make_pair(tmp_path)
-        capsys.readouterr()
-        assert main([command, tpath, "--instance", ipath, "--tol", tol]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "tolerance must be finite and >= 0" in captured.err
-
     def test_json_report(self, tmp_path, capsys):
         ipath, tpath = self.make_pair(tmp_path)
         capsys.readouterr()  # drop the run line make_pair printed
@@ -330,8 +335,9 @@ class TestVerify:
     def test_difference_within_tol_passes(self, tmp_path, capsys):
         ipath, tpath, i = self.corrupt_round(tmp_path, 1e-12)
         assert main(["verify", tpath, "--instance", ipath]) == 0
+        ipath, tpath, i = self.corrupt_round(tmp_path, 1e-8)  # above DEFAULT_TOL
         capsys.readouterr()
-        assert main(["verify", tpath, "--instance", ipath, "--tol", "1e-13"]) == 1
+        assert main(["verify", tpath, "--instance", ipath]) == 1
         assert f"FAIL replay-match: rounds[{i}].regions[0]" in capsys.readouterr().out
 
     def test_missing_dual_named(self, tmp_path, capsys):
@@ -362,7 +368,7 @@ class TestAudit:
         assert main(["audit", str(tpath), "--instance", ipath]) == 2
 
     def test_refused_before_the_min_cut(self, tmp_path, capsys, monkeypatch):
-        # a mismatched trace, a bad --tol and a greedy-ra trace exit 2
+        # a mismatched trace and a greedy-ra trace exit 2
         # without paying for the offline optimum
         ipath, other = str(tmp_path / "i.json"), str(tmp_path / "other.json")
         vc, greedy = str(tmp_path / "vc.json"), str(tmp_path / "greedy.json")
@@ -374,8 +380,7 @@ class TestAudit:
         calls = []
         real = verify.offline_opt
         monkeypatch.setattr(verify, "offline_opt", lambda inst: calls.append(inst) or real(inst))
-        for argv in ([vc, "--instance", other], [vc, "--instance", ipath, "--tol", "nan"],
-                     [greedy, "--instance", ipath]):
+        for argv in ([vc, "--instance", other], [greedy, "--instance", ipath]):
             assert main(["audit"] + argv) == 2
         assert calls == []
         assert main(["audit", vc, "--instance", ipath]) == 0
@@ -618,8 +623,8 @@ class TestSharedParser:
         (): "b2d3ec81b2abd826567a11fef0fc5117d908da01259e6a0718e1c50553923933",
         ("generate",): "58536d219b6e3129a8529bd62e65c706bbdb74a69b2e3dba223e1c8155b55a1e",
         ("run",): "0eab045b1b4fded29d35a28041e5fd38b92a9f9b2fe2dc38fb1023ce24d25a51",
-        ("verify",): "d87fa8c0addc9a56777dada874215edf70f09afcee42a932fedffa9b13913b1c",
-        ("audit",): "59cba9f6863b423b88b1e4604fab2eb854d655e457614cccc4d81df435600d0d",
+        ("verify",): "7026f59e93f9af782d02a2fc5467d94ec4ab7546b51b28563bff3939584ce335",
+        ("audit",): "4c2571c32c8ae3470a683f98ed2a04263e5dd5ed20346fcaece7b9398b039a8c",
         ("sweep",): "399233a3464dd6e3d86dc0fe9b2384ce52ae817cced019535356ffbc8c532bac",
     }
 
@@ -691,3 +696,17 @@ class TestSharedParser:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0
         assert done.stdout == self.call(capsys, ["--help"])[1]
+
+
+def test_one_tolerance():
+    # every check compares against DEFAULT_TOL: no exported callable and no
+    # subcommand lets a caller pick another
+    exported = [getattr(matroidmatch, name) for name in matroidmatch.__all__]
+    takes_tol = [obj for obj in exported if callable(obj)
+                 and not (isinstance(obj, type) and issubclass(obj, Exception))
+                 and "tol" in inspect.signature(obj).parameters]
+    assert takes_tol == []
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [name for name, p in sub.choices.items()
+            if "--tol" in p._option_string_actions] == []
