@@ -545,31 +545,42 @@ def run_mobm_pd(instance: Instance) -> RunTrace:
 # Random-arrival greedy
 # ---------------------------------------------------------------------------
 
-def _greedy_core(f: SubmodularFn, ordered, m_mask: int = 0,
+def _greedy_core(f: SubmodularFn, masks: dict[int, int], ordered, m_mask: int = 0,
                  rejoin=None) -> list[tuple[int, float, int | None, int]]:
     """Run greedy over ordered (Arrival, t) pairs, starting from the matched
-    mask m_mask; shared by the public run and the lemma audit. One (vid, t,
+    mask m_mask; shared by the public run and the lemma audit. masks maps
+    each arrival's id to its neighbor mask (Instance.masks). One (vid, t,
     pick, newly-spanned mask) step per arrival, pick None when every
     neighbor was spanned.
+
+    The pick is the lowest set bit of the arrival's mask outside the span,
+    its lowest-id unspanned neighbor. Once the span is the whole ground set
+    no neighbor is outside it, so every later step is (vid, t, None, 0) and
+    the rest of ordered is not scanned.
 
     rejoin, when given, holds another run's span after each of the same
     arrivals, and the core stops at the first pick that brings its span to
     that one: the span alone fixes every later step of a matroid greedy.
     """
     steps: list[tuple[int, float, int | None, int]] = []
+    full = f.ground.full_mask
     span_now = span_mask(f, m_mask)
+    ordered = iter(ordered)
     for arr, t in ordered:
-        for u in arr.nbrs:
-            if not (span_now >> u) & 1:
-                m_mask |= 1 << u
-                new_span = span_mask(f, m_mask)
-                steps.append((arr.id, t, u, new_span & ~span_now))
-                span_now = new_span
-                if rejoin is not None and span_now == rejoin[len(steps) - 1]:
-                    return steps
-                break
-        else:
+        free = masks[arr.id] & ~span_now
+        if not free:
             steps.append((arr.id, t, None, 0))
+            continue
+        low = free & -free
+        m_mask |= low
+        new_span = span_mask(f, m_mask)
+        steps.append((arr.id, t, low.bit_length() - 1, new_span & ~span_now))
+        span_now = new_span
+        if rejoin is not None and span_now == rejoin[len(steps) - 1]:
+            return steps
+        if span_now == full:
+            break
+    steps.extend((arr.id, t, None, 0) for arr, t in ordered)
     return steps
 
 
@@ -590,11 +601,12 @@ def _greedy_duals(steps, n: int) -> tuple[list[float], dict[int, float]]:
     return y, z
 
 
-def _greedy_run(f: SubmodularFn, n: int, ordered):
+def _greedy_run(instance: Instance, ordered):
     """One greedy run over ordered: its steps, duals y and z, and its primal
     and dual values."""
-    steps = _greedy_core(f, ordered)
-    y, z = _greedy_duals(steps, n)
+    f = instance.f
+    steps = _greedy_core(f, instance.masks, ordered)
+    y, z = _greedy_duals(steps, instance.n_offline)
     return steps, y, z, float(len(z)), lovasz(f, y) + sum(z.values())
 
 
@@ -622,7 +634,7 @@ def run_random_arrival_greedy(instance: Instance,
     else:
         ordered = order_arrivals(instance, model or ArrivalModel())
     n = instance.n_offline
-    steps, y, z, primal, dual = _greedy_run(f, n, ordered)
+    steps, y, z, primal, dual = _greedy_run(instance, ordered)
     rounds = [GreedyRound(vid, t, mask_members(newly), pick) for vid, t, pick, newly in steps]
     x = {(rec.matched, rec.v): 1.0 for rec in rounds if rec.matched is not None}
     state = OnlineState(y=y, z=z, x=x, chart=None, matched=frozenset(u for u, _ in x))
@@ -637,10 +649,8 @@ def greedy_trials(instance: Instance, kind: str, seed: int,
     when trials is not an int >= 1 or seed not an int (bools included)."""
     check_int("trials", trials, 1)
     ArrivalModel(kind, seed)  # InputError for an unknown kind or a non-int seed
-    f = instance.f
-    _require_matroid(f)
-    n = instance.n_offline
-    return [_greedy_run(f, n, ordered)[3:]
+    _require_matroid(instance.f)
+    return [_greedy_run(instance, ordered)[3:]
             for ordered in arrival_orders(instance, kind, range(seed, seed + trials))]
 
 
@@ -672,15 +682,16 @@ def round_cover(instance: Instance, y, z: dict[int, float], gamma: float | None 
     makes the output a cover for every gamma in [0, 1]. Without gamma, the
     threshold is seed's first _uniforms draw (seed 0 by default).
     InputError for a gamma with a seed, a non-int seed, a non-finite y or
-    z, or a key of z that is no online vertex."""
+    z, or a key of z that is no online vertex (numpy ints are taken as
+    ints; no other non-int, bools included, is one)."""
     y = [float(v) for v in y]
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
     check_finite("y", enumerate(y))
     check_finite("z", z.items())
-    for vid in z:
-        if vid not in instance.masks:
-            raise InputError(f"z[{vid}]: no such online vertex")
+    for key in z:
+        if instance.online_id(key) is None:
+            raise InputError(f"z[{key}]: no such online vertex")
     for u, vid in instance.edges():
         if y[u] + z.get(vid, 0.0) < 1.0 - DEFAULT_TOL:
             raise PreconditionError(
@@ -692,5 +703,5 @@ def round_cover(instance: Instance, y, z: dict[int, float], gamma: float | None 
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma = {gamma} outside [0, 1]")
     S = frozenset(u for u in range(instance.n_offline) if y[u] >= gamma)
-    T = frozenset(vid for vid, zv in z.items() if zv >= 1.0 - gamma)
+    T = frozenset(int(vid) for vid, zv in z.items() if zv >= 1.0 - gamma)
     return S, T

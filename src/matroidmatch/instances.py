@@ -118,13 +118,24 @@ class Arrival:
         object.__setattr__(self, "nbrs", tuple(sorted(set(self.nbrs))))
 
 
-def _int_neighbors(arr: Arrival) -> Arrival:
-    """arr with its neighbors as ints; InputError for a neighbor that is
+def _vertex_id(key) -> int | None:
+    """key as an int when it is an int or a numpy int (bools excluded), else
+    None: the one rule by which arrival ids, neighbor lists and the keys of
+    x and z name vertices."""
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+        return None
+    return int(key)
+
+
+def _int_ids(arr: Arrival) -> Arrival:
+    """arr with its id and neighbors as ints; InputError for one that is
     neither an int nor a numpy int (bools included)."""
-    bad = [u for u in arr.nbrs if isinstance(u, bool) or not isinstance(u, (int, np.integer))]
+    if _vertex_id(arr.id) is None:
+        raise InputError(f"arrival id {arr.id!r} is not an int")
+    bad = [u for u in arr.nbrs if _vertex_id(u) is None]
     if bad:
         raise InputError(f"arrival {arr.id}: neighbor {bad[0]!r} is not an int")
-    return Arrival(arr.id, tuple(map(int, arr.nbrs)))
+    return Arrival(int(arr.id), tuple(map(int, arr.nbrs)))
 
 
 @dataclass
@@ -137,18 +148,20 @@ class Instance:
     masks: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """InputError when n_offline is not the budget's ground-set size, a
-        neighbor is not an int (bools included) or lies outside
-        0..n_offline-1, or two arrivals share an id. Neighbors that are
-        numpy ints are taken as ints."""
+        """InputError when n_offline is not the budget's ground-set size, an
+        arrival id or a neighbor is not an int (bools included), a neighbor
+        lies outside 0..n_offline-1, or two arrivals share an id. Ids and
+        neighbors that are numpy ints are taken as ints."""
         n = self.n_offline
         if n != self.f.ground.size:
             raise InputError(f"n_offline = {n} differs from the budget's ground set size "
                              f"{self.f.ground.size}")
-        # one column check of the neighbor types; the per-arrival pass runs
-        # only when it fails, to name the arrival or convert numpy ints
-        if not set(map(type, chain.from_iterable(arr.nbrs for arr in self.arrivals))) <= {int}:
-            self.arrivals = [_int_neighbors(arr) for arr in self.arrivals]
+        # one column check of the id and neighbor types; the per-arrival pass
+        # runs only when it fails, to name the arrival or convert numpy ints
+        ids = (arr.id for arr in self.arrivals)
+        nbrs = chain.from_iterable(arr.nbrs for arr in self.arrivals)
+        if not set(map(type, chain(ids, nbrs))) <= {int}:
+            self.arrivals = [_int_ids(arr) for arr in self.arrivals]
         masks = self.masks = {}
         for i, arr in enumerate(self.arrivals):
             if arr.nbrs and (arr.nbrs[0] < 0 or arr.nbrs[-1] >= n):
@@ -161,6 +174,12 @@ class Instance:
             for u in arr.nbrs:
                 mask |= 1 << u
             masks[arr.id] = mask
+
+    def online_id(self, key) -> int | None:
+        """key as an online id (by the _vertex_id rule), or None when it
+        names no online vertex."""
+        vid = _vertex_id(key)
+        return vid if vid in self.masks else None
 
     @property
     def ground(self) -> GroundSet:

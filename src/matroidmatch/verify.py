@@ -36,7 +36,7 @@ from .constants import (
     charge_potential,
 )
 from .errors import InputError, InvariantError, check_finite, check_int
-from .instances import Instance, by_timestamp, check_size, stamp_orders
+from .instances import Instance, _vertex_id, by_timestamp, check_size, stamp_orders
 from .submodular import (
     SubmodularFn,
     _check_potentials,
@@ -235,9 +235,9 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance) -> Check
 
     The polytope test is exact in closed form for budgets with a laminar
     form (any n) and exhaustive for the others (all_masks: n <= 16,
-    SizeError above). Ids that are numpy ints are taken as ints; any other
-    id that is not an int (bools included) is no such vertex pair.
-    InputError for a non-finite x."""
+    SizeError above). Ids that are numpy ints are taken as ints; a key that
+    is not a pair, or an id that is not an int (bools included), is no such
+    vertex pair. InputError for a non-finite x."""
     check_finite("x", x.items())
     n = instance.n_offline
     f = instance.f
@@ -245,10 +245,12 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance) -> Check
     report = CheckReport(ok=True)
     x_u = [0.0] * n
     x_v: dict[int, float] = {}
-    for (key_u, key_v), val in x.items():
-        u, vid = _vertex_id(key_u), _vertex_id(key_v)
-        if u is None or vid is None or not 0 <= u < n or vid not in masks:
-            report.violations.append(f"x[{key_u},{key_v}]: no such vertex pair")
+    for key, val in x.items():
+        pair = isinstance(key, tuple) and len(key) == 2
+        u, vid = (_vertex_id(key[0]), instance.online_id(key[1])) if pair else (None, None)
+        if u is None or vid is None or not 0 <= u < n:
+            where = f"{key[0]},{key[1]}" if pair else key
+            report.violations.append(f"x[{where}]: no such vertex pair")
             continue
         if not (masks[vid] >> u) & 1:
             report.violations.append(f"x[{u},{vid}]: not an edge")
@@ -286,13 +288,6 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance) -> Check
     report.details["total"] = sum(x.values())
     report.ok = not report.violations
     return report
-
-
-def _vertex_id(key) -> int | None:
-    """key as an int when it is an int or a numpy int (bools excluded), else None."""
-    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
-        return None
-    return int(key)
 
 
 def _laminar_excess(x_u: list[float], weights: list[float],
@@ -336,16 +331,24 @@ def round_increments(trace: RunTrace) -> list[tuple[float, float]]:
 
 def check_cover(y, z: dict[int, float], instance: Instance) -> CheckReport:
     """Fractional cover feasibility: y_u + z_v >= 1 on every edge, and every
-    key of z an online vertex. InputError for a y of another length than
-    n_offline or a non-finite y or z."""
+    key of z an online vertex (numpy ints taken as ints; any other key that
+    is not an int, bools included, names none and covers no edge).
+    InputError for a y of another length than n_offline or a non-finite y
+    or z."""
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
     check_finite("y", enumerate(y))
     check_finite("z", z.items())
-    report = CheckReport(ok=True, violations=[f"z[{vid}]: no such online vertex"
-                                              for vid in z if vid not in instance.masks])
+    report = CheckReport(ok=True)
+    online: dict[int, float] = {}
+    for key, val in z.items():
+        vid = instance.online_id(key)
+        if vid is None:
+            report.violations.append(f"z[{key}]: no such online vertex")
+        else:
+            online[vid] = val
     for u, vid in instance.edges():
-        have = y[u] + z.get(vid, 0.0)
+        have = y[u] + online.get(vid, 0.0)
         if have < 1.0 - DEFAULT_TOL:
             report.violations.append(
                 f"edge ({u}, {vid}) uncovered: y + z = {have:.12g} < 1")
@@ -581,13 +584,15 @@ def critical_value(instance: Instance, v: int, timestamps: dict[int, float]) -> 
     others = [a for a in instance.arrivals if a.id != v]
     if len(others) == len(instance.arrivals):
         raise InputError(f"no arrival with id {v}")
-    steps = _greedy_core(instance.f, by_timestamp(others, timestamps))
+    steps = _greedy_core(instance.f, instance.masks, by_timestamp(others, timestamps))
     return dict(enumerate(_spanned_row(steps, [1.0] * instance.n_offline)))
 
 
-def critical_times(f: SubmodularFn, ordered, steps) -> dict[int, list[float]]:
+def critical_times(f: SubmodularFn, masks: dict[int, int], ordered,
+                   steps) -> dict[int, list[float]]:
     """Every arrival's critical times from one greedy run: f is a matroid
-    rank and steps is _greedy_core(f, ordered). Arrival v maps to the row
+    rank, masks the arrivals' neighbor masks (Instance.masks) and steps is
+    _greedy_core(f, masks, ordered). Arrival v maps to the row
     of the run without v, element u's critical time at index u, as
     critical_value computes it (1.0 for an element never spanned).
 
@@ -613,7 +618,7 @@ def critical_times(f: SubmodularFn, ordered, steps) -> dict[int, list[float]]:
         if pick is None:
             out[vid] = full
             continue
-        replay = _greedy_core(f, ordered[p + 1:], m_mask, spans[p + 1:])
+        replay = _greedy_core(f, masks, ordered[p + 1:], m_mask, spans[p + 1:])
         # once rejoined, the replay spanned just what steps p.. of the full run did
         rejoined = len(replay) < len(steps) - p - 1
         out[vid] = _spanned_row(replay, list(full if rejoined else before))
@@ -709,13 +714,14 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
         stamps = rng.random((min(_LEMMA_BLOCK, trials - lo), m))
         ys, zs, rows, offsets = [], [], [], []
         for ordered in stamp_orders(arrivals, stamps):
-            steps = _greedy_core(f, ordered)
+            steps = _greedy_core(f, instance.masks, ordered)
             y, z = _greedy_duals(steps, n)
             value_sum += len(z)
             ys.append(y)
             zs.append([z.get(vid, 0.0) for vid in ids])
             at: dict[int, int] = {}  # id of a distinct row -> its index in rows
-            for row in map(critical_times(f, ordered, steps).__getitem__, ids):
+            crit = critical_times(f, instance.masks, ordered, steps)
+            for row in map(crit.__getitem__, ids):
                 if id(row) not in at:
                     at[id(row)] = len(rows)
                     rows.append(row)

@@ -212,7 +212,7 @@ def ref_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     for k, stamps in enumerate(draws):
         ts = dict(zip(ids, stamps))
         ordered = by_timestamp(instance.arrivals, ts)
-        steps = _greedy_core(f, ordered)
+        steps = _greedy_core(f, instance.masks, ordered)
         y, z = _greedy_duals(steps, n)
         value_sum += len(z)
         tcrit = {vid: critical_value(instance, vid, ts) for vid in ids}

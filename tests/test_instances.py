@@ -596,6 +596,20 @@ class TestInstanceBoundary:
             with pytest.raises(InputError, match="is not an int"):
                 run(Instance("x", 3, f, [Arrival(1, (0,)), Arrival(0, (nbr,))]))
 
+    @pytest.mark.parametrize("vid", [0.0, 1.5, True, np.bool_(False), "1", None],
+                             ids=["float", "half", "bool", "numpy-bool", "string", "null"])
+    def test_non_integer_arrival_id(self, vid):
+        # a run of such an instance wrote z keys that no check takes as online ids
+        with pytest.raises(InputError, match=re.escape(f"arrival id {vid!r} is not an int")):
+            Instance("x", 3, Cardinality(GroundSet(3)), [Arrival(1, (0,)), Arrival(vid, (2,))])
+
+    def test_numpy_int_arrival_ids_become_ints(self):
+        f = Cardinality(GroundSet(3))
+        inst = Instance("x", 3, f, [Arrival(np.int64(4), (0,)), Arrival(np.uint8(1), (1,))])
+        assert [a.id for a in inst.arrivals] == [4, 1]
+        assert all(type(a.id) is int for a in inst.arrivals)
+        assert list(inst.masks) == [4, 1]
+
     def test_numpy_int_neighbors_become_ints(self):
         f = Cardinality(GroundSet(3))
         inst = Instance("x", 3, f, [Arrival(0, (np.int64(2), np.uint8(0))), Arrival(1, (1,))])

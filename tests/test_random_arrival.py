@@ -184,7 +184,8 @@ class TestCriticalTimes:
     @staticmethod
     def check(inst, ts):
         ordered = by_timestamp(inst.arrivals, ts)
-        crit = critical_times(inst.f, ordered, _greedy_core(inst.f, ordered))
+        crit = critical_times(inst.f, inst.masks, ordered,
+                              _greedy_core(inst.f, inst.masks, ordered))
         assert sorted(crit) == sorted(ts)
         for a in inst.arrivals:
             assert dict(enumerate(crit[a.id])) == critical_value(inst, a.id, ts)
@@ -210,6 +211,108 @@ class TestCriticalTimes:
         assert crit[1] is crit[2] is crit[4] is crit[5]
         assert crit[0] == [0.5, 0.5, 0.75, 0.75, 1.0]
         assert crit[3] == [0.25, 0.25, 0.875, 0.875, 1.0]
+
+
+@st.composite
+def wide_matroid_instances(draw):
+    """A UniformRank or PartitionBudget budget on 62 to 65 elements, and
+    neighbour lists drawn half from the top three ids, so that picks land
+    on mask bits 61 to 64, past a 64-bit word."""
+    n = draw(st.sampled_from([62, 63, 64, 65]))
+    g = GroundSet(n)
+    if draw(st.booleans()):
+        f = UniformRank(g, draw(st.integers(0, 4)))
+    else:
+        ids = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [b for b in ([u for u in range(n) if ids[u] == k] for k in range(3)) if b]
+        caps = draw(st.lists(st.integers(0, 2), min_size=len(blocks), max_size=len(blocks)))
+        f = PartitionBudget(g, blocks, caps)
+    nbr = st.integers(n - 3, n - 1) | st.integers(0, n - 1)
+    vids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True))
+    arrivals = [Arrival(vid, tuple(draw(st.lists(nbr, max_size=4)))) for vid in vids]
+    return Instance("wide", n, f, arrivals)
+
+
+class TestPastSixtyFourBits:
+    """The greedy picks by the lowest set bit of a neighbour mask; masks of
+    62 to 65 elements straddle the 64-bit word."""
+
+    @staticmethod
+    def check(inst, ts):
+        assert trace_json(run_random_arrival_greedy(inst, timestamps=ts)) \
+            == trace_json(ref_run(inst, ts))
+        TestCriticalTimes.check(inst, ts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=wide_matroid_instances(), data=st.data())
+    def test_matches_reference(self, inst, data):
+        self.check(inst, {a.id: data.draw(stamps) for a in inst.arrivals})
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 65])
+    def test_picks_on_the_top_bits(self, n):
+        inst = Instance("top", n, UniformRank(GroundSet(n), 3), [
+            Arrival(0, (n - 3,)), Arrival(1, (n - 1, n - 2)), Arrival(2, (n - 3, n - 1)),
+            Arrival(3, (n - 1,))])
+        ts = {0: 0.125, 1: 0.25, 2: 0.375, 3: 0.5}
+        trace = run_random_arrival_greedy(inst, timestamps=ts)
+        assert [rec.matched for rec in trace.rounds] == [n - 3, n - 2, n - 1, None]
+        self.check(inst, ts)
+
+
+class _Lookups(dict):
+    """A dict that records the keys it is indexed by."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.seen = []
+
+    def __getitem__(self, key):
+        self.seen.append(key)
+        return super().__getitem__(key)
+
+
+class TestFullSpanStop:
+    """Once the span is the whole ground set, _greedy_core gives every later
+    arrival (vid, t, None, 0) without reading its mask or spanning."""
+
+    CASES = {
+        # the first pick, at step 1, spans all four elements
+        "uniform-rank-1": (UniformRank(GroundSet(4), 1), 1, [
+            Arrival(0, ()), Arrival(1, (3, 2)), Arrival(2, (0,)), Arrival(3, (1, 3))]),
+        # element 4 has rank zero, so it is spanned from the start and
+        # the pick of 3 at step 3 fills the span
+        "partition-rank-zero": (PartitionBudget(GroundSet(5), [[0, 1], [2, 3], [4]],
+                                                [1, 1, 0]), 3, [
+            Arrival(0, (4,)), Arrival(1, (1,)), Arrival(2, (0, 4)), Arrival(3, (3,)),
+            Arrival(4, (2,)), Arrival(5, (0, 1, 2, 3, 4))]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_scan_after_the_span_fills(self, monkeypatch, case):
+        f, k, arrivals = self.CASES[case]
+        inst = Instance(case, f.ground.size, f, arrivals)
+        ordered = by_timestamp(arrivals, {a.id: (i + 1) / 8 for i, a in enumerate(arrivals)})
+        calls = []
+        monkeypatch.setattr(algorithms, "span_mask",
+                            lambda f, mask: calls.append(mask) or span_mask(f, mask))
+        masks = _Lookups(inst.masks)
+        steps = _greedy_core(f, masks, ordered)
+        assert steps == ref_greedy_core(f, ordered)[5]
+        picks = [step[2] for step in steps]
+        assert picks[k] is not None
+        span_k = span_mask(f, 0)
+        for step in steps[:k + 1]:
+            span_k |= step[3]
+        assert span_k == f.ground.full_mask
+        assert steps[k + 1:] == [(a.id, t, None, 0) for a, t in ordered[k + 1:]]
+        # no mask read and no span after step k: one span of the empty set,
+        # then one per pick, the last at step k
+        assert masks.seen == [a.id for a, _ in ordered[:k + 1]]
+        matched = [0]
+        for u in picks[:k + 1]:
+            if u is not None:
+                matched.append(matched[-1] | 1 << u)
+        assert calls == matched
 
 
 def n16_instance(family, seed):

@@ -220,6 +220,12 @@ class TestCheckMatching:
         rep = check_matching({key: 1.0, (0, 0): 0.5}, gen_upper_triangular(n))
         assert rep.violations == [f"x[{key[0]},{key[1]}]: no such vertex pair"]
 
+    @pytest.mark.parametrize("key", [0, (0, 0, 0), (0,), (), "ab", None, 0.5])
+    def test_key_that_is_not_a_pair_is_no_vertex_pair(self, key):
+        # an int key raised TypeError and a 3-tuple ValueError when unpacked
+        rep = check_matching({key: 1.0, (0, 0): 0.5}, gen_upper_triangular(2))
+        assert rep.violations == [f"x[{key}]: no such vertex pair"]
+
 
 def tie_heavy_budget(rng, n, kind):
     """A laminar budget with weights in {0.5, 1.0} and caps that sums of
@@ -388,6 +394,28 @@ class TestWeakDualityAndCover:
         assert rep.violations == ["z[99]: no such online vertex"]
         with pytest.raises(InputError, match=re.escape("z[99]: no such online vertex")):
             round_cover(inst, [1.0, 1.0], {99: 1.0}, gamma=0.5)
+
+    @pytest.mark.parametrize("key", [0.0, 1.0, True, False, np.float64(1.0), np.bool_(True),
+                                     "1", None])
+    def test_z_key_that_is_not_an_int_is_no_online_vertex(self, key):
+        # an integral float or a bool was taken as the online vertex it equals
+        inst = gen_upper_triangular(2)
+        rep = check_cover([1.0, 0.0], {key: 1.0}, inst)
+        assert rep.violations[0] == f"z[{key}]: no such online vertex"
+        # the stray key covers nothing: both edges at element 1 stay uncovered
+        assert rep.violations[1:] == ["edge (1, 0) uncovered: y + z = 0 < 1",
+                                      "edge (1, 1) uncovered: y + z = 0 < 1"]
+        with pytest.raises(InputError, match=re.escape(f"z[{key}]: no such online vertex")):
+            round_cover(inst, [1.0, 0.0], {key: 1.0}, gamma=0.5)
+
+    def test_z_keys_that_are_numpy_ints_are_taken_as_ints(self):
+        inst = gen_upper_triangular(2)
+        for ints in (np.int64, np.int32, np.uint64):
+            z = {ints(0): 1.0, ints(1): 1.0}
+            assert check_cover([1.0, 0.0], z, inst).ok
+            S, T = round_cover(inst, [1.0, 0.0], z, gamma=0.5)
+            assert (S, T) == ({0}, {0, 1})
+            assert {type(vid) for vid in T} == {int}
 
 
 class TestSavedRun:
