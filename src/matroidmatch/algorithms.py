@@ -76,7 +76,7 @@ ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
 COVER_ALGORITHMS = ("obvc", "mobvc")
 
 # Version of the JSON written by save_trace; load_trace reads no other.
-TRACE_FORMAT = 7
+TRACE_FORMAT = 8
 
 
 def dual_split_rate(t: float) -> float:
@@ -181,28 +181,78 @@ def _offline_ids(col, v: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return X
 
 
-def _x_column(rounds: list["WaterfillRound"], x: dict[tuple[int, int], float]) -> list:
-    """The x column of a mobm-pd trace: x_uv for each u of each round's X
-    (v the round's arrival), in order, None where the round gave u nothing.
-    InvariantError when x has an entry the column cannot hold, one outside
-    its round's X."""
+def _as_table(*columns: list[float]) -> tuple[list[float], list[list[int]]]:
+    """Float columns whose values repeat, as one ascending table of their
+    distinct values and per column the indexes of its entries. A -0.0 beside
+    a 0.0 gets its own entry just below it, as a set would merge the two."""
+    values = set(chain(*columns))
+    if 0.0 in values and len({math.copysign(1.0, v) for v in chain(*columns) if v == 0.0}) == 2:
+        keys = sorted({(v, math.copysign(1.0, v)) for v in chain(*columns)})
+        index = {key: i for i, key in enumerate(keys)}
+        return ([v for v, _ in keys],
+                [[index[v, math.copysign(1.0, v)] for v in col] for col in columns])
+    table = sorted(values)
+    index = {v: i for i, v in enumerate(table)}
+    return table, [list(map(index.__getitem__, col)) for col in columns]
+
+
+def _from_table(name: str, table, **columns) -> list[list[float]]:
+    """Inverse of _as_table: each column's values, looked up in the table
+    called name. ValueError naming the column unless the table holds finite
+    numbers, strictly ascending (-0.0 may precede 0.0), each column holds
+    int indexes into it, and every entry is used: one bytes form per trace."""
+    try:
+        table = json_numbers(table)
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
+    if not all(map(operator.lt, table, table[1:])):
+        signed = [(v, math.copysign(1.0, v)) for v in table]
+        if not all(map(operator.lt, signed, signed[1:])):
+            i = next(i for i in range(len(table) - 1) if not signed[i] < signed[i + 1])
+            raise ValueError(f"{name}[{i + 1}] = {table[i + 1]} is not above "
+                             f"{name}[{i}] = {table[i]}")
+    for key, col in columns.items():
+        if not set(map(type, col)) <= {int} or (col and (min(col) < 0 or max(col) >= len(table))):
+            bad = next(k for k in col if type(k) is not int or not 0 <= k < len(table))
+            raise ValueError(f"{key} holds {bad!r}, not an index 0..{len(table) - 1} into {name}")
+    used = set(chain(*columns.values()))
+    if len(used) != len(table):
+        unused = next(i for i in range(len(table)) if i not in used)
+        raise ValueError(f"{name}[{unused}] = {table[unused]} is unused by {' or '.join(columns)}")
+    return [list(map(table.__getitem__, col)) for col in columns.values()]
+
+
+def _x_column(rounds: list["WaterfillRound"], x: dict[tuple[int, int], float]) -> dict:
+    """The x and x_values columns of a mobm-pd trace: per u of each round's
+    X (v its arrival), the index of x_uv in x_values, or None where the round
+    gave u nothing. InvariantError for an x entry outside its round's X."""
     col = [x.get((u, rec.v)) for rec in rounds for u in rec.X]
-    stored = len(col) - col.count(None)
-    if stored != len(x):
-        raise InvariantError(f"x has {len(x)} entries, but its rounds' X hold {stored} of them")
-    return col
+    stored = [val for val in col if val is not None]
+    if len(stored) != len(x):
+        raise InvariantError(f"x has {len(x)} entries, its rounds' X hold {len(stored)} of them")
+    table, (indexes,) = _as_table(stored)
+    indexes = iter(indexes)
+    return {"x": [None if val is None else next(indexes) for val in col], "x_values": table}
 
 
-def _x_from_column(col, rounds: list["WaterfillRound"]) -> dict[tuple[int, int], float]:
+def _x_from_column(cols: dict, rounds: list["WaterfillRound"]) -> dict[tuple[int, int], float]:
     """Inverse of _x_column, with the entries in column order; ValueError
-    for a column of another length or an entry neither null nor a finite
-    number."""
-    col = json_list(col)
+    for an x column of another length or one _from_table refuses."""
+    col = json_list(cols["x"])
     keys = [(u, rec.v) for rec in rounds for u in rec.X]
     if len(col) != len(keys):
         raise ValueError(f"x column of {len(col)} entries for {len(keys)} raised ids")
     stored = list(map(operator.is_not, col, repeat(None)))
-    return dict(zip(compress(keys, stored), json_numbers(list(compress(col, stored)))))
+    (values,) = _from_table("x_values", cols["x_values"], x=list(compress(col, stored)))
+    return dict(zip(compress(keys, stored), values))
+
+
+def _distinct(what: str, ids):
+    """ids, or ValueError naming the first that repeats (its later row would win)."""
+    if len(set(ids)) != len(ids):
+        seen = set()
+        raise ValueError(f"{what} {next(i for i in ids if i in seen or seen.add(i))} repeats")
+    return ids
 
 
 def _same_length(what: str, **cols):
@@ -231,26 +281,21 @@ class WaterfillRound:
     @staticmethod
     def to_columns(rounds: list["WaterfillRound"]) -> dict:
         regions = [r for rec in rounds for r in rec.regions]
-        lo, hi = [r.lo for r in regions], [r.hi for r in regions]
-        bounds = sorted(set(lo).union(hi))
-        index = {b: i for i, b in enumerate(bounds)}
+        bounds, (lo, hi) = _as_table([r.lo for r in regions], [r.hi for r in regions])
         return {"v": [rec.v for rec in rounds], "a": [rec.a for rec in rounds],
                 "X": [rec.X for rec in rounds],
                 "regions": [len(rec.regions) for rec in rounds],
-                "bounds": bounds, "lo": list(map(index.__getitem__, lo)),
-                "hi": list(map(index.__getitem__, hi)),
+                "bounds": bounds, "lo": lo, "hi": hi,
                 "old_height": [r.old_height for r in regions],
                 "new_height": [r.new_height for r in regions]}
 
     @staticmethod
     def from_columns(cols: dict, n: int) -> list["WaterfillRound"]:
         """Inverse of to_columns; ValueError, TypeError or KeyError on a
-        malformed or out-of-range column. bounds must be strictly ascending
-        within [0, 1] with every entry used, and each region's lo and hi
-        indexes into it with lo <= hi."""
+        malformed or out-of-range column, or a region off 0 <= lo <= hi <= 1."""
         v, a, counts = json_ints(cols["v"]), json_numbers(cols["a"]), json_ints(cols["regions"])
         X = json_list(cols["X"])
-        bounds, lo, hi = json_numbers(cols["bounds"]), json_ints(cols["lo"]), json_ints(cols["hi"])
+        lo, hi = _from_table("bounds", cols["bounds"], lo=cols["lo"], hi=cols["hi"])
         old, new = json_numbers(cols["old_height"]), json_numbers(cols["new_height"])
         _same_length("round", v=v, a=a, X=X, regions=counts)
         _same_length("region", lo=lo, hi=hi, old_height=old, new_height=new)
@@ -261,32 +306,13 @@ class WaterfillRound:
         if a and (min(a) < 0.0 or max(a) > 1.0):
             bad = next(level for level in a if not 0.0 <= level <= 1.0)
             raise ValueError(f"water level a = {bad} outside [0, 1]")
-        _check_bounds(bounds, lo, hi)
-        regions = map(NewRegion, map(bounds.__getitem__, lo), map(bounds.__getitem__, hi),
-                      old, new)
+        if lo and (min(lo) < 0.0 or max(hi) > 1.0 or not all(map(operator.le, lo, hi))):
+            i = next(i for i in range(len(lo)) if not 0.0 <= lo[i] <= hi[i] <= 1.0)
+            raise ValueError(f"region {i}: lo = {lo[i]}, hi = {hi[i]} lie outside [0, 1] "
+                             f"or break lo <= hi")
+        regions = map(NewRegion, lo, hi, old, new)
         return [WaterfillRound(vid, level, ids, tuple(islice(regions, k)))
                 for vid, level, ids, k in zip(v, a, _offline_ids(X, v, n), counts)]
-
-
-def _check_bounds(bounds: list[float], lo: tuple[int, ...], hi: tuple[int, ...]):
-    """ValueError unless bounds is strictly ascending within [0, 1], lo and
-    hi are indexes into it with lo <= hi, and they use every entry: one
-    bytes form per trace."""
-    if bounds and (min(bounds) < 0.0 or max(bounds) > 1.0):
-        bad = next(b for b in bounds if not 0.0 <= b <= 1.0)
-        raise ValueError(f"region bound {bad} outside [0, 1]")
-    if not all(map(operator.lt, bounds, bounds[1:])):
-        i = next(i for i in range(len(bounds) - 1) if not bounds[i] < bounds[i + 1])
-        raise ValueError(f"bounds[{i + 1}] = {bounds[i + 1]} is not above "
-                         f"bounds[{i}] = {bounds[i]}")
-    if lo and (min(lo) < 0 or max(hi) >= len(bounds) or not all(map(operator.le, lo, hi))):
-        i = next(i for i in range(len(lo)) if not 0 <= lo[i] <= hi[i] < len(bounds))
-        raise ValueError(f"region {i}: lo = {lo[i]}, hi = {hi[i]} are not indexes "
-                         f"0 <= lo <= hi < {len(bounds)} into bounds")
-    used = set(lo).union(hi)
-    if len(used) != len(bounds):
-        unused = next(i for i in range(len(bounds)) if i not in used)
-        raise ValueError(f"bounds[{unused}] = {bounds[unused]} is no region's lo or hi")
 
 
 @dataclass
@@ -352,17 +378,17 @@ def _json_rows(v, width: int) -> list[list]:
 class RunTrace:
     """One run: its rounds, in arrival order, and its final state.
 
-    On disk (format 7) the rounds are one object of parallel columns, one
+    On disk (format 8) the rounds are one object of parallel columns, one
     entry per round: waterfilling runs store v, a, X and regions (each
     round's region count), and the region fields lo, hi, old_height and
     new_height as flat columns over all rounds in order, lo and hi as
-    indexes into bounds, the ascending distinct values of both; greedy runs
-    store v, t, X and matched. A mobm-pd trace also stores x as a column
-    over the flattened X: the entry of u in round v's X is x_uv, or null
+    indexes into the table bounds (_as_table); greedy runs store v, t, X
+    and matched. A mobm-pd trace also stores x over the flattened X: the
+    entry of u in round v's X indexes x_uv in the table x_values, or is null
     when the round gave u nothing. The final block holds y, z as [v, z_v]
-    rows, matched_offline, primal_value and dual_value; a greedy-ra trace
-    also holds x there as [u, v, 1.0] rows sorted by (u, v). Loading
-    rebuilds state.x from whichever of the two a trace has.
+    rows, matched_offline, primal_value and dual_value, and for greedy-ra
+    x as [u, v, 1.0] rows sorted by (u, v). Loading rebuilds state.x from
+    either; an id may not repeat in z, x or matched_offline.
     """
 
     algorithm: str
@@ -386,7 +412,7 @@ class RunTrace:
         if self.algorithm == "greedy-ra":
             final["x"] = [(u, v, x[u, v]) for u, v in sorted(x)]
         elif self.algorithm == "mobm-pd":
-            rounds["x"] = _x_column(self.rounds, x)
+            rounds.update(_x_column(self.rounds, x))
         elif x:
             raise InvariantError(f"a {self.algorithm} run has {len(x)} x entries to store")
         return {
@@ -421,24 +447,27 @@ class RunTrace:
         rounds = _round_type(algorithm).from_columns(cols, n)
         if algorithm == "greedy-ra":
             xu, xv, xval = _json_rows(fin["x"], 3)
-            x = dict(zip(zip(json_ints(xu), json_ints(xv)), json_numbers(xval)))
+            pairs = _distinct("final.x (u, v)", list(zip(json_ints(xu), json_ints(xv))))
+            x = dict(zip(pairs, json_numbers(xval)))
         elif algorithm == "mobm-pd":
-            x = _x_from_column(cols["x"], rounds)
+            x = _x_from_column(cols, rounds)
         else:
             x = {}
-        if ("x" in cols) != (algorithm == "mobm-pd") or ("x" in fin) != (algorithm == "greedy-ra"):
-            raise ValueError(f"a {algorithm} trace stores x elsewhere: mobm-pd in the rounds, "
-                             f"greedy-ra in the final block, and the others nowhere")
+        stray = algorithm != "mobm-pd" and cols.keys() & {"x", "x_values"}
+        if stray or ("x" in fin) != (algorithm == "greedy-ra"):
+            raise ValueError(f"a {algorithm} trace stores x elsewhere: mobm-pd as x and x_values "
+                             f"in the rounds, greedy-ra in the final block, the others nowhere")
         y = json_numbers(fin["y"])
         if len(y) != n:
             raise ValueError(f"{len(y)} final potentials for n_offline = {n}")
         zv, zval = _json_rows(fin["z"], 2)
-        state = OnlineState(
-            y=y,
-            z=dict(zip(json_ints(zv), json_numbers(zval))),
-            x=x,
-            matched=frozenset(json_ints(fin["matched_offline"])),
-        )
+        zv = _distinct("final.z online id", json_ints(zv))
+        matched = _distinct("matched_offline id", json_ints(fin["matched_offline"]))
+        if matched and (min(matched) < 0 or max(matched) >= n):
+            bad = next(u for u in matched if not 0 <= u < n)
+            raise ValueError(f"matched_offline id {bad} outside 0..{n - 1}")
+        state = OnlineState(y=y, z=dict(zip(zv, json_numbers(zval))), x=x,
+                            matched=frozenset(matched))
         # a run without x entries stores the empty sum, the int 0; it loads
         # as 0 so that the loaded trace saves to the same bytes
         primal = fin["primal_value"]
@@ -449,8 +478,8 @@ class RunTrace:
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
-    """Write the trace as one line of compact sorted-key JSON (format 7,
-    columnar rounds, each region bound written once; see RunTrace).
+    """Write the trace as one line of compact sorted-key JSON (format 8,
+    columnar rounds, each region bound and x value written once; RunTrace).
 
     json.dumps encodes in one call to the C encoder; json.dump to a file,
     or any indent, goes through the pure-Python one. Columns keep the

@@ -23,13 +23,14 @@ from matroidmatch.instances import INSTANCE_SIZE_LIMIT, Arrival, Instance, gen_r
 from matroidmatch.submodular import Cardinality, GroundSet, PartitionBudget, WeightedThreshold
 
 
-def raise_first_x(data: dict, by: float = 0.25) -> tuple[int, int]:
-    """Add by to the x entry of a mobm-pd trace dict with the smallest
-    (u, v), the first that verify names; returns that (u, v)."""
-    rounds = data["rounds"]
-    keys = [(u, v) for v, X in zip(rounds["v"], rounds["X"]) for u in X]
-    key, i = min((k, i) for i, k in enumerate(keys) if rounds["x"][i] is not None)
-    rounds["x"][i] += by
+def raise_first_x(tpath, by: float = 0.25) -> tuple[int, int]:
+    """Add by to the x entry with the smallest (u, v), the first that verify
+    names, of the mobm-pd trace file at tpath: loaded, edited in state.x and
+    saved again. Returns that (u, v)."""
+    trace = load_trace(tpath)
+    key = min(trace.state.x)
+    trace.state.x[key] += by
+    save_trace(trace, tpath)
     return key
 
 
@@ -278,9 +279,7 @@ class TestVerify:
 
     def test_corrupted_x_fails(self, tmp_path, capsys):
         ipath, tpath = self.make_pair(tmp_path, "mobm-pd")
-        data = json.loads(open(tpath).read())
-        u, v = raise_first_x(data)
-        open(tpath, "w").write(json.dumps(data))
+        u, v = raise_first_x(tpath)
         assert main(["verify", tpath, "--instance", ipath]) == 1
         out = capsys.readouterr().out
         assert f"FAIL replay-match: state.x[{u},{v}] = " in out
@@ -582,9 +581,9 @@ class TestCheckOutputPins:
         run_as = "mobm-pd" if algorithm == "corrupt" else algorithm
         assert main(["run", str(ipath), "--algorithm", run_as, "--trace", str(tpath)]) == 0
         if algorithm == "corrupt":
+            raise_first_x(tpath)
             data = json.loads(tpath.read_text(encoding="utf-8"))
             data["final"]["y"] = [v / 2 for v in data["final"]["y"]]
-            raise_first_x(data)
             rounds = data["rounds"]
             for j in range(rounds["regions"][0]):  # the first round's charge drops to 0
                 rounds["new_height"][j] = rounds["old_height"][j]

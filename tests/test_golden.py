@@ -41,7 +41,7 @@ class TestInstanceFiles:
 
     def test_files_use_lf(self):
         for name in ("tri3.json", "random-coverage.json", "tri3-mobvc-trace.json",
-                     "tri3-mobvc-trace-v6.json"):
+                     "tri3-mobvc-trace-v6.json", "tri3-mobvc-trace-v7.json"):
             raw = (GOLDEN / name).read_bytes()
             assert b"\r" not in raw
             assert raw.endswith(b"\n")
@@ -88,13 +88,22 @@ class TestTraceFile:
     def test_format_6_trace_rejected(self, capsys):
         # the trace this file pinned before format 7: lo and hi as floats,
         # with no bounds column
-        old = GOLDEN / "tri3-mobvc-trace-v6.json"
-        with pytest.raises(ParseError, match=r"trace format 6 is not supported.*re-run"):
+        self.assert_refused(capsys, 6)
+
+    def test_format_7_trace_rejected(self, capsys):
+        # the trace this file pinned before format 8, which differs from it
+        # only in the format digit: a mobvc trace has no x to tabulate
+        self.assert_refused(capsys, 7)
+
+    @staticmethod
+    def assert_refused(capsys, version):
+        old = GOLDEN / f"tri3-mobvc-trace-v{version}.json"
+        with pytest.raises(ParseError, match=rf"trace format {version} is not supported.*re-run"):
             load_trace(old)
         for command in ("verify", "audit"):
             assert main([command, str(old), "--instance", str(GOLDEN / "tri3.json")]) == 2
             err = capsys.readouterr().err
-            assert "trace format 6" in err and "re-run" in err
+            assert f"trace format {version}" in err and "re-run" in err
 
     def test_trace_loads_consistently(self):
         trace = load_trace(GOLDEN / "tri3-mobvc-trace.json")

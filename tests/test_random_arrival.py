@@ -328,22 +328,22 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of save_trace's bytes (format 7: the format-4 bytes the reference
-# greedy wrote, with the rounds stored as columns and the format digit 7;
+# sha256 of save_trace's bytes (format 8: the format-4 bytes the reference
+# greedy wrote, with the rounds stored as columns and the format digit 8;
 # each loads to the same RunTrace as the format-4 file did).
 GREEDY_TRACE_SHA256 = {
-    ("uniform", 1, "adversarial"): "a9d3f6a3869c958b5742c2433c88b4f8a8a6aab6df289d47bb8a007e9206c6d6",
-    ("uniform", 1, "permutation"): "fce12eb22836c72afd7c0abf49e313aea7e4ba9bf69450a5e4205d523b0e3cac",
-    ("uniform", 1, "timestamps"): "30352301f0e0c39484ae6f1b323fd1d7d070bf7c12d6f365e60f9461f390de13",
-    ("partition", 1, "adversarial"): "07e4ecb43363c3bb7dcabfa8f68c705a319f781a8bfb622531b07b0148405b91",
-    ("partition", 1, "permutation"): "a2d00aa148a819b6ea59870f9dbb6d2138d70c724fc0b47d0abb7df661144474",
-    ("partition", 1, "timestamps"): "2609b1cc46d3b41a04d8c0b78e9b462455df9e4b87d8b53b07271a145822d1ae",
-    ("uniform", 2, "adversarial"): "b310ac9e12b58f267fc019d1e5854d6121ec712ddf1531403cc5b9a193eb6637",
-    ("uniform", 2, "permutation"): "65287ab1536a194a0d7d35f1f0077a556ec9dce2fe6ec6283e5f6b6e838fd392",
-    ("uniform", 2, "timestamps"): "86963d5b28fad08e46d2cb0c23668479aa9a098d4905ac36050e694f9ba1cd69",
-    ("partition", 2, "adversarial"): "1bac53ec26a3e9069b9094435e0402315f764cb5aff0a99f3af363f4406aad01",
-    ("partition", 2, "permutation"): "333b252993ae6ee45ebaf8f9eb3728c93330e6cb982a87d6b4adca59a78ead3a",
-    ("partition", 2, "timestamps"): "d974903fec81463c32e3217c8b1d11920d16c8e298f1484faae35851d00759c7",
+    ("uniform", 1, "adversarial"): "ae438511c1b9cb9b23b33f2d904714ed2ec0dd7739f021be0e6a3dcbd0308239",
+    ("uniform", 1, "permutation"): "75887d1b9d5b511ac65c8a9094fb5dd4de4c39de7863d00067043385e8d6a176",
+    ("uniform", 1, "timestamps"): "c35dd45039c43816fd8b59702fefda56f6d4422b1d10b8093a812944d26d50d9",
+    ("partition", 1, "adversarial"): "52688710210c45ef1b54586f11be63b4ba74498861ee739abbeea28987b22e9c",
+    ("partition", 1, "permutation"): "4d0f1763a6bc52df82d037dd9c3b5600a8a86885934fcbd93fd724668f584d10",
+    ("partition", 1, "timestamps"): "047c05caf0df129cb7d95a68ba8539cc065fbee7a5ec82f11a1283aaf9dbb6fa",
+    ("uniform", 2, "adversarial"): "8595ad8244e7c44e27fa7322c7bfca3f1d2ae691e05dbdcf5d915a1f13a4eceb",
+    ("uniform", 2, "permutation"): "3c65a25209add03541ab6e0d7ec22db4c1e93c4010f409aa9b275cb5cb695171",
+    ("uniform", 2, "timestamps"): "e8bead0c96ab8dbfcb13efe64cd1a42b0f3c868f72c8c54fbf5e3a09b9fc3356",
+    ("partition", 2, "adversarial"): "723dc3e92d40f05df8e018383d12ab1014654a1150f1b9ed00ea1c89136df1af",
+    ("partition", 2, "permutation"): "d7281cb92c4ecb4834ad7ec893ab6b26a984dcd2404693d957ddbdc22ab8b4d5",
+    ("partition", 2, "timestamps"): "bd22347c4c1b163b21e92107532edd50196b62eb43d99b9edc0ede9108d72721",
 }
 
 # sha256 of the sorted-key JSON of verify_random_arrival_lemmas(instance,
@@ -500,13 +500,13 @@ def test_arrival_model_seed_must_be_an_int(seed):
 
 def test_model_seeds_are_taken_mod_2_64(tmp_path, capsys):
     """--model-seed -1 and 2^64 - 1 draw the same order, and print the line
-    they did before seeds were checked and write the same trace (format 7
+    they did before seeds were checked and write the same trace (format 8
     bytes since)."""
     ipath, tpath = str(tmp_path / "i.json"), str(tmp_path / "t.json")
     assert main(["generate", "random", "--n", "6", "--m", "9", "--p", "0.45", "--seed", "21",
                  "--f", "partition:0,0,1,1,2,2:1,2,1", "--out", ipath]) == 0
-    pins = {"timestamps": "fc46682f92cef058d4abadfb9abfe3881c4ebcbb072b08236bbfdaf283c97b62",
-            "permutation": "0258d61038afc088de31515944a3a8249488b9dffebfc17dffaf68b3c00cf2b7"}
+    pins = {"timestamps": "9f30966f35ea2498c71b439943328fcd22884e211fb647bcff5706578d09e4ec",
+            "permutation": "62aa9914a7d30399a98b54edeac1112c35800ad55f1aff65e5e4b4712f5f0764"}
     for model, sha in pins.items():
         for seed in ("-1", str(2 ** 64 - 1)):
             capsys.readouterr()

@@ -1,8 +1,9 @@
-"""Trace format 7: exact round trips, the fields a file keeps, and hostile
+"""Trace format 8: exact round trips, the fields a file keeps, and hostile
 input (load_trace raises ParseError, the CLI exits 2, never a traceback)."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -100,12 +101,17 @@ class TestFormat:
         inst = gen_random(n, data.draw(st.integers(0, 10)), data.draw(st.floats(0.0, 1.0)), f,
                           seed=data.draw(st.integers(0, 2 ** 64 - 1)))
         trace = run_mobm_pd(inst)
-        path = tmp_path_factory.mktemp("r") / "t.json"
-        save_trace(trace, path)
-        back = load_trace(path)
+        tmp = tmp_path_factory.mktemp("r")
+        save_trace(trace, tmp / "t.json")
+        back = load_trace(tmp / "t.json")
         assert back == trace
-        col = json.loads(path.read_text(encoding="utf-8"))["rounds"]["x"]
+        rounds = json.loads((tmp / "t.json").read_text(encoding="utf-8"))["rounds"]
+        col, table = rounds["x"], rounds["x_values"]
         assert len(col) - col.count(None) == len(trace.state.x)
+        assert all(a < b for a, b in zip(table, table[1:]))
+        assert {i for i in col if i is not None} == set(range(len(table)))
+        save_trace(back, tmp / "again.json")
+        assert (tmp / "again.json").read_bytes() == (tmp / "t.json").read_bytes()
 
     def test_absent_and_zero_x_entries_round_trip(self, tmp_path):
         # a partition budget leaves raised elements without x; an x entry of
@@ -119,9 +125,13 @@ class TestFormat:
         x[first], x[second] = 0.0, -0.0
         path = tmp_path / "t.json"
         save_trace(trace, path)
-        col = json.loads(path.read_text(encoding="utf-8"))["rounds"]["x"]
+        rounds = json.loads(path.read_text(encoding="utf-8"))["rounds"]
+        col, table = rounds["x"], rounds["x_values"]
         assert col.count(None) == len(keys) - len(x)
-        assert col[keys.index(first)] == 0.0 and col[keys.index(second)] == 0.0
+        # the two zeros get two table entries, -0.0 first
+        zero, minus_zero = table[col[keys.index(first)]], table[col[keys.index(second)]]
+        assert col[keys.index(second)] + 1 == col[keys.index(first)]
+        assert math.copysign(1.0, zero) == 1.0 and math.copysign(1.0, minus_zero) == -1.0
         back = load_trace(path)
         assert back == trace
         assert math.copysign(1.0, back.state.x[second]) == -1.0
@@ -142,12 +152,18 @@ class TestFormat:
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert data["format"] == TRACE_FORMAT == 7
+        assert data["format"] == TRACE_FORMAT == 8
+
+    def test_readme_names_the_format(self):
+        # a format bump must not leave the docs behind
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        assert f"trace format {TRACE_FORMAT}" in readme
+        assert f"`format` ({TRACE_FORMAT})" in readme
 
     def test_round_fields(self):
         columns = {"v", "a", "X", "regions", "bounds", "lo", "hi", "old_height", "new_height"}
         pd_rounds = TRACE_DICTS["mobm-pd"]["rounds"]
-        assert set(pd_rounds) == columns | {"x"}
+        assert set(pd_rounds) == columns | {"x", "x_values"}
         assert sum(pd_rounds["regions"]) == len(pd_rounds["lo"]) > 0
         assert len(pd_rounds["x"]) == sum(map(len, pd_rounds["X"]))
         assert set(TRACE_DICTS["obvc"]["rounds"]) == set(TRACE_DICTS["mobvc"]["rounds"]) == columns
@@ -168,9 +184,10 @@ class TestFormat:
                    for u, v, val in final.get("x", []))
         assert final["matched_offline"] == sorted(final["matched_offline"])
         if alg == "mobm-pd":
-            col = TRACE_DICTS[alg]["rounds"]["x"]
-            assert all(val is None or type(val) is float for val in col)
-            assert any(col) and final["primal_value"] > 0
+            rounds = TRACE_DICTS[alg]["rounds"]
+            assert all(i is None or type(i) is int for i in rounds["x"])
+            assert all(type(val) is float for val in rounds["x_values"])
+            assert rounds["x_values"] and final["primal_value"] > 0
         if alg == "greedy-ra":
             assert final["x"] and final["primal_value"] > 0
             assert sorted(u for u, _, _ in final["x"]) == final["matched_offline"]
@@ -178,7 +195,8 @@ class TestFormat:
     @pytest.mark.parametrize("found", [1, 2, pytest.param(3, id="format-3"),
                                        pytest.param(4, id="format-4"),
                                        pytest.param(5, id="format-5"),
-                                       pytest.param(6, id="format-6"), "3", None, "missing"])
+                                       pytest.param(6, id="format-6"),
+                                       pytest.param(7, id="format-7"), "3", None, "missing"])
     def test_other_versions_rejected(self, tmp_path, found):
         data = dict(TRACE_DICTS["mobvc"])
         if found == "missing":
@@ -333,7 +351,8 @@ class TestHostileInput:
             assert rc in (0, 1, 2)
 
 
-PD_COLUMNS = ("v", "a", "X", "regions", "bounds", "lo", "hi", "old_height", "new_height", "x")
+PD_COLUMNS = ("v", "a", "X", "regions", "bounds", "lo", "hi", "old_height", "new_height", "x",
+              "x_values")
 GREEDY_COLUMNS = ("v", "t", "X", "matched")
 FLOAT_POSITIONS = {
     "mobm-pd": [("rounds", key, 0)
@@ -365,6 +384,15 @@ def pop_at(path):
 def x_column(data):
     # one null per raised id: the length a mobm-pd column would have
     data["rounds"]["x"] = [None] * sum(map(len, data["rounds"]["X"]))
+
+
+def repeat_first_row(key, value_at, value):
+    # a row naming the same id(s) as the first, with another value, put
+    # before it: a reader that lets the later row win sees the true value
+    def edit(data):
+        rows = data["final"][key]
+        rows.insert(0, rows[0][:value_at] + [value])
+    return edit
 
 
 def final_x_rows(data):
@@ -437,27 +465,41 @@ def hostile_columns():
         pytest.param(pd, set_at(("rounds", "bounds", -1), 1.25), id="hi-above-1"),
         pytest.param(pd, set_at(("rounds", "a", 0), -0.25), id="a-negative"),
         pytest.param(pd, set_at(("rounds", "a", 0), 1.25), id="a-above-1"),
+        pytest.param("mobvc", repeat_first_row("z", 1, 5.0), id="repeated-final-z-id"),
+        pytest.param("greedy-ra", repeat_first_row("x", 2, 7.0), id="repeated-final-x-pair"),
+        pytest.param("greedy-ra", lambda data: data["final"]["matched_offline"].append(
+            data["final"]["matched_offline"][0]), id="repeated-matched-offline-id"),
+        pytest.param("greedy-ra", lambda data: data["final"]["matched_offline"].append(99),
+                     id="matched-offline-id-above-n"),
+        pytest.param("mobvc", set_at(("final", "matched_offline"), [-1]),
+                     id="matched-offline-id-negative"),
     ]
     return cases
 
 
+def assert_refused(tmp_path, capsys, alg, edit, match=None):
+    """Apply edit to a copy of alg's trace dict and write it, TEXT_1E999 as
+    the literal 1e999: load_trace raises a ParseError (matching match, when
+    given), and verify and audit exit 2."""
+    data = json.loads(json.dumps(TRACE_DICTS[alg]))
+    edit(data)
+    tpath = tmp_path / "t.json"
+    tpath.write_text(json.dumps(data).replace(f'"{TEXT_1E999}"', "1e999"), encoding="utf-8")
+    with pytest.raises(ParseError, match=match):
+        load_trace(tpath)
+    save(INSTANCES[alg], tmp_path / "i.json")
+    for command in ("verify", "audit"):
+        assert main([command, str(tpath), "--instance", str(tmp_path / "i.json")]) == 2
+    capsys.readouterr()
+
+
 class TestHostileColumns:
-    """Format 7 checks each column as a whole; every bad column is a
+    """Format 8 checks each column as a whole; every bad column is a
     ParseError and exit 2 from verify and audit."""
 
     @pytest.mark.parametrize("alg, edit", hostile_columns())
     def test_rejected(self, tmp_path, capsys, alg, edit):
-        data = json.loads(json.dumps(TRACE_DICTS[alg]))
-        edit(data)
-        tpath = tmp_path / "t.json"
-        tpath.write_text(json.dumps(data).replace(f'"{TEXT_1E999}"', "1e999"),
-                         encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_trace(tpath)
-        save(INSTANCES[alg], tmp_path / "i.json")
-        for command in ("verify", "audit"):
-            assert main([command, str(tpath), "--instance", str(tmp_path / "i.json")]) == 2
-        capsys.readouterr()
+        assert_refused(tmp_path, capsys, alg, edit)
 
     @pytest.mark.parametrize("alg", ["mobvc", "mobm-pd", "greedy-ra"])
     def test_unordered_X_rejected(self, tmp_path, capsys, alg):
@@ -530,18 +572,21 @@ BOUND_CORRUPTIONS = [
     pytest.param(swap_at("bounds", 1, 2), "is not above", id="bounds-unsorted"),
     pytest.param(repeat_bound, "is not above", id="bounds-duplicate"),
     pytest.param(set_at(("rounds", "bounds", 0), -0.25), "outside", id="bounds-below-0"),
-    pytest.param(insert_unused_bound, "no region's lo or hi", id="bounds-unused"),
-    pytest.param(set_at(("rounds", "hi", 0), -1), "not indexes", id="hi-negative-index"),
-    pytest.param(first_index_past_the_end("lo"), "not indexes", id="lo-past-the-end"),
-    pytest.param(first_index_past_the_end("hi"), "not indexes", id="hi-past-the-end"),
-    pytest.param(first_index_as_float("lo"), "integer", id="lo-float"),
-    pytest.param(first_index_as_float("hi"), "integer", id="hi-float"),
+    pytest.param(insert_unused_bound, "is unused by lo or hi", id="bounds-unused"),
+    pytest.param(set_at(("rounds", "hi", 0), -1), "hi holds -1, not an index 0..[0-9]+ into "
+                 "bounds", id="hi-negative-index"),
+    pytest.param(first_index_past_the_end("lo"), "not an index 0..[0-9]+ into bounds",
+                 id="lo-past-the-end"),
+    pytest.param(first_index_past_the_end("hi"), "not an index 0..[0-9]+ into bounds",
+                 id="hi-past-the-end"),
+    pytest.param(first_index_as_float("lo"), "lo holds [0-9.]+, not an index", id="lo-float"),
+    pytest.param(first_index_as_float("hi"), "hi holds [0-9.]+, not an index", id="hi-float"),
 ]
 
 
 class TestBounds:
-    """Format 7 writes each region bound once, in the bounds column, and lo
-    and hi as indexes into it."""
+    """A waterfilling trace writes each region bound once, in the bounds
+    column, and lo and hi as indexes into it (since format 7)."""
 
     def test_bounds_are_the_distinct_region_bounds(self):
         trace = run("mobm-pd")
@@ -565,16 +610,8 @@ class TestBounds:
 
     @pytest.mark.parametrize("edit, match", BOUND_CORRUPTIONS)
     def test_rejected(self, tmp_path, capsys, edit, match):
-        data = json.loads(json.dumps(TRACE_DICTS["mobm-pd"]))
-        assert len(data["rounds"]["bounds"]) >= 3
-        edit(data)
-        tpath = write_json(tmp_path / "t.json", data)
-        with pytest.raises(ParseError, match=match):
-            load_trace(tpath)
-        save(INSTANCES["mobm-pd"], tmp_path / "i.json")
-        for command in ("verify", "audit"):
-            assert main([command, str(tpath), "--instance", str(tmp_path / "i.json")]) == 2
-        capsys.readouterr()
+        assert len(TRACE_DICTS["mobm-pd"]["rounds"]["bounds"]) >= 3
+        assert_refused(tmp_path, capsys, "mobm-pd", edit, match)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -618,21 +655,90 @@ class TestBounds:
             load_trace(write_json(tmp_path / "t.json", data))
 
 
+def set_first_x(value):
+    # the first stored x entry becomes value(len(x_values))
+    def edit(data):
+        rounds = data["rounds"]
+        i = next(i for i, k in enumerate(rounds["x"]) if k is not None)
+        rounds["x"][i] = value(len(rounds["x_values"]))
+    return edit
+
+
+def insert_unused_x_value(data):
+    # a value below the first that no entry names; every index moves up one
+    rounds = data["rounds"]
+    rounds["x_values"].insert(0, rounds["x_values"][0] / 2)
+    rounds["x"] = [None if i is None else i + 1 for i in rounds["x"]]
+
+
+def repeat_x_value(data):
+    values = data["rounds"]["x_values"]
+    values[1] = values[0]
+
+
+def delete_rounds_key(key):
+    return lambda data: data["rounds"].pop(key)
+
+
+X_VALUES_CORRUPTIONS = [
+    pytest.param("mobm-pd", set_first_x(lambda n: True), "x holds True, not an index",
+                 id="index-bool"),
+    pytest.param("mobm-pd", set_first_x(lambda n: 1.0), "x holds 1.0, not an index",
+                 id="index-float"),
+    pytest.param("mobm-pd", set_first_x(lambda n: -1), "x holds -1, not an index 0..[0-9]+ into "
+                 "x_values", id="index-negative"),
+    pytest.param("mobm-pd", set_first_x(lambda n: n), "x holds [0-9]+, not an index 0..[0-9]+ "
+                 "into x_values", id="index-past-the-end"),
+    pytest.param("mobm-pd", swap_at("x_values", 0, 1), r"x_values\[1\] = .* is not above",
+                 id="unsorted"),
+    pytest.param("mobm-pd", repeat_x_value, r"x_values\[1\] = .* is not above", id="repeated"),
+    pytest.param("mobm-pd", insert_unused_x_value, r"x_values\[0\] = .* is unused by x",
+                 id="unused"),
+    *[pytest.param("mobm-pd", set_at(("rounds", "x_values", 0), value), "x_values: expected",
+                   id=label)
+      for label, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                           ("1e999", TEXT_1E999), ("bool", True), ("string", "0.5"))],
+    *[pytest.param(alg, set_at(("rounds", "x_values"), [0.5]), "x_values", id=f"on-{alg}")
+      for alg in ("obvc", "mobvc", "greedy-ra")],
+    pytest.param("mobm-pd", delete_rounds_key("x_values"), "x_values", id="x-without-x_values"),
+    pytest.param("mobm-pd", delete_rounds_key("x"), "'x'", id="x_values-without-x"),
+]
+
+
+class TestXValues:
+    """A mobm-pd trace writes each x value once, in the x_values column,
+    and x as indexes into it (since format 8)."""
+
+    def test_x_values_are_the_distinct_x_values(self):
+        x = run("mobm-pd").state.x
+        rounds = TRACE_DICTS["mobm-pd"]["rounds"]
+        table = rounds["x_values"]
+        assert table == sorted(set(x.values()))
+        keys = [(u, v) for v, X in zip(rounds["v"], rounds["X"]) for u in X]
+        assert {key: table[i] for key, i in zip(keys, rounds["x"]) if i is not None} == x
+
+    @pytest.mark.parametrize("alg, edit, match", X_VALUES_CORRUPTIONS)
+    def test_rejected(self, tmp_path, capsys, alg, edit, match):
+        assert_refused(tmp_path, capsys, alg, edit, match)
+
+
 # ---------------------------------------------------------------------------
 # Every stored number is checked
 # ---------------------------------------------------------------------------
 
 OFFLINE_ID_FIELDS = ("X", "matched", "matched_offline")
+# the table each index column points into
+TABLES = {"lo": "bounds", "hi": "bounds", "x": "x_values"}
 
 
 def id_kind(path) -> str | None:
     """'offline' or 'online' when the number at path is an element or
-    arrival id, 'bound' when it indexes the bounds column, else None."""
+    arrival id, 'index' when it indexes a table column, else None."""
     if path[0] == "rounds":
         if path[1] == "v":
             return "online"
-        if path[1] in ("lo", "hi"):
-            return "bound"
+        if path[1] in TABLES:
+            return "index"
         return "offline" if path[1] in OFFLINE_ID_FIELDS else None
     if path[:2] == ("final", "z"):
         return "online" if path[3] == 0 else None
@@ -643,7 +749,7 @@ def id_kind(path) -> str | None:
 
 class TestEveryNumberChecked:
     """Changing any stored number of a valid trace makes verify fail: ids
-    and bound indexes become a different valid one, every other number
+    and table indexes become a different valid one, every other number
     moves by 0.25. The greedy timestamps t are the exception, since verify
     replays the run at the stored timestamps."""
 
@@ -666,8 +772,8 @@ class TestEveryNumberChecked:
                 new = (value + 1) % inst.n_offline
             elif kind == "online":
                 new = online[(online.index(value) + 1) % len(online)]
-            elif kind == "bound":
-                new = (value + 1) % len(data["rounds"]["bounds"])
+            elif kind == "index":
+                new = (value + 1) % len(data["rounds"][TABLES[path[1]]])
             else:
                 new = value + 0.25
             write_json(tpath, replace(data, path, new))
@@ -680,12 +786,12 @@ class TestEveryNumberChecked:
     def test_pd_rounds_reads_the_stored_x(self, tmp_path, capsys):
         # a round's dP is derived from the stored x, so pd-rounds fails on a
         # changed x entry, and so does the replay
-        data = json.loads(json.dumps(TRACE_DICTS["mobm-pd"]))
-        col = data["rounds"]["x"]
-        i = next(i for i, val in enumerate(col) if val is not None)
-        col[i] += 0.25
+        trace = run("mobm-pd")
+        keys = [(u, rec.v) for rec in trace.rounds for u in rec.X]
+        trace.state.x[next(key for key in keys if key in trace.state.x)] += 0.25
         save(INSTANCES["mobm-pd"], tmp_path / "i.json")
-        tpath = write_json(tmp_path / "t.json", data)
+        tpath = tmp_path / "t.json"
+        save_trace(trace, tpath)
         assert main(["verify", str(tpath), "--instance", str(tmp_path / "i.json")]) == 1
         out = capsys.readouterr().out
         assert "FAIL pd-rounds" in out and "FAIL replay-match" in out

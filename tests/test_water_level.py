@@ -329,20 +329,21 @@ def online_budget(family, n=200):
 RUNS = {"obvc": run_obvc, "mobvc": run_mobvc, "mobm-pd": run_mobm_pd}
 
 # sha256 of save_trace's bytes for gen_random(200, 400, 0.3, budget,
-# seed=101) (format 7: the format-4 bytes the full-scan implementation
+# seed=101) (format 8: the format-4 bytes the full-scan implementation
 # wrote, with the rounds stored as columns, a mobm-pd run's x as a rounds
-# column and each region bound once in a bounds column; each file decoded
-# back to format-6 columns hashes to its format-6 pin).
+# column, each region bound once in a bounds column and each x value once
+# in an x_values column; each file decoded back to format-7 columns, x
+# looked up and x_values dropped, hashes to its format-7 pin).
 TRACE_SHA256 = {
-    ("cardinality", "obvc"): "852442b50b9c3cde7871993a814c0db8f7512694d933e7e73a3d3f4cd4b0c584",
-    ("cardinality", "mobvc"): "49f088a4e84a9362943ad7ab4f058496f81c924975c6a03d9f453dcad30700d7",
-    ("cardinality", "mobm-pd"): "c0786518683b591febd6c9ae21115db1cd4c410b32529271ca24f73e5a441544",
-    ("uniform", "mobvc"): "da711bf20e3745e8f42c9361bd2083fee62cf3a64dbb6c0e1efaabfe563c2708",
-    ("uniform", "mobm-pd"): "b43c03e4da524a9af0b791bf8b5113df3c396b3ba0d960d42d4c6fb5c7e0f605",
-    ("partition", "mobvc"): "5797d62c0135c933406d71301df65576e4d9a23e30a574da50fda0d89c33b110",
-    ("partition", "mobm-pd"): "ec9062ed060c7e1662b6c053da90fd24fa1f8648de1ecfeb69acd8f2c6279ab6",
-    ("weighted", "mobvc"): "b4cdcff525cdd76b487f5777b9f90333729905b247a1e22ee869bc10ed3e3731",
-    ("weighted", "mobm-pd"): "a479ee240db48e8fe382b10c2f11c66bfed6a1a20c7cbf6aa7c872f53ee0d1d1",
+    ("cardinality", "obvc"): "0ffcc96b5e0ccd959abb2ae0cc204e1e535008799683ec2559055a43a2703498",
+    ("cardinality", "mobvc"): "c2e96e1904ccb79ed1577e7a667dda56e66950dcfea2fb062640c2bd6b4343c4",
+    ("cardinality", "mobm-pd"): "97c0980e0076b8ee88fe20ed6382e5778a158fcf1bce96cdc7287a8eedaa4287",
+    ("uniform", "mobvc"): "b529f12ee4f645d18ae096e45751088f5310801df9f3e1dbb6892765261226c5",
+    ("uniform", "mobm-pd"): "00b43491cac644142dd9f5aefc67a707be7cd855b16509c64e76231f92790e15",
+    ("partition", "mobvc"): "c4927e77a4bc5fb56c59c1247e2ecfa4758118703859cbccc413b4fe18eca0d4",
+    ("partition", "mobm-pd"): "58768b73056105d818944fe3b613225b9d56f0f0b7bb96e8a983a1ba9900a3eb",
+    ("weighted", "mobvc"): "dccf8b623812e4827e342c8606c9e1cab024b7c0a30157c0451ef538f4b80af4",
+    ("weighted", "mobm-pd"): "3b491a920c96369f92a60a8cf1aa52934c0161588b79877f82c77b1547b5e950",
 }
 
 
