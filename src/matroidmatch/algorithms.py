@@ -710,14 +710,14 @@ def round_cover(instance: Instance, y, z: dict[int, float], gamma: float | None 
     inclusive). Requires y_u + z_v >= 1 - DEFAULT_TOL on every edge, which
     makes the output a cover for every gamma in [0, 1]. Without gamma, the
     threshold is seed's first _uniforms draw (seed 0 by default).
-    InputError for a gamma with a seed, a non-int seed, a non-finite y or
-    z, or a key of z that is no online vertex (numpy ints are taken as
-    ints; no other non-int, bools included, is one)."""
-    y = [float(v) for v in y]
+    InputError for a gamma with a seed, a non-int seed, a y or z value
+    that is not a finite number (bools and strings included), or a key of
+    z that is no online vertex (numpy ints are taken as ints; no other
+    non-int, bools included, is one)."""
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
-    check_finite("y", enumerate(y))
-    check_finite("z", z.items())
+    y = check_finite("y", y)
+    check_finite("z", z)
     for key in z:
         if instance.online_id(key) is None:
             raise InputError(f"z[{key}]: no such online vertex")

@@ -6,6 +6,9 @@ internal inconsistency (a bug), never bad user input.
 """
 
 import math
+import numbers
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -36,10 +39,48 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
-def check_finite(name: str, items):
-    """InputError naming the first (key, value) of items whose value is NaN
-    or infinite; a tuple key is written k1,k2."""
-    for key, value in items:
-        if not math.isfinite(value):
-            label = ",".join(map(str, key)) if isinstance(key, tuple) else key
-            raise InputError(f"{name}[{label}] = {value} is not finite")
+def _label(key) -> str:
+    """A key as written in a message: a tuple key k1,k2 as k1,k2."""
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
+def check_number(name: str, value) -> float:
+    """value as a float if it is a real number (numpy's included), else
+    InputError naming name. Bools and strings are no numbers; an int
+    beyond the float range is refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} = {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{name} is an int beyond the float range") from None
+
+
+def check_numbers(name: str, values) -> list[float]:
+    """check_number over a sequence or over the values of a dict, naming
+    name[key] of the first that fails; the values as floats, in order.
+    One pass over the set of types takes the common column of floats and
+    ints, and a 1-d numpy array of numbers takes one conversion; only a
+    column that fails both is checked value by value."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiu":
+        return values.astype(np.float64).tolist()
+    col = list(values.values()) if isinstance(values, dict) else values
+    types = set(map(type, col))
+    if types <= {float, int}:
+        try:
+            return list(map(float, col)) if int in types else list(col)
+        except OverflowError:  # an int beyond the float range
+            pass
+    keys = values.keys() if isinstance(values, dict) else range(len(col))
+    return [check_number(f"{name}[{_label(key)}]", v) for key, v in zip(keys, col)]
+
+
+def check_finite(name: str, values) -> list[float]:
+    """check_numbers, and InputError naming the first value that is NaN or
+    infinite; the values as floats."""
+    floats = check_numbers(name, values)
+    if not all(map(math.isfinite, floats)):
+        keys = values.keys() if isinstance(values, dict) else range(len(floats))
+        key, value = next((k, v) for k, v in zip(keys, floats) if not math.isfinite(v))
+        raise InputError(f"{name}[{_label(key)}] = {value} is not finite")
+    return floats

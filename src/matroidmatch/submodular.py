@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constants import DEFAULT_TOL
-from .errors import InputError, SizeError, check_int
+from .errors import InputError, SizeError, check_int, check_number, check_numbers
 
 # Largest n for which anything enumerates all 2^n subsets (all_masks).
 EXHAUSTIVE_LIMIT = 16
@@ -116,8 +116,8 @@ class SubmodularFn:
     """Evaluation oracle for a nonnegative set function on a GroundSet.
 
     Subclasses implement value_mask; everything else (marginals, chains,
-    span, the Lovasz extension, axiom checks) is generic, and a family may
-    replace chain_values, span_mask or laminar_form with its closed form.
+    span, the Lovasz extension, axiom checks) is generic; LaminarBudget
+    gives laminar_form and the closed forms of chain_values and span_mask.
     Instances are treated as immutable after construction; the one value
     cached here, is_matroid_rank's answer, never changes observable values.
     """
@@ -176,10 +176,83 @@ class SubmodularFn:
         return f"{type(self).__name__}(n={self.ground.size})"
 
 
-class Cardinality(SubmodularFn):
+class LaminarBudget(SubmodularFn):
+    """The laminar form f(S) = sum over groups G of min(w(S & G), cap_G),
+    unit weights by default; the groups must partition the ground set. Its
+    cases check their own arguments. Under unit weights with every cap
+    integral or infinite, each term is an integer or inf and the sums are
+    exact, so chain_values and span_mask take closed forms; every other
+    form takes SubmodularFn's value_mask loops.
+    """
+
+    def __init__(self, ground: GroundSet, groups: list[tuple[tuple[int, ...], float]],
+                 weights: list[float] | None = None):
+        super().__init__(ground)
+        weights = [1.0] * ground.size if weights is None else weights
+        seen = 0
+        masks = []
+        for members, _ in groups:
+            m = as_mask(ground, members)
+            if m & seen:
+                raise InputError("blocks must be disjoint")
+            seen |= m
+            masks.append(m)
+        if seen != ground.full_mask:
+            raise InputError("blocks must cover the ground set")
+        self._form = (weights, groups)
+        self._group_masks = masks
+        self._caps = [cap for _, cap in groups]
+        self._mask_caps = list(zip(masks, self._caps))
+        self._closed = (all(w == 1.0 for w in weights)
+                        and all(c == math.inf or c.is_integer() for c in self._caps))
+        self._group_of = {u: j for j, (members, _) in enumerate(groups) for u in members}
+
+    def value_mask(self, mask: int) -> float:
+        """The sum of min(|S & G|, cap_G): f under unit weights. A weighted
+        family gives its own."""
+        return float(sum(map(min, map(int.bit_count, map(mask.__and__, self._group_masks)),
+                             self._caps)))
+
+    def chain_values(self, mask: int, elements: Sequence[int]) -> list[float]:
+        """In closed form, a running total over running group counts:
+        O(G + len(elements)) for G groups."""
+        if not self._closed:
+            return super().chain_values(mask, elements)
+        counts = [(mask & gm).bit_count() for gm in self._group_masks]
+        caps, group_of = self._caps, self._group_of
+        total = sum(map(min, counts, caps))
+        out = []
+        for u in elements:
+            j = group_of[u]
+            counts[j] += 1
+            if counts[j] <= caps[j]:
+                total += 1
+            out.append(float(total))
+        return out
+
+    def span_mask(self, mask: int) -> int:
+        """In closed form, a group below its cap has marginal exactly 1 and
+        one at its cap is spanned: O(G) for G groups."""
+        if not self._closed:
+            return super().span_mask(mask)
+        out = mask
+        for gm, c in self._mask_caps:
+            if (mask & gm).bit_count() >= c:
+                out |= gm
+        return out
+
+    def laminar_form(self) -> LaminarForm:
+        weights, groups = self._form
+        return list(weights), list(groups)
+
+
+class Cardinality(LaminarBudget):
     """f(S) = |S|."""
 
     family = "cardinality"
+
+    def __init__(self, ground: GroundSet):
+        super().__init__(ground, [(tuple(range(ground.size)), math.inf)])
 
     def value_mask(self, mask: int) -> float:
         return float(mask.bit_count())
@@ -188,46 +261,27 @@ class Cardinality(SubmodularFn):
         c = mask.bit_count()
         return [float(c + i) for i in range(1, len(elements) + 1)]
 
-    def span_mask(self, mask: int) -> int:
-        return mask  # every marginal is 1
-
-    def laminar_form(self) -> LaminarForm:
-        n = self.ground.size
-        return [1.0] * n, [(tuple(range(n)), math.inf)]
-
     def to_spec(self) -> dict:
         return {"family": "cardinality"}
 
 
-class UniformRank(SubmodularFn):
+class UniformRank(LaminarBudget):
     """f(S) = min(|S|, k): rank of the uniform matroid of rank k."""
 
     family = "uniform_rank"
 
     def __init__(self, ground: GroundSet, k: int):
-        super().__init__(ground)
         self.k = check_int("uniform rank k", k, 0)
+        super().__init__(ground, [(tuple(range(ground.size)), check_number("uniform rank k", k))])
 
     def value_mask(self, mask: int) -> float:
         return float(min(mask.bit_count(), self.k))
-
-    def chain_values(self, mask: int, elements: Sequence[int]) -> list[float]:
-        c, k = mask.bit_count(), self.k
-        return [float(min(c + i, k)) for i in range(1, len(elements) + 1)]
-
-    def span_mask(self, mask: int) -> int:
-        # every marginal is 0 at the rank and 1 below it
-        return self.ground.full_mask if mask.bit_count() >= self.k else mask
-
-    def laminar_form(self) -> LaminarForm:
-        n = self.ground.size
-        return [1.0] * n, [(tuple(range(n)), float(self.k))]
 
     def to_spec(self) -> dict:
         return {"family": "uniform_rank", "k": self.k}
 
 
-class PartitionBudget(SubmodularFn):
+class PartitionBudget(LaminarBudget):
     """f(S) = sum over blocks of min(|S intersect block|, cap_block).
 
     blocks must partition the ground set. With integer caps this is the
@@ -237,70 +291,15 @@ class PartitionBudget(SubmodularFn):
     family = "partition_budget"
 
     def __init__(self, ground: GroundSet, blocks: Sequence[Iterable[int]], caps: Sequence[float]):
-        super().__init__(ground)
         blocks = [tuple(sorted(ground.check_element(u) for u in b)) for b in blocks]
         if len(blocks) != len(caps):
             raise InputError(f"{len(blocks)} blocks but {len(caps)} caps")
-        seen = 0
-        masks = []
-        for b in blocks:
-            m = as_mask(ground, b)
-            if m & seen:
-                raise InputError("blocks must be disjoint")
-            seen |= m
-            masks.append(m)
-        if seen != ground.full_mask:
-            raise InputError("blocks must cover the ground set")
-        caps = [float(c) for c in caps]
+        caps = check_numbers("caps", caps)
         if not all(c >= 0 for c in caps):  # NaN fails too
             raise InputError("caps must be nonnegative")
         self.blocks = blocks
         self.caps = caps
-        self._block_masks = masks
-        self._integral_caps = all(c.is_integer() for c in caps)
-        self._block_of = [0] * ground.size  # element -> index of its block
-        for j, b in enumerate(blocks):
-            for u in b:
-                self._block_of[u] = j
-
-    def value_mask(self, mask: int) -> float:
-        return float(sum(map(min, map(int.bit_count, map(mask.__and__, self._block_masks)),
-                             self.caps)))
-
-    def chain_values(self, mask: int, elements: Sequence[int]) -> list[float]:
-        """With integral caps every term of value_mask's sum is a small
-        integer and the sums are exact, so a running total over running
-        block counts gives its floats in O(B + len(elements)). Other caps
-        take the value_mask loop, which rounds as value_mask does."""
-        if not self._integral_caps:
-            return super().chain_values(mask, elements)
-        counts = [(mask & bm).bit_count() for bm in self._block_masks]
-        caps = self.caps
-        total = sum(map(min, counts, caps))
-        out = []
-        for u in elements:
-            j = self._block_of[u]
-            counts[j] += 1
-            if counts[j] <= caps[j]:
-                total += 1
-            out.append(float(total))
-        return out
-
-    def span_mask(self, mask: int) -> int:
-        """With integral caps every term of value_mask's sum is a small
-        integer and the sums are exact, so a block below its cap has
-        marginal exactly 1 and one at its cap is spanned: O(B) for B
-        blocks. Other caps take the marginal loop."""
-        if not self._integral_caps:
-            return super().span_mask(mask)
-        out = mask
-        for bm, c in zip(self._block_masks, self.caps):
-            if (mask & bm).bit_count() >= c:
-                out |= bm
-        return out
-
-    def laminar_form(self) -> LaminarForm:
-        return [1.0] * self.ground.size, list(zip(self.blocks, self.caps))
+        super().__init__(ground, list(zip(blocks, caps)))
 
     def to_spec(self) -> dict:
         return {"family": "partition_budget",
@@ -308,27 +307,28 @@ class PartitionBudget(SubmodularFn):
                 "caps": list(self.caps)}
 
 
-class WeightedThreshold(SubmodularFn):
+class WeightedThreshold(LaminarBudget):
     """f(S) = min(sum of element weights over S, cap)."""
 
     family = "weighted_threshold"
 
     def __init__(self, ground: GroundSet, weights: Sequence[float], cap: float):
-        super().__init__(ground)
-        weights = [float(w) for w in weights]
+        weights = check_numbers("weights", weights)
         if len(weights) != ground.size:
             raise InputError(f"need {ground.size} weights, got {len(weights)}")
         if not all(w >= 0 for w in weights):  # NaN fails too
             raise InputError("weights must be nonnegative")
+        cap = check_number("cap", cap)
         if not cap >= 0:
             raise InputError("cap must be nonnegative")
         # value_mask's sum on the ground set: f is monotone, so this is its
         # largest value, and finite weights can still add up to inf
-        top = min(reduce(operator.add, weights, 0.0), float(cap))
+        top = min(reduce(operator.add, weights, 0.0), cap)
         if math.isinf(top):
             raise InputError(f"f(ground set) = {top}; budget values must be finite")
         self.weights = weights
-        self.cap = float(cap)
+        self.cap = cap
+        super().__init__(ground, [(tuple(range(ground.size)), cap)], weights)
 
     def value_mask(self, mask: int) -> float:
         # The weights of the set bits, added one by one in ascending u:
@@ -336,9 +336,6 @@ class WeightedThreshold(SubmodularFn):
         # the rounding, which would change results in the last digits.
         bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
         return min(reduce(operator.add, compress(self.weights, bits), 0.0), self.cap)
-
-    def laminar_form(self) -> LaminarForm:
-        return list(self.weights), [(tuple(range(self.ground.size)), self.cap)]
 
     def to_spec(self) -> dict:
         return {"family": "weighted_threshold", "weights": list(self.weights), "cap": self.cap}
@@ -356,7 +353,7 @@ class ExplicitTable(SubmodularFn):
             raise SizeError(f"explicit table limited to n <= {EXHAUSTIVE_LIMIT}")
         if len(values) != 1 << ground.size:
             raise InputError(f"table needs {1 << ground.size} entries, got {len(values)}")
-        table = np.asarray(values, dtype=np.float64)
+        table = np.asarray(check_numbers("values", values), dtype=np.float64)
         if not np.all(table >= 0):  # NaN fails too
             raise InputError("table values must be nonnegative")
         inf = np.flatnonzero(np.isinf(table))
@@ -490,7 +487,8 @@ def _exhaustive_axioms(vals: np.ndarray) -> AxiomReport:
 
 
 def _check_potentials(ground: GroundSet, y: Sequence[float]) -> list[float]:
-    y = [float(v) for v in y]
+    """y as floats: n numbers (check_numbers), each in [0, 1]."""
+    y = check_numbers("y", y)
     if len(y) != ground.size:
         raise InputError(f"need {ground.size} potentials, got {len(y)}")
     for u, v in enumerate(y):

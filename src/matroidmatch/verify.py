@@ -237,8 +237,9 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance) -> Check
     form (any n) and exhaustive for the others (all_masks: n <= 16,
     SizeError above). Ids that are numpy ints are taken as ints; a key that
     is not a pair, or an id that is not an int (bools included), is no such
-    vertex pair. InputError for a non-finite x."""
-    check_finite("x", x.items())
+    vertex pair. InputError for an x value that is not a finite number
+    (bools and strings included)."""
+    check_finite("x", x)
     n = instance.n_offline
     f = instance.f
     masks = instance.masks
@@ -333,12 +334,12 @@ def check_cover(y, z: dict[int, float], instance: Instance) -> CheckReport:
     """Fractional cover feasibility: y_u + z_v >= 1 on every edge, and every
     key of z an online vertex (numpy ints taken as ints; any other key that
     is not an int, bools included, names none and covers no edge).
-    InputError for a y of another length than n_offline or a non-finite y
-    or z."""
+    InputError for a y of another length than n_offline, or a y or z
+    value that is not a finite number (bools and strings included)."""
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
-    check_finite("y", enumerate(y))
-    check_finite("z", z.items())
+    check_finite("y", y)
+    check_finite("z", z)
     report = CheckReport(ok=True)
     online: dict[int, float] = {}
     for key, val in z.items():
@@ -364,11 +365,12 @@ def expected_rounding_cost(f: SubmodularFn, y, z: dict[int, float]) -> float:
     1 - z_v, integrated segment by segment. Equals Lovasz(f, y) + sum z
     whenever every z_v lies in [0, 1]; for larger z the online term
     saturates at probability one. y must hold n potentials in [0, 1] and z
-    finite values (InputError otherwise).
+    finite numbers (InputError otherwise; bools and strings are no
+    numbers).
     """
     n = f.ground.size
     y = _check_potentials(f.ground, y)
-    check_finite("z", z.items())
+    check_finite("z", z)
     points = {0.0, 1.0}
     points |= {v for v in y if 0.0 < v < 1.0}
     points |= {1.0 - zv for zv in z.values() if 0.0 < 1.0 - zv < 1.0}

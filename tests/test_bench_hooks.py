@@ -26,6 +26,7 @@ from matroidmatch.algorithms import ALGORITHMS
 from matroidmatch.instances import gen_random, save
 from matroidmatch.submodular import (
     Cardinality,
+    ExplicitTable,
     GroundSet,
     PartitionBudget,
     UniformRank,
@@ -61,8 +62,30 @@ def test_traced_function_exists(name):
 @pytest.mark.parametrize("clsname", TRACER.BUDGET_CLASSES)
 def test_traced_budget_methods_exist(clsname):
     cls = getattr(submodular, clsname)
+    assert issubclass(cls, submodular.SubmodularFn)
     assert callable(cls.value_mask)
     assert callable(cls.values_for_masks)
+
+
+def test_traced_value_mask_counts_each_call_once(monkeypatch):
+    # the tracer wraps value_mask on each family by name; families that
+    # share their base's value_mask must each get one wrapper, never a
+    # wrapper around another family's wrapper
+    tracer = TRACER.Tracer()
+    for clsname in TRACER.BUDGET_CLASSES:
+        cls = getattr(submodular, clsname)
+        monkeypatch.setattr(cls, "value_mask", tracer.leaf("submodular.value_mask",
+                                                           cls.value_mask))
+    g = GroundSet(4)
+    budgets = [Cardinality(g), UniformRank(g, 2), PartitionBudget(g, [[0, 1], [2, 3]], [1, 2]),
+               WeightedThreshold(g, [0.5, 1.0, 0.25, 2.0], 1.5),
+               ExplicitTable(g, [float(m.bit_count()) for m in range(16)])]
+    assert sorted(type(f).__name__ for f in budgets) == sorted(TRACER.BUDGET_CLASSES)
+    for f in budgets:
+        first = tracer.open(type(f).__name__)
+        f.value_mask(0b0101)
+        tracer.close()
+        assert tracer.reduce(first)["submodular.value_mask"][0] == 1, type(f).__name__
 
 
 def test_other_traced_names_exist():

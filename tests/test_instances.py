@@ -324,6 +324,13 @@ class TestHostileFiles:
         {"family": "explicit_table", "values": [0.0, 1.0, float("nan"), 1.0]},
         {"family": "explicit_table", "values": [0.0, 1.0, [1.0], 1.0]},
         {"family": "weighted_threshold", "weights": [1.0, 1.0], "cap": "1"},
+        # bools and numeric strings loaded as the floats they equal or spell
+        {"family": "partition_budget", "blocks": [[0, 1]], "caps": ["1"]},
+        {"family": "partition_budget", "blocks": [[0, 1]], "caps": [True]},
+        {"family": "weighted_threshold", "weights": ["0.5", 1], "cap": 1.0},
+        {"family": "weighted_threshold", "weights": [0.5, 1], "cap": True},
+        {"family": "explicit_table", "values": ["0", True, 1.0, 1.0]},
+        {"family": "explicit_table", "values": [0.0, True, 1.0, 1.0]},
     ])
     def test_bad_budget_numbers(self, tmp_path, f):
         path = tmp_path / "i.json"

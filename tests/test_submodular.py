@@ -4,6 +4,7 @@ import copy
 import inspect
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from matroidmatch.submodular import (
     Cardinality,
     ExplicitTable,
     GroundSet,
+    LaminarBudget,
     PartitionBudget,
     SubmodularFn,
     UniformRank,
@@ -754,6 +756,109 @@ class TestFiniteBudgets:
         f = fn_from_spec(spec, GroundSet(2))
         assert f.value_mask(0b11) == top
         assert lovasz(f, [0.0, 0.5]) == 0.5
+
+
+class TestBudgetNumbers:
+    """A budget's numbers are ints or floats, numpy's included: a bool or a
+    string is refused by name and index, not read as the number it equals
+    or spells."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda g: PartitionBudget(g, [[0, 1]], ["1"]), "caps[0] = '1'"),
+        (lambda g: PartitionBudget(g, [[0], [1]], [1, True]), "caps[1] = True"),
+        (lambda g: PartitionBudget(g, [[0], [1]], "12"), "caps[0] = '1'"),
+        (lambda g: WeightedThreshold(g, ["0.5", 1], 1.0), "weights[0] = '0.5'"),
+        (lambda g: WeightedThreshold(g, [0.5, None], 1.0), "weights[1] = None"),
+        (lambda g: WeightedThreshold(g, [0.5, 1.0], True), "cap = True"),
+        (lambda g: WeightedThreshold(g, [0.5, 1.0], "1"), "cap = '1'"),
+        (lambda g: WeightedThreshold(g, [0.5, 1.0], [1.0]), "cap = [1.0]"),
+        (lambda g: ExplicitTable(g, ["0", True, 1.0, 2.0]), "values[0] = '0'"),
+        (lambda g: ExplicitTable(g, [0.0, 1.0, True, 2.0]), "values[2] = True"),
+        (lambda g: ExplicitTable(g, [0.0, 1.0, np.bool_(True), 2.0]),
+         f"values[2] = {np.bool_(True)!r}"),
+    ], ids=["caps-str", "caps-bool", "caps-a-string", "weights-str", "weights-none",
+            "cap-bool", "cap-str", "cap-list", "values-str", "values-bool",
+            "values-numpy-bool"])
+    def test_non_numbers_refused(self, make, message):
+        with pytest.raises(InputError) as exc:
+            make(GroundSet(2))
+        assert str(exc.value) == f"{message} is not a number"
+
+    def test_int_beyond_the_float_range_refused(self):
+        with pytest.raises(InputError, match=re.escape("caps[1] is an int beyond the float")):
+            PartitionBudget(GroundSet(2), [[0], [1]], [1, 10 ** 400])
+        with pytest.raises(InputError, match="cap is an int beyond the float range"):
+            WeightedThreshold(GroundSet(2), [1, 1], -10 ** 400)
+        # the form's cap is float(k): a raw OverflowError once the form was read
+        with pytest.raises(InputError, match="uniform rank k is an int beyond the float range"):
+            UniformRank(GroundSet(2), 10 ** 400)
+
+    def test_numpy_numbers_taken(self):
+        g = GroundSet(2)
+        f = PartitionBudget(g, [[0], [1]], np.array([1, 0]))
+        assert f.caps == [1.0, 0.0] and all(type(c) is float for c in f.caps)
+        f = WeightedThreshold(g, [np.float32(0.5), np.int64(1)], np.float64(1.25))
+        assert (f.weights, f.cap) == ([0.5, 1.0], 1.25)
+        assert type(f.cap) is float
+        f = ExplicitTable(g, np.array([0, 1, 1, 2], dtype=np.int8))
+        assert f.values_for_masks(all_masks(2)).tolist() == [0.0, 1.0, 1.0, 2.0]
+
+
+def test_one_laminar_form_in_src():
+    # LaminarBudget is the one home of the laminar form: its partition
+    # check, its closed-form span and chains; each family only states its
+    # form and keeps its hot value_mask
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(Path(submodular.__file__).parent.glob("*.py"))]
+    assert sum(text.count("def laminar_form") for text in texts) == 2
+    for message in ("blocks must be disjoint", "blocks must cover the ground set"):
+        assert sum(text.count(message) for text in texts) == 1, message
+    classes = [cls for cls in vars(submodular).values()
+               if isinstance(cls, type) and issubclass(cls, SubmodularFn)]
+    for method in ("laminar_form", "span_mask"):
+        owners = {cls.__name__ for cls in classes if method in vars(cls)}
+        assert owners == {"SubmodularFn", "LaminarBudget"}, method
+
+
+class TestLaminarBudget:
+    def test_partition_check(self):
+        g = GroundSet(3)
+        with pytest.raises(InputError, match="blocks must be disjoint"):
+            LaminarBudget(g, [((0, 1), 1.0), ((1, 2), 1.0)])
+        with pytest.raises(InputError, match="blocks must cover the ground set"):
+            LaminarBudget(g, [((0, 1), 1.0)])
+        f = LaminarBudget(g, [((0, 2), 1.0), ((1,), 2.0)])
+        assert f.laminar_form() == ([1.0, 1.0, 1.0], [((0, 2), 1.0), ((1,), 2.0)])
+        assert [f.value_mask(m) for m in range(8)] == [0, 1, 1, 2, 1, 1, 2, 2]
+
+    def test_form_is_a_copy(self):
+        f = WeightedThreshold(GroundSet(2), [0.5, 1.0], 1.25)
+        weights, groups = f.laminar_form()
+        weights[0] = 9.0
+        groups.append(((0,), 0.0))
+        assert f.laminar_form() == ([0.5, 1.0], [((0, 1), 1.25)])
+        assert f.weights == [0.5, 1.0]
+
+    @pytest.mark.parametrize("make, closed", [
+        (lambda g: PartitionBudget(g, [[0, 1], [2, 3]], [math.inf, 1]), True),
+        (lambda g: WeightedThreshold(g, [1.0] * 4, 3.0), True),
+        (lambda g: WeightedThreshold(g, [1.0] * 4, math.inf), True),
+        (lambda g: PartitionBudget(g, [[0, 1], [2, 3]], [1.5, 1]), False),
+        (lambda g: WeightedThreshold(g, [1.0, 1.0, 1.0, 0.5], 3.0), False),
+    ], ids=["partition-inf-cap", "unit-weights", "unit-weights-inf-cap",
+            "half-cap", "half-weight"])
+    def test_closed_forms_under_one_rule(self, make, closed, monkeypatch):
+        # unit weights with every cap integral or infinite take the closed
+        # forms, which call no value_mask; every other form takes the loops
+        f = make(GroundSet(4))
+        want_chain = loop_chain(f, 0b0001, [2, 1, 3])
+        want_span = SubmodularFn.span_mask(f, 0b0101)
+        calls = []
+        inner = type(f).value_mask
+        monkeypatch.setattr(type(f), "value_mask", lambda self, m: calls.append(m) or inner(self, m))
+        assert f.chain_values(0b0001, [2, 1, 3]) == want_chain
+        assert f.span_mask(0b0101) == want_span
+        assert (not calls) == closed
 
 
 def test_mask_helpers():

@@ -418,6 +418,27 @@ class TestWeakDualityAndCover:
             assert {type(vid) for vid in T} == {int}
 
 
+# Each library entry point that checks the values of x, y or z, and the
+# entry its message names when `bad` is put there.
+VALUE_CALLS = [
+    pytest.param(lambda inst, bad: check_cover([bad, 1.0], {0: 0.0}, inst), "y[0]",
+                 id="check_cover-y"),
+    pytest.param(lambda inst, bad: check_cover([1.0, 1.0], {0: bad}, inst), "z[0]",
+                 id="check_cover-z"),
+    pytest.param(lambda inst, bad: check_matching({(0, 0): bad, (1, 1): 0.5}, inst), "x[0,0]",
+                 id="check_matching-x"),
+    pytest.param(lambda inst, bad: round_cover(inst, [bad, 1.0], {0: 0.0}, gamma=0.5), "y[0]",
+                 id="round_cover-y"),
+    pytest.param(lambda inst, bad: round_cover(inst, [1.0, 1.0], {0: bad}, gamma=0.5), "z[0]",
+                 id="round_cover-z"),
+    pytest.param(lambda inst, bad: expected_rounding_cost(inst.f, [bad, 0.5], {}), "y[0]",
+                 id="expected_rounding_cost-y"),
+    pytest.param(lambda inst, bad: expected_rounding_cost(inst.f, [0.5, 0.5], {0: bad}), "z[0]",
+                 id="expected_rounding_cost-z"),
+    pytest.param(lambda inst, bad: lovasz(inst.f, [0.5, bad]), "y[1]", id="lovasz-y"),
+]
+
+
 class TestSavedRun:
     """check_run and audit_charging refuse what they cannot judge: a trace
     of another instance."""
@@ -439,21 +460,40 @@ class TestSavedRun:
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("call, entry", [
-        (lambda inst, bad: check_cover([bad, 1.0], {0: 0.0}, inst), "y[0]"),
-        (lambda inst, bad: check_cover([1.0, 1.0], {0: bad}, inst), "z[0]"),
-        (lambda inst, bad: check_matching({(0, 0): bad, (1, 1): 0.5}, inst), "x[0,0]"),
-        (lambda inst, bad: round_cover(inst, [bad, 1.0], {0: 0.0}, gamma=0.5), "y[0]"),
-        (lambda inst, bad: round_cover(inst, [1.0, 1.0], {0: bad}, gamma=0.5), "z[0]"),
-        (lambda inst, bad: expected_rounding_cost(inst.f, [bad, 0.5], {}), "y[0]"),
-        (lambda inst, bad: expected_rounding_cost(inst.f, [0.5, 0.5], {0: bad}), "z[0]"),
-    ], ids=["check_cover-y", "check_cover-z", "check_matching-x", "round_cover-y",
-            "round_cover-z", "expected_rounding_cost-y", "expected_rounding_cost-z"])
+    @pytest.mark.parametrize("call, entry", VALUE_CALLS)
     def test_every_value_is_finite(self, call, entry, bad):
         # every test was written value < bound, which NaN fails: a NaN cover
         # or matching passed, and round_cover returned an empty "cover"
         with pytest.raises(InputError, match=re.escape(f"{entry} = {bad}")):
             call(gen_upper_triangular(2), bad)
+
+
+class TestNumberRule:
+    """One number rule for every value the library checks: an int or a
+    float, numpy's included; never a bool or a string."""
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", None],
+                             ids=["bool", "numpy-bool", "str", "none"])
+    @pytest.mark.parametrize("call, entry", VALUE_CALLS)
+    def test_every_value_is_a_number(self, call, entry, bad):
+        # a bool passed as the number it equals, and a string raised a raw
+        # TypeError or, in lovasz, was read as the number it spells
+        with pytest.raises(InputError) as exc:
+            call(gen_upper_triangular(2), bad)
+        assert str(exc.value) == f"{entry} = {bad!r} is not a number"
+
+    def test_numpy_numbers_taken(self):
+        inst = gen_upper_triangular(2)
+        y = [np.float64(1.0), np.int64(1)]
+        assert check_cover(y, {0: np.float32(0.0)}, inst).ok
+        assert check_matching({(0, 0): np.float64(0.5), (1, 1): np.int8(1)}, inst).ok
+        assert lovasz(inst.f, np.array([0.5, 0.25])) == lovasz(inst.f, [0.5, 0.25])
+        assert round_cover(inst, np.array([1.0, 1.0]), {}, gamma=0.5) == ({0, 1}, frozenset())
+
+    def test_int_beyond_the_float_range(self):
+        inst = gen_upper_triangular(2)
+        with pytest.raises(InputError, match=re.escape("z[0] is an int beyond the float range")):
+            check_cover([1.0, 1.0], {0: 10 ** 400}, inst)
 
 
 class TestExpectedRoundingCost:
