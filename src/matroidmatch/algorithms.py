@@ -45,8 +45,9 @@ from .errors import (
     InvariantError,
     ParseError,
     PreconditionError,
-    check_finite,
     check_int,
+    check_number,
+    check_numbers,
 )
 from .instances import (
     Arrival,
@@ -58,7 +59,6 @@ from .instances import (
     json_int,
     json_ints,
     json_list,
-    json_number,
     json_numbers,
     order_arrivals,
     read_json,
@@ -201,10 +201,7 @@ def _from_table(name: str, table, **columns) -> list[list[float]]:
     called name. ValueError naming the column unless the table holds finite
     numbers, strictly ascending (-0.0 may precede 0.0), each column holds
     int indexes into it, and every entry is used: one bytes form per trace."""
-    try:
-        table = json_numbers(table)
-    except ValueError as e:
-        raise ValueError(f"{name}: {e}") from None
+    table = json_numbers(table, name)
     if not all(map(operator.lt, table, table[1:])):
         signed = [(v, math.copysign(1.0, v)) for v in table]
         if not all(map(operator.lt, signed, signed[1:])):
@@ -293,10 +290,10 @@ class WaterfillRound:
     def from_columns(cols: dict, n: int) -> list["WaterfillRound"]:
         """Inverse of to_columns; ValueError, TypeError or KeyError on a
         malformed or out-of-range column, or a region off 0 <= lo <= hi <= 1."""
-        v, a, counts = json_ints(cols["v"]), json_numbers(cols["a"]), json_ints(cols["regions"])
+        v, a, counts = json_ints(cols["v"]), json_numbers(cols["a"], "a"), json_ints(cols["regions"])
         X = json_list(cols["X"])
         lo, hi = _from_table("bounds", cols["bounds"], lo=cols["lo"], hi=cols["hi"])
-        old, new = json_numbers(cols["old_height"]), json_numbers(cols["new_height"])
+        old, new = json_numbers(cols["old_height"], "old_height"), json_numbers(cols["new_height"], "new_height")
         _same_length("round", v=v, a=a, X=X, regions=counts)
         _same_length("region", lo=lo, hi=hi, old_height=old, new_height=new)
         if counts and min(counts) < 0:
@@ -339,7 +336,7 @@ class GreedyRound:
     def from_columns(cols: dict, n: int) -> list["GreedyRound"]:
         """Inverse of to_columns; ValueError, TypeError or KeyError on a
         malformed or out-of-range column."""
-        v, t = json_ints(cols["v"]), json_numbers(cols["t"])
+        v, t = json_ints(cols["v"]), json_numbers(cols["t"], "t")
         X, matched = json_list(cols["X"]), json_list(cols["matched"])
         _same_length("round", v=v, t=t, X=X, matched=matched)
         if not set(map(type, matched)) <= {int, type(None)}:
@@ -441,14 +438,14 @@ class RunTrace:
         name, n = d["instance"]["name"], json_int(d["instance"]["n_offline"])
         if not isinstance(name, str) or n < 0:
             raise ValueError(f"bad instance block {d['instance']!r}")
-        if json_number(d["alpha"]) != ALPHA:
+        if check_number("alpha", d["alpha"], finite=True) != ALPHA:
             raise ValueError(f"trace alpha {d['alpha']} differs from ALPHA = {ALPHA}")
         cols, fin = d["rounds"], d["final"]
         rounds = _round_type(algorithm).from_columns(cols, n)
         if algorithm == "greedy-ra":
             xu, xv, xval = _json_rows(fin["x"], 3)
             pairs = _distinct("final.x (u, v)", list(zip(json_ints(xu), json_ints(xv))))
-            x = dict(zip(pairs, json_numbers(xval)))
+            x = dict(zip(pairs, json_numbers(xval, "final.x")))
         elif algorithm == "mobm-pd":
             x = _x_from_column(cols, rounds)
         else:
@@ -457,7 +454,7 @@ class RunTrace:
         if stray or ("x" in fin) != (algorithm == "greedy-ra"):
             raise ValueError(f"a {algorithm} trace stores x elsewhere: mobm-pd as x and x_values "
                              f"in the rounds, greedy-ra in the final block, the others nowhere")
-        y = json_numbers(fin["y"])
+        y = json_numbers(fin["y"], "final.y")
         if len(y) != n:
             raise ValueError(f"{len(y)} final potentials for n_offline = {n}")
         zv, zval = _json_rows(fin["z"], 2)
@@ -466,15 +463,15 @@ class RunTrace:
         if matched and (min(matched) < 0 or max(matched) >= n):
             bad = next(u for u in matched if not 0 <= u < n)
             raise ValueError(f"matched_offline id {bad} outside 0..{n - 1}")
-        state = OnlineState(y=y, z=dict(zip(zv, json_numbers(zval))), x=x,
+        state = OnlineState(y=y, z=dict(zip(zv, json_numbers(zval, "final.z"))), x=x,
                             matched=frozenset(matched))
         # a run without x entries stores the empty sum, the int 0; it loads
         # as 0 so that the loaded trace saves to the same bytes
         primal = fin["primal_value"]
         if not (type(primal) is int and primal == 0):
-            primal = json_number(primal)
+            primal = check_number("primal_value", primal, finite=True)
         return RunTrace(algorithm, name, n, rounds, state, primal,
-                        json_number(fin["dual_value"]))
+                        check_number("dual_value", fin["dual_value"], finite=True))
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
@@ -714,10 +711,10 @@ def round_cover(instance: Instance, y, z: dict[int, float], gamma: float | None 
     that is not a finite number (bools and strings included), or a key of
     z that is no online vertex (numpy ints are taken as ints; no other
     non-int, bools included, is one)."""
+    y = check_numbers("y", y, finite=True)
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
-    y = check_finite("y", y)
-    check_finite("z", z)
+    check_numbers("z", z, finite=True)
     for key in z:
         if instance.online_id(key) is None:
             raise InputError(f"z[{key}]: no such online vertex")

@@ -8,8 +8,6 @@ internal inconsistency (a bug), never bad user input.
 import math
 import numbers
 
-import numpy as np
-
 
 class InputError(ValueError):
     """An argument is malformed or out of its documented domain."""
@@ -44,43 +42,37 @@ def _label(key) -> str:
     return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
-def check_number(name: str, value) -> float:
+def check_number(name: str, value, finite: bool = False) -> float:
     """value as a float if it is a real number (numpy's included), else
-    InputError naming name. Bools and strings are no numbers; an int
-    beyond the float range is refused too."""
+    InputError naming name. Bools and strings are no numbers, an int
+    beyond the float range is refused too, and with finite so are NaN and
+    the infinities."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{name} = {value!r} is not a number")
     try:
-        return float(value)
+        v = float(value)
     except OverflowError:
         raise InputError(f"{name} is an int beyond the float range") from None
+    if finite and not math.isfinite(v):
+        raise InputError(f"{name} = {v} is not finite")
+    return v
 
 
-def check_numbers(name: str, values) -> list[float]:
-    """check_number over a sequence or over the values of a dict, naming
-    name[key] of the first that fails; the values as floats, in order.
-    One pass over the set of types takes the common column of floats and
-    ints, and a 1-d numpy array of numbers takes one conversion; only a
-    column that fails both is checked value by value."""
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiu":
-        return values.astype(np.float64).tolist()
-    col = list(values.values()) if isinstance(values, dict) else values
+def check_numbers(name: str, values, finite: bool = False) -> list[float]:
+    """check_number over the values of a dict or of any other iterable,
+    naming name[key] (name[index]) of the first that fails; the values as
+    a new list of floats, in order. A column of floats and ints takes one
+    pass over the set of types and, with finite, one for finiteness; only
+    a column that fails is checked value by value."""
+    col = list(values.values()) if isinstance(values, dict) else list(values)
     types = set(map(type, col))
     if types <= {float, int}:
         try:
-            return list(map(float, col)) if int in types else list(col)
+            floats = list(map(float, col)) if int in types else col
         except OverflowError:  # an int beyond the float range
             pass
+        else:
+            if not finite or all(map(math.isfinite, floats)):
+                return floats
     keys = values.keys() if isinstance(values, dict) else range(len(col))
-    return [check_number(f"{name}[{_label(key)}]", v) for key, v in zip(keys, col)]
-
-
-def check_finite(name: str, values) -> list[float]:
-    """check_numbers, and InputError naming the first value that is NaN or
-    infinite; the values as floats."""
-    floats = check_numbers(name, values)
-    if not all(map(math.isfinite, floats)):
-        keys = values.keys() if isinstance(values, dict) else range(len(floats))
-        key, value = next((k, v) for k, v in zip(keys, floats) if not math.isfinite(v))
-        raise InputError(f"{name}[{_label(key)}] = {value} is not finite")
-    return floats
+    return [check_number(f"{name}[{_label(key)}]", v, finite) for key, v in zip(keys, col)]

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, ParseError, SizeError, check_int
+from .errors import InputError, ParseError, SizeError, check_int, check_numbers
 from .submodular import (
     Cardinality,
     ExplicitTable,
@@ -365,21 +365,8 @@ def random_coverage_table(n: int, seed: int, universe: int | None = None) -> Exp
 
 # Checked reads of parsed JSON for both file readers (instances here,
 # run traces in algorithms): each raises ValueError on a value of the wrong
-# type. Bools are never numbers or ids.
-
-def json_number(v) -> float:
-    """A finite number read from JSON, as a float; ValueError otherwise
-    (bools, strings and non-finite values included)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"expected a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return v
-
+# type. Bools are never numbers or ids; numbers follow the package's one
+# number rule, errors.check_numbers.
 
 def json_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
@@ -394,8 +381,8 @@ def json_list(v) -> list:
 
 
 # The column readers check a whole list at once: one pass for the set of
-# types, one for finiteness. The per-value reader runs only on a list that
-# fails, to raise its error at the first bad value.
+# types (and, for numbers, one for finiteness). The per-value check runs
+# only on a list that fails, to raise its error at the first bad value.
 
 def json_ints(v) -> tuple[int, ...]:
     col = json_list(v)
@@ -404,19 +391,10 @@ def json_ints(v) -> tuple[int, ...]:
     return tuple(map(json_int, col))
 
 
-def json_numbers(v) -> list[float]:
-    """json_number over a list: its values as floats."""
-    col = json_list(v)
-    types = set(map(type, col))
-    if types <= {float, int}:
-        try:
-            floats = list(map(float, col)) if int in types else col
-        except OverflowError:  # an integer beyond the float range
-            pass
-        else:
-            if all(map(math.isfinite, floats)):
-                return floats
-    return list(map(json_number, col))
+def json_numbers(v, name: str) -> list[float]:
+    """A list of finite numbers read from JSON, as floats: check_numbers
+    with finite on the list called name."""
+    return check_numbers(name, json_list(v), finite=True)
 
 
 def read_json(path: str | os.PathLike):

@@ -178,33 +178,42 @@ class SubmodularFn:
 
 class LaminarBudget(SubmodularFn):
     """The laminar form f(S) = sum over groups G of min(w(S & G), cap_G),
-    unit weights by default; the groups must partition the ground set. Its
-    cases check their own arguments. Under unit weights with every cap
-    integral or infinite, each term is an integer or inf and the sums are
-    exact, so chain_values and span_mask take closed forms; every other
-    form takes SubmodularFn's value_mask loops.
+    unit weights by default. It checks the form: n nonnegative weights,
+    nonnegative caps, and groups that partition the ground set; weights
+    other than 1 need a subclass with its own value_mask. Under unit
+    weights with every cap integral or infinite, each term is an integer
+    or inf and the sums are exact, so chain_values and span_mask take
+    closed forms; every other form, and a -0.0 cap (min(1, -0.0) is -0.0,
+    which an int sum cannot give), takes SubmodularFn's value_mask loops.
     """
 
     def __init__(self, ground: GroundSet, groups: list[tuple[tuple[int, ...], float]],
                  weights: list[float] | None = None):
         super().__init__(ground)
-        weights = [1.0] * ground.size if weights is None else weights
-        seen = 0
-        masks = []
-        for members, _ in groups:
-            m = as_mask(ground, members)
-            if m & seen:
-                raise InputError("blocks must be disjoint")
-            seen |= m
-            masks.append(m)
-        if seen != ground.full_mask:
+        weights = [1.0] * ground.size if weights is None else check_numbers("weights", weights)
+        if len(weights) != ground.size:
+            raise InputError(f"need {ground.size} weights, got {len(weights)}")
+        if not all(w >= 0 for w in weights):  # NaN fails too
+            raise InputError("weights must be nonnegative")
+        unit = all(w == 1.0 for w in weights)
+        if not unit and type(self).value_mask is LaminarBudget.value_mask:
+            raise InputError("weights other than 1 need a family with its own value_mask")
+        caps = check_numbers("caps", [cap for _, cap in groups])
+        if not all(c >= 0 for c in caps):  # NaN fails too
+            raise InputError("caps must be nonnegative")
+        groups = [(members, c) for (members, _), c in zip(groups, caps)]
+        masks = [as_mask(ground, members) for members, _ in groups]
+        union = reduce(operator.or_, masks, 0)
+        if sum(map(int.bit_count, masks)) != union.bit_count():
+            raise InputError("blocks must be disjoint")
+        if union != ground.full_mask:
             raise InputError("blocks must cover the ground set")
         self._form = (weights, groups)
         self._group_masks = masks
-        self._caps = [cap for _, cap in groups]
-        self._mask_caps = list(zip(masks, self._caps))
-        self._closed = (all(w == 1.0 for w in weights)
-                        and all(c == math.inf or c.is_integer() for c in self._caps))
+        self._caps = caps
+        self._mask_caps = list(zip(masks, caps))
+        self._closed = unit and all(c == math.inf or c.is_integer() and math.copysign(1, c) > 0
+                                    for c in caps)
         self._group_of = {u: j for j, (members, _) in enumerate(groups) for u in members}
 
     def value_mask(self, mask: int) -> float:
@@ -242,8 +251,7 @@ class LaminarBudget(SubmodularFn):
         return out
 
     def laminar_form(self) -> LaminarForm:
-        weights, groups = self._form
-        return list(weights), list(groups)
+        return list(self._form[0]), list(self._form[1])
 
 
 class Cardinality(LaminarBudget):
@@ -294,12 +302,9 @@ class PartitionBudget(LaminarBudget):
         blocks = [tuple(sorted(ground.check_element(u) for u in b)) for b in blocks]
         if len(blocks) != len(caps):
             raise InputError(f"{len(blocks)} blocks but {len(caps)} caps")
-        caps = check_numbers("caps", caps)
-        if not all(c >= 0 for c in caps):  # NaN fails too
-            raise InputError("caps must be nonnegative")
-        self.blocks = blocks
-        self.caps = caps
         super().__init__(ground, list(zip(blocks, caps)))
+        self.blocks = blocks
+        self.caps = self._caps
 
     def to_spec(self) -> dict:
         return {"family": "partition_budget",
@@ -313,22 +318,16 @@ class WeightedThreshold(LaminarBudget):
     family = "weighted_threshold"
 
     def __init__(self, ground: GroundSet, weights: Sequence[float], cap: float):
-        weights = check_numbers("weights", weights)
-        if len(weights) != ground.size:
-            raise InputError(f"need {ground.size} weights, got {len(weights)}")
-        if not all(w >= 0 for w in weights):  # NaN fails too
-            raise InputError("weights must be nonnegative")
         cap = check_number("cap", cap)
         if not cap >= 0:
             raise InputError("cap must be nonnegative")
+        super().__init__(ground, [(tuple(range(ground.size)), cap)], weights)
+        self.weights, self.cap = self._form[0], cap
         # value_mask's sum on the ground set: f is monotone, so this is its
         # largest value, and finite weights can still add up to inf
-        top = min(reduce(operator.add, weights, 0.0), cap)
+        top = min(reduce(operator.add, self.weights, 0.0), cap)
         if math.isinf(top):
             raise InputError(f"f(ground set) = {top}; budget values must be finite")
-        self.weights = weights
-        self.cap = cap
-        super().__init__(ground, [(tuple(range(ground.size)), cap)], weights)
 
     def value_mask(self, mask: int) -> float:
         # The weights of the set bits, added one by one in ascending u:

@@ -35,7 +35,7 @@ from .constants import (
     charge_integral,
     charge_potential,
 )
-from .errors import InputError, InvariantError, check_finite, check_int
+from .errors import InputError, InvariantError, check_int, check_numbers
 from .instances import Instance, _vertex_id, by_timestamp, check_size, stamp_orders
 from .submodular import (
     SubmodularFn,
@@ -239,7 +239,7 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance) -> Check
     is not a pair, or an id that is not an int (bools included), is no such
     vertex pair. InputError for an x value that is not a finite number
     (bools and strings included)."""
-    check_finite("x", x)
+    check_numbers("x", x, finite=True)
     n = instance.n_offline
     f = instance.f
     masks = instance.masks
@@ -336,10 +336,10 @@ def check_cover(y, z: dict[int, float], instance: Instance) -> CheckReport:
     is not an int, bools included, names none and covers no edge).
     InputError for a y of another length than n_offline, or a y or z
     value that is not a finite number (bools and strings included)."""
+    y = check_numbers("y", y, finite=True)
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
-    check_finite("y", y)
-    check_finite("z", z)
+    check_numbers("z", z, finite=True)
     report = CheckReport(ok=True)
     online: dict[int, float] = {}
     for key, val in z.items():
@@ -370,7 +370,7 @@ def expected_rounding_cost(f: SubmodularFn, y, z: dict[int, float]) -> float:
     """
     n = f.ground.size
     y = _check_potentials(f.ground, y)
-    check_finite("z", z)
+    check_numbers("z", z, finite=True)
     points = {0.0, 1.0}
     points |= {v for v in y if 0.0 < v < 1.0}
     points |= {1.0 - zv for zv in z.values() if 0.0 < 1.0 - zv < 1.0}

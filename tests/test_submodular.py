@@ -831,6 +831,43 @@ class TestLaminarBudget:
         assert f.laminar_form() == ([1.0, 1.0, 1.0], [((0, 2), 1.0), ((1,), 2.0)])
         assert [f.value_mask(m) for m in range(8)] == [0, 1, 1, 2, 1, 1, 2, 2]
 
+    def test_caps_and_weights_checked(self):
+        # the base owns the form, so it checks the caps and refuses weights
+        # its unit-weight value_mask would not evaluate
+        g = GroundSet(2)
+        f = LaminarBudget(g, [((0, 1), 1)])  # an int cap, also before Python 3.12
+        assert f.laminar_form() == ([1.0, 1.0], [((0, 1), 1.0)])
+        assert f.span_mask(0b01) == 0b11 and f.chain_values(0, [0, 1]) == [1.0, 1.0]
+        with pytest.raises(InputError, match="caps must be nonnegative"):
+            LaminarBudget(g, [((0, 1), -1.0)])
+        with pytest.raises(InputError, match=re.escape("caps[0] = True is not a number")):
+            LaminarBudget(g, [((0, 1), True)])
+        with pytest.raises(InputError, match="weights other than 1 need a family"):
+            LaminarBudget(g, [((0, 1), 1.0)], [0.5, 1.0])
+        with pytest.raises(InputError, match="need 2 weights, got 3"):
+            LaminarBudget(g, [((0, 1), 1.0)], [1.0, 1.0, 1.0])
+        with pytest.raises(InputError, match="need 2 weights, got 1"):
+            WeightedThreshold(g, [1.0], 1.0)
+
+    def test_iterators_taken(self):
+        g = GroundSet(2)
+        f = WeightedThreshold(g, map(float, [0.5, 1]), 1.25)
+        assert (f.weights, f.cap) == ([0.5, 1.0], 1.25)
+        assert PartitionBudget(g, [[0], [1]], [1, 0]).caps == [1.0, 0.0]
+        assert ExplicitTable(g, [0, 1, 1, 2]).value_mask(0b11) == 2.0
+
+    @pytest.mark.parametrize("make", [
+        lambda g: WeightedThreshold(g, [1.0] * 4, -0.0),
+        lambda g: PartitionBudget(g, [[0, 1], [2, 3]], [-0.0, 1]),
+    ], ids=["threshold", "partition"])
+    def test_negative_zero_cap_takes_the_loop(self, make):
+        # min(1.0, -0.0) is -0.0, which a closed form's int sum cannot give
+        f = make(GroundSet(4))
+        for mask, elements in [(0, [0, 1, 2]), (0b0001, [2, 1, 3])]:
+            assert list(map(repr, f.chain_values(mask, elements))) == \
+                list(map(repr, loop_chain(f, mask, elements)))
+        assert f.span_mask(0b0101) == SubmodularFn.span_mask(f, 0b0101)
+
     def test_form_is_a_copy(self):
         f = WeightedThreshold(GroundSet(2), [0.5, 1.0], 1.25)
         weights, groups = f.laminar_form()

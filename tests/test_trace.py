@@ -694,7 +694,8 @@ X_VALUES_CORRUPTIONS = [
     pytest.param("mobm-pd", repeat_x_value, r"x_values\[1\] = .* is not above", id="repeated"),
     pytest.param("mobm-pd", insert_unused_x_value, r"x_values\[0\] = .* is unused by x",
                  id="unused"),
-    *[pytest.param("mobm-pd", set_at(("rounds", "x_values", 0), value), "x_values: expected",
+    *[pytest.param("mobm-pd", set_at(("rounds", "x_values", 0), value),
+                   r"x_values\[0\] = .* is not (a number|finite)",
                    id=label)
       for label, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
                            ("1e999", TEXT_1E999), ("bool", True), ("string", "0.5"))],

@@ -17,7 +17,7 @@ from matroidmatch.algorithms import (
     run_random_arrival_greedy,
 )
 from matroidmatch.constants import ALPHA, charge_potential
-from matroidmatch.errors import InputError, InvariantError, SizeError
+from matroidmatch.errors import InputError, InvariantError, SizeError, check_numbers
 from matroidmatch.instances import (
     INSTANCE_SIZE_LIMIT,
     Arrival,
@@ -25,6 +25,7 @@ from matroidmatch.instances import (
     Instance,
     gen_random,
     gen_upper_triangular,
+    json_numbers,
     random_coverage_table,
 )
 from matroidmatch.submodular import (
@@ -494,6 +495,26 @@ class TestNumberRule:
         inst = gen_upper_triangular(2)
         with pytest.raises(InputError, match=re.escape("z[0] is an int beyond the float range")):
             check_cover([1.0, 1.0], {0: 10 ** 400}, inst)
+
+    def test_iterators_taken(self):
+        # the values are read once: a generator used to give "need 2
+        # potentials, got 0", and round_cover took len() of it
+        inst = gen_upper_triangular(2)
+        assert lovasz(inst.f, (v for v in [0.5, 0.25])) == lovasz(inst.f, [0.5, 0.25])
+        assert check_cover(iter([1.0, 1.0]), {}, inst).ok
+        assert round_cover(inst, (v for v in [1.0, 1.0]), {}, gamma=0.5) == ({0, 1}, frozenset())
+        assert expected_rounding_cost(inst.f, iter([1.0, 0.0]), {}) == 1.0
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None, math.nan, -math.inf, 10 ** 400],
+                             ids=["bool", "str", "none", "nan", "-inf", "huge-int"])
+    def test_json_reader_shares_the_rule(self, bad):
+        # a trace column is read by the same rule, with the same message
+        with pytest.raises(InputError) as want:
+            check_numbers("t", [0.5, bad], finite=True)
+        with pytest.raises(InputError) as got:
+            json_numbers([0.5, bad], "t")
+        assert str(got.value) == str(want.value)
+        assert json_numbers([1, 0.5], "t") == [1.0, 0.5]
 
 
 class TestExpectedRoundingCost:
