@@ -56,6 +56,7 @@ from .instances import (
     _uniforms,
     arrival_orders,
     by_timestamp,
+    check_size,
     json_int,
     json_ints,
     json_list,
@@ -76,7 +77,7 @@ ALGORITHMS = ("obvc", "mobvc", "mobm-pd", "greedy-ra")
 COVER_ALGORITHMS = ("obvc", "mobvc")
 
 # Version of the JSON written by save_trace; load_trace reads no other.
-TRACE_FORMAT = 8
+TRACE_FORMAT = 9
 
 
 def dual_split_rate(t: float) -> float:
@@ -318,8 +319,8 @@ class GreedyRound:
     decisions only.
 
     matched is the element it took (None when every neighbor was spanned)
-    and X the elements that entered the span with it. The arrival's dual
-    is the final z at v.
+    and X the elements that entered the span with it. A matched round fixes
+    the arrival's dual z_v and the potentials of X (_greedy_duals).
     """
 
     v: int
@@ -339,6 +340,8 @@ class GreedyRound:
         v, t = json_ints(cols["v"]), json_numbers(cols["t"], "t")
         X, matched = json_list(cols["X"]), json_list(cols["matched"])
         _same_length("round", v=v, t=t, X=X, matched=matched)
+        if t and not 0.0 <= min(t) <= max(t) <= 1.0:
+            raise ValueError(f"timestamp t = {min(t) if min(t) < 0.0 else max(t)} outside [0, 1]")
         if not set(map(type, matched)) <= {int, type(None)}:
             bad = next(u for u in matched if u is not None and type(u) is not int)
             raise ValueError(f"expected an integer or null, got {bad!r}")
@@ -349,7 +352,8 @@ class GreedyRound:
 class OnlineState:
     """Final algorithm state: offline potentials y, online duals z, edge
     variables x, the bar chart (waterfilling runs only, not serialized and
-    not compared), and the matched element set."""
+    not compared), and the matched element set. A trace rebuilds z, and
+    greedy-ra's y, from its rounds (RunTrace)."""
 
     y: list[float]
     z: dict[int, float]
@@ -362,30 +366,22 @@ def _round_type(algorithm: str) -> type[WaterfillRound] | type[GreedyRound]:
     return GreedyRound if algorithm == "greedy-ra" else WaterfillRound
 
 
-def _json_rows(v, width: int) -> list[list]:
-    """The columns of a JSON list of rows of width entries each."""
-    rows = json_list(v)
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
-        bad = next(r for r in rows if type(r) is not list or len(r) != width)
-        raise ValueError(f"expected a list of {width} entries, got {bad!r}")
-    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(width)]
-
-
 @dataclass
 class RunTrace:
     """One run: its rounds, in arrival order, and its final state.
 
-    On disk (format 8) the rounds are one object of parallel columns, one
+    On disk (format 9) the rounds are one object of parallel columns, one
     entry per round: waterfilling runs store v, a, X and regions (each
     round's region count), and the region fields lo, hi, old_height and
     new_height as flat columns over all rounds in order, lo and hi as
     indexes into the table bounds (_as_table); greedy runs store v, t, X
     and matched. A mobm-pd trace also stores x over the flattened X: the
     entry of u in round v's X indexes x_uv in the table x_values, or is null
-    when the round gave u nothing. The final block holds y, z as [v, z_v]
-    rows, matched_offline, primal_value and dual_value, and for greedy-ra
-    x as [u, v, 1.0] rows sorted by (u, v). Loading rebuilds state.x from
-    either; an id may not repeat in z, x or matched_offline.
+    when the round gave u nothing. The final block holds primal_value,
+    dual_value and what the rounds do not fix: y for waterfilling (z loads
+    as 1 - a at each v), and for greedy-ra x as [u, v, 1.0] rows sorted by
+    (u, v) and matched_offline (y and z load from _greedy_duals over the
+    rounds). A round's v, an x pair or a matched id may not repeat.
     """
 
     algorithm: str
@@ -399,19 +395,16 @@ class RunTrace:
     def to_dict(self) -> dict:
         x = self.state.x
         rounds = _round_type(self.algorithm).to_columns(self.rounds)
-        final = {
-            "y": list(self.state.y),
-            "z": sorted(self.state.z.items()),
-            "matched_offline": sorted(self.state.matched),
-            "primal_value": self.primal_value,
-            "dual_value": self.dual_value,
-        }
+        final = {"primal_value": self.primal_value, "dual_value": self.dual_value}
         if self.algorithm == "greedy-ra":
             final["x"] = [(u, v, x[u, v]) for u, v in sorted(x)]
-        elif self.algorithm == "mobm-pd":
-            rounds.update(_x_column(self.rounds, x))
-        elif x:
-            raise InvariantError(f"a {self.algorithm} run has {len(x)} x entries to store")
+            final["matched_offline"] = sorted(self.state.matched)
+        else:
+            final["y"] = list(self.state.y)
+            if self.algorithm == "mobm-pd":
+                rounds.update(_x_column(self.rounds, x))
+            elif x:
+                raise InvariantError(f"a {self.algorithm} run has {len(x)} x entries to store")
         return {
             "format": TRACE_FORMAT,
             "algorithm": self.algorithm,
@@ -438,45 +431,49 @@ class RunTrace:
         name, n = d["instance"]["name"], json_int(d["instance"]["n_offline"])
         if not isinstance(name, str) or n < 0:
             raise ValueError(f"bad instance block {d['instance']!r}")
+        check_size("n_offline", n)
         if check_number("alpha", d["alpha"], finite=True) != ALPHA:
             raise ValueError(f"trace alpha {d['alpha']} differs from ALPHA = {ALPHA}")
         cols, fin = d["rounds"], d["final"]
         rounds = _round_type(algorithm).from_columns(cols, n)
-        if algorithm == "greedy-ra":
-            xu, xv, xval = _json_rows(fin["x"], 3)
-            pairs = _distinct("final.x (u, v)", list(zip(json_ints(xu), json_ints(xv))))
-            x = dict(zip(pairs, json_numbers(xval, "final.x")))
-        elif algorithm == "mobm-pd":
-            x = _x_from_column(cols, rounds)
-        else:
-            x = {}
-        stray = algorithm != "mobm-pd" and cols.keys() & {"x", "x_values"}
-        if stray or ("x" in fin) != (algorithm == "greedy-ra"):
+        _distinct("round v", [rec.v for rec in rounds])  # z is keyed by it
+        greedy = algorithm == "greedy-ra"
+        keys = {"primal_value", "dual_value", *(("x", "matched_offline") if greedy else ("y",))}
+        if set(fin) != keys:
+            odd = min(set(fin) ^ keys)
+            raise ValueError(f"final.{odd} is {'stray' if odd in fin else 'missing'}: the final "
+                             f"block of a {algorithm} trace holds {', '.join(sorted(keys))}")
+        if algorithm != "mobm-pd" and cols.keys() & {"x", "x_values"}:
             raise ValueError(f"a {algorithm} trace stores x elsewhere: mobm-pd as x and x_values "
                              f"in the rounds, greedy-ra in the final block, the others nowhere")
-        y = json_numbers(fin["y"], "final.y")
+        if greedy:
+            rows = json_list(fin["x"])
+            if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}):
+                bad = next(r for r in rows if type(r) is not list or len(r) != 3)
+                raise ValueError(f"final.x: expected [u, v, value] rows, got {bad!r}")
+            xu, xv, xval = map(list, zip(*rows)) if rows else ([], [], [])
+            pairs = _distinct("final.x (u, v)", list(zip(json_ints(xu), json_ints(xv))))
+            x = dict(zip(pairs, json_numbers(xval, "final.x")))
+            y, z = _greedy_duals([(rec.v, rec.t, rec.matched, sum(1 << u for u in rec.X))
+                                  for rec in rounds], n)
+        else:
+            x = _x_from_column(cols, rounds) if algorithm == "mobm-pd" else {}
+            y, z = json_numbers(fin["y"], "final.y"), {rec.v: 1.0 - rec.a for rec in rounds}
         if len(y) != n:
             raise ValueError(f"{len(y)} final potentials for n_offline = {n}")
-        zv, zval = _json_rows(fin["z"], 2)
-        zv = _distinct("final.z online id", json_ints(zv))
-        matched = _distinct("matched_offline id", json_ints(fin["matched_offline"]))
+        matched = _distinct("matched_offline id", json_ints(fin.get("matched_offline", [])))
         if matched and (min(matched) < 0 or max(matched) >= n):
             bad = next(u for u in matched if not 0 <= u < n)
             raise ValueError(f"matched_offline id {bad} outside 0..{n - 1}")
-        state = OnlineState(y=y, z=dict(zip(zv, json_numbers(zval, "final.z"))), x=x,
-                            matched=frozenset(matched))
-        # a run without x entries stores the empty sum, the int 0; it loads
-        # as 0 so that the loaded trace saves to the same bytes
-        primal = fin["primal_value"]
-        if not (type(primal) is int and primal == 0):
-            primal = check_number("primal_value", primal, finite=True)
-        return RunTrace(algorithm, name, n, rounds, state, primal,
+        state = OnlineState(y=y, z=z, x=x, matched=frozenset(matched))
+        return RunTrace(algorithm, name, n, rounds, state,
+                        check_number("primal_value", fin["primal_value"], finite=True),
                         check_number("dual_value", fin["dual_value"], finite=True))
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
-    """Write the trace as one line of compact sorted-key JSON (format 8,
-    columnar rounds, each region bound and x value written once; RunTrace).
+    """Write the trace as one line of compact sorted-key JSON (format 9,
+    columnar rounds, each value written once, or not if the rounds fix it).
 
     json.dumps encodes in one call to the C encoder; json.dump to a file,
     or any indent, goes through the pure-Python one. Columns keep the
@@ -543,7 +540,7 @@ def _run_waterfilling(instance: Instance, algorithm: str) -> RunTrace:
                 x[(u, arr.id)] = val
         rounds.append(WaterfillRound(arr.id, a, X, tuple(r for r, _ in raised)))
     state = OnlineState(y=chart.levels, z=z, x=x, chart=chart)
-    primal = sum(x.values())
+    primal = float(sum(x.values()))
     dual = chart.area() + sum(z.values())
     return RunTrace(algorithm, instance.name, n, rounds, state, primal, dual)
 
@@ -673,8 +670,8 @@ def greedy_trials(instance: Instance, kind: str, seed: int,
     ArrivalModel(kind, seed + i)) for i = 0..trials-1, equal to the bit,
     with the orders drawn as blocks and no run record built. InputError
     when trials is not an int >= 1 or seed not an int (bools included)."""
-    check_int("trials", trials, 1)
-    ArrivalModel(kind, seed)  # InputError for an unknown kind or a non-int seed
+    trials = check_int("trials", trials, 1)
+    seed = ArrivalModel(kind, seed).seed  # InputError for an unknown kind or a non-int seed
     _require_matroid(instance.f)
     return [_greedy_run(instance, ordered)[3:]
             for ordered in arrival_orders(instance, kind, range(seed, seed + trials))]
@@ -707,10 +704,10 @@ def round_cover(instance: Instance, y, z: dict[int, float], gamma: float | None 
     inclusive). Requires y_u + z_v >= 1 - DEFAULT_TOL on every edge, which
     makes the output a cover for every gamma in [0, 1]. Without gamma, the
     threshold is seed's first _uniforms draw (seed 0 by default).
-    InputError for a gamma with a seed, a non-int seed, a y or z value
-    that is not a finite number (bools and strings included), or a key of
-    z that is no online vertex (numpy ints are taken as ints; no other
-    non-int, bools included, is one)."""
+    InputError for a gamma with a seed, a non-int seed, a gamma, y or z
+    value that is not a finite number (bools and strings included), or a
+    key of z that is no online vertex (numpy ints are taken as ints; no
+    other non-int, bools included, is one)."""
     y = check_numbers("y", y, finite=True)
     if len(y) != instance.n_offline:
         raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
@@ -726,7 +723,7 @@ def round_cover(instance: Instance, y, z: dict[int, float], gamma: float | None 
         gamma = _uniforms([check_int("seed", 0 if seed is None else seed)], 1).item()
     elif seed is not None:
         raise InputError("give gamma or a seed, not both")
-    if not 0.0 <= gamma <= 1.0:
+    if not 0.0 <= check_number("gamma", gamma, finite=True) <= 1.0:
         raise InputError(f"gamma = {gamma} outside [0, 1]")
     S = frozenset(u for u in range(instance.n_offline) if y[u] >= gamma)
     T = frozenset(int(vid) for vid, zv in z.items() if zv >= 1.0 - gamma)

@@ -30,11 +30,14 @@ class InvariantError(RuntimeError):
 
 
 def check_int(name: str, value, minimum: int | None = None) -> int:
-    """value if it is an int (not a bool) of at least minimum, else InputError."""
+    """value as an int if it is an integer of at least minimum, else
+    InputError. A numpy int is an integer, as in instances._vertex_id; a
+    bool is none."""
     bound = "" if minimum is None else f" >= {minimum}"
-    if isinstance(value, bool) or not isinstance(value, int) or bound and value < minimum:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or bound and value < minimum):
         raise InputError(f"{name} must be an int{bound}, got {value!r}")
-    return value
+    return int(value)
 
 
 def _label(key) -> str:
@@ -63,8 +66,12 @@ def check_numbers(name: str, values, finite: bool = False) -> list[float]:
     naming name[key] (name[index]) of the first that fails; the values as
     a new list of floats, in order. A column of floats and ints takes one
     pass over the set of types and, with finite, one for finiteness; only
-    a column that fails is checked value by value."""
-    col = list(values.values()) if isinstance(values, dict) else list(values)
+    a column that fails is checked value by value. InputError when values
+    is not a collection."""
+    try:
+        col = list(values.values()) if isinstance(values, dict) else list(values)
+    except TypeError:
+        raise InputError(f"{name} must be a list of numbers, got {values!r}") from None
     types = set(map(type, col))
     if types <= {float, int}:
         try:

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, ParseError, SizeError, check_int, check_numbers
+from .errors import InputError, ParseError, SizeError, check_int, check_number, check_numbers
 from .submodular import (
     Cardinality,
     ExplicitTable,
@@ -115,7 +115,11 @@ class Arrival:
     nbrs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nbrs", tuple(sorted(set(self.nbrs))))
+        try:
+            object.__setattr__(self, "nbrs", tuple(sorted(set(self.nbrs))))
+        except TypeError:  # no collection, or ids that do not sort
+            raise InputError(f"arrival {self.id!r}: nbrs must be a list of int ids, "
+                             f"got {self.nbrs!r}") from None
 
 
 def _vertex_id(key) -> int | None:
@@ -219,7 +223,7 @@ class ArrivalModel:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InputError(f"unknown arrival model {self.kind!r}; expected one of {self.KINDS}")
-        check_int("arrival model seed", self.seed)
+        object.__setattr__(self, "seed", check_int("arrival model seed", self.seed))
 
 
 def by_timestamp(arrivals, timestamps: dict[int, float]) -> list[tuple[Arrival, float]]:
@@ -294,7 +298,8 @@ def order_arrivals(instance: Instance, model: ArrivalModel) -> list[tuple[Arriva
 def gen_upper_triangular(n: int) -> Instance:
     """v_j neighbors {u_j, ..., u_n} under cardinality: opt = n, and the
     adversarial order is the classic hard sequence for ratio 1 - 1/e."""
-    if check_int("n", n) < 1:
+    n = check_int("n", n)
+    if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     check_size("n_offline", n)
     check_size("edges", n * (n + 1) // 2)
@@ -309,9 +314,10 @@ def gen_random(n: int, m: int, p: float, f: SubmodularFn | None = None,
     probability p, decided by a per-online-vertex SplitMix64 stream (see
     _edge_rows). SizeError at the first arrival whose running edge count
     exceeds INSTANCE_SIZE_LIMIT."""
-    check_int("seed", seed)
-    if check_int("n", n) < 1 or check_int("m", m) < 0:
+    seed, n, m = check_int("seed", seed), check_int("n", n), check_int("m", m)
+    if n < 1 or m < 0:
         raise InputError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+    p = check_number("edge probability p", p, finite=True)
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability p = {p} outside [0, 1]")
     check_size("n_offline", n)
@@ -339,8 +345,8 @@ def random_coverage_table(n: int, seed: int, universe: int | None = None) -> Exp
     covers j when d < 0.45. SizeError when universe * 2^n exceeds
     INSTANCE_SIZE_LIMIT.
     """
-    check_int("seed", seed)
-    if not 1 <= check_int("n", n) <= 12:
+    seed, n = check_int("seed", seed), check_int("n", n)
+    if not 1 <= n <= 12:
         raise InputError(f"coverage tables supported for 1 <= n <= 12, got {n}")
     universe = 2 * n + 1 if universe is None else check_int("universe", universe)
     if universe < 1:

@@ -41,8 +41,7 @@ class GroundSet:
     size: int
 
     def __post_init__(self):
-        if self.size < 0:
-            raise InputError(f"ground set size must be >= 0, got {self.size}")
+        object.__setattr__(self, "size", check_int("ground set size", self.size, 0))
 
     @property
     def full_mask(self) -> int:
@@ -299,7 +298,11 @@ class PartitionBudget(LaminarBudget):
     family = "partition_budget"
 
     def __init__(self, ground: GroundSet, blocks: Sequence[Iterable[int]], caps: Sequence[float]):
-        blocks = [tuple(sorted(ground.check_element(u) for u in b)) for b in blocks]
+        caps = check_numbers("caps", caps)
+        try:
+            blocks = [tuple(sorted(ground.check_element(u) for u in b)) for b in blocks]
+        except TypeError:
+            raise InputError(f"blocks must be a list of lists of ids, got {blocks!r}") from None
         if len(blocks) != len(caps):
             raise InputError(f"{len(blocks)} blocks but {len(caps)} caps")
         super().__init__(ground, list(zip(blocks, caps)))
@@ -350,9 +353,10 @@ class ExplicitTable(SubmodularFn):
         super().__init__(ground)
         if ground.size > EXHAUSTIVE_LIMIT:
             raise SizeError(f"explicit table limited to n <= {EXHAUSTIVE_LIMIT}")
+        values = check_numbers("values", values)
         if len(values) != 1 << ground.size:
             raise InputError(f"table needs {1 << ground.size} entries, got {len(values)}")
-        table = np.asarray(check_numbers("values", values), dtype=np.float64)
+        table = np.asarray(values, dtype=np.float64)
         if not np.all(table >= 0):  # NaN fails too
             raise InputError("table values must be nonnegative")
         inf = np.flatnonzero(np.isinf(table))

@@ -35,7 +35,7 @@ from .constants import (
     charge_integral,
     charge_potential,
 )
-from .errors import InputError, InvariantError, check_int, check_numbers
+from .errors import InputError, InvariantError, _label, check_int, check_numbers
 from .instances import Instance, _vertex_id, by_timestamp, check_size, stamp_orders
 from .submodular import (
     SubmodularFn,
@@ -250,8 +250,7 @@ def check_matching(x: dict[tuple[int, int], float], instance: Instance) -> Check
         pair = isinstance(key, tuple) and len(key) == 2
         u, vid = (_vertex_id(key[0]), instance.online_id(key[1])) if pair else (None, None)
         if u is None or vid is None or not 0 <= u < n:
-            where = f"{key[0]},{key[1]}" if pair else key
-            report.violations.append(f"x[{where}]: no such vertex pair")
+            report.violations.append(f"x[{_label(key) if pair else key}]: no such vertex pair")
             continue
         if not (masks[vid] >> u) & 1:
             report.violations.append(f"x[{u},{vid}]: not an edge")
@@ -467,13 +466,13 @@ def _first_difference(stored, replayed, path: str = "") -> str | None:
         missing = sorted(stored.keys() ^ replayed.keys())
         if missing:
             side = "the replay" if missing[0] in stored else "the trace"
-            return f"{path}[{_key_text(missing[0])}] is missing from {side}"
-        pairs = [(f"[{_key_text(k)}]", stored[k], replayed[k]) for k in sorted(stored)]
+            return f"{path}[{_label(missing[0])}] is missing from {side}"
+        pairs = [(f"[{_label(k)}]", stored[k], replayed[k]) for k in sorted(stored)]
     elif isinstance(stored, (list, tuple)):
         if len(stored) != len(replayed):
             return f"{path} has {len(stored)} entries, replayed {len(replayed)}"
         pairs = [(f"[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, replayed))]
-    elif isinstance(stored, float) or isinstance(replayed, float):  # a sum over nothing is int 0
+    elif isinstance(stored, float):
         if abs(stored - replayed) <= DEFAULT_TOL:
             return None
         return f"{path} = {stored:.12g} != replayed {replayed:.12g}"
@@ -484,10 +483,6 @@ def _first_difference(stored, replayed, path: str = "") -> str | None:
         if diff is not None:
             return diff
     return None
-
-
-def _key_text(key) -> str:
-    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +683,7 @@ def verify_random_arrival_lemmas(instance: Instance, trials: int = 1000,
     2 trials or a negative seed; SizeError when trials x max(m, live edges)
     exceeds INSTANCE_SIZE_LIMIT; all before anything is drawn.
     """
-    check_int("trials", trials)
-    check_int("seed", seed)
+    trials, seed = check_int("trials", trials), check_int("seed", seed)
     if trials < 2:
         raise InputError("need at least 2 trials")
     if seed < 0:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from matroidmatch.algorithms import (
@@ -392,6 +393,19 @@ class TestRoundCover:
         # a raw TypeError, a run at seed 1, and a seed silently dropped
         with pytest.raises(InputError, match=message):
             round_cover(single_edge(), [1.0], {0: 0.0}, **kwargs)
+
+    @pytest.mark.parametrize("gamma, message", [
+        ("0.5", "gamma = '0.5' is not a number"), (True, "gamma = True is not a number"),
+        (math.inf, "gamma = inf is not finite"), (1.5, r"gamma = 1.5 outside \[0, 1\]"),
+    ])
+    def test_gamma_checked(self, gamma, message):
+        # "0.5" raised a raw TypeError, and True was taken as 1.0
+        with pytest.raises(InputError, match=message):
+            round_cover(single_edge(), [1.0], {0: 0.0}, gamma=gamma)
+
+    def test_numpy_seed_is_the_int_seed(self):
+        assert (round_cover(single_edge(), [1.0], {0: 0.0}, seed=np.uint16(3))
+                == round_cover(single_edge(), [1.0], {0: 0.0}, seed=3))
 
     @pytest.mark.parametrize("seed", [None, 0, 1, -1, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
                                       2 ** 70 + 5])

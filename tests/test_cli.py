@@ -339,14 +339,22 @@ class TestVerify:
         assert main(["verify", tpath, "--instance", ipath]) == 1
         assert f"FAIL replay-match: rounds[{i}].regions[0]" in capsys.readouterr().out
 
-    def test_missing_dual_named(self, tmp_path, capsys):
+    def test_stale_dual_or_repeated_round_refused(self, tmp_path, capsys):
+        # a trace rebuilds z from its rounds, so it cannot miss a z row: a
+        # final.z left from format 8, or a round v that repeats (z is keyed
+        # by it), is refused by name with exit 2
         ipath, tpath = self.make_pair(tmp_path, "mobvc")
         data = json.loads(open(tpath).read())
-        v, _ = data["final"]["z"].pop()
-        open(tpath, "w").write(json.dumps(data))
-        capsys.readouterr()
-        assert main(["verify", tpath, "--instance", ipath]) == 1
-        assert f"replay-match: state.z[{v}] is missing from the trace" in capsys.readouterr().out
+        v = data["rounds"]["v"]
+        stale = json.loads(json.dumps(data))
+        stale["final"]["z"] = sorted([vid, 1.0 - a] for vid, a in zip(v, data["rounds"]["a"]))
+        repeated = json.loads(json.dumps(data))
+        repeated["rounds"]["v"][1] = v[0]
+        for edited, named in ((stale, "final.z is stray"), (repeated, f"round v {v[0]} repeats")):
+            open(tpath, "w").write(json.dumps(edited))
+            capsys.readouterr()
+            assert main(["verify", tpath, "--instance", ipath]) == 2
+            assert named in capsys.readouterr().err
 
 
 class TestAudit:

@@ -4,6 +4,7 @@ These catch accidental schema drift. If a change here is intentional,
 regenerate the files under tests/golden/ and review the diff by hand.
 """
 
+import json
 import math
 import pathlib
 
@@ -41,7 +42,8 @@ class TestInstanceFiles:
 
     def test_files_use_lf(self):
         for name in ("tri3.json", "random-coverage.json", "tri3-mobvc-trace.json",
-                     "tri3-mobvc-trace-v6.json", "tri3-mobvc-trace-v7.json"):
+                     "tri3-mobvc-trace-v6.json", "tri3-mobvc-trace-v7.json",
+                     "tri3-mobvc-trace-v8.json"):
             raw = (GOLDEN / name).read_bytes()
             assert b"\r" not in raw
             assert raw.endswith(b"\n")
@@ -94,6 +96,24 @@ class TestTraceFile:
         # the trace this file pinned before format 8, which differs from it
         # only in the format digit: a mobvc trace has no x to tabulate
         self.assert_refused(capsys, 7)
+
+    def test_format_8_trace_rejected(self, capsys):
+        # the trace this file pinned before format 9, which also stored
+        # final.z and an empty matched_offline
+        self.assert_refused(capsys, 8)
+
+    def test_format_9_dropped_only_derived_values(self):
+        # format 8's final.z rows are exactly 1 - a of its rounds, and every
+        # other field is format 9's: the bump dropped nothing a run fixes but
+        # the rounds, an empty matched_offline and the int form of an empty sum
+        old = json.loads((GOLDEN / "tri3-mobvc-trace-v8.json").read_text(encoding="utf-8"))
+        new = json.loads((GOLDEN / "tri3-mobvc-trace.json").read_text(encoding="utf-8"))
+        rounds, final = old["rounds"], old["final"]
+        assert final.pop("z") == sorted([v, 1.0 - a] for v, a in zip(rounds["v"], rounds["a"]))
+        assert final.pop("matched_offline") == []
+        assert (old.pop("format"), new.pop("format")) == (8, 9)
+        assert type(final["primal_value"]) is int and type(new["final"]["primal_value"]) is float
+        assert old == new
 
     @staticmethod
     def assert_refused(capsys, version):

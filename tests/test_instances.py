@@ -133,6 +133,30 @@ class TestGenerators:
         with pytest.raises(InputError, match=re.escape(message)):
             call()
 
+    @pytest.mark.parametrize("p, message", [
+        ("0.3", "edge probability p = '0.3' is not a number"),
+        (True, "edge probability p = True is not a number"),
+        (math.nan, "edge probability p = nan is not finite"),
+    ])
+    def test_probability_is_a_number(self, p, message):
+        # "0.3" raised a raw TypeError, and True drew every edge
+        with pytest.raises(InputError, match=re.escape(message)):
+            gen_random(4, 3, p)
+
+    def test_numpy_ints_give_the_same_bytes(self, tmp_path):
+        # numpy ints are ints here as they are for ids; a numpy seed used to
+        # be refused, and taken raw it would overflow seed & (2^64 - 1)
+        plain, numpy_args = tmp_path / "plain.json", tmp_path / "numpy.json"
+        f = UniformRank(GroundSet(8), 3)
+        save(gen_random(8, 10, 0.3, f, seed=7), plain)
+        save(gen_random(np.int64(8), np.uint16(10), 0.3, f, seed=np.int64(7)), numpy_args)
+        assert numpy_args.read_bytes() == plain.read_bytes()
+        save(gen_upper_triangular(np.uint16(4)), plain)
+        save(gen_upper_triangular(4), numpy_args)
+        assert numpy_args.read_bytes() == plain.read_bytes()
+        assert (random_coverage_table(np.int64(3), np.uint16(5), np.int64(6)).to_spec()
+                == random_coverage_table(3, 5, 6).to_spec())
+
     def test_coverage_table_is_submodular(self):
         for seed in (0, 1, 2, 77):
             f = random_coverage_table(5, seed)
@@ -141,6 +165,14 @@ class TestGenerators:
 
 
 class TestArrivalModels:
+    @pytest.mark.parametrize("kind", ArrivalModel.KINDS)
+    def test_numpy_seed_taken_as_int(self, kind):
+        inst = gen_random(6, 8, 0.5, seed=3)
+        for seed in (np.int64(9), np.uint16(9)):
+            model = ArrivalModel(kind, seed)
+            assert type(model.seed) is int and model == ArrivalModel(kind, 9)
+            assert order_arrivals(inst, model) == order_arrivals(inst, ArrivalModel(kind, 9))
+
     def test_adversarial_ranks(self):
         inst = gen_upper_triangular(4)
         ordered = order_arrivals(inst, ArrivalModel())
@@ -588,6 +620,15 @@ class TestInstanceBoundary:
         # offline_opt raised InvariantError: min cut 1.0 differs from max flow 0.0
         with pytest.raises(InputError, match="n_offline = 5"):
             Instance("x", 5, Cardinality(GroundSet(3)), [Arrival(0, (0,))])
+
+    @pytest.mark.parametrize("nbrs", [5, (1, "x"), [[0]], None], ids=["int", "mixed", "nested",
+                                                                        "null"])
+    def test_nbrs_that_are_no_id_list_refused(self, nbrs):
+        # Arrival sorts its neighbours first: a raw TypeError ("'int' object
+        # is not iterable", "'<' not supported") before any check ran
+        with pytest.raises(InputError, match=re.escape(
+                f"arrival 0: nbrs must be a list of int ids, got {nbrs!r}")):
+            Arrival(0, nbrs)
 
     def test_duplicate_online_id(self):
         with pytest.raises(InputError, match="share an online id"):

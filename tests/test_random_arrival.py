@@ -328,22 +328,23 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of save_trace's bytes (format 8: the format-4 bytes the reference
-# greedy wrote, with the rounds stored as columns and the format digit 8;
-# each loads to the same RunTrace as the format-4 file did).
+# sha256 of save_trace's bytes (format 9: the format-4 bytes the reference
+# greedy wrote, with the rounds stored as columns and no final.y or
+# final.z; each file with y and z put back by _greedy_duals over its rounds
+# and the format digit 8 hashes to its format-8 pin).
 GREEDY_TRACE_SHA256 = {
-    ("uniform", 1, "adversarial"): "ae438511c1b9cb9b23b33f2d904714ed2ec0dd7739f021be0e6a3dcbd0308239",
-    ("uniform", 1, "permutation"): "75887d1b9d5b511ac65c8a9094fb5dd4de4c39de7863d00067043385e8d6a176",
-    ("uniform", 1, "timestamps"): "c35dd45039c43816fd8b59702fefda56f6d4422b1d10b8093a812944d26d50d9",
-    ("partition", 1, "adversarial"): "52688710210c45ef1b54586f11be63b4ba74498861ee739abbeea28987b22e9c",
-    ("partition", 1, "permutation"): "4d0f1763a6bc52df82d037dd9c3b5600a8a86885934fcbd93fd724668f584d10",
-    ("partition", 1, "timestamps"): "047c05caf0df129cb7d95a68ba8539cc065fbee7a5ec82f11a1283aaf9dbb6fa",
-    ("uniform", 2, "adversarial"): "8595ad8244e7c44e27fa7322c7bfca3f1d2ae691e05dbdcf5d915a1f13a4eceb",
-    ("uniform", 2, "permutation"): "3c65a25209add03541ab6e0d7ec22db4c1e93c4010f409aa9b275cb5cb695171",
-    ("uniform", 2, "timestamps"): "e8bead0c96ab8dbfcb13efe64cd1a42b0f3c868f72c8c54fbf5e3a09b9fc3356",
-    ("partition", 2, "adversarial"): "723dc3e92d40f05df8e018383d12ab1014654a1150f1b9ed00ea1c89136df1af",
-    ("partition", 2, "permutation"): "d7281cb92c4ecb4834ad7ec893ab6b26a984dcd2404693d957ddbdc22ab8b4d5",
-    ("partition", 2, "timestamps"): "bd22347c4c1b163b21e92107532edd50196b62eb43d99b9edc0ede9108d72721",
+    ("uniform", 1, "adversarial"): "c70cc6b2abf04ebdc78507296c75ce0b82ea8dc00cb74728202e66d7303fb181",
+    ("uniform", 1, "permutation"): "f8b9ba583df2e277836d9d9616a1e70f626b6b1c526a726c2110f2f9bd039d6d",
+    ("uniform", 1, "timestamps"): "42b9bb7e855c245fe4a8feadd1f42e4f3fd285af1e4e512fa46b9bd392765bd5",
+    ("partition", 1, "adversarial"): "0a9173680457a3481340691ee2dd554b967422cd4995c1f71ff21c9ce0471a77",
+    ("partition", 1, "permutation"): "6713d96ae346cfab737f5d42fa2106b7ab82d98084c5a630b99fc47e42e2f092",
+    ("partition", 1, "timestamps"): "79c4b0c5823b2623ee2781ec6e5d3454ec0b7fe5d27294475048b93fe9d4637d",
+    ("uniform", 2, "adversarial"): "1297145d4bba3e48466c11af1a0b88f091dd91a78cea71000228bad6535109be",
+    ("uniform", 2, "permutation"): "67ba62a8516cd792a8debe7ab240c4191ab101058fb17087463ee81b81dcf0f3",
+    ("uniform", 2, "timestamps"): "5f3bb01d064e1bba70b92c1d9c9d99cb7a6d9b400f79e0c4db6337d757f0a578",
+    ("partition", 2, "adversarial"): "0846ad9e37d6c7a564cbb5066dfc3f72ae5611fbf1b71b26bbe031507f27e68a",
+    ("partition", 2, "permutation"): "e7f9e19e111a047dd352e34aa2360831086e5e25a7da9a93cfe63f5745f718b7",
+    ("partition", 2, "timestamps"): "f51279ff9052bf7bf12999123792f64b5d9ec238b050b9ee62a58202ff42f33a",
 }
 
 # sha256 of the sorted-key JSON of verify_random_arrival_lemmas(instance,
@@ -490,6 +491,22 @@ def test_trials_seed_must_be_an_int(seed):
         greedy_trials(sparse_instance(803), "timestamps", seed, 2)
 
 
+def test_numpy_ints_run_as_ints(tmp_path):
+    # a numpy trials, seed or model seed was refused; each now runs, and
+    # writes, as the int it equals
+    inst = n16_instance("partition", 1)
+    assert (greedy_trials(inst, "timestamps", np.int64(3), np.uint16(4))
+            == greedy_trials(inst, "timestamps", 3, 4))
+    plain, numpy_seed = tmp_path / "plain.json", tmp_path / "numpy.json"
+    save_trace(run_random_arrival_greedy(inst, ArrivalModel("permutation", 5)), plain)
+    save_trace(run_random_arrival_greedy(inst, ArrivalModel("permutation", np.uint16(5))),
+               numpy_seed)
+    assert numpy_seed.read_bytes() == plain.read_bytes()
+    report = verify_random_arrival_lemmas(inst, trials=3, seed=2).to_dict()
+    for trials, seed in ((np.int64(3), np.uint16(2)), (np.uint16(3), np.int64(2))):
+        assert verify_random_arrival_lemmas(inst, trials=trials, seed=seed).to_dict() == report
+
+
 @pytest.mark.parametrize("seed", [2.5, True, None])
 def test_arrival_model_seed_must_be_an_int(seed):
     # a float seed used to build, and the greedy run then raised a raw
@@ -500,13 +517,13 @@ def test_arrival_model_seed_must_be_an_int(seed):
 
 def test_model_seeds_are_taken_mod_2_64(tmp_path, capsys):
     """--model-seed -1 and 2^64 - 1 draw the same order, and print the line
-    they did before seeds were checked and write the same trace (format 8
+    they did before seeds were checked and write the same trace (format 9
     bytes since)."""
     ipath, tpath = str(tmp_path / "i.json"), str(tmp_path / "t.json")
     assert main(["generate", "random", "--n", "6", "--m", "9", "--p", "0.45", "--seed", "21",
                  "--f", "partition:0,0,1,1,2,2:1,2,1", "--out", ipath]) == 0
-    pins = {"timestamps": "9f30966f35ea2498c71b439943328fcd22884e211fb647bcff5706578d09e4ec",
-            "permutation": "62aa9914a7d30399a98b54edeac1112c35800ad55f1aff65e5e4b4712f5f0764"}
+    pins = {"timestamps": "f30c1038be31bb2c07ad951be8558b80caf0fa1d278d7d8a1395ae89c91b853d",
+            "permutation": "0ec195c9218f3e8b2f80b5ddb39f295a17c6138cee084fdcbd1fcaf5549b19d3"}
     for model, sha in pins.items():
         for seed in ("-1", str(2 ** 64 - 1)):
             capsys.readouterr()

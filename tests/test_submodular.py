@@ -784,6 +784,34 @@ class TestBudgetNumbers:
             make(GroundSet(2))
         assert str(exc.value) == f"{message} is not a number"
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda g: WeightedThreshold(g, 5, 1.0), "weights must be a list of numbers, got 5"),
+        (lambda g: PartitionBudget(g, [[0, 1]], 1.0), "caps must be a list of numbers, got 1.0"),
+        (lambda g: PartitionBudget(g, 5, [1.0]), "blocks must be a list of lists of ids, got 5"),
+        (lambda g: PartitionBudget(g, [0, 1], [1.0, 1.0]),
+         "blocks must be a list of lists of ids, got [0, 1]"),
+        (lambda g: ExplicitTable(g, 3), "values must be a list of numbers, got 3"),
+    ], ids=["weighted-weights", "partition-caps", "partition-blocks", "partition-block",
+            "explicit-values"])
+    def test_list_field_that_is_no_list_refused(self, make, message):
+        # a raw TypeError ("'int' object is not iterable", "has no len()")
+        with pytest.raises(InputError) as exc:
+            make(GroundSet(2))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("size", ["3", 3.0, True, None, -1])
+    def test_ground_set_size_is_an_int(self, size):
+        # "3" raised a raw TypeError, and 3.0 and True built a ground set
+        with pytest.raises(InputError, match=re.escape(
+                f"ground set size must be an int >= 0, got {size!r}")):
+            GroundSet(size)
+
+    def test_ground_set_size_numpy_int_taken_as_int(self):
+        g = GroundSet(np.uint16(3))
+        assert g == GroundSet(3) and type(g.size) is int
+        assert UniformRank(g, np.int64(2)).to_spec() == UniformRank(GroundSet(3), 2).to_spec()
+        assert type(UniformRank(g, np.int64(2)).k) is int
+
     def test_int_beyond_the_float_range_refused(self):
         with pytest.raises(InputError, match=re.escape("caps[1] is an int beyond the float")):
             PartitionBudget(GroundSet(2), [[0], [1]], [1, 10 ** 400])

@@ -1,4 +1,4 @@
-"""Trace format 8: exact round trips, the fields a file keeps, and hostile
+"""Trace format 9: exact round trips, the fields a file keeps, and hostile
 input (load_trace raises ParseError, the CLI exits 2, never a traceback)."""
 
 import json
@@ -113,6 +113,39 @@ class TestFormat:
         save_trace(back, tmp / "again.json")
         assert (tmp / "again.json").read_bytes() == (tmp / "t.json").read_bytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_every_algorithm(self, tmp_path_factory, data):
+        # load(save(t)) == t, and the duals a trace does not store (every z,
+        # and greedy-ra's y) load equal to the run's to the bit
+        n = data.draw(st.integers(1, 8))
+        g = GroundSet(n)
+        alg = data.draw(st.sampled_from(ALGORITHMS))
+        budgets = [Cardinality(g), UniformRank(g, data.draw(st.integers(0, n))),
+                   PartitionBudget(g, [range(0, n, 2), range(1, n, 2)],
+                                   data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=2,
+                                                      max_size=2)))]
+        if alg in ("mobvc", "mobm-pd"):
+            budgets.append(WeightedThreshold(g, data.draw(st.lists(st.floats(0.0, 2.0), min_size=n,
+                                                                   max_size=n)), 1.5))
+        f = Cardinality(g) if alg == "obvc" else data.draw(st.sampled_from(budgets))
+        inst = gen_random(n, data.draw(st.integers(0, 10)), data.draw(st.floats(0.0, 1.0)), f,
+                          seed=data.draw(st.integers(0, 2 ** 64 - 1)))
+        if alg == "greedy-ra":
+            trace = run_random_arrival_greedy(inst, ArrivalModel(
+                data.draw(st.sampled_from(ArrivalModel.KINDS)), data.draw(st.integers(0, 99))))
+        else:
+            trace = {"obvc": run_obvc, "mobvc": run_mobvc, "mobm-pd": run_mobm_pd}[alg](inst)
+        tmp = tmp_path_factory.mktemp("a")
+        save_trace(trace, tmp / "t.json")
+        back = load_trace(tmp / "t.json")
+        assert back == trace
+        assert [v.hex() for v in back.state.y] == [v.hex() for v in trace.state.y]
+        assert ({v: z.hex() for v, z in back.state.z.items()}
+                == {v: z.hex() for v, z in trace.state.z.items()})
+        save_trace(back, tmp / "again.json")
+        assert (tmp / "again.json").read_bytes() == (tmp / "t.json").read_bytes()
+
     def test_absent_and_zero_x_entries_round_trip(self, tmp_path):
         # a partition budget leaves raised elements without x; an x entry of
         # 0.0 (or -0.0) is present and must stay so
@@ -152,7 +185,7 @@ class TestFormat:
         text = (tmp_path / "t.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert data["format"] == TRACE_FORMAT == 8
+        assert data["format"] == TRACE_FORMAT == 9
 
     def test_readme_names_the_format(self):
         # a format bump must not leave the docs behind
@@ -175,28 +208,31 @@ class TestFormat:
         # (certify-n20 moves a potential and expects verify to fail) and a
         # greedy-ra trace's final.x rows and matched_offline (random-arrival-n16
         # checks the matching from them). mobm-pd keeps its x in the rounds.
+        # Nothing else is stored that the rounds fix: no trace holds final.z,
+        # and greedy-ra holds no final.y. primal_value is always a float.
         final = TRACE_DICTS[alg]["final"]
-        keys = {"y", "z", "matched_offline", "primal_value", "dual_value"}
-        assert set(final) == (keys | {"x"} if alg == "greedy-ra" else keys)
-        assert len(final["y"]) == INSTANCES[alg].n_offline
-        assert all(type(v) is int and type(zv) is float for v, zv in final["z"])
-        assert all(type(u) is int and type(v) is int and type(val) is float
-                   for u, v, val in final.get("x", []))
-        assert final["matched_offline"] == sorted(final["matched_offline"])
+        if alg == "greedy-ra":
+            assert set(final) == {"x", "matched_offline", "primal_value", "dual_value"}
+            assert all(type(u) is int and type(v) is int and type(val) is float
+                       for u, v, val in final["x"])
+            assert final["x"] and final["primal_value"] > 0
+            assert sorted(u for u, _, _ in final["x"]) == final["matched_offline"]
+        else:
+            assert set(final) == {"y", "primal_value", "dual_value"}
+            assert len(final["y"]) == INSTANCES[alg].n_offline
+        assert type(final["primal_value"]) is float
         if alg == "mobm-pd":
             rounds = TRACE_DICTS[alg]["rounds"]
             assert all(i is None or type(i) is int for i in rounds["x"])
             assert all(type(val) is float for val in rounds["x_values"])
             assert rounds["x_values"] and final["primal_value"] > 0
-        if alg == "greedy-ra":
-            assert final["x"] and final["primal_value"] > 0
-            assert sorted(u for u, _, _ in final["x"]) == final["matched_offline"]
 
     @pytest.mark.parametrize("found", [1, 2, pytest.param(3, id="format-3"),
                                        pytest.param(4, id="format-4"),
                                        pytest.param(5, id="format-5"),
                                        pytest.param(6, id="format-6"),
-                                       pytest.param(7, id="format-7"), "3", None, "missing"])
+                                       pytest.param(7, id="format-7"),
+                                       pytest.param(8, id="format-8"), "3", None, "missing"])
     def test_other_versions_rejected(self, tmp_path, found):
         data = dict(TRACE_DICTS["mobvc"])
         if found == "missing":
@@ -357,12 +393,11 @@ GREEDY_COLUMNS = ("v", "t", "X", "matched")
 FLOAT_POSITIONS = {
     "mobm-pd": [("rounds", key, 0)
                 for key in ("a", "bounds", "lo", "hi", "old_height", "new_height", "x")]
-    + [("final", "y", 0), ("final", "z", 0, 1)],
+    + [("final", "y", 0)],
     "greedy-ra": [("rounds", "t", 0), ("final", "x", 0, 2)],
 }
 INT_POSITIONS = {
-    "mobm-pd": [("rounds", "v", 0), ("rounds", "regions", 0), ("rounds", "X", 0, 0),
-                ("final", "z", 0, 0)],
+    "mobm-pd": [("rounds", "v", 0), ("rounds", "regions", 0), ("rounds", "X", 0, 0)],
     "greedy-ra": [("rounds", "v", 0), ("rounds", "matched", 0), ("rounds", "X", 0, 0),
                   ("final", "x", 0, 0), ("final", "x", 0, 1), ("final", "matched_offline", 0)],
 }
@@ -457,7 +492,6 @@ def hostile_columns():
         pytest.param("mobvc", final_x_rows, id="final-x-on-mobvc"),
         pytest.param(pd, reverse_longest_X, id="descending-X"),
         pytest.param("greedy-ra", reverse_longest_X, id="greedy-descending-X"),
-        pytest.param(pd, lambda data: data["final"]["z"][0].append(0.0), id="long-z-row"),
         pytest.param(pd, count_sum_above, id="count-sum-above"),
         pytest.param(pd, negative_count, id="negative-count"),
         pytest.param(pd, swap_first_lo_hi, id="lo-above-hi"),
@@ -465,13 +499,12 @@ def hostile_columns():
         pytest.param(pd, set_at(("rounds", "bounds", -1), 1.25), id="hi-above-1"),
         pytest.param(pd, set_at(("rounds", "a", 0), -0.25), id="a-negative"),
         pytest.param(pd, set_at(("rounds", "a", 0), 1.25), id="a-above-1"),
-        pytest.param("mobvc", repeat_first_row("z", 1, 5.0), id="repeated-final-z-id"),
         pytest.param("greedy-ra", repeat_first_row("x", 2, 7.0), id="repeated-final-x-pair"),
         pytest.param("greedy-ra", lambda data: data["final"]["matched_offline"].append(
             data["final"]["matched_offline"][0]), id="repeated-matched-offline-id"),
         pytest.param("greedy-ra", lambda data: data["final"]["matched_offline"].append(99),
                      id="matched-offline-id-above-n"),
-        pytest.param("mobvc", set_at(("final", "matched_offline"), [-1]),
+        pytest.param("greedy-ra", set_at(("final", "matched_offline"), [-1]),
                      id="matched-offline-id-negative"),
     ]
     return cases
@@ -493,13 +526,53 @@ def assert_refused(tmp_path, capsys, alg, edit, match=None):
     capsys.readouterr()
 
 
+def stale_z(data):
+    # final.z as format 8 wrote it, 1 - a at each round's v (any rows for greedy-ra)
+    rounds = data["rounds"]
+    levels = rounds.get("a", [0.5] * len(rounds["v"]))
+    data["final"]["z"] = sorted([v, 1.0 - a] for v, a in zip(rounds["v"], levels))
+
+
+def repeat_first_v(data):
+    data["rounds"]["v"][1] = data["rounds"]["v"][0]
+
+
+# What format 9 leaves out or rebuilds: the final block holds exactly its
+# algorithm's keys, a round v may not repeat (z is keyed by it), and the
+# numbers the rebuild reads are in range.
+FORMAT_9_REFUSALS = [
+    *[pytest.param(alg, stale_z, r"final\.z is stray", id=f"stale-z-{alg}") for alg in ALGORITHMS],
+    pytest.param("greedy-ra", lambda data: data["final"].update(y=[0.0] * 6),
+                 r"final\.y is stray", id="y-on-greedy-ra"),
+    pytest.param("mobvc", lambda data: data["final"].update(matched_offline=[]),
+                 r"final\.matched_offline is stray", id="matched-offline-on-mobvc"),
+    pytest.param("mobvc", lambda data: data["final"].pop("y"), r"final\.y is missing",
+                 id="no-y"),
+    pytest.param("greedy-ra", lambda data: data["final"].pop("matched_offline"),
+                 r"final\.matched_offline is missing", id="no-matched-offline"),
+    pytest.param("mobvc", lambda data: data.update(final=[]), r"final\.dual_value is missing",
+                 id="final-an-empty-list"),
+    *[pytest.param(alg, repeat_first_v, "round v [0-9]+ repeats", id=f"repeated-v-{alg}")
+      for alg in ALGORITHMS],
+    pytest.param("greedy-ra", set_at(("rounds", "t", 0), 1.5), r"t = 1\.5 outside \[0, 1\]",
+                 id="t-above-1"),
+    pytest.param("greedy-ra", set_at(("rounds", "t", 0), 1e300), "outside", id="t-1e300"),
+    pytest.param("greedy-ra", set_at(("instance", "n_offline"), 2 ** 40), "size limit",
+                 id="n-offline-above-the-limit"),
+]
+
+
 class TestHostileColumns:
-    """Format 8 checks each column as a whole; every bad column is a
+    """Format 9 checks each column as a whole; every bad column is a
     ParseError and exit 2 from verify and audit."""
 
     @pytest.mark.parametrize("alg, edit", hostile_columns())
     def test_rejected(self, tmp_path, capsys, alg, edit):
         assert_refused(tmp_path, capsys, alg, edit)
+
+    @pytest.mark.parametrize("alg, edit, match", FORMAT_9_REFUSALS)
+    def test_format_9_refusals(self, tmp_path, capsys, alg, edit, match):
+        assert_refused(tmp_path, capsys, alg, edit, match)
 
     @pytest.mark.parametrize("alg", ["mobvc", "mobm-pd", "greedy-ra"])
     def test_unordered_X_rejected(self, tmp_path, capsys, alg):
@@ -741,8 +814,6 @@ def id_kind(path) -> str | None:
         if path[1] in TABLES:
             return "index"
         return "offline" if path[1] in OFFLINE_ID_FIELDS else None
-    if path[:2] == ("final", "z"):
-        return "online" if path[3] == 0 else None
     if path[:2] == ("final", "x"):
         return {0: "offline", 1: "online"}.get(path[3])
     return "offline" if path[-2:-1] == ("matched_offline",) else None

@@ -329,21 +329,23 @@ def online_budget(family, n=200):
 RUNS = {"obvc": run_obvc, "mobvc": run_mobvc, "mobm-pd": run_mobm_pd}
 
 # sha256 of save_trace's bytes for gen_random(200, 400, 0.3, budget,
-# seed=101) (format 8: the format-4 bytes the full-scan implementation
+# seed=101) (format 9: the format-4 bytes the full-scan implementation
 # wrote, with the rounds stored as columns, a mobm-pd run's x as a rounds
-# column, each region bound once in a bounds column and each x value once
-# in an x_values column; each file decoded back to format-7 columns, x
-# looked up and x_values dropped, hashes to its format-7 pin).
+# column, each region bound once in a bounds column, each x value once in
+# an x_values column, and no final.z or matched_offline; each file with
+# final.z put back as 1 - a of its rounds, an empty matched_offline, the
+# empty primal of a cover run as the int 0 and the format digit 8 hashes
+# to its format-8 pin).
 TRACE_SHA256 = {
-    ("cardinality", "obvc"): "0ffcc96b5e0ccd959abb2ae0cc204e1e535008799683ec2559055a43a2703498",
-    ("cardinality", "mobvc"): "c2e96e1904ccb79ed1577e7a667dda56e66950dcfea2fb062640c2bd6b4343c4",
-    ("cardinality", "mobm-pd"): "97c0980e0076b8ee88fe20ed6382e5778a158fcf1bce96cdc7287a8eedaa4287",
-    ("uniform", "mobvc"): "b529f12ee4f645d18ae096e45751088f5310801df9f3e1dbb6892765261226c5",
-    ("uniform", "mobm-pd"): "00b43491cac644142dd9f5aefc67a707be7cd855b16509c64e76231f92790e15",
-    ("partition", "mobvc"): "c4927e77a4bc5fb56c59c1247e2ecfa4758118703859cbccc413b4fe18eca0d4",
-    ("partition", "mobm-pd"): "58768b73056105d818944fe3b613225b9d56f0f0b7bb96e8a983a1ba9900a3eb",
-    ("weighted", "mobvc"): "dccf8b623812e4827e342c8606c9e1cab024b7c0a30157c0451ef538f4b80af4",
-    ("weighted", "mobm-pd"): "3b491a920c96369f92a60a8cf1aa52934c0161588b79877f82c77b1547b5e950",
+    ("cardinality", "obvc"): "5e6bfa6fbe23725e27c7f9ff6cedaad86eff03f1215347d804da7a828cb6bc29",
+    ("cardinality", "mobvc"): "7ebac85c39f027295493b10ca9ab64104264fca7e6d65ae591e0d1727cbe912b",
+    ("cardinality", "mobm-pd"): "68a4342ff5e7f5d219d9dfe7216053d6a1a770c5803f424f9c5e67c6e95d201e",
+    ("uniform", "mobvc"): "bc9ee8b755a5b94b2fd9dce13484cd915805b7de2de225db47c95fd02280ce2e",
+    ("uniform", "mobm-pd"): "242da1cee5d1a722c372885f7d6bfef12e28f5e787b643391f5e23c779eb841b",
+    ("partition", "mobvc"): "762a68ef0e3a15510ba46888a846e2946314a842c65e3eb79f6f50ad9122e5b8",
+    ("partition", "mobm-pd"): "89480b2b2f167fed39bcccb7cffed5f2a907ec7e779ef9a881f3028be4e846b5",
+    ("weighted", "mobvc"): "af36839ab6636adf2a72cae4d9c63880d42026eb2a8b8146bd4ccbe3ae057191",
+    ("weighted", "mobm-pd"): "aa8633426c58ee4f187ea7cbb44e765afe9835bb7757d5a16d17b30fd3676942",
 }
 
 
