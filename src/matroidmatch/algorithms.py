@@ -163,8 +163,8 @@ def _offline_ids(col, v: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """The X column: per round, strictly ascending offline ids in 0..n-1.
     The types and the range are checked over the flattened column; the
     per-round pass runs only when that fails, to name the bad round. v is
-    the column of arrival ids, of the same length."""
-    rows = json_list(col)
+    the column of arrival ids; rows past its end make no round."""
+    rows = json_list(col)[:len(v)]
     ids = list(chain.from_iterable(rows)) if set(map(type, rows)) <= {list} else None
     if (ids is None or not set(map(type, ids)) <= {int}
             or (ids and (min(ids) < 0 or max(ids) >= n))):
@@ -200,23 +200,12 @@ def _as_table(*columns: list[float]) -> tuple[list[float], list[list[int]]]:
 def _from_table(name: str, table, **columns) -> list[list[float]]:
     """Inverse of _as_table: each column's values, looked up in the table
     called name. ValueError naming the column unless the table holds finite
-    numbers, strictly ascending (-0.0 may precede 0.0), each column holds
-    int indexes into it, and every entry is used: one bytes form per trace."""
+    numbers and each column holds int indexes into it."""
     table = json_numbers(table, name)
-    if not all(map(operator.lt, table, table[1:])):
-        signed = [(v, math.copysign(1.0, v)) for v in table]
-        if not all(map(operator.lt, signed, signed[1:])):
-            i = next(i for i in range(len(table) - 1) if not signed[i] < signed[i + 1])
-            raise ValueError(f"{name}[{i + 1}] = {table[i + 1]} is not above "
-                             f"{name}[{i}] = {table[i]}")
     for key, col in columns.items():
         if not set(map(type, col)) <= {int} or (col and (min(col) < 0 or max(col) >= len(table))):
             bad = next(k for k in col if type(k) is not int or not 0 <= k < len(table))
             raise ValueError(f"{key} holds {bad!r}, not an index 0..{len(table) - 1} into {name}")
-    used = set(chain(*columns.values()))
-    if len(used) != len(table):
-        unused = next(i for i in range(len(table)) if i not in used)
-        raise ValueError(f"{name}[{unused}] = {table[unused]} is unused by {' or '.join(columns)}")
     return [list(map(table.__getitem__, col)) for col in columns.values()]
 
 
@@ -235,28 +224,12 @@ def _x_column(rounds: list["WaterfillRound"], x: dict[tuple[int, int], float]) -
 
 def _x_from_column(cols: dict, rounds: list["WaterfillRound"]) -> dict[tuple[int, int], float]:
     """Inverse of _x_column, with the entries in column order; ValueError
-    for an x column of another length or one _from_table refuses."""
+    for an x column _from_table refuses."""
     col = json_list(cols["x"])
     keys = [(u, rec.v) for rec in rounds for u in rec.X]
-    if len(col) != len(keys):
-        raise ValueError(f"x column of {len(col)} entries for {len(keys)} raised ids")
     stored = list(map(operator.is_not, col, repeat(None)))
     (values,) = _from_table("x_values", cols["x_values"], x=list(compress(col, stored)))
     return dict(zip(compress(keys, stored), values))
-
-
-def _distinct(what: str, ids):
-    """ids, or ValueError naming the first that repeats (its later row would win)."""
-    if len(set(ids)) != len(ids):
-        seen = set()
-        raise ValueError(f"{what} {next(i for i in ids if i in seen or seen.add(i))} repeats")
-    return ids
-
-
-def _same_length(what: str, **cols):
-    lengths = {key: len(col) for key, col in cols.items()}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"{what} columns of unequal length: {lengths}")
 
 
 @dataclass
@@ -281,7 +254,7 @@ class WaterfillRound:
         regions = [r for rec in rounds for r in rec.regions]
         bounds, (lo, hi) = _as_table([r.lo for r in regions], [r.hi for r in regions])
         return {"v": [rec.v for rec in rounds], "a": [rec.a for rec in rounds],
-                "X": [rec.X for rec in rounds],
+                "X": [list(rec.X) for rec in rounds],
                 "regions": [len(rec.regions) for rec in rounds],
                 "bounds": bounds, "lo": lo, "hi": hi,
                 "old_height": [r.old_height for r in regions],
@@ -290,27 +263,23 @@ class WaterfillRound:
     @staticmethod
     def from_columns(cols: dict, n: int) -> list["WaterfillRound"]:
         """Inverse of to_columns; ValueError, TypeError or KeyError on a
-        malformed or out-of-range column, or a region off 0 <= lo <= hi <= 1."""
+        malformed or out-of-range column, or a region off 0 <= lo <= hi <= 1.
+        Rounds and regions stop at the shortest column."""
         v, a, counts = json_ints(cols["v"]), json_numbers(cols["a"], "a"), json_ints(cols["regions"])
-        X = json_list(cols["X"])
         lo, hi = _from_table("bounds", cols["bounds"], lo=cols["lo"], hi=cols["hi"])
         old, new = json_numbers(cols["old_height"], "old_height"), json_numbers(cols["new_height"], "new_height")
-        _same_length("round", v=v, a=a, X=X, regions=counts)
-        _same_length("region", lo=lo, hi=hi, old_height=old, new_height=new)
         if counts and min(counts) < 0:
             raise ValueError(f"negative region count {min(counts)}")
-        if sum(counts) != len(lo):
-            raise ValueError(f"region counts add up to {sum(counts)}, not {len(lo)}")
         if a and (min(a) < 0.0 or max(a) > 1.0):
             bad = next(level for level in a if not 0.0 <= level <= 1.0)
             raise ValueError(f"water level a = {bad} outside [0, 1]")
-        if lo and (min(lo) < 0.0 or max(hi) > 1.0 or not all(map(operator.le, lo, hi))):
-            i = next(i for i in range(len(lo)) if not 0.0 <= lo[i] <= hi[i] <= 1.0)
+        i = next((i for i, (l, h) in enumerate(zip(lo, hi)) if not 0.0 <= l <= h <= 1.0), None)
+        if i is not None:
             raise ValueError(f"region {i}: lo = {lo[i]}, hi = {hi[i]} lie outside [0, 1] "
                              f"or break lo <= hi")
         regions = map(NewRegion, lo, hi, old, new)
         return [WaterfillRound(vid, level, ids, tuple(islice(regions, k)))
-                for vid, level, ids, k in zip(v, a, _offline_ids(X, v, n), counts)]
+                for vid, level, ids, k in zip(v, a, _offline_ids(cols["X"], v, n), counts)]
 
 
 @dataclass
@@ -331,29 +300,32 @@ class GreedyRound:
     @staticmethod
     def to_columns(rounds: list["GreedyRound"]) -> dict:
         return {"v": [rec.v for rec in rounds], "t": [rec.t for rec in rounds],
-                "X": [rec.X for rec in rounds], "matched": [rec.matched for rec in rounds]}
+                "X": [list(rec.X) for rec in rounds], "matched": [rec.matched for rec in rounds]}
 
     @staticmethod
     def from_columns(cols: dict, n: int) -> list["GreedyRound"]:
         """Inverse of to_columns; ValueError, TypeError or KeyError on a
-        malformed or out-of-range column."""
-        v, t = json_ints(cols["v"]), json_numbers(cols["t"], "t")
-        X, matched = json_list(cols["X"]), json_list(cols["matched"])
-        _same_length("round", v=v, t=t, X=X, matched=matched)
+        malformed or out-of-range column, or a matched id outside its round's
+        X. Rounds stop at the shortest column."""
+        v, t, matched = json_ints(cols["v"]), json_numbers(cols["t"], "t"), json_list(cols["matched"])
         if t and not 0.0 <= min(t) <= max(t) <= 1.0:
             raise ValueError(f"timestamp t = {min(t) if min(t) < 0.0 else max(t)} outside [0, 1]")
         if not set(map(type, matched)) <= {int, type(None)}:
             bad = next(u for u in matched if u is not None and type(u) is not int)
             raise ValueError(f"expected an integer or null, got {bad!r}")
-        return list(map(GreedyRound, v, t, _offline_ids(X, v, n), matched))
+        rounds = list(map(GreedyRound, v, t, _offline_ids(cols["X"], v, n), matched))
+        for rec in rounds:
+            if rec.matched is not None and rec.matched not in rec.X:
+                raise ValueError(f"round v={rec.v}: matched {rec.matched} is not in X = {list(rec.X)}")
+        return rounds
 
 
 @dataclass
 class OnlineState:
     """Final algorithm state: offline potentials y, online duals z, edge
     variables x, the bar chart (waterfilling runs only, not serialized and
-    not compared), and the matched element set. A trace rebuilds z, and
-    greedy-ra's y, from its rounds (RunTrace)."""
+    not compared), and the matched element set. A trace rebuilds z, and all
+    of a greedy-ra state, from its rounds (RunTrace)."""
 
     y: list[float]
     z: dict[int, float]
@@ -364,6 +336,24 @@ class OnlineState:
 
 def _round_type(algorithm: str) -> type[WaterfillRound] | type[GreedyRound]:
     return GreedyRound if algorithm == "greedy-ra" else WaterfillRound
+
+
+def _check_form(found: dict, written: dict, path: str = ""):
+    """ValueError naming the first key, in sorted order, where found (a
+    trace file's JSON object) differs from written (to_dict of the trace
+    read from it). Round columns compare by ==, as their readers have
+    checked the types; every other value by its JSON text, which tells true
+    from 1 and 1 from 1.0."""
+    for key in sorted(found.keys() | written.keys()):
+        if key not in written:
+            raise ValueError(f"{path}{key} is stray")
+        if key not in found:
+            raise ValueError(f"{path}{key} is missing")
+        a, b = found[key], written[key]
+        if type(a) is dict and type(b) is dict:
+            _check_form(a, b, f"{path}{key}.")
+        elif (a != b) if path == "rounds." else (json.dumps(a) != json.dumps(b)):
+            raise ValueError(f"{path}{key} differs from what this trace writes")
 
 
 @dataclass
@@ -378,10 +368,11 @@ class RunTrace:
     and matched. A mobm-pd trace also stores x over the flattened X: the
     entry of u in round v's X indexes x_uv in the table x_values, or is null
     when the round gave u nothing. The final block holds primal_value,
-    dual_value and what the rounds do not fix: y for waterfilling (z loads
-    as 1 - a at each v), and for greedy-ra x as [u, v, 1.0] rows sorted by
-    (u, v) and matched_offline (y and z load from _greedy_duals over the
-    rounds). A round's v, an x pair or a matched id may not repeat.
+    dual_value and y for waterfilling runs, whose z the rounds fix (1 - a
+    at each v). The rounds fix all of a greedy-ra state (_greedy_state);
+    its final block repeats x as [u, v, 1.0] rows sorted by (u, v) and
+    matched_offline, for readers of the JSON. from_dict reads a file only
+    in the form to_dict writes for the trace it reads.
     """
 
     algorithm: str
@@ -393,18 +384,27 @@ class RunTrace:
     dual_value: float
 
     def to_dict(self) -> dict:
-        x = self.state.x
+        """The trace as format 9 JSON. InvariantError when the state holds
+        what the rounds contradict: a z (or any greedy-ra field) other than
+        they fix, or an x entry a waterfilling trace cannot store."""
+        state = self.state
         rounds = _round_type(self.algorithm).to_columns(self.rounds)
         final = {"primal_value": self.primal_value, "dual_value": self.dual_value}
         if self.algorithm == "greedy-ra":
-            final["x"] = [(u, v, x[u, v]) for u, v in sorted(x)]
-            final["matched_offline"] = sorted(self.state.matched)
+            g = _greedy_state(self.rounds, self.n_offline)
+            fixed = {"y": g.y, "z": g.z, "x": g.x, "matched": g.matched}
+            final["x"] = [[u, v, 1.0] for u, v in sorted(g.x)]
+            final["matched_offline"] = sorted(g.matched)
         else:
-            final["y"] = list(self.state.y)
+            fixed = {"z": {rec.v: 1.0 - rec.a for rec in self.rounds}}
+            final["y"] = list(state.y)
             if self.algorithm == "mobm-pd":
-                rounds.update(_x_column(self.rounds, x))
-            elif x:
-                raise InvariantError(f"a {self.algorithm} run has {len(x)} x entries to store")
+                rounds.update(_x_column(self.rounds, state.x))
+            elif state.x:
+                raise InvariantError(f"a {self.algorithm} run has {len(state.x)} x entries to store")
+        for key, value in fixed.items():
+            if getattr(state, key) != value:
+                raise InvariantError(f"state.{key} differs from what the rounds fix")
         return {
             "format": TRACE_FORMAT,
             "algorithm": self.algorithm,
@@ -417,7 +417,9 @@ class RunTrace:
     @staticmethod
     def from_dict(d: dict) -> "RunTrace":
         """Inverse of to_dict. ParseError for another format version;
-        ValueError, TypeError or KeyError for a malformed trace."""
+        ValueError, TypeError or KeyError for a malformed trace, or one not
+        in the form to_dict writes for the trace read from it (_check_form).
+        The build checks only what it needs or a rewrite cannot see."""
         if not isinstance(d, dict):
             raise ValueError("a run trace is a JSON object")
         if d.get("format") != TRACE_FORMAT:
@@ -432,43 +434,25 @@ class RunTrace:
         if not isinstance(name, str) or n < 0:
             raise ValueError(f"bad instance block {d['instance']!r}")
         check_size("n_offline", n)
-        if check_number("alpha", d["alpha"], finite=True) != ALPHA:
-            raise ValueError(f"trace alpha {d['alpha']} differs from ALPHA = {ALPHA}")
         cols, fin = d["rounds"], d["final"]
         rounds = _round_type(algorithm).from_columns(cols, n)
-        _distinct("round v", [rec.v for rec in rounds])  # z is keyed by it
-        greedy = algorithm == "greedy-ra"
-        keys = {"primal_value", "dual_value", *(("x", "matched_offline") if greedy else ("y",))}
-        if set(fin) != keys:
-            odd = min(set(fin) ^ keys)
-            raise ValueError(f"final.{odd} is {'stray' if odd in fin else 'missing'}: the final "
-                             f"block of a {algorithm} trace holds {', '.join(sorted(keys))}")
-        if algorithm != "mobm-pd" and cols.keys() & {"x", "x_values"}:
-            raise ValueError(f"a {algorithm} trace stores x elsewhere: mobm-pd as x and x_values "
-                             f"in the rounds, greedy-ra in the final block, the others nowhere")
-        if greedy:
-            rows = json_list(fin["x"])
-            if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}):
-                bad = next(r for r in rows if type(r) is not list or len(r) != 3)
-                raise ValueError(f"final.x: expected [u, v, value] rows, got {bad!r}")
-            xu, xv, xval = map(list, zip(*rows)) if rows else ([], [], [])
-            pairs = _distinct("final.x (u, v)", list(zip(json_ints(xu), json_ints(xv))))
-            x = dict(zip(pairs, json_numbers(xval, "final.x")))
-            y, z = _greedy_duals([(rec.v, rec.t, rec.matched, sum(1 << u for u in rec.X))
-                                  for rec in rounds], n)
+        vids = [rec.v for rec in rounds]
+        if len(set(vids)) != len(vids):  # z is keyed by v
+            seen = set()
+            raise ValueError(f"round v {next(v for v in vids if v in seen or seen.add(v))} repeats")
+        if algorithm == "greedy-ra":
+            state = _greedy_state(rounds, n)
         else:
             x = _x_from_column(cols, rounds) if algorithm == "mobm-pd" else {}
-            y, z = json_numbers(fin["y"], "final.y"), {rec.v: 1.0 - rec.a for rec in rounds}
-        if len(y) != n:
-            raise ValueError(f"{len(y)} final potentials for n_offline = {n}")
-        matched = _distinct("matched_offline id", json_ints(fin.get("matched_offline", [])))
-        if matched and (min(matched) < 0 or max(matched) >= n):
-            bad = next(u for u in matched if not 0 <= u < n)
-            raise ValueError(f"matched_offline id {bad} outside 0..{n - 1}")
-        state = OnlineState(y=y, z=z, x=x, matched=frozenset(matched))
-        return RunTrace(algorithm, name, n, rounds, state,
-                        check_number("primal_value", fin["primal_value"], finite=True),
-                        check_number("dual_value", fin["dual_value"], finite=True))
+            state = OnlineState(json_numbers(fin["y"], "final.y"),
+                                {rec.v: 1.0 - rec.a for rec in rounds}, x)
+        if len(state.y) != n:
+            raise ValueError(f"{len(state.y)} final potentials for n_offline = {n}")
+        trace = RunTrace(algorithm, name, n, rounds, state,
+                         check_number("primal_value", fin["primal_value"], finite=True),
+                         check_number("dual_value", fin["dual_value"], finite=True))
+        _check_form(d, trace.to_dict())
+        return trace
 
 
 def save_trace(trace: RunTrace, path: str | os.PathLike):
@@ -486,8 +470,9 @@ def save_trace(trace: RunTrace, path: str | os.PathLike):
 
 
 def load_trace(path: str | os.PathLike) -> RunTrace:
-    """Read a trace written by save_trace; ParseError for anything else,
-    including traces of another format version."""
+    """Read a trace written by save_trace; ParseError for anything else:
+    a trace of another format version, or a file whose JSON differs from
+    what save_trace writes for the trace it loads to (RunTrace.from_dict)."""
     data = read_json(path)
     try:
         return RunTrace.from_dict(data)
@@ -624,6 +609,15 @@ def _greedy_duals(steps, n: int) -> tuple[list[float], dict[int, float]]:
     return y, z
 
 
+def _greedy_state(rounds: list[GreedyRound], n: int) -> OnlineState:
+    """The final state a greedy run's rounds fix: y and z by _greedy_duals,
+    x = 1.0 at (matched, v) of each matched round, and the matched set."""
+    y, z = _greedy_duals([(rec.v, rec.t, rec.matched, sum(1 << u for u in rec.X))
+                          for rec in rounds], n)
+    x = {(rec.matched, rec.v): 1.0 for rec in rounds if rec.matched is not None}
+    return OnlineState(y=y, z=z, x=x, matched=frozenset(u for u, _ in x))
+
+
 def _greedy_run(instance: Instance, ordered):
     """One greedy run over ordered: its steps, duals y and z, and its primal
     and dual values."""
@@ -657,11 +651,9 @@ def run_random_arrival_greedy(instance: Instance,
     else:
         ordered = order_arrivals(instance, model or ArrivalModel())
     n = instance.n_offline
-    steps, y, z, primal, dual = _greedy_run(instance, ordered)
+    steps, _, _, primal, dual = _greedy_run(instance, ordered)
     rounds = [GreedyRound(vid, t, mask_members(newly), pick) for vid, t, pick, newly in steps]
-    x = {(rec.matched, rec.v): 1.0 for rec in rounds if rec.matched is not None}
-    state = OnlineState(y=y, z=z, x=x, chart=None, matched=frozenset(u for u, _ in x))
-    return RunTrace("greedy-ra", instance.name, n, rounds, state, primal, dual)
+    return RunTrace("greedy-ra", instance.name, n, rounds, _greedy_state(rounds, n), primal, dual)
 
 
 def greedy_trials(instance: Instance, kind: str, seed: int,

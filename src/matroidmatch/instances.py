@@ -437,6 +437,10 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
         except ValueError as e:
             raise ParseError(f"{ctx}: {e}") from e
 
+    def only(obj, keys, ctx):
+        if len(obj) != len(keys):  # need has found each key in obj
+            raise ParseError(f"{ctx}: stray field {next(k for k in obj if k not in keys)!r}")
+
     name = need(data, "name", where)
     if not isinstance(name, str):
         raise ParseError(f"{where}.name: expected a string, got {name!r}")
@@ -450,6 +454,7 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
     except (ValueError, TypeError, OverflowError) as e:  # InputError, or a field of the wrong type
         raise ParseError(f"{where}.f: {e}") from e
     raw = checked(json_list, need(data, "arrivals", where), f"{where}.arrivals")
+    only(data, ("name", "n_offline", "f", "arrivals"), where)
     check_size(f"{where}: m", len(raw))
     arrivals = []
     edges = 0
@@ -457,6 +462,7 @@ def instance_from_dict(data: dict, where: str = "instance") -> Instance:
         ctx = f"{where}.arrivals[{i}]"
         vid = checked(json_int, need(entry, "id", ctx), f"{ctx}.id")
         nbrs = checked(json_list, need(entry, "nbrs", ctx), f"{ctx}.nbrs")
+        only(entry, ("id", "nbrs"), ctx)
         edges += len(nbrs)
         check_size(f"{where}: edges", edges)
         # types first, as Arrival sorts them; then range and repeats, read

@@ -386,8 +386,9 @@ _SPEC_FIELDS = {cls.family: (cls, names) for cls, names in [
 def fn_from_spec(spec: dict, ground: GroundSet) -> SubmodularFn:
     """Build a SubmodularFn from its tagged-dict serialization, the form
     every budget read from an instance file or a --f flag takes.
-    InputError for a malformed spec, and (from the constructor) for a
-    budget that takes a value that is not finite."""
+    InputError for a malformed spec, one with a field its family does not
+    take, and (from the constructor) for a budget that takes a value that
+    is not finite."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise InputError("f spec must be an object with a 'family' tag")
     family = spec["family"]
@@ -397,6 +398,9 @@ def fn_from_spec(spec: dict, ground: GroundSet) -> SubmodularFn:
     for name in names:
         if name not in spec:
             raise InputError(f"{family} spec needs field '{name}'")
+    if len(spec) != len(names) + 1:
+        raise InputError(f"{family} spec has a stray field "
+                         f"{next(k for k in spec if k != 'family' and k not in names)!r}")
     return cls(ground, *(spec[name] for name in names))
 
 

@@ -326,6 +326,20 @@ class TestHostileFiles:
         path.write_text(json.dumps(data), encoding="utf-8")
         self.assert_rejected(path, match)
 
+    @pytest.mark.parametrize("data, match", [
+        ({**edge_instance({"family": "cardinality"}), "m_online": 1}, r"i\.json: stray field "
+         "'m_online'"),
+        ({**edge_instance({"family": "cardinality"}),
+          "arrivals": [{"id": 0, "nbrs": [0], "t": 0.5}]}, r"arrivals\[0\]: stray field 't'"),
+        (edge_instance({"family": "cardinality", "k": 2}), r"f: cardinality spec has a stray "
+         "field 'k'"),
+    ], ids=["top-level", "arrival", "f"])
+    def test_stray_field(self, tmp_path, data, match):
+        # a key no reader takes is refused, not ignored
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        self.assert_rejected(path, match)
+
     @pytest.mark.parametrize("n", [10 ** 20, 2 ** 33, INSTANCE_SIZE_LIMIT + 1])
     def test_n_offline_beyond_size_limit(self, tmp_path, n):
         # 10**20 used to load and then end run in an OverflowError traceback

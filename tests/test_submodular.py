@@ -691,6 +691,13 @@ class TestSerialization:
         with pytest.raises(InputError):
             fn_from_spec({"family": "uniform_rank"}, GroundSet(2))
 
+    @pytest.mark.parametrize("spec, key", [({"family": "cardinality", "k": 2}, "k"),
+                                           ({"family": "uniform_rank", "k": 2, "caps": [1]}, "caps")])
+    def test_stray_field(self, spec, key):
+        # a field the family does not take is refused, not dropped
+        with pytest.raises(InputError, match=f"stray field '{key}'"):
+            fn_from_spec(spec, GroundSet(2))
+
 
 # Numbers at and past the end of the float range, for budget specs.
 EXTREMES = [0.0, 1.0, 2.5, 1e308, math.inf, -math.inf, math.nan]
