@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 
 from .barchart import BarChart, NewRegion, snap
-from .constants import ALPHA, DEFAULT_TOL
+from .constants import ALPHA
 from .errors import (
     InputError,
     InvariantError,
@@ -47,13 +47,11 @@ from .errors import (
     PreconditionError,
     check_int,
     check_number,
-    check_numbers,
 )
 from .instances import (
     Arrival,
     ArrivalModel,
     Instance,
-    _uniforms,
     arrival_orders,
     by_timestamp,
     check_size,
@@ -340,8 +338,9 @@ def _round_type(algorithm: str) -> type[WaterfillRound] | type[GreedyRound]:
 
 def _check_form(found: dict, written: dict, path: str = ""):
     """ValueError naming the first key, in sorted order, where found (a
-    trace file's JSON object) differs from written (to_dict of the trace
-    read from it). Round columns compare by ==, as their readers have
+    trace file's JSON object, or its _keys) differs from written (to_dict
+    of the trace read from it, or that of the empty trace; RunTrace.from_dict
+    compares both pairs). Round columns compare by ==, as their readers have
     checked the types; every other value by its JSON text, which tells true
     from 1 and 1 from 1.0."""
     for key in sorted(found.keys() | written.keys()):
@@ -354,6 +353,12 @@ def _check_form(found: dict, written: dict, path: str = ""):
             _check_form(a, b, f"{path}{key}.")
         elif (a != b) if path == "rounds." else (json.dumps(a) != json.dumps(b)):
             raise ValueError(f"{path}{key} differs from what this trace writes")
+
+
+def _keys(obj):
+    """The key nesting of a JSON value: a dict's keys, each mapped to the
+    nesting of its value, and None for any other value."""
+    return {k: _keys(v) for k, v in obj.items()} if type(obj) is dict else None
 
 
 @dataclass
@@ -419,6 +424,8 @@ class RunTrace:
         """Inverse of to_dict. ParseError for another format version;
         ValueError, TypeError or KeyError for a malformed trace, or one not
         in the form to_dict writes for the trace read from it (_check_form).
+        The keys are compared first, with those of the empty trace of the
+        same algorithm, so a missing key is named before any value is read.
         The build checks only what it needs or a rewrite cannot see."""
         if not isinstance(d, dict):
             raise ValueError("a run trace is a JSON object")
@@ -427,9 +434,11 @@ class RunTrace:
             raise ParseError(f"trace format {found} is not supported; this version reads "
                              f"format {TRACE_FORMAT} only, so re-run the algorithm to "
                              f"write the trace again")
-        algorithm = d["algorithm"]
+        algorithm = d.get("algorithm")
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
+        empty = _greedy_state([], 0) if algorithm == "greedy-ra" else OnlineState([], {}, {})
+        _check_form(_keys(d), _keys(RunTrace(algorithm, "", 0, [], empty, 0.0, 0.0).to_dict()))
         name, n = d["instance"]["name"], json_int(d["instance"]["n_offline"])
         if not isinstance(name, str) or n < 0:
             raise ValueError(f"bad instance block {d['instance']!r}")
@@ -683,40 +692,3 @@ def run_algorithm(algorithm: str, instance: Instance,
     if algorithm == "greedy-ra":
         return run_random_arrival_greedy(instance, model)
     raise InputError(f"unknown algorithm {algorithm!r}")
-
-
-# ---------------------------------------------------------------------------
-# Rounding
-# ---------------------------------------------------------------------------
-
-def round_cover(instance: Instance, y, z: dict[int, float], gamma: float | None = None,
-                seed: int | None = None) -> tuple[frozenset[int], frozenset[int]]:
-    """Round fractional cover duals to an integral cover with one shared
-    threshold: u enters at y_u >= gamma, v at z_v >= 1 - gamma (both
-    inclusive). Requires y_u + z_v >= 1 - DEFAULT_TOL on every edge, which
-    makes the output a cover for every gamma in [0, 1]. Without gamma, the
-    threshold is seed's first _uniforms draw (seed 0 by default).
-    InputError for a gamma with a seed, a non-int seed, a gamma, y or z
-    value that is not a finite number (bools and strings included), or a
-    key of z that is no online vertex (numpy ints are taken as ints; no
-    other non-int, bools included, is one)."""
-    y = check_numbers("y", y, finite=True)
-    if len(y) != instance.n_offline:
-        raise InputError(f"need {instance.n_offline} potentials, got {len(y)}")
-    check_numbers("z", z, finite=True)
-    for key in z:
-        if instance.online_id(key) is None:
-            raise InputError(f"z[{key}]: no such online vertex")
-    for u, vid in instance.edges():
-        if y[u] + z.get(vid, 0.0) < 1.0 - DEFAULT_TOL:
-            raise PreconditionError(
-                f"edge ({u}, {vid}) is uncovered: y={y[u]}, z={z.get(vid, 0.0)}")
-    if gamma is None:
-        gamma = _uniforms([check_int("seed", 0 if seed is None else seed)], 1).item()
-    elif seed is not None:
-        raise InputError("give gamma or a seed, not both")
-    if not 0.0 <= check_number("gamma", gamma, finite=True) <= 1.0:
-        raise InputError(f"gamma = {gamma} outside [0, 1]")
-    S = frozenset(u for u in range(instance.n_offline) if y[u] >= gamma)
-    T = frozenset(int(vid) for vid, zv in z.items() if zv >= 1.0 - gamma)
-    return S, T

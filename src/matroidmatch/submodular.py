@@ -5,9 +5,10 @@ either as iterables of ids or as int bitmasks (bit u set means element u is
 in the set). All public operations accept both forms; internals work on
 masks.
 
-The families provided here are all nonnegative and normalized at
-construction time; monotonicity and submodularity are *not* enforced by
-constructors (ExplicitTable can hold arbitrary nonnegative data) and are
+The families provided here are all nonnegative. The closed-form ones are
+normalized (f(empty) = 0); ExplicitTable can hold any finite nonnegative
+data, f(empty) > 0 included, which is what lovasz's top slab is for.
+Monotonicity and submodularity are *not* enforced by constructors and are
 checked by verify_axioms instead.
 """
 
@@ -59,8 +60,9 @@ class GroundSet:
 
 def as_mask(ground: GroundSet, S) -> int:
     """Canonicalize a subset (iterable of ids, or an int bitmask) to a mask;
-    InputError for anything else, bools included. Every conversion of ids
-    to a mask goes through here.
+    InputError for anything else, bools included. This is the checked
+    conversion for input; code whose ids are already checked builds its
+    masks inline.
 
     An id that is an int in range is taken inline; any other goes to
     check_element, which takes numpy ints and raises for the rest. (On
@@ -203,7 +205,7 @@ class LaminarBudget(SubmodularFn):
         groups = [(members, c) for (members, _), c in zip(groups, caps)]
         masks = [as_mask(ground, members) for members, _ in groups]
         union = reduce(operator.or_, masks, 0)
-        if sum(map(int.bit_count, masks)) != union.bit_count():
+        if sum(len(members) for members, _ in groups) != union.bit_count():
             raise InputError("blocks must be disjoint")
         if union != ground.full_mask:
             raise InputError("blocks must cover the ground set")

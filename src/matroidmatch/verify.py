@@ -1,4 +1,4 @@
-"""Offline oracles and lemma-level auditors.
+"""Offline oracles, lemma-level auditors, and threshold rounding.
 
 Everything here is deliberately independent of the online code paths: the
 optimum is a self-checked min cut (brute-force enumeration for budgets
@@ -8,6 +8,11 @@ trace regions. The one exception is check_run's replay, which reruns the
 algorithm because comparing a trace with its rerun is that check. A
 disagreement between an auditor and a run is evidence against the run,
 never the other way around.
+
+check_cover states "(y, z) covers every edge" once: it is the cover check
+of a run and the precondition of round_cover, whose expected cost
+expected_rounding_cost computes independently. check_pair is the one rule
+for whether a trace is a run on an instance.
 """
 
 from __future__ import annotations
@@ -35,7 +40,15 @@ from .constants import (
     charge_integral,
     charge_potential,
 )
-from .errors import InputError, InvariantError, _label, check_int, check_numbers
+from .errors import (
+    InputError,
+    InvariantError,
+    PreconditionError,
+    _label,
+    check_int,
+    check_number,
+    check_numbers,
+)
 from .instances import Instance, _vertex_id, by_timestamp, check_size, stamp_orders
 from .submodular import (
     SubmodularFn,
@@ -356,6 +369,25 @@ def check_cover(y, z: dict[int, float], instance: Instance) -> CheckReport:
     return report
 
 
+def round_cover(instance: Instance, y, z: dict[int, float],
+                gamma: float) -> tuple[frozenset[int], frozenset[int]]:
+    """Round a fractional cover to an integral one at the threshold gamma:
+    u enters at y_u >= gamma, v at z_v >= 1 - gamma (both inclusive), so
+    y_u + z_v >= 1 on an edge puts one of its ends in for every gamma in
+    [0, 1]. (y, z) must pass check_cover: PreconditionError with its first
+    violation otherwise, InputError where it raises one, and InputError for
+    a gamma that is not a finite number in [0, 1]."""
+    y = check_numbers("y", y, finite=True)
+    rep = check_cover(y, z, instance)
+    if not rep.ok:
+        raise PreconditionError(rep.violations[0])
+    if not 0.0 <= check_number("gamma", gamma, finite=True) <= 1.0:
+        raise InputError(f"gamma = {gamma} outside [0, 1]")
+    S = frozenset(u for u in range(instance.n_offline) if y[u] >= gamma)
+    T = frozenset(int(vid) for vid, zv in z.items() if zv >= 1.0 - gamma)
+    return S, T
+
+
 def expected_rounding_cost(f: SubmodularFn, y, z: dict[int, float]) -> float:
     """Exact expectation over the rounding threshold gamma of
     f({u : y_u >= gamma}) + |{v : z_v >= 1 - gamma}|.
@@ -391,11 +423,30 @@ def expected_rounding_cost(f: SubmodularFn, y, z: dict[int, float]) -> float:
 
 def check_pair(trace: RunTrace, instance: Instance):
     """InputError unless trace is a run on instance: the same instance name
-    and the same number of offline vertices."""
+    and the same number of offline vertices, one round per arrival (in the
+    stored order, but in any order for greedy-ra, whose timestamps order
+    them), and every round's X (greedy-ra: its matched element) within
+    N(v). The error names the first round that breaks the rule."""
     if trace.instance_name != instance.name or trace.n_offline != instance.n_offline:
         raise InputError(
             f"trace is for instance {trace.instance_name!r} (n={trace.n_offline}), "
             f"got {instance.name!r} (n={instance.n_offline})")
+    greedy = trace.algorithm == "greedy-ra"
+    ids = [arr.id for arr in instance.arrivals]
+    unseen = set(ids)  # arrivals without a round so far
+    for i, rec in enumerate(trace.rounds):
+        if not (rec.v in unseen if greedy else i < len(ids) and rec.v == ids[i]):
+            which = "an arrival without an earlier round" if greedy else f"arrival {i}"
+            raise InputError(f"rounds[{i}].v = {rec.v} is not {which} of {instance.name!r}")
+        unseen.discard(rec.v)
+        key, picked = ("matched", [rec.matched]) if greedy else ("X", rec.X)
+        outside = [u for u in picked if u is not None and not (instance.masks[rec.v] >> u) & 1]
+        if outside:
+            raise InputError(f"rounds[{i}].{key}: element {outside[0]} is not a neighbor "
+                             f"of v={rec.v} in {instance.name!r}")
+    if unseen:
+        raise InputError(f"the trace has {len(trace.rounds)} rounds for the {len(ids)} "
+                         f"arrivals of {instance.name!r}")
 
 
 def check_run(trace: RunTrace, instance: Instance) -> list[tuple[str, bool, str]]:

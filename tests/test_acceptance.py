@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from matroidmatch.algorithms import (
-    round_cover,
     run_mobm_pd,
     run_mobvc,
     run_obvc,
@@ -36,6 +35,7 @@ from matroidmatch.verify import (
     check_matching,
     expected_rounding_cost,
     offline_opt,
+    round_cover,
     round_increments,
     verify_random_arrival_lemmas,
 )

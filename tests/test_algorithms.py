@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from matroidmatch.algorithms import (
@@ -11,7 +10,7 @@ from matroidmatch.algorithms import (
     _modular_water_level,
     dual_split_rate,
     load_trace,
-    round_cover,
+    run_algorithm,
     run_mobm_pd,
     run_mobvc,
     run_obvc,
@@ -39,9 +38,9 @@ from matroidmatch.submodular import (
     as_mask,
     lovasz,
 )
-from matroidmatch.verify import round_increments
+from matroidmatch.verify import round_cover, round_increments
 
-from helpers import SplitMix64, make_matroid_suite, make_suite
+from helpers import make_matroid_suite, make_suite
 
 TOL = 1e-9
 
@@ -378,22 +377,6 @@ class TestRoundCover:
             for u, vid in inst.edges():
                 assert u in S or vid in T
 
-    def test_seeded_gamma_deterministic(self):
-        inst = single_edge()
-        one = round_cover(inst, [1.0], {0: 0.0}, seed=3)
-        two = round_cover(inst, [1.0], {0: 0.0}, seed=3)
-        assert one == two
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"seed": 2.5}, "seed must be an int, got 2.5"),
-        ({"seed": True}, "seed must be an int, got True"),
-        ({"seed": 3, "gamma": 0.5}, "give gamma or a seed, not both"),
-    ])
-    def test_seed_checked(self, kwargs, message):
-        # a raw TypeError, a run at seed 1, and a seed silently dropped
-        with pytest.raises(InputError, match=message):
-            round_cover(single_edge(), [1.0], {0: 0.0}, **kwargs)
-
     @pytest.mark.parametrize("gamma, message", [
         ("0.5", "gamma = '0.5' is not a number"), (True, "gamma = True is not a number"),
         (math.inf, "gamma = inf is not finite"), (1.5, r"gamma = 1.5 outside \[0, 1\]"),
@@ -402,21 +385,6 @@ class TestRoundCover:
         # "0.5" raised a raw TypeError, and True was taken as 1.0
         with pytest.raises(InputError, match=message):
             round_cover(single_edge(), [1.0], {0: 0.0}, gamma=gamma)
-
-    def test_numpy_seed_is_the_int_seed(self):
-        assert (round_cover(single_edge(), [1.0], {0: 0.0}, seed=np.uint16(3))
-                == round_cover(single_edge(), [1.0], {0: 0.0}, seed=3))
-
-    @pytest.mark.parametrize("seed", [None, 0, 1, -1, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
-                                      2 ** 70 + 5])
-    def test_seeded_gamma_is_the_reference_draw(self, seed):
-        # y_0 sits on the reference class's first draw and y_1 one float
-        # below it, so only the exact threshold splits them
-        gamma = SplitMix64(seed or 0).random()
-        inst = gen_upper_triangular(2)
-        y = [gamma, math.nextafter(gamma, 0.0)]
-        S, T = round_cover(inst, y, {0: 1.0, 1: 1.0}, seed=seed)
-        assert S == {0} and T == {0, 1}
 
 
 class TestTraceSerialization:
@@ -438,3 +406,8 @@ class TestTraceSerialization:
 def test_dual_split_rate_endpoints():
     assert dual_split_rate(1.0) == 1.0
     assert dual_split_rate(0.0) == pytest.approx(1 / math.e, abs=1e-15)
+
+
+def test_run_algorithm_refuses_an_unknown_name():
+    with pytest.raises(InputError, match="unknown algorithm 'greedy'"):
+        run_algorithm("greedy", single_edge())

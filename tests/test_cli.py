@@ -256,6 +256,18 @@ class TestRun:
         assert main(argv) == 0
         assert calls == ["load", "opt"]
 
+    def test_repeated_block_id_refused(self, tmp_path, capsys):
+        # a bit count saw no overlap in [0, 0, 1], and the min cut gave
+        # element 0 two arcs: offline_opt 3 and a cover ratio of 2/3
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({
+            "name": "dup", "n_offline": 4,
+            "f": {"family": "partition_budget", "blocks": [[0, 0, 1], [2, 3]], "caps": [5.0, 2.0]},
+            "arrivals": [{"id": 0, "nbrs": [0]}, {"id": 1, "nbrs": [0]},
+                         {"id": 2, "nbrs": [0, 1]}]}), encoding="utf-8")
+        assert main(["run", str(path), "--algorithm", "mobvc"]) == 2
+        assert capsys.readouterr().err == f"error: {path}.f: blocks must be disjoint\n"
+
     def test_missing_file(self, capsys):
         assert main(["run", "no-such.json", "--algorithm", "obvc"]) == 2
 
@@ -301,6 +313,23 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == (f"error: trace is for instance {load(ipath).name!r} (n=5), "
                                 f"got 'triangular-4' (n=4)\n")
+
+    @pytest.mark.parametrize("command", ["verify", "audit"])
+    def test_instance_of_the_same_name_and_size_refused(self, tmp_path, capsys, command):
+        # audit passed a trace run on another instance whose name and
+        # n_offline were the same, and verify failed only its replay
+        paths = [str(tmp_path / f"{seed}.json") for seed in (21, 22)]
+        for seed, path in zip((21, 22), paths):
+            main(["generate", "random", "--n", "6", "--m", "9", "--p", "0.45", "--name", "same",
+                  "--seed", str(seed), "--out", path])
+        tpath = str(tmp_path / "t.json")
+        main(["run", paths[0], "--algorithm", "mobvc", "--trace", tpath])
+        capsys.readouterr()
+        assert main([command, tpath, "--instance", paths[1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: rounds[0].X: element 2 is not a neighbor of v=0 "
+                                "in 'same'\n")
 
     def test_json_report(self, tmp_path, capsys):
         ipath, tpath = self.make_pair(tmp_path)

@@ -427,6 +427,11 @@ class TestMatroidRank:
         f = ExplicitTable(GroundSet(2), [0.0, 0.0, 0.0, 1.0])
         assert not is_matroid_rank(f)
 
+    def test_marginal_of_two_rejected(self):
+        # integral, normalized, monotone and submodular, so without a laminar
+        # form only the exhaustive check's 0/1 marginal test refuses it
+        assert not is_matroid_rank(ExplicitTable(GroundSet(2), [0, 2, 2, 4]))
+
     def test_size_limit(self):
         # only budgets without a laminar form are checked exhaustively
         with pytest.raises(SizeError):

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidmatch.algorithms import (
-    round_cover,
+    load_trace,
+    run_algorithm,
     run_mobm_pd,
     run_mobvc,
     run_obvc,
     run_random_arrival_greedy,
+    save_trace,
 )
 from matroidmatch.constants import ALPHA, charge_potential
 from matroidmatch.errors import InputError, InvariantError, SizeError, check_numbers
@@ -46,6 +48,7 @@ from matroidmatch.verify import (
     critical_value,
     expected_rounding_cost,
     offline_opt,
+    round_cover,
     verify_random_arrival_lemmas,
 )
 
@@ -441,8 +444,8 @@ VALUE_CALLS = [
 
 
 class TestSavedRun:
-    """check_run and audit_charging refuse what they cannot judge: a trace
-    of another instance."""
+    """check_run and audit_charging judge a saved run, and refuse what they
+    cannot judge: a trace that is no run on the instance."""
 
     MISMATCH = "trace is for instance 'triangular-3' (n=3), got {!r} (n={})"
 
@@ -458,6 +461,45 @@ class TestSavedRun:
         with pytest.raises(InputError) as exc:
             audit_charging(trace, other)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("alg, edit, message", [
+        ("mobvc", lambda rounds: rounds.reverse(),
+         "rounds[0].v = 2 is not arrival 0 of 'triangular-3'"),
+        ("mobm-pd", lambda rounds: rounds.pop(),
+         "the trace has 2 rounds for the 3 arrivals of 'triangular-3'"),
+        ("obvc", lambda rounds: setattr(rounds[2], "X", (0,)),
+         "rounds[2].X: element 0 is not a neighbor of v=2 in 'triangular-3'"),
+        ("greedy-ra", lambda rounds: rounds.append(rounds[0]),
+         "rounds[3].v = 0 is not an arrival without an earlier round of 'triangular-3'"),
+        ("greedy-ra", lambda rounds: setattr(rounds[2], "matched", 0),
+         "rounds[2].matched: element 0 is not a neighbor of v=2 in 'triangular-3'"),
+    ], ids=["reordered", "missing-round", "X-off-neighbors", "repeated-round",
+            "matched-off-neighbors"])
+    def test_rounds_no_run_on_the_instance_makes_refused(self, alg, edit, message):
+        # the name and n_offline were the whole pairing rule, so a trace run
+        # on another instance of the same name and size passed audit
+        inst = gen_upper_triangular(3)
+        trace = run_algorithm(alg, inst)
+        edit(trace.rounds)
+        calls = [check_run] if alg == "greedy-ra" else [check_run, audit_charging]
+        for call in calls:
+            with pytest.raises(InputError) as exc:
+                call(trace, inst)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("alg, edit, detail", [
+        ("mobm-pd", lambda trace: trace.state.x.pop(min(trace.state.x)),
+         "state.x[0,0] is missing from the trace"),
+        ("mobvc", lambda trace: setattr(trace.rounds[0], "regions", ()),
+         "rounds[0].regions has 0 entries, replayed 1"),
+    ], ids=["x-entry", "region"])
+    def test_first_difference_named(self, tmp_path, alg, edit, detail):
+        inst = gen_upper_triangular(3)
+        trace = run_algorithm(alg, inst)
+        edit(trace)
+        save_trace(trace, tmp_path / "t.json")
+        name, ok, found = check_run(load_trace(tmp_path / "t.json"), inst)[0]
+        assert (name, ok, found) == ("replay-match", False, detail)
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
